@@ -18,7 +18,6 @@ from .integrator import (
     make_initial,
     run,
     save_checkpoint,
-    step,
 )
 from .energy import (
     EnergyLedger,
@@ -29,7 +28,7 @@ from .energy import (
     ledger_row,
 )
 from .lemmas import (
-    LemmaReport,
+    CheckReport,
     interpolation_constant,
     check_interpolation_bound,
     gronwall_check,
@@ -50,12 +49,12 @@ from .uniqueness import TwinRunResult, damping_contraction_check, twin_run
 
 __all__ = [
     "BlowUpError",
+    "CheckReport",
     "DampingSpec",
     "EnergyLedger",
     "F_CATALOG",
     "GridSpec",
     "InitialCondition",
-    "LemmaReport",
     "MhdState",
     "PhysicalVectorField",
     "SolverConfig",
@@ -88,6 +87,5 @@ __all__ = [
     "run",
     "save_checkpoint",
     "sobolev_norm",
-    "step",
     "twin_run",
 ]

@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from .damping import DampingSpec, F_CATALOG
-from .energy import CheckReport, check_H1_inequalities, check_L2_inequality
-from .fields import set_fft_workers
+from .energy import check_H1_inequalities, check_L2_inequality
 from .grid import GridSpec
 from .integrator import (
     BlowUpError,
@@ -31,8 +32,13 @@ from .integrator import (
     run,
     save_checkpoint,
 )
-from .lemmas import check_interpolation_bound, modifier_envelope_report, monotonicity_suite
-from .uniqueness import twin_run
+from .lemmas import (
+    CheckReport,
+    check_interpolation_bound,
+    modifier_envelope_report,
+    monotonicity_suite,
+)
+from .uniqueness import TwinRunResult, twin_run
 
 KNOWN_CHECKS = ("l2", "h1_additive", "h1_exponential", "lemmas", "twin")
 
@@ -127,9 +133,15 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: number {text} is not finite")
+        return value
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -175,9 +187,6 @@ def _final_state_summary(state) -> dict:
 
 
 def _apply_common_overrides(args, cfg: ExperimentConfig) -> ExperimentConfig:
-    threads = args.threads or int(os.environ.get("MHDDAMP_THREADS", "0") or 0)
-    if threads:
-        set_fft_workers(threads)
     if args.seed is not None:
         solver = dataclasses.replace(cfg.solver, seed=args.seed)
         cfg = dataclasses.replace(cfg, solver=solver)
@@ -242,47 +251,37 @@ def cmd_run(args) -> int:
 
 def _lemma_reports_for_run(damping: DampingSpec) -> list[CheckReport]:
     """Lemma-suite checks scoped to the run's damping parameters."""
-    reports = []
-    x = np.linspace(0.0, 100.0, 10_000)
     if damping.kind == "power":
-        lem = check_interpolation_bound(damping.alpha, float(damping.beta), x)
-        reports.append(
-            CheckReport(
-                "lemma_interpolation",
-                lem.status,
-                worst_margin=lem.worst_margin if lem.status != "NOT-APPLICABLE" else np.nan,
-                worst_time=np.nan,
-                detail=str(lem.extra.get("reason", "")),
-            )
-        )
+        x = np.linspace(0.0, 100.0, 10_000)
+        return [check_interpolation_bound(damping.alpha, float(damping.beta), x)]
     if damping.kind == "generalized":
-        mono = monotonicity_suite(damping.function, n_pairs=20_000, seed=0)
-        reports.append(
-            CheckReport(
-                "lemma_monotonicity",
-                mono.status,
-                worst_margin=mono.worst_margin,
-                worst_time=np.nan,
-            )
-        )
-    if not reports:
-        reports.append(
-            CheckReport("lemma_suite", "NOT-APPLICABLE", detail="no damping active")
-        )
-    return reports
+        return [monotonicity_suite(damping.function, n_pairs=20_000, seed=0)]
+    return [CheckReport("lemma_suite", "NOT-APPLICABLE", detail="no damping active")]
+
+
+def _twin_pair(solver: SolverConfig, eps: float) -> TwinRunResult | None:
+    """The eps twin, run once the eps = 0 twin has shown determinism.
+
+    Returns None when the eps = 0 trajectories differ, and the eps = 0 twin
+    itself when it blew up.
+    """
+    zero = twin_run(solver, 0.0)
+    if zero.blown_up:
+        return zero
+    if not zero.identical:
+        return None
+    return twin_run(solver, eps)
 
 
 def _twin_report(cfg: ExperimentConfig) -> CheckReport:
-    zero = twin_run(cfg.solver, 0.0)
-    if not zero.identical:
+    result = _twin_pair(cfg.solver, cfg.perturbation_scale)
+    if result is None:
         return CheckReport("twin", "FAIL", detail="eps = 0 twin trajectories differ")
-    result = twin_run(cfg.solver, cfg.perturbation_scale)
     ok = result.bound_satisfied() and not result.blown_up
     return CheckReport(
         "twin",
         "PASS" if ok else "FAIL",
         worst_margin=result.c_hat,
-        worst_time=np.nan,
         detail=f"c_hat={result.c_hat:.6g} c_bound={result.c_bound:.6g}",
     )
 
@@ -327,7 +326,7 @@ def cmd_lemmas(args) -> int:
                 else:
                     fh.write(
                         f"{alpha},{beta},{rep.status},{rep.worst_margin:.17g},"
-                        f"{rep.worst_location:.17g},"
+                        f"{rep.extra['x_at_worst']:.17g},"
                         f"{rep.extra['margin_at_x_star']:.17g},{rep.extra['c']:.17g}\n"
                     )
 
@@ -360,15 +359,14 @@ def cmd_twin(args) -> int:
     eps = cfg.perturbation_scale if args.eps is None else args.eps
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
-    zero = twin_run(cfg.solver, 0.0)
-    if not zero.identical:
+    result = _twin_pair(cfg.solver, eps)
+    if result is None:
         print("determinism check failed: eps = 0 trajectories differ", file=sys.stderr)
         return 2
-    result = twin_run(cfg.solver, eps)
     result.to_csv(os.path.join(out, "twin.csv"))
     result.to_json(os.path.join(out, "summary.json"))
     if result.blown_up:
-        print(f"twin run blew up (eps = {eps:g})", file=sys.stderr)
+        print(f"twin run blew up (eps = {result.eps:g})", file=sys.stderr)
         return 3
     ok = result.bound_satisfied()
     print(
@@ -434,11 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fft_workers(args) -> int:
+    """FFT worker cap of one command: --threads, else MHDDAMP_THREADS, else 1."""
+    if not hasattr(args, "threads"):
+        return 1
+    workers = args.threads or int(os.environ.get("MHDDAMP_THREADS", "0") or 0) or 1
+    if workers < 1:
+        raise ConfigError(f"FFT worker count must be >= 1, got {workers}")
+    return workers
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with scipy.fft.set_workers(_fft_workers(args)):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

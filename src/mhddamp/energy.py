@@ -18,13 +18,13 @@ dissipation column exactly (same floating-point sum).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, speed_sq
 from .fields import SpectralVectorField, fft_grid, ifft_grid
-from .lemmas import interpolation_constant
+from .lemmas import CheckReport, interpolation_constant
+from .operators import gradient_coeffs
 from .state import MhdState
 
 INSTANT_COLUMNS = (
@@ -66,19 +66,13 @@ def _velocity_pointwise(u: SpectralVectorField):
     n = g.n_modes
     batch = np.empty((12,) + g.shape, dtype=np.complex128)
     batch[0:3] = u.coeffs
-    for i in range(3):
-        batch[3 + 3 * i + 0] = 1j * g.kx * u.coeffs[i]
-        batch[3 + 3 * i + 1] = 1j * g.ky * u.coeffs[i]
-        batch[3 + 3 * i + 2] = 1j * g.kz * u.coeffs[i]
+    gradient_coeffs(u.coeffs, g, batch[3:12])
     phys = ifft_grid(batch, n).real
     up = phys[0:3]
     grad_u_sq = np.sum(phys[3:12] ** 2, axis=0)
     q = speed_sq(up)
     q_hat = fft_grid(q, n) * g.keep_mask
-    gq = np.empty((3,) + g.shape, dtype=np.complex128)
-    gq[0] = 1j * g.kx * q_hat
-    gq[1] = 1j * g.ky * q_hat
-    gq[2] = 1j * g.kz * q_hat
+    gq = gradient_coeffs(q_hat[None], g, np.empty((3,) + g.shape, dtype=np.complex128))
     grad_q_sq = np.sum(ifft_grid(gq, n).real ** 2, axis=0)
     return up, grad_u_sq, q, grad_q_sq
 
@@ -213,35 +207,6 @@ class EnergyLedger:
                 for name in ALL_COLUMNS:
                     ledger.columns[name].append(float(record[name]))
         return ledger
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one inequality check over a ledger."""
-
-    name: str
-    status: str  # PASS | FAIL | NOT-APPLICABLE
-    worst_margin: float = np.nan
-    worst_time: float = np.nan
-    tolerance: float = 0.0
-    detail: str = ""
-    margins: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-    @property
-    def acceptable(self) -> bool:
-        return self.status in ("PASS", "NOT-APPLICABLE")
-
-    def summary_line(self) -> str:
-        if self.status == "NOT-APPLICABLE":
-            return f"NOT-APPLICABLE {self.name}: {self.detail}"
-        return (
-            f"{self.status} {self.name} worst_margin={self.worst_margin:.6e}"
-            f" at t={self.worst_time:.6g} (tolerance {self.tolerance:.3e})"
-        )
 
 
 def _report(name: str, margins: np.ndarray, times: np.ndarray, tol: float, detail: str = "") -> CheckReport:
@@ -380,24 +345,9 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
     return reports
 
 
-@dataclass
-class DampingIdentityReport:
-    """Integral form of the pointwise damping-gradient identity."""
-
-    status: str
-    lhs: float = np.nan
-    rhs: float = np.nan
-    rel_error: float = np.nan
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
-
-
 def check_damping_identity(
     state: MhdState, damping: DampingSpec, tol: float = 1e-6
-) -> DampingIdentityReport:
+) -> CheckReport:
     """Compare int grad(D(u)) : grad(u) against its pointwise decomposition.
 
     power (beta >= 3), D = |u|^(beta-1) u:
@@ -409,10 +359,12 @@ def check_damping_identity(
     states keep the relative error within ``tol``.
     """
     if damping.kind == "none":
-        return DampingIdentityReport("NOT-APPLICABLE", detail="no damping active")
+        return CheckReport("damping_identity", "NOT-APPLICABLE", detail="no damping active")
     if damping.kind == "power" and float(damping.beta) < 3.0:
-        return DampingIdentityReport(
-            "NOT-APPLICABLE", detail="negative exponent at zeros of u for beta < 3"
+        return CheckReport(
+            "damping_identity",
+            "NOT-APPLICABLE",
+            detail="negative exponent at zeros of u for beta < 3",
         )
 
     grid = state.grid
@@ -436,5 +388,9 @@ def check_damping_identity(
     else:
         rhs = row["d_f_grad"] + 0.5 * (row["d_fprime"] + row["d_f_gradsq"])
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    status = "PASS" if rel <= tol else "FAIL"
-    return DampingIdentityReport(status, lhs=lhs, rhs=rhs, rel_error=rel)
+    return CheckReport(
+        "damping_identity",
+        "PASS" if rel <= tol else "FAIL",
+        tolerance=tol,
+        extra={"lhs": lhs, "rhs": rhs, "rel_error": rel},
+    )

@@ -18,16 +18,6 @@ from .grid import GridSpec
 
 HERMITIAN_TOL = 1e-12
 
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(workers: int) -> None:
-    """Cap the worker count used by the batched transforms (default 1)."""
-    global _FFT_WORKERS
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    _FFT_WORKERS = int(workers)
-
 
 class NonFiniteFieldError(ValueError):
     """Raised when a field contains NaN or Inf values."""
@@ -88,16 +78,18 @@ class PhysicalVectorField:
         return PhysicalVectorField(self.values.copy(), self.grid)
 
 
-# Raw-array transform helpers (shared by the hot paths in nonlinear/integrator)
+# Raw-array transform helpers (shared by the hot paths in nonlinear/integrator).
+# They use scipy.fft's default worker count, 1 unless a caller enters a
+# scipy.fft.set_workers context (the CLI does, for --threads).
 
 def fft_grid(values: np.ndarray, n: int) -> np.ndarray:
     """DFT of stacked real grids -> Fourier-series coefficients."""
-    return _fft.fftn(values, axes=(-3, -2, -1), workers=_FFT_WORKERS) / float(n**3)
+    return _fft.fftn(values, axes=(-3, -2, -1)) / float(n**3)
 
 
 def ifft_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Fourier-series coefficients -> complex point values on the grid."""
-    return _fft.ifftn(coeffs, axes=(-3, -2, -1), workers=_FFT_WORKERS) * float(n**3)
+    return _fft.ifftn(coeffs, axes=(-3, -2, -1)) * float(n**3)
 
 
 def forward_transform(p: PhysicalVectorField) -> SpectralVectorField:

@@ -22,8 +22,10 @@ being limited by row-level quadrature.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -45,6 +47,7 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHDF"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = "<4sIqdd"
 
 INITIAL_KINDS = ("taylor_green_like", "random_divfree", "single_mode", "from_checkpoint")
 
@@ -104,10 +107,6 @@ class SolverConfig:
         n = round(self.t_end / self.dt) if self.t_end > 0 else 0
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_end / self.dt) if self.t_end > 0 else 0
 
 
 def config_hash(config: SolverConfig) -> str:
@@ -322,20 +321,6 @@ class _StepWork:
         return u_new, b_new, increments
 
 
-def step(state: MhdState, config: SolverConfig) -> MhdState:
-    """Advance one step of length config.dt; raises BlowUpError on overflow."""
-    work = _StepWork(config)
-    u_new, b_new, _ = work.advance(state.u.coeffs, state.b.coeffs, want_diag=False)
-    t_new = state.t + config.dt
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(b_new))):
-        raise BlowUpError(t_new)
-    return MhdState(
-        SpectralVectorField(u_new, config.grid),
-        SpectralVectorField(b_new, config.grid),
-        t_new,
-    )
-
-
 def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
     n = config.grid.n_modes
@@ -345,6 +330,40 @@ def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     if speed == 0.0:
         return np.inf
     return config.cfl_target / (config.grid.truncation_radius * speed)
+
+
+def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
+    """Step ``state`` to config.t_end, yielding the sampled states.
+
+    Yields (t, u_c, b_c, integrals) at the state time, every ledger_stride
+    steps and at t_end.  ``integrals`` holds the running stage-weighted
+    (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) since the
+    state time; it stays zero without ``want_diag``.  Every step makes new
+    coefficient arrays, so yielded arrays are never modified later.  Raises
+    BlowUpError at the first step that leaves the finite fields.
+    """
+    t0 = state.t
+    span = config.t_end - t0
+    if span < -1e-12:
+        raise ValueError(f"t_end = {config.t_end} precedes the state time {t0}")
+    n_steps = max(round(span / config.dt), 0)
+    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("t_end - t0 must be an integer multiple of dt")
+
+    work = _StepWork(config)
+    u_c, b_c = state.u.coeffs, state.b.coeffs
+    acc = [0.0, 0.0, 0.0]
+    yield t0, u_c, b_c, (0.0, 0.0, 0.0)
+    for i in range(1, n_steps + 1):
+        u_c, b_c, inc = work.advance(u_c, b_c, want_diag)
+        acc[0] += inc[0]
+        acc[1] += inc[1]
+        acc[2] += inc[2]
+        t = t0 + i * config.dt
+        if not (np.all(np.isfinite(u_c)) and np.all(np.isfinite(b_c))):
+            raise BlowUpError(t)
+        if i % config.ledger_stride == 0 or i == n_steps:
+            yield t, u_c, b_c, tuple(acc)
 
 
 def run(config: SolverConfig):
@@ -358,12 +377,8 @@ def run(config: SolverConfig):
     from .energy import EnergyLedger, ledger_row  # deferred: avoids cycle
 
     state = make_initial_from_config(config)
-    span = config.t_end - state.t
-    if span < -1e-12:
-        raise ValueError(f"t_end = {config.t_end} precedes the state time {state.t}")
-    n_steps = max(round(span / config.dt), 0)
-    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
+    steps = trajectory(state, config)
+    first = next(steps)  # checks the span before any other work
     bound = cfl_bound(state, config)
     if config.dt > bound:
         log.warning(
@@ -377,7 +392,7 @@ def run(config: SolverConfig):
     ledger = EnergyLedger(
         damping,
         config.dt,
-        n_steps,
+        round((config.t_end - state.t) / config.dt),
         meta={
             "n_modes": config.grid.n_modes,
             "truncation_radius": config.grid.truncation_radius,
@@ -396,35 +411,15 @@ def run(config: SolverConfig):
             out[damp_key] = acc[2]
         return out
 
-    t0 = state.t
-    acc = [0.0, 0.0, 0.0]
-    ledger.append(t0, ledger_row(state, damping), exact_integrals(acc))
-
-    work = _StepWork(config)
-    u_c = state.u.coeffs.copy()
-    b_c = state.b.coeffs.copy()
-    for i in range(1, n_steps + 1):
-        u_c, b_c, inc = work.advance(u_c, b_c)
-        acc[0] += inc[0]
-        acc[1] += inc[1]
-        acc[2] += inc[2]
-        t = t0 + i * config.dt
-        if not (np.all(np.isfinite(u_c)) and np.all(np.isfinite(b_c))):
-            raise BlowUpError(t, ledger)
-        if i % config.ledger_stride == 0 or i == n_steps:
-            snapshot = MhdState(
-                SpectralVectorField(u_c, config.grid),
-                SpectralVectorField(b_c, config.grid),
-                t,
-            )
+    grid = config.grid
+    try:
+        for t, u_c, b_c, acc in itertools.chain([first], steps):
+            snapshot = MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid), t)
             ledger.append(t, ledger_row(snapshot, damping), exact_integrals(acc))
-
-    final = MhdState(
-        SpectralVectorField(u_c, config.grid),
-        SpectralVectorField(b_c, config.grid),
-        t0 + n_steps * config.dt,
-    )
-    return final, ledger
+    except BlowUpError as exc:
+        exc.ledger = ledger
+        raise
+    return snapshot, ledger
 
 
 # Checkpoints ---------------------------------------------------------------
@@ -438,7 +433,7 @@ def save_checkpoint(path, state: MhdState) -> None:
     complex128 in C order.
     """
     header = struct.pack(
-        "<4sIqdd",
+        CHECKPOINT_HEADER,
         CHECKPOINT_MAGIC,
         CHECKPOINT_VERSION,
         state.grid.n_modes,
@@ -452,18 +447,25 @@ def save_checkpoint(path, state: MhdState) -> None:
 
 
 def load_checkpoint(path) -> MhdState:
+    """Read a checkpoint; malformed files raise ValueError before any
+    allocation sized by the header."""
+    header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIqdd"))
-        magic, version, n, radius, t = struct.unpack("<4sIqdd", header)
+        header = fh.read(header_size)
+        if len(header) != header_size:
+            raise ValueError(f"{path}: not a checkpoint file ({len(header)}-byte header)")
+        magic, version, n, radius, t = struct.unpack(CHECKPOINT_HEADER, header)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        payload = os.fstat(fh.fileno()).st_size - header_size
+        if n < 1 or payload != 6 * n**3 * 16:
+            raise ValueError(
+                f"{path}: payload of {payload} bytes does not hold six N = {n} coefficient arrays"
+            )
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        count = 6 * n**3
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16")
-        if data.size != count:
-            raise ValueError(f"{path}: truncated checkpoint payload")
+        data = np.frombuffer(fh.read(payload), dtype="<c16")
     arrays = data.reshape(6, n, n, n).astype(np.complex128)
     u = SpectralVectorField(np.ascontiguousarray(arrays[0:3]), grid)
     b = SpectralVectorField(np.ascontiguousarray(arrays[3:6]), grid)

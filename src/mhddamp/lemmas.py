@@ -18,13 +18,25 @@ SHARPNESS_TOL = 1e-10
 
 
 @dataclass
-class LemmaReport:
-    lemma_id: str
-    samples: int
-    worst_margin: float
-    worst_location: tuple | float | None
+class CheckReport:
+    """Outcome of one check: an inequality along a ledger, a lemma over
+    sampled points, or an identity on one state.
+
+    ``worst_time`` is the time of the smallest margin for checks along a
+    trajectory and NaN otherwise; ``samples`` counts the points checked;
+    ``extra`` holds a check's own figures (the sharp constant, the worst
+    sample, both sides of an identity).
+    """
+
+    name: str
     status: str  # PASS | FAIL | NOT-APPLICABLE
+    worst_margin: float = np.nan
+    worst_time: float = np.nan
+    tolerance: float = 0.0
+    detail: str = ""
+    samples: int = 0
     extra: dict = field(default_factory=dict)
+    margins: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -33,6 +45,14 @@ class LemmaReport:
     @property
     def acceptable(self) -> bool:
         return self.status in ("PASS", "NOT-APPLICABLE")
+
+    def summary_line(self) -> str:
+        if self.status == "NOT-APPLICABLE":
+            return f"NOT-APPLICABLE {self.name}: {self.detail}"
+        return (
+            f"{self.status} {self.name} worst_margin={self.worst_margin:.6e}"
+            f" at t={self.worst_time:.6g} (tolerance {self.tolerance:.3e})"
+        )
 
 
 def interpolation_constant(alpha: float, beta: float) -> float:
@@ -58,17 +78,10 @@ def interpolation_minimizer(alpha: float, beta: float) -> float:
     return (2.0 / (alpha * (beta - 1.0))) ** (1.0 / (beta - 3.0))
 
 
-def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> LemmaReport:
+def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> CheckReport:
     """Margins of the interpolation bound over a grid, plus sharpness at x*."""
     if beta <= 3:
-        return LemmaReport(
-            "interpolation",
-            0,
-            np.nan,
-            None,
-            "NOT-APPLICABLE",
-            {"reason": "beta <= 3"},
-        )
+        return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail="beta <= 3")
     x = np.asarray(x_grid, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("x_grid must lie in [0, inf)")
@@ -78,16 +91,16 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
     margin_star = 2.0 * c + alpha * x_star ** (beta - 1.0) - x_star**2
     i = int(np.argmin(margins))
     ok = margins[i] >= -MARGIN_TOL and abs(margin_star) <= SHARPNESS_TOL
-    return LemmaReport(
-        "interpolation",
-        x.size,
-        float(min(margins[i], margin_star)),
-        float(x[i]),
+    return CheckReport(
+        "lemma_interpolation",
         "PASS" if ok else "FAIL",
-        {
+        worst_margin=float(min(margins[i], margin_star)),
+        samples=x.size,
+        extra={
             "alpha": alpha,
             "beta": beta,
             "c": c,
+            "x_at_worst": float(x[i]),
             "x_star": x_star,
             "margin_at_x_star": float(margin_star),
         },
@@ -113,7 +126,7 @@ def monotonicity_suite(
     n_pairs: int = 100_000,
     seed: int = 0,
     scale_range: tuple[float, float] = (1e-3, 1e3),
-) -> LemmaReport:
+) -> CheckReport:
     """Vectorized sampling of the monotonicity gap over random vector pairs
     drawn at log-uniform scales."""
     if isinstance(fn, str):
@@ -130,14 +143,12 @@ def monotonicity_suite(
     ay = fn.f(qy) * qy
     gaps = np.sum((ax[:, None] * x - ay[:, None] * y) * (x - y), axis=1)
     i = int(np.argmin(gaps))
-    status = "PASS" if gaps[i] >= -MARGIN_TOL else "FAIL"
-    return LemmaReport(
-        "monotonicity",
-        n_pairs,
-        float(gaps[i]),
-        (tuple(x[i]), tuple(y[i])),
-        status,
-        {"f_id": fn.f_id},
+    return CheckReport(
+        "lemma_monotonicity",
+        "PASS" if gaps[i] >= -MARGIN_TOL else "FAIL",
+        worst_margin=float(gaps[i]),
+        samples=n_pairs,
+        extra={"f_id": fn.f_id, "worst_pair": (tuple(x[i]), tuple(y[i]))},
     )
 
 
@@ -148,7 +159,7 @@ def gronwall_check(
     h: np.ndarray,
     bound: float,
     tol: float = 1e-9,
-) -> LemmaReport:
+) -> CheckReport:
     """Sampled Gronwall lemma with trapezoidal integrals.
 
     Hypothesis (verified first): f(t) + int_0^t g <= bound + int_0^t h f at
@@ -179,19 +190,24 @@ def gronwall_check(
     scale = max(bound, float(np.max(f + int_g)), 1.0)
     if float(np.min(hyp_margins)) < -1e-12 * scale:
         i = int(np.argmin(hyp_margins))
-        return LemmaReport(
-            "gronwall",
-            t.size,
-            float(hyp_margins[i]),
-            float(t[i]),
+        return CheckReport(
+            "lemma_gronwall",
             "NOT-APPLICABLE",
-            {"reason": "hypothesis fails on the sampled series"},
+            worst_margin=float(hyp_margins[i]),
+            worst_time=float(t[i]),
+            samples=t.size,
+            detail="hypothesis fails on the sampled series",
         )
 
     margins = bound * np.exp(int_h) - f - int_g
     i = int(np.argmin(margins))
-    status = "PASS" if margins[i] >= -tol * scale else "FAIL"
-    return LemmaReport("gronwall", t.size, float(margins[i]), float(t[i]), status)
+    return CheckReport(
+        "lemma_gronwall",
+        "PASS" if margins[i] >= -tol * scale else "FAIL",
+        worst_margin=float(margins[i]),
+        worst_time=float(t[i]),
+        samples=t.size,
+    )
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .fields import (
     ifft_grid,
 )
 from .grid import GridSpec
-from .operators import leray_project_coeffs, viscous_symbol
+from .operators import gradient_coeffs, leray_project_coeffs, viscous_symbol
 from .state import MhdState
 
 
@@ -40,10 +40,7 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
     n = grid.n_modes
     batch = np.empty((12,) + grid.shape, dtype=np.complex128)
     batch[0:3] = v.coeffs
-    for i in range(3):
-        batch[3 + 3 * i + 0] = 1j * grid.kx * w.coeffs[i]
-        batch[3 + 3 * i + 1] = 1j * grid.ky * w.coeffs[i]
-        batch[3 + 3 * i + 2] = 1j * grid.kz * w.coeffs[i]
+    gradient_coeffs(w.coeffs, grid, batch[3:12])
     phys = ifft_grid(batch, n).real
     vp = phys[0:3]
     out = np.empty((3,) + grid.shape, dtype=np.float64)

@@ -58,12 +58,18 @@ def gradient(s: SpectralVectorField) -> np.ndarray:
 
     Shape (3, 3, N, N, N), complex.
     """
-    g = np.empty((3, 3) + s.grid.shape, dtype=np.complex128)
-    for i in range(3):
-        g[i, 0] = 1j * s.grid.kx * s.coeffs[i]
-        g[i, 1] = 1j * s.grid.ky * s.coeffs[i]
-        g[i, 2] = 1j * s.grid.kz * s.coeffs[i]
-    return g
+    g = np.empty((9,) + s.grid.shape, dtype=np.complex128)
+    return gradient_coeffs(s.coeffs, s.grid, g).reshape((3, 3) + s.grid.shape)
+
+
+def gradient_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """Write the derivative coefficients i k_j c_i of each component c_i of
+    ``coeffs`` into out[3 i + j]; ``out`` holds 3 len(coeffs) grids, often a
+    slice of a transform batch."""
+    for i, c in enumerate(coeffs):
+        for j, k in enumerate((grid.kx, grid.ky, grid.kz)):
+            np.multiply(1j * k, c, out=out[3 * i + j])
+    return out
 
 
 def divergence(s: SpectralVectorField) -> np.ndarray:

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from .fields import SpectralVectorField
 from .operators import divergence_l2
 
-DIV_FREE_TOL = 1e-10
-
 
 @dataclass
 class MhdState:

@@ -91,3 +91,21 @@ def embed_coeffs(c_small: np.ndarray, grid_small, grid_big) -> np.ndarray:
     ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
     big[:, ii, jj, kk] = c_small[:, ii, jj, kk]
     return big
+
+
+MALFORMED_CHECKPOINTS = (
+    "five_bytes", "header_only", "huge_n", "truncated_payload", "trailing_bytes", "zero_n",
+)
+
+
+def malformed_checkpoint(good: bytes, case: str) -> bytes:
+    """A well-formed checkpoint file broken in the named way."""
+    header = 32  # magic, version, N, radius, time
+    return {
+        "five_bytes": good[:5],
+        "header_only": good[:header],
+        "huge_n": good[:8] + (10**6).to_bytes(8, "little") + good[16:],
+        "truncated_payload": good[:-16],
+        "trailing_bytes": good + b"\0",
+        "zero_n": good[:8] + (0).to_bytes(8, "little") + good[16:header],
+    }[case]

@@ -15,6 +15,8 @@ from mhddamp.cli import (
     save_config,
 )
 
+from _helpers import malformed_checkpoint
+
 
 def experiment(grid, name="exp", damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
                target=0.01, t_end=0.1, dt=1e-2, checks=("l2", "h1_additive", "h1_exponential"),
@@ -58,6 +60,22 @@ class TestConfigIO:
     def test_empty_name_rejected(self, grid16):
         with pytest.raises(ConfigError, match="name"):
             experiment(grid16, name="")
+
+    @pytest.mark.parametrize(
+        "field,literal",
+        [("nu_h", "NaN"), ("alpha", "NaN"), ("nu_h", "Infinity"), ("dt", "-Infinity"),
+         ("alpha", "1e400")],
+    )
+    def test_non_finite_number_rejected(self, grid16, tmp_path, capsys, field, literal):
+        data = config_to_dict(experiment(grid16))
+        section = data["solver"]["damping"] if field == "alpha" else data["solver"]
+        section[field] = "PLACEHOLDER"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data).replace('"PLACEHOLDER"', literal))
+        with pytest.raises(ConfigError, match="not finite"):
+            load_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "not finite" in capsys.readouterr().err
 
     def test_unknown_check_rejected(self, grid16):
         with pytest.raises(ConfigError, match="unknown check"):
@@ -154,18 +172,59 @@ class TestCmdRun:
         assert not (out / "checks.txt").exists()
         assert not (out / "summary.json").exists()
 
-    def test_threads_flag(self, grid16, tmp_path):
+    def test_threads_flag(self, grid16, tmp_path, monkeypatch):
+        import scipy.fft
+
         import mhddamp.fields as fields
 
+        seen = []
+        original = fields._fft.ifftn
+
+        def spy(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fields._fft, "ifftn", spy)
         cfg = experiment(grid16, t_end=0.02, checks=("l2",))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
-        try:
-            assert main(["run", "--config", str(path), "--threads", "2",
-                         "--out", str(tmp_path / "out")]) == 0
-            assert fields._FFT_WORKERS == 2
-        finally:
-            fields.set_fft_workers(1)
+        assert main(["run", "--config", str(path), "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen and set(seen) == {2}
+        assert scipy.fft.get_workers() == 1  # scoped to the main() call
+
+    @pytest.mark.parametrize("flag,env", [("-1", None), (None, "-2")])
+    def test_negative_threads_exit_one(self, grid16, tmp_path, monkeypatch, capsys, flag, env):
+        cfg = experiment(grid16, t_end=0.02, checks=("l2",))
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("MHDDAMP_THREADS", env)
+        assert main(argv) == 1
+        assert "worker count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["five_bytes", "huge_n", "trailing_bytes"])
+    def test_malformed_checkpoint_exit_one(self, grid8, tmp_path, capsys, case):
+        from mhddamp import make_initial, save_checkpoint
+
+        ckpt = tmp_path / "state.mhdf"
+        save_checkpoint(ckpt, make_initial("single_mode", grid8))
+        ckpt.write_bytes(malformed_checkpoint(ckpt.read_bytes(), case))
+        cfg = ExperimentConfig(
+            name="restart",
+            solver=SolverConfig(
+                grid=grid8, dt=1e-2, t_end=0.02,
+                initial_condition=InitialCondition(kind="from_checkpoint", path=str(ckpt)),
+            ),
+        )
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
 
 
 class TestCmdLemmas:
@@ -217,6 +276,16 @@ class TestCmdTwin:
         header, first = rows[0], rows[1].split(",")
         assert header == "t,d,bound"
         assert float(first[1]) > 0.0
+
+    def test_blow_up_exit_three(self, grid16, tmp_path, capsys):
+        cfg = experiment(grid16, t_end=2.0, dt=0.1, target=1e3, damping=DampingSpec(), seed=1)
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        out = tmp_path / "out"
+        assert main(["twin", "--config", str(path), "--eps", "1e-6", "--out", str(out)]) == 3
+        assert "blew up" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["blown_up"] is True
 
     def test_mismatched_grid_usage_error(self, grid8, grid16, tmp_path):
         from mhddamp import make_initial, save_checkpoint

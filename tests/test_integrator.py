@@ -1,6 +1,7 @@
 """Time stepping, initial conditions and checkpointing."""
 
-import os
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,18 +11,28 @@ from mhddamp import (
     DampingSpec,
     GridSpec,
     InitialCondition,
+    MhdState,
     SolverConfig,
+    SpectralVectorField,
     friedrichs_truncate,
     inverse_transform,
     load_checkpoint,
     make_initial,
     run,
     save_checkpoint,
-    step,
 )
 from mhddamp.fields import hermitian_defect
-from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config
+from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config, trajectory
 from mhddamp.operators import h1_norm_pair
+
+from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
+
+
+def stepped_states(state, cfg):
+    """The state after each step, read from the engine with ledger_stride = 1."""
+    cfg = dataclasses.replace(cfg, ledger_stride=1)
+    for t, u_c, b_c, _ in itertools.islice(trajectory(state, cfg, want_diag=False), 1, None):
+        yield MhdState(SpectralVectorField(u_c, cfg.grid), SpectralVectorField(b_c, cfg.grid), t)
 
 
 class TestMakeInitial:
@@ -70,7 +81,7 @@ class TestStep:
             initial_condition=InitialCondition(kind="random_divfree", target_h1=0.0),
         )
         state = make_initial_from_config(cfg)
-        out = step(state, cfg)
+        (out,) = stepped_states(state, cfg)
         assert np.all(out.u.coeffs == 0.0) and np.all(out.b.coeffs == 0.0)
         assert out.t == pytest.approx(1e-2)
 
@@ -140,8 +151,7 @@ class TestStep:
             damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
         )
         state = make_initial_from_config(cfg)
-        for _ in range(5):
-            state = step(state, cfg)
+        state = next(itertools.islice(stepped_states(state, cfg), 4, None))  # after 5 steps
         assert np.all(state.u.coeffs[:, ~grid16.keep_mask] == 0.0)
         assert np.all(state.b.coeffs[:, ~grid16.keep_mask] == 0.0)
         again = friedrichs_truncate(state.u)
@@ -154,8 +164,9 @@ class TestStep:
             damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
         )
         state = make_initial_from_config(cfg)
-        for _ in range(10):
-            state = step(state, cfg)
+        states = list(stepped_states(state, cfg))
+        assert len(states) == 10
+        for state in states:
             assert state.max_divergence() <= 1e-10
             assert hermitian_defect(state.u) <= 1e-12
 
@@ -170,6 +181,19 @@ class TestStep:
         assert info.value.time > 0
         assert info.value.ledger is not None
         assert len(info.value.ledger) >= 1
+
+    def test_span_must_be_whole_steps_from_state_time(self, grid16):
+        cfg = SolverConfig(
+            grid=grid16, dt=1e-2, t_end=0.1,
+            initial_condition=InitialCondition(kind="single_mode"),
+        )
+        state = make_initial_from_config(cfg)
+        state.t = 0.005
+        with pytest.raises(ValueError, match="multiple of dt"):
+            next(trajectory(state, cfg))
+        state.t = 0.2
+        with pytest.raises(ValueError, match="precedes"):
+            next(trajectory(state, cfg))
 
 
 class TestRun:
@@ -271,6 +295,14 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         with pytest.raises(ValueError, match="does not match"):
             make_initial("from_checkpoint", grid16, path=str(path))
+
+    @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+    def test_malformed_file_rejected_before_allocation(self, grid8, tmp_path, case):
+        path = tmp_path / "state.mhdf"
+        save_checkpoint(path, make_initial("single_mode", grid8))
+        path.write_bytes(malformed_checkpoint(path.read_bytes(), case))
+        with pytest.raises(ValueError, match="not a checkpoint|payload"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mhdf"

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from mhddamp import (
+    BlowUpError,
     DampingSpec,
     InitialCondition,
     PhysicalVectorField,
     SolverConfig,
     damping_contraction_check,
+    run,
     twin_run,
 )
 from mhddamp.uniqueness import damping_contraction_pointwise
@@ -59,6 +61,20 @@ class TestTwinRun:
             cfg = twin_config(grid16, target=target)
             rates.append(twin_run(cfg, 1e-6).c_hat)
         assert rates[0] > rates[1] > rates[2]
+
+    def test_blow_up_truncates_series(self, grid16):
+        cfg = SolverConfig(
+            grid=grid16, dt=0.1, t_end=2.0, ledger_stride=1, seed=1,
+            initial_condition=InitialCondition(kind="random_divfree", target_h1=1e3),
+        )
+        with pytest.raises(BlowUpError) as info:
+            run(cfg)
+        for eps in (0.0, 1e-6):
+            result = twin_run(cfg, eps)
+            assert result.blown_up
+            assert not result.identical
+            assert result.t[-1] < info.value.time
+            assert np.all(np.isfinite(result.d))
 
     def test_rejects_negative_eps(self, grid16):
         with pytest.raises(ValueError):
