@@ -28,6 +28,7 @@ from .integrator import (
     BlowUpError,
     InitialCondition,
     SolverConfig,
+    _is_int,
     config_hash,
     run,
     save_checkpoint,
@@ -72,8 +73,8 @@ class ExperimentConfig:
         for check in self.checks:
             if check not in KNOWN_CHECKS:
                 raise ConfigError(f"checks: unknown check {check!r} (known: {KNOWN_CHECKS})")
-        if self.perturbation_scale < 0:
-            raise ConfigError("perturbation_scale: must be >= 0")
+        if not (math.isfinite(self.perturbation_scale) and self.perturbation_scale >= 0):
+            raise ConfigError("perturbation_scale: must be finite and >= 0")
         object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "report_formats", tuple(self.report_formats))
 
@@ -286,28 +287,50 @@ def _twin_report(cfg: ExperimentConfig) -> CheckReport:
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _load_lemma_matrix(path) -> dict:
+    """DEFAULT_MATRIX updated from the JSON object in ``path``.
+
+    Every entry is checked: nonempty lists of finite numbers in alphas and
+    betas and of catalog names in f_ids, a finite x_max, integer x_points
+    and pairs >= 1 and an integer seed >= 0.  ConfigError otherwise.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    unknown = sorted(set(data) - set(DEFAULT_MATRIX))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    matrix = {**DEFAULT_MATRIX, **data}
+    for key in ("alphas", "betas", "f_ids"):
+        if not isinstance(matrix[key], list) or not matrix[key]:
+            raise ConfigError(f"{path}: {key} must be a nonempty list")
+    for key in ("alphas", "betas"):
+        if not all(_is_number(v) for v in matrix[key]):
+            raise ConfigError(f"{path}: {key} must hold finite numbers, got {matrix[key]}")
+    for f_id in matrix["f_ids"]:
+        if not isinstance(f_id, str) or f_id not in F_CATALOG:
+            raise ConfigError(f"{path}: unknown f_id {f_id!r}")
+    if not _is_number(matrix["x_max"]):
+        raise ConfigError(f"{path}: x_max must be a finite number, got {matrix['x_max']!r}")
+    for key, minimum in (("x_points", 1), ("pairs", 1), ("seed", 0)):
+        if not (_is_int(matrix[key]) and matrix[key] >= minimum):
+            raise ConfigError(f"{path}: {key} must be an integer >= {minimum}, got {matrix[key]!r}")
+    return matrix
+
+
 def cmd_lemmas(args) -> int:
-    matrix = dict(DEFAULT_MATRIX)
-    if args.matrix:
-        try:
-            with open(args.matrix) as fh:
-                matrix.update(json.load(fh))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.matrix}:{exc.lineno}: {exc.msg}", file=sys.stderr)
-            return 1
-    alphas = list(matrix["alphas"])
-    betas = list(matrix["betas"])
-    f_ids = list(matrix["f_ids"])
-    if not alphas or not betas or not f_ids:
-        print("error: empty lemma matrix", file=sys.stderr)
-        return 1
-    for f_id in f_ids:
-        if f_id not in F_CATALOG:
-            print(f"error: unknown f_id {f_id!r}", file=sys.stderr)
-            return 1
+    matrix = _load_lemma_matrix(args.matrix) if args.matrix else dict(DEFAULT_MATRIX)
+    alphas = matrix["alphas"]
+    betas = matrix["betas"]
+    f_ids = matrix["f_ids"]
 
     out = _resolve_out_dir(args.out, None, "lemmas")
     lemma_dir = os.path.join(out, "lemmas")
@@ -356,7 +379,9 @@ def cmd_lemmas(args) -> int:
 def cmd_twin(args) -> int:
     cfg = load_config(args.config)
     cfg = _apply_common_overrides(args, cfg)
-    eps = cfg.perturbation_scale if args.eps is None else args.eps
+    if args.eps is not None:
+        cfg = dataclasses.replace(cfg, perturbation_scale=args.eps)
+    eps = cfg.perturbation_scale
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
     result = _twin_pair(cfg.solver, eps)

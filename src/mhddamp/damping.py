@@ -15,6 +15,7 @@ than assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,6 +81,10 @@ class DampingSpec:
     f_id: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind not in DAMPING_KINDS:
             raise ValueError(f"unknown damping kind {self.kind!r}")
         if self.kind == "power":

@@ -9,7 +9,8 @@ dissipation) are accumulated by the integrator with the same fourth-order
 stage weights as the state itself; the remaining columns are integrated by
 the trapezoidal rule over ledger rows.
 
-Norm convention: for coefficients c(k), ||f||_L2^2 = (2*pi)^3 sum |c(k)|^2;
+Norm convention: for coefficients c(k), ||f||_L2^2 = (2*pi)^3 sum |c(k)|^2,
+summed over the stored half spectrum with the grid's ``parseval_weight``;
 damping integrands are evaluated on collocation points with quadrature
 weight (2*pi/N)^3, which makes <damping(u), u> equal to the recorded
 dissipation column exactly (same floating-point sum).
@@ -48,7 +49,7 @@ ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 def _spectral_sums(u: SpectralVectorField, b: SpectralVectorField) -> tuple[float, float, float]:
     g = u.grid
     mag = u.coeffs.real**2 + u.coeffs.imag**2 + b.coeffs.real**2 + b.coeffs.imag**2
-    s = mag.sum(axis=0)
+    s = g.parseval_weight * mag.sum(axis=0)
     l2 = float(s.sum())
     h1 = float((g.k_sq * s).sum())
     h2 = float((g.k_sq * g.k_sq * s).sum())
@@ -64,16 +65,16 @@ def _velocity_pointwise(u: SpectralVectorField):
     """
     g = u.grid
     n = g.n_modes
-    batch = np.empty((12,) + g.shape, dtype=np.complex128)
+    batch = np.empty((12,) + g.spectral_shape, dtype=np.complex128)
     batch[0:3] = u.coeffs
     gradient_coeffs(u.coeffs, g, batch[3:12])
-    phys = ifft_grid(batch, n).real
+    phys = ifft_grid(batch, n)
     up = phys[0:3]
     grad_u_sq = np.sum(phys[3:12] ** 2, axis=0)
     q = speed_sq(up)
-    q_hat = fft_grid(q, n) * g.keep_mask
-    gq = gradient_coeffs(q_hat[None], g, np.empty((3,) + g.shape, dtype=np.complex128))
-    grad_q_sq = np.sum(ifft_grid(gq, n).real ** 2, axis=0)
+    q_hat = fft_grid(q) * g.keep_mask
+    gq = gradient_coeffs(q_hat[None], g, np.empty((3,) + g.spectral_shape, dtype=np.complex128))
+    grad_q_sq = np.sum(ifft_grid(gq, n) ** 2, axis=0)
     return up, grad_u_sq, q, grad_q_sq
 
 
@@ -368,18 +369,18 @@ def check_damping_identity(
         )
 
     grid = state.grid
-    n = grid.n_modes
-    up = ifft_grid(state.u.coeffs, n).real
+    up = ifft_grid(state.u.coeffs, grid.n_modes)
     q = speed_sq(up)
     if damping.kind == "power":
         amp = _power_law(q, (float(damping.beta) - 1.0) / 2.0)
     else:
         amp = damping.function.f(q) * q
-    d_hat = fft_grid(amp * up, n)
+    d_hat = fft_grid(amp * up)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); the
     # coefficients of u vanish outside the ball so no explicit cutoff needed.
+    weight = grid.parseval_weight * grid.k_sq
     lhs = grid.volume * float(
-        np.sum(grid.k_sq * np.sum((d_hat * np.conj(state.u.coeffs)).real, axis=0))
+        np.sum(weight * np.sum((d_hat * np.conj(state.u.coeffs)).real, axis=0))
     )
 
     row = ledger_row(state, damping)

@@ -6,6 +6,14 @@ integers k = (k1, k2, k3) with ki in {-N/2+1, ..., N/2}.  A single spherical
 cutoff |k| < R serves both as the Galerkin truncation and as the dealias rule:
 with the default R = dealias_fraction * N/2 = N/3, quadratic products of
 fields supported inside the ball are alias-free on the retained modes.
+
+Fields are real, so their coefficients satisfy c(-k) = conj(c(k)) and only
+the half spectrum k3 in {0, ..., N/2} is stored: the spectral arrays have
+shape (N, N, N/2+1).  A sum of |c(k)|^2 over all wavenumbers is the sum over
+the half spectrum weighted by ``parseval_weight``: 1 on the self-conjugate
+planes k3 = 0 and k3 = N/2, whose mirror images are stored in the same
+plane, and 2 in between, where each stored mode stands for itself and its
+unstored mirror.
 """
 
 from __future__ import annotations
@@ -56,12 +64,15 @@ class GridSpec:
         object.__setattr__(self, "truncation_radius", radius)
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
+        # Along k3 only the half spectrum 0..N/2 is stored.
         j = np.arange(n)
         k1d = np.where(j <= n // 2, j, j - n).astype(np.float64)
         kx = k1d[:, None, None]
         ky = k1d[None, :, None]
-        kz = k1d[None, None, :]
+        kz = k1d[None, None, : n // 2 + 1]
         k_sq = (kx * kx + ky * ky + kz * kz).astype(np.float64)
+        parseval_weight = np.full(kz.shape, 2.0)
+        parseval_weight[..., 0] = parseval_weight[..., -1] = 1.0
         keep = k_sq < radius * radius
         inv_k_sq = np.zeros_like(k_sq)
         nz = k_sq > 0
@@ -74,6 +85,7 @@ class GridSpec:
             ("k_sq", k_sq),
             ("keep_mask", keep),
             ("inv_k_sq", inv_k_sq),
+            ("parseval_weight", parseval_weight),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -97,7 +109,13 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple[int, int, int]:
+        """Shape (N, N, N) of one collocation grid."""
         return (self.n_modes, self.n_modes, self.n_modes)
+
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape (N, N, N/2+1) of one half-spectrum coefficient array."""
+        return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
 
     def collocation_axis(self) -> np.ndarray:
         """1-D array of collocation coordinates on one axis."""

@@ -25,6 +25,8 @@ import hashlib
 import itertools
 import json
 import logging
+import math
+import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .damping import DampingSpec
-from .fields import SpectralVectorField, fft_grid, ifft_grid
+from .fields import HERMITIAN_TOL, SpectralVectorField, fft_grid, hermitian_defect, ifft_grid
 from .grid import GridSpec
 from .nonlinear import _rhs_core
 from .operators import (
@@ -46,8 +48,10 @@ from .state import MhdState
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHDF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1: full (N, N, N) spectra, still read; 2: half spectra
 CHECKPOINT_HEADER = "<4sIqdd"
+# A loaded state must be divergence-free to this fraction of its H1 norm.
+DIV_FREE_RTOL = 1e-10
 
 INITIAL_KINDS = ("taylor_green_like", "random_divfree", "single_mode", "from_checkpoint")
 
@@ -59,6 +63,10 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t = {time:.6g}")
         self.time = time
         self.ledger = ledger
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,12 +81,18 @@ class InitialCondition:
     def __post_init__(self) -> None:
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
+        for name in ("target_h1", "amplitude", "b_amplitude"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "random_divfree" and self.target_h1 is None:
             raise ValueError("random_divfree requires target_h1")
         if self.kind == "random_divfree" and self.target_h1 < 0:
             raise ValueError("target_h1 must be >= 0")
         if self.kind == "from_checkpoint" and not self.path:
             raise ValueError("from_checkpoint requires a path")
+        if len(self.mode) != 3 or not all(_is_int(m) for m in self.mode):
+            raise ValueError(f"mode must be three integers, got {self.mode!r}")
         object.__setattr__(self, "mode", tuple(int(m) for m in self.mode))
 
 
@@ -96,6 +110,14 @@ class SolverConfig:
     cfl_target: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "nu_h", "nu_v", "cfl_target"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not _is_int(self.ledger_stride):
+            raise ValueError(f"ledger_stride must be an integer, got {self.ledger_stride!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
@@ -110,30 +132,42 @@ class SolverConfig:
 
 
 def config_hash(config: SolverConfig) -> str:
-    """Stable hash of the full configuration."""
-    payload = json.dumps(asdict(config), sort_keys=True)
+    """Stable hash of the full configuration.
+
+    A from_checkpoint start is hashed by the checkpoint's content, not its
+    path, so two restarts from different states never share a hash.
+    """
+    data = asdict(config)
+    ic = config.initial_condition
+    if ic.kind == "from_checkpoint":
+        with open(ic.path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        data["initial_condition"]["path"] = "sha256:" + digest
+    payload = json.dumps(data, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # Initial conditions -------------------------------------------------------
 
 
-def _hermitian_symmetrize(c: np.ndarray, n: int) -> np.ndarray:
-    rev = (-np.arange(n)) % n
-    flipped = c[:, rev][:, :, rev][:, :, :, rev]
-    return 0.5 * (c + np.conj(flipped))
-
-
 def _random_divfree_pair(grid: GridSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-free random coefficient pair with ~|k|^-4 spectral decay."""
+    """Divergence-free random coefficient pair with ~|k|^-4 spectral decay.
+
+    Full (3, N, N, N) normals are drawn and made Hermitian, c(k) =
+    (raw(k) + conj(raw(-k))) / 2, on the half spectrum, so a seed gives the
+    same state in every storage layout.
+    """
     rng = np.random.default_rng(seed)
     n = grid.n_modes
     shape = (3,) + grid.shape
+    rev = (-np.arange(n)) % n
+    half = n // 2 + 1
     decay = (1.0 + grid.k_sq) ** -2.0
     out = []
     for _ in range(2):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        c = _hermitian_symmetrize(raw, n) * decay
+        flipped = raw[..., rev[:half]][:, rev][:, :, rev]
+        c = 0.5 * (raw[..., :half] + np.conj(flipped)) * decay
         c[:, 0, 0, 0] = 0.0
         c = leray_project_coeffs(truncate_coeffs(c, grid), grid)
         out.append(c)
@@ -204,7 +238,7 @@ def make_initial(
         x1, x2, x3 = grid.mesh()
         phase = k[0] * x1 + k[1] * x2 + k[2] * x3
         values = amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
-        u_c = truncate_coeffs(fft_grid(values, grid.n_modes), grid)
+        u_c = truncate_coeffs(fft_grid(values), grid)
         return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField.zeros(grid))
 
     if kind == "taylor_green_like":
@@ -217,8 +251,8 @@ def make_initial(
         b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
         b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
         b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
-        u_c = fft_grid(amplitude * u, grid.n_modes)
-        b_c = fft_grid(amplitude * b_amplitude * b, grid.n_modes)
+        u_c = fft_grid(amplitude * u)
+        b_c = fft_grid(amplitude * b_amplitude * b)
         u_c = leray_project_coeffs(truncate_coeffs(u_c, grid), grid)
         b_c = leray_project_coeffs(truncate_coeffs(b_c, grid), grid)
         return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid))
@@ -256,6 +290,7 @@ class _StepWork:
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
         self.k_sq = self.grid.k_sq
+        self.weighted_k_sq = self.grid.parseval_weight * self.k_sq
         self.vol = self.grid.volume
 
     def _rhs(self, u_c, b_c, want_diss):
@@ -266,7 +301,7 @@ class _StepWork:
 
     def _grad_lap_sums(self, u_c, b_c) -> tuple[float, float]:
         mag = (u_c.real**2 + u_c.imag**2 + b_c.real**2 + b_c.imag**2).sum(axis=0)
-        weighted = self.k_sq * mag
+        weighted = self.weighted_k_sq * mag
         return self.vol * float(weighted.sum()), self.vol * float((self.k_sq * weighted).sum())
 
     def advance(self, u_c, b_c, want_diag=True):
@@ -324,8 +359,8 @@ class _StepWork:
 def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
     n = config.grid.n_modes
-    u_inf = float(np.max(np.abs(ifft_grid(state.u.coeffs, n).real)))
-    b_inf = float(np.max(np.abs(ifft_grid(state.b.coeffs, n).real)))
+    u_inf = float(np.max(np.abs(ifft_grid(state.u.coeffs, n))))
+    b_inf = float(np.max(np.abs(ifft_grid(state.b.coeffs, n))))
     speed = u_inf + b_inf
     if speed == 0.0:
         return np.inf
@@ -428,9 +463,10 @@ def run(config: SolverConfig):
 def save_checkpoint(path, state: MhdState) -> None:
     """Fixed-layout little-endian binary snapshot; bit-exact round trip.
 
-    Layout: magic "MHDF", format version (u32), N (i64), truncation radius
-    (f64), time (f64), then the six coefficient arrays u1 u2 u3 b1 b2 b3 as
-    complex128 in C order.
+    Layout (version 2): magic "MHDF", format version (u32), N (i64),
+    truncation radius (f64), time (f64), then the six half-spectrum
+    coefficient arrays u1 u2 u3 b1 b2 b3, each (N, N, N/2+1) complex128 in C
+    order.  Version 1 stored full (N, N, N) arrays in the same order.
     """
     header = struct.pack(
         CHECKPOINT_HEADER,
@@ -447,8 +483,14 @@ def save_checkpoint(path, state: MhdState) -> None:
 
 
 def load_checkpoint(path) -> MhdState:
-    """Read a checkpoint; malformed files raise ValueError before any
-    allocation sized by the header."""
+    """Read a version 2 or version 1 checkpoint and check the state it holds.
+
+    Malformed files raise ValueError before any allocation sized by the
+    header.  The state must then have a finite time and finite coefficients,
+    no mode outside the truncation ball, self-conjugate planes within
+    HERMITIAN_TOL of Hermitian symmetry and a divergence within
+    DIV_FREE_RTOL of its H1 norm; otherwise ValueError.
+    """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
         header = fh.read(header_size)
@@ -457,16 +499,43 @@ def load_checkpoint(path) -> MhdState:
         magic, version, n, radius, t = struct.unpack(CHECKPOINT_HEADER, header)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, 2):
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        stored = n if version == 1 else n // 2 + 1  # k3 slots per array
         payload = os.fstat(fh.fileno()).st_size - header_size
-        if n < 1 or payload != 6 * n**3 * 16:
+        if n < 1 or payload != 6 * n * n * stored * 16:
             raise ValueError(
-                f"{path}: payload of {payload} bytes does not hold six N = {n} coefficient arrays"
+                f"{path}: payload of {payload} bytes does not hold six N = {n} "
+                f"version {version} coefficient arrays"
             )
+        if not math.isfinite(t):
+            raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        data = np.frombuffer(fh.read(payload), dtype="<c16")
-    arrays = data.reshape(6, n, n, n).astype(np.complex128)
-    u = SpectralVectorField(np.ascontiguousarray(arrays[0:3]), grid)
-    b = SpectralVectorField(np.ascontiguousarray(arrays[3:6]), grid)
-    return MhdState(u, b, float(t))
+        data = np.frombuffer(fh.read(payload), dtype="<c16").reshape(6, n, n, stored)
+    coeffs = np.ascontiguousarray(data[..., : n // 2 + 1], dtype=np.complex128)
+    state = MhdState(
+        SpectralVectorField(coeffs[0:3], grid), SpectralVectorField(coeffs[3:6], grid), float(t)
+    )
+    _check_loaded_state(path, state)
+    return state
+
+
+def _check_loaded_state(path, state: MhdState) -> None:
+    grid = state.grid
+    for name, field in (("u", state.u), ("b", state.b)):
+        if not field.is_finite():
+            raise ValueError(f"{path}: {name} has non-finite coefficients")
+        if np.any(field.coeffs[:, ~grid.keep_mask]):
+            raise ValueError(f"{path}: {name} has nonzero modes outside |k| < {grid.truncation_radius:g}")
+        defect = hermitian_defect(field)
+        if defect > HERMITIAN_TOL:
+            raise ValueError(
+                f"{path}: {name} is not a real field (Hermitian defect {defect:.3e} "
+                f"> {HERMITIAN_TOL:.0e})"
+            )
+    divergence = state.max_divergence()
+    h1 = h1_norm_pair(state.u, state.b)
+    if divergence > DIV_FREE_RTOL * h1:
+        raise ValueError(
+            f"{path}: divergence {divergence:.3e} exceeds {DIV_FREE_RTOL:.0e} x H1 norm {h1:.3e}"
+        )

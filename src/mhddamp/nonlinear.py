@@ -37,17 +37,16 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
     to it.
     """
     grid = v.grid
-    n = grid.n_modes
-    batch = np.empty((12,) + grid.shape, dtype=np.complex128)
+    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
     batch[0:3] = v.coeffs
     gradient_coeffs(w.coeffs, grid, batch[3:12])
-    phys = ifft_grid(batch, n).real
+    phys = ifft_grid(batch, grid.n_modes)
     vp = phys[0:3]
     out = np.empty((3,) + grid.shape, dtype=np.float64)
     for i in range(3):
         gw = phys[3 + 3 * i:6 + 3 * i]
         out[i] = vp[0] * gw[0] + vp[1] * gw[1] + vp[2] * gw[2]
-    return SpectralVectorField(fft_grid(out, n) * grid.keep_mask, grid)
+    return SpectralVectorField(fft_grid(out) * grid.keep_mask, grid)
 
 
 def _curl_coeffs(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
@@ -90,15 +89,13 @@ def _rhs_core(
     for power damping, || f(|u|^2) |u|^4 ||_L1 for generalized damping,
     0 otherwise.  Only computed when requested.
     """
-    n = grid.n_modes
-
     # One batched inverse transform: u, b and both vorticities.
-    batch = np.empty((12,) + grid.shape, dtype=np.complex128)
+    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
     batch[0:3] = u_c
     batch[3:6] = b_c
     _curl_coeffs(u_c, grid, batch[6:9])
     _curl_coeffs(b_c, grid, batch[9:12])
-    phys = ifft_grid(batch, n).real
+    phys = ifft_grid(batch, grid.n_modes)
     up = phys[0:3]
     bp = phys[3:6]
 
@@ -119,10 +116,10 @@ def _rhs_core(
             damp_diss = float(np.sum(dmp[0] * up[0] + dmp[1] * up[1] + dmp[2] * up[2]))
             damp_diss *= grid.cell_volume / damping.alpha
 
-    hat = fft_grid(fwd, n)
+    hat = fft_grid(fwd)
     hat *= grid.keep_mask
     du_c = leray_project_coeffs(hat[0:3], grid)
-    db_c = np.empty((3,) + grid.shape, dtype=np.complex128)
+    db_c = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
     _curl_coeffs(hat[3:6], grid, db_c)
 
     if include_viscous:

@@ -3,7 +3,8 @@ Fourier-space operators: truncation, Leray projection, derivatives and norms.
 
 Everything here is exact coefficient algebra; no transforms are performed.
 Integrals follow the convention of :mod:`mhddamp.fields`: for a field with
-coefficients c(k), the squared L2 norm over the box is (2*pi)^3 sum |c(k)|^2.
+coefficients c(k), the squared L2 norm over the box is (2*pi)^3 sum |c(k)|^2,
+taken over the stored half spectrum with the grid's ``parseval_weight``.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 def gradient(s: SpectralVectorField) -> np.ndarray:
     """Spectral gradient tensor g[i, j] = coefficients of d s_i / d x_j.
 
-    Shape (3, 3, N, N, N), complex.
+    Shape (3, 3, N, N, N/2+1), complex.
     """
-    g = np.empty((9,) + s.grid.shape, dtype=np.complex128)
-    return gradient_coeffs(s.coeffs, s.grid, g).reshape((3, 3) + s.grid.shape)
+    g = np.empty((9,) + s.grid.spectral_shape, dtype=np.complex128)
+    return gradient_coeffs(s.coeffs, s.grid, g).reshape((3, 3) + s.grid.spectral_shape)
 
 
 def gradient_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
@@ -73,7 +74,7 @@ def gradient_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.n
 
 
 def divergence(s: SpectralVectorField) -> np.ndarray:
-    """Spectral scalar div(s) = i k . c(k), shape (N, N, N)."""
+    """Spectral scalar div(s) = i k . c(k), shape (N, N, N/2+1)."""
     return 1j * (s.grid.kx * s.coeffs[0] + s.grid.ky * s.coeffs[1] + s.grid.kz * s.coeffs[2])
 
 
@@ -87,7 +88,7 @@ def laplacian(s: SpectralVectorField, nu_h: float = 1.0, nu_v: float = 1.0) -> S
 
 
 def viscous_symbol(grid: GridSpec, nu_h: float, nu_v: float) -> np.ndarray:
-    """Nonnegative multiplier nu_h (k1^2 + k2^2) + nu_v k3^2, shape (N, N, N)."""
+    """Nonnegative multiplier nu_h (k1^2 + k2^2) + nu_v k3^2, shape (N, N, N/2+1)."""
     return nu_h * (grid.kx**2 + grid.ky**2) + nu_v * grid.kz**2
 
 
@@ -96,16 +97,20 @@ def viscous_symbol(grid: GridSpec, nu_h: float, nu_v: float) -> np.ndarray:
 
 def inner_l2(a: SpectralVectorField, b: SpectralVectorField) -> float:
     """L2 inner product over the box, (2*pi)^3 sum Re(c_a . conj(c_b))."""
-    return a.grid.volume * float(np.real(np.vdot(b.coeffs, a.coeffs)))
+    g = a.grid
+    re = a.coeffs.real * b.coeffs.real + a.coeffs.imag * b.coeffs.imag
+    return g.volume * float(np.sum(g.parseval_weight * re))
 
 
 def l2_norm_sq(a: SpectralVectorField) -> float:
-    return a.grid.volume * float(np.vdot(a.coeffs, a.coeffs).real)
+    return weighted_sum_sq(a.coeffs, 1.0, a.grid)
 
 
-def weighted_sum_sq(coeffs: np.ndarray, weight: np.ndarray, volume: float) -> float:
-    """(2*pi)^3 sum_k weight(k) |c(k)|^2 accumulated over components."""
-    return volume * float(np.sum(weight * (coeffs.real**2 + coeffs.imag**2)))
+def weighted_sum_sq(coeffs: np.ndarray, weight: np.ndarray | float, grid: GridSpec) -> float:
+    """(2*pi)^3 sum_k weight(k) |c(k)|^2 over all wavenumbers, accumulated
+    over the leading axes of ``coeffs``."""
+    mag = coeffs.real**2 + coeffs.imag**2
+    return grid.volume * float(np.sum(grid.parseval_weight * weight * mag))
 
 
 def sobolev_norm(s: SpectralVectorField, order: float, homogeneous: bool = False) -> float:
@@ -128,13 +133,12 @@ def sobolev_norm(s: SpectralVectorField, order: float, homogeneous: bool = False
             weight = np.where(g.k_sq > 0, g.k_sq**order, 0.0)
     else:
         weight = (1.0 + g.k_sq) ** order
-    return float(np.sqrt(weighted_sum_sq(s.coeffs, weight, g.volume)))
+    return float(np.sqrt(weighted_sum_sq(s.coeffs, weight, g)))
 
 
 def divergence_l2(s: SpectralVectorField) -> float:
     """L2 norm of div(s) over the box."""
-    d = divergence(s)
-    return float(np.sqrt(s.grid.volume * np.vdot(d, d).real))
+    return float(np.sqrt(weighted_sum_sq(divergence(s), 1.0, s.grid)))
 
 
 def h1_norm_pair(u: SpectralVectorField, b: SpectralVectorField) -> float:

@@ -13,12 +13,14 @@ window by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .damping import DampingSpec, damping_term
 from .fields import PhysicalVectorField, SpectralVectorField
+from .grid import GridSpec
 from .integrator import (
     BlowUpError,
     SolverConfig,
@@ -27,7 +29,7 @@ from .integrator import (
     make_initial_from_config,
     trajectory,
 )
-from .operators import sobolev_norm
+from .operators import sobolev_norm, weighted_sum_sq
 from .state import MhdState
 
 NOISE_SEED_OFFSET = 7919
@@ -87,12 +89,8 @@ class TwinRunResult:
             fh.write("\n")
 
 
-def _separation(u_a, b_a, u_b, b_b, volume: float) -> float:
-    du = u_a - u_b
-    db = b_a - b_b
-    return volume * float(
-        np.sum(du.real**2 + du.imag**2) + np.sum(db.real**2 + db.imag**2)
-    )
+def _separation(u_a, b_a, u_b, b_b, grid: GridSpec) -> float:
+    return weighted_sum_sq(u_a - u_b, 1.0, grid) + weighted_sum_sq(b_a - b_b, 1.0, grid)
 
 
 def _fit_window(d: np.ndarray) -> int:
@@ -144,8 +142,8 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
     the last common recorded time and flags the result, which is then not
     ``identical``.
     """
-    if perturbation_scale < 0:
-        raise ValueError("perturbation scale must be >= 0")
+    if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0):
+        raise ValueError(f"perturbation scale must be finite and >= 0, got {perturbation_scale}")
     eps = float(perturbation_scale)
     state = make_initial_from_config(config)
     twin = state
@@ -157,14 +155,13 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
             state.t,
         )
 
-    volume = config.grid.volume
     times, seps = [], []
     blown = False
     pairs = zip(trajectory(state, config, False), trajectory(twin, config, False))
     try:
         for (t, u_a, b_a, _), (_, u_b, b_b, _) in pairs:
             times.append(t)
-            seps.append(_separation(u_a, b_a, u_b, b_b, volume))
+            seps.append(_separation(u_a, b_a, u_b, b_b, config.grid))
     except BlowUpError:
         blown = True
 

@@ -33,7 +33,7 @@ from mhddamp.cli import ExperimentConfig, main, save_config
 from mhddamp.lemmas import check_interpolation_bound, monotonicity_suite
 from mhddamp.operators import gradient, inner_l2, l2_norm_sq
 
-from _helpers import embed_coeffs, random_divfree
+from _helpers import embed_coeffs, half_spectrum, random_divfree
 
 
 def report(num: int, ok: bool, desc: str, detail: str = "") -> None:
@@ -131,19 +131,21 @@ def test_criterion_1_spectral_exactness(grid32):
 def test_criterion_2_leray_algebra(grid32):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32))
-    f = SpectralVectorField(c, grid32)
+    f = SpectralVectorField(half_spectrum(c), grid32)
     pf = leray_project(f)
     ppf = leray_project(pf)
     scale = np.max(np.abs(pf.coeffs))
     idem = np.max(np.abs(ppf.coeffs - pf.coeffs)) / scale
 
     g = SpectralVectorField(
-        rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32)),
+        half_spectrum(
+            rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32))
+        ),
         grid32,
     )
     sa = abs(inner_l2(pf, g) - inner_l2(f, leray_project(g))) / max(abs(inner_l2(f, g)), 1.0)
 
-    q_hat = (rng.standard_normal((32, 32, 32)) + 1j * rng.standard_normal((32, 32, 32)))
+    q_hat = half_spectrum(rng.standard_normal((32, 32, 32)) + 1j * rng.standard_normal((32, 32, 32)))
     q_hat[0, 0, 0] = 0.0
     grad_q = SpectralVectorField(
         np.stack([1j * grid32.kx * q_hat, 1j * grid32.ky * q_hat, 1j * grid32.kz * q_hat]),

@@ -77,6 +77,16 @@ class TestConfigIO:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["ledger_stride", "seed"])
+    def test_fractional_integer_field_exit_one(self, grid16, tmp_path, capsys, field):
+        data = config_to_dict(experiment(grid16))
+        data["solver"][field] = 2.5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert f"{field} must be an integer" in err and "\n" not in err
+
     def test_unknown_check_rejected(self, grid16):
         with pytest.raises(ConfigError, match="unknown check"):
             experiment(grid16, checks=("l2", "wat"))
@@ -178,13 +188,13 @@ class TestCmdRun:
         import mhddamp.fields as fields
 
         seen = []
-        original = fields._fft.ifftn
+        original = fields._fft.irfftn
 
         def spy(*args, **kwargs):
             seen.append(scipy.fft.get_workers())
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fields._fft, "ifftn", spy)
+        monkeypatch.setattr(fields._fft, "irfftn", spy)
         cfg = experiment(grid16, t_end=0.02, checks=("l2",))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
@@ -255,6 +265,28 @@ class TestCmdLemmas:
         matrix.write_text(json.dumps({"f_ids": ["nope"]}))
         assert main(["lemmas", "--matrix", str(matrix)]) == 1
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ('{"alphas": [NaN]}', "alphas must hold finite numbers"),
+            ('{"betas": [4.0, true]}', "betas must hold finite numbers"),
+            ('{"alphas": 1.0}', "alphas must be a nonempty list"),
+            ('{"f_ids": [["log1"]]}', "unknown f_id"),
+            ('{"x_max": Infinity}', "x_max must be a finite number"),
+            ('{"x_points": 5.5}', "x_points must be an integer"),
+            ('{"pairs": 0}', "pairs must be an integer >= 1"),
+            ('{"seed": true}', "seed must be an integer"),
+            ('{"alpha": [1.0]}', "unknown keys"),
+        ],
+    )
+    def test_malformed_matrix_exit_one(self, tmp_path, capsys, text, message):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(text)
+        assert main(["lemmas", "--matrix", str(matrix), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err and message in err
+
 
 class TestCmdTwin:
     def test_zero_eps_exit_zero(self, grid16, tmp_path):
@@ -276,6 +308,14 @@ class TestCmdTwin:
         header, first = rows[0], rows[1].split(",")
         assert header == "t,d,bound"
         assert float(first[1]) > 0.0
+
+    def test_non_finite_eps_exit_one(self, grid16, tmp_path, capsys):
+        cfg = experiment(grid16, t_end=0.02, damping=DampingSpec(), target=0.5)
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert main(["twin", "--config", str(path), "--eps", "nan",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "perturbation_scale: must be finite" in capsys.readouterr().err
 
     def test_blow_up_exit_three(self, grid16, tmp_path, capsys):
         cfg = experiment(grid16, t_end=2.0, dt=0.1, target=1e3, damping=DampingSpec(), seed=1)

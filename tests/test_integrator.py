@@ -25,7 +25,7 @@ from mhddamp.fields import hermitian_defect
 from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config, trajectory
 from mhddamp.operators import h1_norm_pair
 
-from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
+from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint, write_v1_checkpoint
 
 
 def stepped_states(state, cfg):
@@ -235,6 +235,21 @@ class TestRun:
             SolverConfig(grid=grid16, dt=1e-3, t_end=1.0, initial_condition=ic, nu_h=0.0)
         with pytest.raises(ValueError):
             InitialCondition(kind="random_divfree")  # missing target
+        for bad in (
+            {"dt": float("nan")}, {"t_end": float("inf")}, {"nu_h": float("nan")},
+            {"nu_v": float("-inf")}, {"cfl_target": float("nan")},
+            {"ledger_stride": 2.5}, {"ledger_stride": 0}, {"ledger_stride": True},
+            {"seed": 2.5}, {"seed": -1},
+        ):
+            args = {"dt": 1e-3, "t_end": 1e-2, **bad}
+            with pytest.raises(ValueError, match="finite|ledger_stride|seed"):
+                SolverConfig(grid=grid16, initial_condition=ic, **args)
+        with pytest.raises(ValueError, match="finite"):
+            InitialCondition(kind="random_divfree", target_h1=float("nan"))
+        with pytest.raises(ValueError, match="mode"):
+            InitialCondition(kind="single_mode", mode=(1.5, 0, 0))
+        with pytest.raises(ValueError, match="mode"):
+            InitialCondition(kind="single_mode", mode=(1, 0))
 
     def test_cfl_bound_scales_with_amplitude(self, grid16):
         ic_small = InitialCondition(kind="single_mode", amplitude=0.1)
@@ -253,6 +268,21 @@ class TestRun:
         assert config_hash(a) == config_hash(
             SolverConfig(grid=grid16, dt=1e-3, t_end=1e-2, initial_condition=ic, seed=1)
         )
+
+    def test_config_hash_reads_checkpoint_content(self, grid8, tmp_path):
+        def restart(path):
+            ic = InitialCondition(kind="from_checkpoint", path=str(path))
+            return SolverConfig(grid=grid8, dt=1e-2, t_end=0.1, initial_condition=ic)
+
+        state = make_initial("random_divfree", grid8, seed=1, target_h1=1.0)
+        path, copy = tmp_path / "a.mhdf", tmp_path / "b.mhdf"
+        save_checkpoint(path, state)
+        save_checkpoint(copy, state)
+        first = config_hash(restart(path))
+        assert config_hash(restart(copy)) == first  # same content, other path
+        state.t = 0.05
+        save_checkpoint(path, state)  # other content, same path
+        assert config_hash(restart(path)) != first
 
 
 class TestCheckpoint:
@@ -303,6 +333,62 @@ class TestCheckpoint:
         path.write_bytes(malformed_checkpoint(path.read_bytes(), case))
         with pytest.raises(ValueError, match="not a checkpoint|payload"):
             load_checkpoint(path)
+
+    def test_half_size_v2_and_v1_reader(self, grid16, tmp_path):
+        state = make_initial("random_divfree", grid16, seed=4, target_h1=1.0)
+        state.t = 0.25
+        v2, v1 = tmp_path / "v2.mhdf", tmp_path / "v1.mhdf"
+        save_checkpoint(v2, state)
+        write_v1_checkpoint(v1, state)
+        assert v2.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
+        assert v1.stat().st_size - 32 == 6 * 16**3 * 16
+        loaded = load_checkpoint(v1)
+        assert loaded.t == state.t
+        assert np.array_equal(loaded.u.coeffs, state.u.coeffs)
+        assert np.array_equal(loaded.b.coeffs, state.b.coeffs)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "case,match",
+        [
+            ("nan_time", "time nan is not finite"),
+            ("nan_coefficient", "non-finite coefficients"),
+            ("mode_outside_ball", "outside"),
+            ("divergent", "divergence"),
+            ("non_hermitian_plane", "Hermitian defect"),
+        ],
+    )
+    def test_invalid_state_rejected(self, grid8, tmp_path, capsys, case, match, version):
+        from mhddamp.cli import ExperimentConfig, main, save_config
+
+        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
+        if case == "nan_time":
+            state.t = float("nan")
+        elif case == "nan_coefficient":
+            state.u.coeffs[0, 1, 0, 1] = np.nan
+        elif case == "mode_outside_ball":
+            state.b.coeffs[0, 0, 0, 3] = 1e-3  # |k| = 3 > R = 8/3
+        elif case == "divergent":
+            state.u.coeffs[0, 1, 0, 1] += 0.1  # k = (1, 0, 1), not orthogonal to e1
+        else:
+            state.u.coeffs[2, 1, 1, 0] += 0.1  # k3 = 0 plane, mirror (-1, -1, 0) unchanged
+        path = tmp_path / "state.mhdf"
+        (save_checkpoint if version == 2 else write_v1_checkpoint)(path, state)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+        cfg = ExperimentConfig(
+            name="restart",
+            solver=SolverConfig(
+                grid=grid8, dt=1e-2, t_end=0.02,
+                initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)),
+            ),
+        )
+        save_config(cfg, tmp_path / "cfg.json")
+        argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err and match in err
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mhdf"

@@ -40,7 +40,7 @@ class TestConvection:
 
     def test_constant_velocity_translates(self, grid8):
         # e1 . grad sin(x1) e2 = cos(x1) e2
-        c = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid8).coeffs
         c[0, 0, 0, 0] = 1.0
         v = SpectralVectorField(c, grid8)
         x1, _, _ = grid8.mesh()
@@ -48,7 +48,7 @@ class TestConvection:
         vals[1] = np.sin(x1) + 0.0 * x1
         w = forward_transform(PhysicalVectorField(vals, grid8))
         out = convection(v, w)
-        phys = ifft_grid(out.coeffs, 8).real
+        phys = ifft_grid(out.coeffs, 8)
         expected = np.cos(x1) + np.zeros_like(phys[1])
         assert np.max(np.abs(phys[1] - expected)) <= 1e-13
         assert np.max(np.abs(phys[[0, 2]])) <= 1e-13
@@ -131,6 +131,12 @@ class TestDampingTerms:
             DampingSpec(kind="power", alpha=0.0, beta=4.0)
         with pytest.raises(ValueError):
             DampingSpec(kind="bogus")
+        with pytest.raises(ValueError, match="finite"):
+            DampingSpec(kind="power", alpha=float("nan"), beta=4.0)
+        with pytest.raises(ValueError, match="finite"):
+            DampingSpec(kind="power", alpha=1.0, beta=float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            DampingSpec(kind="generalized", alpha=float("nan"), f_id="log1")
 
 
 class TestRhs:
@@ -157,8 +163,8 @@ class TestRhs:
         bb = convection(b, b)
         ub = convection(u, b)
         bu = convection(b, u)
-        up = ifft_grid(u.coeffs, 16).real
-        dmp = truncate_coeffs(fft_grid(damping_term(up, damping), 16), grid16)
+        up = ifft_grid(u.coeffs, 16)
+        dmp = truncate_coeffs(fft_grid(damping_term(up, damping)), grid16)
         sym = viscous_symbol(grid16, 1.0, 1.0)
         du_ref = leray_project_coeffs(
             truncate_coeffs(bb.coeffs - uu.coeffs - dmp, grid16), grid16
@@ -185,7 +191,7 @@ class TestRhs:
         du, db = rhs_mhd(MhdState(u, b), grid16, 1.0, 1.0, damping)
         gu = sobolev_norm(u, 1.0, homogeneous=True) ** 2
         gb = sobolev_norm(b, 1.0, homogeneous=True) ** 2
-        up = ifft_grid(u.coeffs, 16).real
+        up = ifft_grid(u.coeffs, 16)
         dmp = damping_term(up, damping)
         damp_flux = float(np.sum(dmp * up)) * grid16.cell_volume
         total = inner_l2(du, u) + inner_l2(db, b) + gu + gb + damp_flux
@@ -194,7 +200,7 @@ class TestRhs:
     def test_damping_quadrature_identity(self, grid16):
         # <damping_power(u), u> = alpha ||u||^(beta+1)_L^(beta+1)
         u = random_divfree(grid16, seed=14, l2_norm=2.0)
-        up = ifft_grid(u.coeffs, 16).real
+        up = ifft_grid(u.coeffs, 16)
         spec = DampingSpec(kind="power", alpha=0.8, beta=4.0)
         flux = float(np.sum(damping_term(up, spec) * up)) * grid16.cell_volume
         norm_term = spec.alpha * damping_dissipation(up, grid16, spec)

@@ -1,0 +1,128 @@
+"""Property tests: Parseval and round trips in the half-spectrum layout, the
+Leray projector's algebra, and random bytes fed to the checkpoint reader."""
+
+import contextlib
+import io
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mhddamp import (
+    GridSpec,
+    InitialCondition,
+    SolverConfig,
+    SpectralVectorField,
+    leray_project,
+    load_checkpoint,
+    sobolev_norm,
+)
+from mhddamp.cli import ExperimentConfig, main, save_config
+from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.operators import inner_l2
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+GRIDS = {n: GridSpec(n_modes=n) for n in (8, 10, 16)}
+
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.sampled_from(sorted(GRIDS))
+
+
+def real_field(seed: int, n: int, nyquist: float) -> np.ndarray:
+    """Random real (3, N, N, N) values plus a Nyquist checkerboard along
+    every axis, which lives on the stored plane k3 = N/2 and the edges
+    k1, k2 = N/2."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n)
+    checker = (-1.0) ** (j[:, None, None] + j[None, :, None] + j[None, None, :])
+    return rng.standard_normal((3, n, n, n)) + nyquist * checker
+
+
+def random_coeffs(seed: int, grid: GridSpec) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (3,) + grid.spectral_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, nyquist=st.floats(-3.0, 3.0))
+def test_parseval_matches_collocation_quadrature(seed, n, nyquist):
+    grid = GRIDS[n]
+    values = real_field(seed, n, nyquist)
+    s = SpectralVectorField(fft_grid(values), grid)
+    quadrature = float(np.sum(values**2)) * grid.cell_volume
+    assert abs(sobolev_norm(s, 0.0) ** 2 - quadrature) <= 1e-12 * quadrature
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, nyquist=st.floats(-3.0, 3.0))
+def test_transform_round_trip(seed, n, nyquist):
+    values = real_field(seed, n, nyquist)
+    back = ifft_grid(fft_grid(values), n)
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+@PROPERTY
+@given(seed_a=seeds, seed_b=seeds, n=sizes)
+def test_leray_idempotent_and_self_adjoint(seed_a, seed_b, n):
+    grid = GRIDS[n]
+    a = SpectralVectorField(random_coeffs(seed_a, grid), grid)
+    b = SpectralVectorField(random_coeffs(seed_b, grid), grid)
+    pa = leray_project(a)
+    assert np.max(np.abs(leray_project(pa).coeffs - pa.coeffs)) <= 1e-12 * np.max(np.abs(pa.coeffs))
+    lhs = inner_l2(pa, b)
+    rhs = inner_l2(a, leray_project(b))
+    scale = np.sqrt(inner_l2(a, a) * inner_l2(b, b))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def checkpoint_bytes(data):
+    """Random bytes, or a well-formed header followed by random bytes, whose
+    payload may have exactly the size the header announces."""
+    kind = data.draw(st.sampled_from(["raw", "header", "sized"]))
+    if kind == "raw":
+        return data.draw(st.binary(max_size=200))
+    version = data.draw(st.sampled_from([1, 2]) if kind == "sized" else st.integers(0, 2**32 - 1))
+    n = data.draw(st.sampled_from([8, 10]) if kind == "sized" else st.integers(-(2**63), 2**63 - 1))
+    radius = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+    t = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+    header = struct.pack("<4sIqdd", b"MHDF", version, n, radius, t)
+    if kind == "header":
+        return header + data.draw(st.binary(max_size=200))
+    stored = n if version == 1 else n // 2 + 1
+    payload = np.random.default_rng(data.draw(seeds)).bytes(6 * n * n * stored * 16)
+    return header + payload
+
+
+@PROPERTY
+@given(data=st.data())
+def test_random_checkpoint_bytes_rejected(data):
+    blob = checkpoint_bytes(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.mhdf"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("random bytes loaded as a checkpoint")
+
+        cfg = ExperimentConfig(
+            name="restart",
+            solver=SolverConfig(
+                grid=GRIDS[8], dt=1e-2, t_end=0.02,
+                initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)),
+            ),
+        )
+        save_config(cfg, Path(tmp) / "cfg.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(Path(tmp) / "cfg.json"), "--out", str(Path(tmp) / "out")])
+        assert rc == 1
+        message = err.getvalue().strip()
+        assert message.startswith("error: ") and "\n" not in message

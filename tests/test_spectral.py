@@ -19,7 +19,13 @@ from mhddamp import (
 from mhddamp.fields import HermitianSymmetryError, NonFiniteFieldError, hermitian_defect
 from mhddamp.operators import divergence_l2, inner_l2, l2_norm_sq
 
-from _helpers import dft_oracle, random_divfree
+from _helpers import dft_oracle, full_spectrum, half_spectrum, random_divfree
+
+
+def random_coeffs(seed, n):
+    """Random (3, N, N, N/2+1) coefficients, not those of a real field."""
+    rng = np.random.default_rng(seed)
+    return half_spectrum(rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n)))
 
 
 class TestGridSpec:
@@ -41,6 +47,13 @@ class TestGridSpec:
         k = grid16.k1d
         assert k.min() == -7 and k.max() == 8
         assert set(k) == set(range(-7, 9))
+
+    def test_half_spectrum_layout(self, grid16):
+        assert grid16.spectral_shape == (16, 16, 9)
+        assert grid16.k_sq.shape == grid16.spectral_shape
+        assert grid16.kz.ravel().tolist() == list(range(9))
+        assert grid16.parseval_weight.ravel().tolist() == [1.0] + [2.0] * 7 + [1.0]
+        assert not grid16.keep_mask[..., -1].any()  # the plane k3 = N/2 is truncated
 
 
 class TestTransforms:
@@ -80,7 +93,7 @@ class TestTransforms:
         assert np.all(p.values == 0.0)
 
     def test_hermitian_pair_gives_sin(self, grid8):
-        c = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid8).coeffs
         c[0, 1, 0, 0] = -0.5j
         c[0, -1, 0, 0] = 0.5j
         p = inverse_transform(SpectralVectorField(c, grid8))
@@ -94,9 +107,13 @@ class TestTransforms:
         vals[1, 2, 3, 4] = np.inf
         with pytest.raises(NonFiniteFieldError):
             forward_transform(PhysicalVectorField(vals, grid8))
+        c = SpectralVectorField.zeros(grid8)
+        c.coeffs[0, 1, 0, 1] = np.nan
+        with pytest.raises(NonFiniteFieldError):
+            inverse_transform(c)
 
     def test_rejects_broken_hermitian_symmetry(self, grid8):
-        c = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid8).coeffs
         c[0, 1, 0, 0] = 1.0  # no conjugate partner
         with pytest.raises(HermitianSymmetryError):
             inverse_transform(SpectralVectorField(c, grid8))
@@ -115,7 +132,7 @@ class TestFriedrichsTruncate:
         assert np.array_equal(s.coeffs, s2.coeffs)
 
     def test_single_mode_outside_cutoff_vanishes(self, grid16):
-        c = np.zeros((3, 16, 16, 16), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid16).coeffs
         c[0, 5, 0, 0] = 1.0
         c[0, -5, 0, 0] = 1.0
         out = friedrichs_truncate(SpectralVectorField(c, grid16), radius=4.0)
@@ -123,9 +140,7 @@ class TestFriedrichsTruncate:
 
     def test_l2_contraction(self, grid16):
         # Parseval: dropping modes cannot increase the L2 norm
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal((3, 16, 16, 16)) + 1j * rng.standard_normal((3, 16, 16, 16))
-        s = SpectralVectorField(c, grid16)
+        s = SpectralVectorField(random_coeffs(3, 16), grid16)
         for radius in (2.0, 4.0, 6.0):
             assert l2_norm_sq(friedrichs_truncate(s, radius)) <= l2_norm_sq(s) + 1e-12
 
@@ -140,7 +155,7 @@ class TestLerayProjection:
     def test_annihilates_gradients(self, grid16):
         rng = np.random.default_rng(7)
         q = rng.standard_normal((16, 16, 16))
-        q_hat = np.fft.fftn(q) / 16**3
+        q_hat = half_spectrum(np.fft.fftn(q) / 16**3)
         q_hat[0, 0, 0] = 0.0
         c = np.stack([1j * grid16.kx * q_hat, 1j * grid16.ky * q_hat, 1j * grid16.kz * q_hat])
         out = leray_project(SpectralVectorField(c, grid16))
@@ -152,43 +167,29 @@ class TestLerayProjection:
         assert np.max(np.abs(out.coeffs - s.coeffs)) <= 1e-12 * np.max(np.abs(s.coeffs))
 
     def test_idempotent(self, grid16):
-        rng = np.random.default_rng(9)
-        c = rng.standard_normal((3, 16, 16, 16)) + 1j * rng.standard_normal((3, 16, 16, 16))
-        once = leray_project(SpectralVectorField(c, grid16))
+        once = leray_project(SpectralVectorField(random_coeffs(9, 16), grid16))
         twice = leray_project(once)
         assert np.max(np.abs(twice.coeffs - once.coeffs)) <= 1e-12 * np.max(np.abs(once.coeffs))
 
     def test_result_divergence_free(self, grid16):
-        rng = np.random.default_rng(10)
-        c = rng.standard_normal((3, 16, 16, 16)) + 1j * rng.standard_normal((3, 16, 16, 16))
-        out = leray_project(SpectralVectorField(c, grid16))
+        out = leray_project(SpectralVectorField(random_coeffs(10, 16), grid16))
         assert divergence_l2(out) <= 1e-10 * np.sqrt(l2_norm_sq(out))
 
     def test_mean_mode_passes_through(self, grid8):
-        c = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid8).coeffs
         c[:, 0, 0, 0] = [1.0, 2.0, 3.0]
         out = leray_project(SpectralVectorField(c, grid8))
         assert np.array_equal(out.coeffs, c)
 
     def test_self_adjoint(self, grid16):
-        a = SpectralVectorField(
-            np.random.default_rng(11).standard_normal((3, 16, 16, 16))
-            + 1j * np.random.default_rng(12).standard_normal((3, 16, 16, 16)),
-            grid16,
-        )
-        b = SpectralVectorField(
-            np.random.default_rng(13).standard_normal((3, 16, 16, 16))
-            + 1j * np.random.default_rng(14).standard_normal((3, 16, 16, 16)),
-            grid16,
-        )
+        a = SpectralVectorField(random_coeffs(11, 16), grid16)
+        b = SpectralVectorField(random_coeffs(13, 16), grid16)
         lhs = inner_l2(leray_project(a), b)
         rhs = inner_l2(a, leray_project(b))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_orthogonal_decomposition(self, grid16):
-        rng = np.random.default_rng(15)
-        c = rng.standard_normal((3, 16, 16, 16)) + 1j * rng.standard_normal((3, 16, 16, 16))
-        f = SpectralVectorField(c, grid16)
+        f = SpectralVectorField(random_coeffs(15, 16), grid16)
         pf = leray_project(f)
         rem = SpectralVectorField(f.coeffs - pf.coeffs, grid16)
         total = l2_norm_sq(f)
@@ -250,7 +251,10 @@ class TestSobolevNorms:
         vals[0] = np.sin(x1) + 0.0 * x1
         s = forward_transform(PhysicalVectorField(vals, grid16))
         # |k| = 1 exactly, so the H^1-dot weight is 1; verify by summation
-        direct = np.sqrt(grid16.volume * np.sum(grid16.k_sq * np.abs(s.coeffs) ** 2))
+        # over the full spectrum
+        k = grid16.k1d
+        k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+        direct = np.sqrt(grid16.volume * np.sum(k_sq * np.abs(full_spectrum(s.coeffs)) ** 2))
         assert sobolev_norm(s, 1.0, homogeneous=True) == pytest.approx(direct, rel=1e-14)
         assert sobolev_norm(s, 1.0, homogeneous=True) == pytest.approx(
             sobolev_norm(s, 0.0), rel=1e-12
@@ -269,7 +273,7 @@ class TestSobolevNorms:
         )
 
     def test_negative_order_rejects_mean(self, grid8):
-        c = np.zeros((3, 8, 8, 8), dtype=np.complex128)
+        c = SpectralVectorField.zeros(grid8).coeffs
         c[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             sobolev_norm(SpectralVectorField(c, grid8), -1.0, homogeneous=True)
