@@ -23,12 +23,11 @@ import scipy.fft
 from . import __version__
 from .damping import DampingSpec, F_CATALOG
 from .energy import check_H1_inequalities, check_L2_inequality
-from .grid import GridSpec
+from .grid import GridSpec, _is_int
 from .integrator import (
     BlowUpError,
     InitialCondition,
     SolverConfig,
-    _is_int,
     config_hash,
     run,
     save_checkpoint,
@@ -39,9 +38,11 @@ from .lemmas import (
     modifier_envelope_report,
     monotonicity_suite,
 )
+from .operators import sobolev_norm
 from .uniqueness import TwinRunResult, twin_run
 
 KNOWN_CHECKS = ("l2", "h1_additive", "h1_exponential", "lemmas", "twin")
+KNOWN_REPORT_FORMATS = ("csv", "text", "json")
 
 DEFAULT_MATRIX = {
     "alphas": [0.1, 1.0, 10.0],
@@ -65,18 +66,26 @@ class ExperimentConfig:
     output_dir: str | None = None
     checks: tuple[str, ...] = ("l2",)
     perturbation_scale: float = 1e-6
-    report_formats: tuple[str, ...] = ("csv", "text", "json")
+    report_formats: tuple[str, ...] = KNOWN_REPORT_FORMATS
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name: experiment name must be nonempty")
-        for check in self.checks:
-            if check not in KNOWN_CHECKS:
-                raise ConfigError(f"checks: unknown check {check!r} (known: {KNOWN_CHECKS})")
+        for key, noun, known in (
+            ("checks", "check", KNOWN_CHECKS),
+            ("report_formats", "report format", KNOWN_REPORT_FORMATS),
+        ):
+            names = getattr(self, key)
+            if not isinstance(names, (list, tuple)):
+                raise ConfigError(f"{key}: expected a list of names, got {names!r}")
+            for name in names:
+                if name not in known:
+                    raise ConfigError(f"{key}: unknown {noun} {name!r} (known: {known})")
+            object.__setattr__(self, key, tuple(names))
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigError(f"output_dir: expected a string or null, got {self.output_dir!r}")
         if not (math.isfinite(self.perturbation_scale) and self.perturbation_scale >= 0):
             raise ConfigError("perturbation_scale: must be finite and >= 0")
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "report_formats", tuple(self.report_formats))
 
 
 # Configuration (de)serialization -------------------------------------------
@@ -85,43 +94,34 @@ class ExperimentConfig:
 def _section(payload: dict, builder, context: str):
     try:
         return builder(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _object(data: dict, key: str, context: str, default=None) -> dict:
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: section missing or not an object")
+    return value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
-    try:
-        solver_data = dict(data["solver"])
-    except KeyError:
-        raise ConfigError("solver: section missing") from None
-
-    grid_data = solver_data.pop("grid", None)
-    if not isinstance(grid_data, dict):
-        raise ConfigError("solver.grid: section missing or not an object")
+    solver_data = _object(data, "solver", "solver")
+    grid_data = _object(solver_data, "grid", "solver.grid")
     grid_data = {k: v for k, v in grid_data.items() if v is not None}
     grid = _section(grid_data, GridSpec, "solver.grid")
-
-    damping_data = solver_data.pop("damping", {"kind": "none"})
-    damping = _section(dict(damping_data), DampingSpec, "solver.damping")
-
-    ic_data = solver_data.pop("initial_condition", None)
-    if not isinstance(ic_data, dict):
-        raise ConfigError("solver.initial_condition: section missing or not an object")
-    ic = _section(dict(ic_data), InitialCondition, "solver.initial_condition")
-
+    damping_data = _object(solver_data, "damping", "solver.damping", {"kind": "none"})
+    damping = _section(damping_data, DampingSpec, "solver.damping")
+    ic_data = _object(solver_data, "initial_condition", "solver.initial_condition")
+    ic = _section(ic_data, InitialCondition, "solver.initial_condition")
     solver = _section(
         {**solver_data, "grid": grid, "damping": damping, "initial_condition": ic},
         SolverConfig,
         "solver",
     )
-
     top = {k: v for k, v in data.items() if k != "solver"}
-    top["checks"] = tuple(top.get("checks", ("l2",)))
-    top["report_formats"] = tuple(top.get("report_formats", ("csv", "text", "json")))
     return _section({**top, "solver": solver}, ExperimentConfig, "top level")
 
 
@@ -174,13 +174,11 @@ def _write_checks(path, reports: list[CheckReport]) -> None:
 
 
 def _final_state_summary(state) -> dict:
-    from .operators import divergence_l2, sobolev_norm
-
     return {
         "t": state.t,
         "u_l2": sobolev_norm(state.u, 0.0),
         "b_l2": sobolev_norm(state.b, 0.0),
-        "max_divergence": max(divergence_l2(state.u), divergence_l2(state.b)),
+        "max_divergence": state.max_divergence(),
     }
 
 
@@ -473,13 +471,7 @@ def main(argv=None) -> int:
     try:
         with scipy.fft.set_workers(_fft_workers(args)):
             return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

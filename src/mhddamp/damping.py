@@ -113,26 +113,27 @@ def speed_sq(values: np.ndarray) -> np.ndarray:
     return values[0] ** 2 + values[1] ** 2 + values[2] ** 2
 
 
+def damping_amplitude(q: np.ndarray, spec: DampingSpec) -> np.ndarray:
+    """Amplitude g(q) of the damping law D(u) = alpha g(|u|^2) u at q = |u|^2:
+    q^((beta-1)/2) for power damping, f(q) q for generalized damping."""
+    if spec.kind == "power":
+        return q ** ((float(spec.beta) - 1.0) / 2.0)
+    return spec.function.f(q) * q
+
+
 def damping_power(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Pointwise alpha |u|^(beta-1) u on collocation values."""
-    if beta <= 1:
-        raise ValueError("beta must exceed 1")
-    q = speed_sq(values)
-    return (alpha * q ** ((beta - 1.0) / 2.0)) * values
+    return damping_term(values, DampingSpec("power", alpha, beta))
 
 
 def damping_generalized(values: np.ndarray, alpha: float, fn: DampingFunction | str) -> np.ndarray:
     """Pointwise alpha f(|u|^2) |u|^2 u on collocation values."""
-    if isinstance(fn, str):
-        fn = F_CATALOG[fn]
-    q = speed_sq(values)
-    return (alpha * fn.f(q) * q) * values
+    f_id = fn if isinstance(fn, str) else fn.f_id
+    return damping_term(values, DampingSpec("generalized", alpha, f_id=f_id))
 
 
 def damping_term(values: np.ndarray, spec: DampingSpec) -> np.ndarray:
-    """Dispatch on the damping kind; zero array for kind 'none'."""
-    if spec.kind == "power":
-        return damping_power(values, spec.alpha, float(spec.beta))
-    if spec.kind == "generalized":
-        return damping_generalized(values, spec.alpha, spec.function)
-    return np.zeros_like(values)
+    """Pointwise D(u) of the spec on collocation values; zero for kind 'none'."""
+    if spec.kind == "none":
+        return np.zeros_like(values)
+    return (spec.alpha * damping_amplitude(speed_sq(values), spec)) * values

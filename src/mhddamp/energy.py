@@ -4,16 +4,17 @@ Energy ledger and inequality checks along discrete trajectories.
 A ledger row records, at one sampled time, every norm and damping
 dissipation integrand appearing in the solver's a priori energy estimates,
 together with running time-integrals of the dissipation columns.  Three of
-those running integrals (int_h1dot_sq, int_h2dot_sq and the active damping
-dissipation) are accumulated by the integrator with the same fourth-order
-stage weights as the state itself; the remaining columns are integrated by
+those running integrals (int_h1dot_sq, int_h2dot_sq and the damping column
+named by ``L2_DAMPING_COLUMN``) are accumulated by the integrator with the
+same fourth-order stage weights as the state itself, from the same
+:func:`spectral_sums` the rows use; the remaining columns are integrated by
 the trapezoidal rule over ledger rows.
 
 Norm convention: for coefficients c(k), ||f||_L2^2 = (2*pi)^3 sum |c(k)|^2,
 summed over the stored half spectrum with the grid's ``parseval_weight``;
 damping integrands are evaluated on collocation points with quadrature
-weight (2*pi/N)^3, which makes <damping(u), u> equal to the recorded
-dissipation column exactly (same floating-point sum).
+weight (2*pi/N)^3, so <D(u), u> / alpha matches the closed-form ``lbeta``
+and ``d_f4`` columns to round-off.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import csv
 
 import numpy as np
 
-from .damping import DampingFunction, DampingSpec, F_CATALOG, speed_sq
+from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
 from .fields import SpectralVectorField, fft_grid, ifft_grid
+from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .operators import gradient_coeffs
 from .state import MhdState
@@ -46,14 +48,20 @@ INTEGRAL_COLUMNS = tuple("int_" + c for c in DISSIPATION_COLUMNS)
 ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 
 
-def _spectral_sums(u: SpectralVectorField, b: SpectralVectorField) -> tuple[float, float, float]:
-    g = u.grid
-    mag = u.coeffs.real**2 + u.coeffs.imag**2 + b.coeffs.real**2 + b.coeffs.imag**2
-    s = g.parseval_weight * mag.sum(axis=0)
-    l2 = float(s.sum())
-    h1 = float((g.k_sq * s).sum())
-    h2 = float((g.k_sq * g.k_sq * s).sum())
-    return g.volume * l2, g.volume * h1, g.volume * h2
+# The damping column whose running integral enters the L2 energy balance.
+L2_DAMPING_COLUMN = {"power": "lbeta", "generalized": "d_f4"}
+
+
+def spectral_sums(u_c: np.ndarray, b_c: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
+    """(||w||^2, ||grad w||^2, ||Lap w||^2) in L2 of the pair w = (u, b),
+    from raw coefficient arrays; the integrator takes its stage integrands
+    from here too."""
+    mag = (u_c.real**2 + u_c.imag**2 + b_c.real**2 + b_c.imag**2).sum(axis=0)
+    s = grid.parseval_weight * mag
+    grad = grid.k_sq * s
+    lap = grid.k_sq * grad
+    vol = grid.volume
+    return vol * float(s.sum()), vol * float(grad.sum()), vol * float(lap.sum())
 
 
 def _velocity_pointwise(u: SpectralVectorField):
@@ -93,7 +101,9 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
 def ledger_row(state: MhdState, damping: DampingSpec) -> dict[str, float]:
     """Instantaneous ledger columns for one state."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
-    row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = _spectral_sums(state.u, state.b)
+    row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(
+        state.u.coeffs, state.b.coeffs, state.grid
+    )
     if damping.kind == "none":
         return row
 
@@ -226,12 +236,8 @@ def _report(name: str, margins: np.ndarray, times: np.ndarray, tol: float, detai
 
 def l2_damping_integral(ledger: EnergyLedger) -> np.ndarray:
     """Running integral of the damping dissipation entering the L2 balance."""
-    kind = ledger.damping.kind
-    if kind == "power":
-        return ledger.column("int_lbeta")
-    if kind == "generalized":
-        return ledger.column("int_d_f4")
-    return np.zeros(len(ledger))
+    name = L2_DAMPING_COLUMN.get(ledger.damping.kind)
+    return ledger.column("int_" + name) if name else np.zeros(len(ledger))
 
 
 def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckReport:
@@ -370,12 +376,7 @@ def check_damping_identity(
 
     grid = state.grid
     up = ifft_grid(state.u.coeffs, grid.n_modes)
-    q = speed_sq(up)
-    if damping.kind == "power":
-        amp = _power_law(q, (float(damping.beta) - 1.0) / 2.0)
-    else:
-        amp = damping.function.f(q) * q
-    d_hat = fft_grid(amp * up)
+    d_hat = fft_grid(damping_amplitude(speed_sq(up), damping) * up)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); the
     # coefficients of u vanish outside the ball so no explicit cutoff needed.
     weight = grid.parseval_weight * grid.k_sq

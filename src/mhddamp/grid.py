@@ -18,11 +18,16 @@ unstored mirror.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,7 @@ class GridSpec:
     Parameters
     ----------
     n_modes : int
-        Points per axis; must be even and >= 8.
+        Points per axis; must be an even integer >= 8.
     box_length : float
         Box side length.  Fixed at 2*pi; anything else is rejected.
     truncation_radius : float, optional
@@ -50,8 +55,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         n = self.n_modes
-        if n % 2 != 0 or n < 8:
-            raise ValueError(f"n_modes must be even and >= 8, got {n}")
+        if not (_is_int(n) and n % 2 == 0 and n >= 8):
+            raise ValueError(f"n_modes must be an even integer >= 8, got {n!r}")
         if abs(self.box_length - TWO_PI) > 1e-14:
             raise ValueError("box_length is fixed at 2*pi")
         if not (0.0 < self.dealias_fraction <= 1.0):

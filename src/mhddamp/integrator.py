@@ -26,7 +26,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -34,8 +33,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .damping import DampingSpec
+from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, SpectralVectorField, fft_grid, hermitian_defect, ifft_grid
-from .grid import GridSpec
+from .grid import GridSpec, _is_int
 from .nonlinear import _rhs_core
 from .operators import (
     h1_norm_pair,
@@ -63,10 +63,6 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t = {time:.6g}")
         self.time = time
         self.ledger = ledger
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -190,11 +186,12 @@ def make_initial(
     random_divfree rescales the pair so ||(u0, b0)||_H1 equals target_h1
     exactly; single_mode produces amplitude * sin(k.x) along a direction
     perpendicular to k (b = 0); taylor_green_like is the classical vortex
-    with a perpendicular divergence-free magnetic companion.
+    with a perpendicular divergence-free magnetic companion.  The arguments
+    are checked as an :class:`InitialCondition`; ValueError if they do not
+    make one.
     """
+    ic = InitialCondition(kind, target_h1, amplitude, b_amplitude, mode, path)
     if kind == "from_checkpoint":
-        if not path:
-            raise ValueError("from_checkpoint requires a path")
         state = load_checkpoint(path)
         if (
             state.grid.n_modes != grid.n_modes
@@ -212,8 +209,6 @@ def make_initial(
         return state
 
     if kind == "random_divfree":
-        if target_h1 is None:
-            raise ValueError("random_divfree requires target_h1")
         u_c, b_c = _random_divfree_pair(grid, seed)
         u = SpectralVectorField(u_c, grid)
         b = SpectralVectorField(b_c, grid)
@@ -226,7 +221,7 @@ def make_initial(
         return MhdState(u, b)
 
     if kind == "single_mode":
-        k = np.array(mode, dtype=np.float64)
+        k = np.array(ic.mode, dtype=np.float64)
         if not np.any(k):
             raise ValueError("single_mode wavenumber must be nonzero")
         k_hat = k / np.linalg.norm(k)
@@ -241,23 +236,21 @@ def make_initial(
         u_c = truncate_coeffs(fft_grid(values), grid)
         return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField.zeros(grid))
 
-    if kind == "taylor_green_like":
-        x1, x2, x3 = grid.mesh()
-        u = np.empty((3,) + grid.shape)
-        u[0] = np.sin(x1) * np.cos(x2) * np.cos(x3)
-        u[1] = -np.cos(x1) * np.sin(x2) * np.cos(x3)
-        u[2] = 0.0
-        b = np.empty((3,) + grid.shape)
-        b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
-        b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
-        b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
-        u_c = fft_grid(amplitude * u)
-        b_c = fft_grid(amplitude * b_amplitude * b)
-        u_c = leray_project_coeffs(truncate_coeffs(u_c, grid), grid)
-        b_c = leray_project_coeffs(truncate_coeffs(b_c, grid), grid)
-        return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid))
-
-    raise ValueError(f"unknown initial condition kind {kind!r}")
+    # taylor_green_like
+    x1, x2, x3 = grid.mesh()
+    u = np.empty((3,) + grid.shape)
+    u[0] = np.sin(x1) * np.cos(x2) * np.cos(x3)
+    u[1] = -np.cos(x1) * np.sin(x2) * np.cos(x3)
+    u[2] = 0.0
+    b = np.empty((3,) + grid.shape)
+    b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
+    b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
+    b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
+    u_c = fft_grid(amplitude * u)
+    b_c = fft_grid(amplitude * b_amplitude * b)
+    u_c = leray_project_coeffs(truncate_coeffs(u_c, grid), grid)
+    b_c = leray_project_coeffs(truncate_coeffs(b_c, grid), grid)
+    return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid))
 
 
 def make_initial_from_config(config: SolverConfig) -> MhdState:
@@ -283,26 +276,19 @@ class _StepWork:
     def __init__(self, config: SolverConfig):
         self.grid = config.grid
         self.dt = config.dt
-        self.nu_h = config.nu_h
-        self.nu_v = config.nu_v
         self.damping = config.damping
-        sym = viscous_symbol(self.grid, self.nu_h, self.nu_v)
+        sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
-        self.k_sq = self.grid.k_sq
-        self.weighted_k_sq = self.grid.parseval_weight * self.k_sq
-        self.vol = self.grid.volume
 
-    def _rhs(self, u_c, b_c, want_diss):
-        return _rhs_core(
-            u_c, b_c, self.grid, self.nu_h, self.nu_v, self.damping,
-            include_viscous=False, want_dissipation=want_diss,
-        )
-
-    def _grad_lap_sums(self, u_c, b_c) -> tuple[float, float]:
-        mag = (u_c.real**2 + u_c.imag**2 + b_c.real**2 + b_c.imag**2).sum(axis=0)
-        weighted = self.weighted_k_sq * mag
-        return self.vol * float(weighted.sum()), self.vol * float((self.k_sq * weighted).sum())
+    def _stage(self, u_c, b_c, want_diag):
+        """Tendency at one RK4 stage and, with ``want_diag``, the stage's
+        (||grad w||^2, ||Lap w||^2, damping dissipation)."""
+        du_c, db_c, diss = _rhs_core(u_c, b_c, self.grid, self.damping, want_diag)
+        if not want_diag:
+            return du_c, db_c, (0.0, 0.0, 0.0)
+        _, grad, lap = spectral_sums(u_c, b_c, self.grid)
+        return du_c, db_c, (grad, lap, diss)
 
     def advance(self, u_c, b_c, want_diag=True):
         """One integrating-factor RK4 step on raw coefficient arrays.
@@ -318,29 +304,11 @@ class _StepWork:
 
     def _advance(self, u_c, b_c, want_diag):
         dt, E, E2 = self.dt, self.half_factor, self.full_factor
-        g1 = l1 = g2 = l2 = g3 = l3 = g4 = l4 = 0.0
-
-        n1u, n1b, d1 = self._rhs(u_c, b_c, want_diag)
-        if want_diag:
-            g1, l1 = self._grad_lap_sums(u_c, b_c)
-
-        u2 = E * (u_c + (0.5 * dt) * n1u)
-        b2 = E * (b_c + (0.5 * dt) * n1b)
-        n2u, n2b, d2 = self._rhs(u2, b2, want_diag)
-        if want_diag:
-            g2, l2 = self._grad_lap_sums(u2, b2)
-
-        u3 = E * u_c + (0.5 * dt) * n2u
-        b3 = E * b_c + (0.5 * dt) * n2b
-        n3u, n3b, d3 = self._rhs(u3, b3, want_diag)
-        if want_diag:
-            g3, l3 = self._grad_lap_sums(u3, b3)
-
-        u4 = E2 * u_c + dt * (E * n3u)
-        b4 = E2 * b_c + dt * (E * n3b)
-        n4u, n4b, d4 = self._rhs(u4, b4, want_diag)
-        if want_diag:
-            g4, l4 = self._grad_lap_sums(u4, b4)
+        h = 0.5 * dt
+        n1u, n1b, s1 = self._stage(u_c, b_c, want_diag)
+        n2u, n2b, s2 = self._stage(E * (u_c + h * n1u), E * (b_c + h * n1b), want_diag)
+        n3u, n3b, s3 = self._stage(E * u_c + h * n2u, E * b_c + h * n2b, want_diag)
+        n4u, n4b, s4 = self._stage(E2 * u_c + dt * (E * n3u), E2 * b_c + dt * (E * n3b), want_diag)
 
         u_new = E2 * u_c + (dt / 6.0) * (E2 * n1u + 2.0 * E * (n2u + n3u) + n4u)
         b_new = E2 * b_c + (dt / 6.0) * (E2 * n1b + 2.0 * E * (n2b + n3b) + n4b)
@@ -348,11 +316,7 @@ class _StepWork:
         b_new = leray_project_coeffs(truncate_coeffs(b_new, self.grid), self.grid)
 
         w = dt / 6.0
-        increments = (
-            w * (g1 + 2.0 * (g2 + g3) + g4),
-            w * (l1 + 2.0 * (l2 + l3) + l4),
-            w * (d1 + 2.0 * (d2 + d3) + d4),
-        )
+        increments = tuple(w * (a + 2.0 * (b + c) + d) for a, b, c, d in zip(s1, s2, s3, s4))
         return u_new, b_new, increments
 
 
@@ -409,8 +373,6 @@ def run(config: SolverConfig):
     produce bit-identical ledgers.  Raises BlowUpError (carrying the partial
     ledger) if the solution leaves the space of finite fields.
     """
-    from .energy import EnergyLedger, ledger_row  # deferred: avoids cycle
-
     state = make_initial_from_config(config)
     steps = trajectory(state, config)
     first = next(steps)  # checks the span before any other work
@@ -423,7 +385,7 @@ def run(config: SolverConfig):
         )
 
     damping = config.damping
-    damp_key = {"power": "int_lbeta", "generalized": "int_d_f4"}.get(damping.kind)
+    damp_col = L2_DAMPING_COLUMN.get(damping.kind)
     ledger = EnergyLedger(
         damping,
         config.dt,
@@ -442,8 +404,8 @@ def run(config: SolverConfig):
 
     def exact_integrals(acc):
         out = {"int_h1dot_sq": acc[0], "int_h2dot_sq": acc[1]}
-        if damp_key:
-            out[damp_key] = acc[2]
+        if damp_col:
+            out["int_" + damp_col] = acc[2]
         return out
 
     grid = config.grid

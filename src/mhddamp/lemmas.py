@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .damping import DampingFunction, F_CATALOG
+from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude
 
 MARGIN_TOL = 1e-12
 SHARPNESS_TOL = 1e-10
@@ -107,18 +107,16 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
     )
 
 
-def monotonicity_gap(x: np.ndarray, y: np.ndarray, fn: DampingFunction | str) -> float:
-    """<f(|x|^2)|x|^2 x - f(|y|^2)|y|^2 y, x - y>; nonnegative for every
-    strictly increasing f."""
-    if isinstance(fn, str):
-        fn = F_CATALOG[fn]
+def monotonicity_gap(x: np.ndarray, y: np.ndarray, fn: DampingFunction | str) -> np.ndarray:
+    """<f(|x|^2)|x|^2 x - f(|y|^2)|y|^2 y, x - y> over the last axis, for
+    one vector pair or a stack of them; nonnegative for every strictly
+    increasing f."""
+    spec = DampingSpec("generalized", 1.0, f_id=fn if isinstance(fn, str) else fn.f_id)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    qx = float(np.dot(x, x))
-    qy = float(np.dot(y, y))
-    fx = fn.f(qx) * qx
-    fy = fn.f(qy) * qy
-    return float(np.dot(fx * x - fy * y, x - y))
+    ax = damping_amplitude(np.sum(x * x, axis=-1), spec)[..., None]
+    ay = damping_amplitude(np.sum(y * y, axis=-1), spec)[..., None]
+    return np.sum((ax * x - ay * y) * (x - y), axis=-1)
 
 
 def monotonicity_suite(
@@ -137,11 +135,7 @@ def monotonicity_suite(
     sy = np.exp(rng.uniform(lo, hi, size=n_pairs))
     x = rng.standard_normal((n_pairs, 3)) * sx[:, None]
     y = rng.standard_normal((n_pairs, 3)) * sy[:, None]
-    qx = np.sum(x * x, axis=1)
-    qy = np.sum(y * y, axis=1)
-    ax = fn.f(qx) * qx
-    ay = fn.f(qy) * qy
-    gaps = np.sum((ax[:, None] * x - ay[:, None] * y) * (x - y), axis=1)
+    gaps = monotonicity_gap(x, y, fn)
     i = int(np.argmin(gaps))
     return CheckReport(
         "lemma_monotonicity",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .damping import DampingSpec, damping_term, speed_sq
+from .damping import DampingSpec, damping_term
 from .fields import (
     NonFiniteFieldError,
     SpectralVectorField,
@@ -66,13 +66,12 @@ def _rhs_core(
     u_c: np.ndarray,
     b_c: np.ndarray,
     grid: GridSpec,
-    nu_h: float,
-    nu_v: float,
     damping: DampingSpec,
-    include_viscous: bool,
-    want_dissipation: bool = False,
+    want_dissipation: bool,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fused tendency evaluation on raw coefficient arrays.
+    """Non-viscous tendency on raw coefficient arrays: the quadratic terms and
+    the damping, without the viscous term, which the integrator treats exactly
+    through its integrating factor.
 
     The quadratic terms are evaluated in rotational/curl form,
 
@@ -121,11 +120,6 @@ def _rhs_core(
     du_c = leray_project_coeffs(hat[0:3], grid)
     db_c = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
     _curl_coeffs(hat[3:6], grid, db_c)
-
-    if include_viscous:
-        sym = viscous_symbol(grid, nu_h, nu_v)
-        du_c -= sym * u_c
-        db_c -= sym * b_c
     return du_c, db_c, damp_diss
 
 
@@ -135,34 +129,15 @@ def rhs_mhd(
     nu_h: float = 1.0,
     nu_v: float = 1.0,
     damping: DampingSpec = DampingSpec(),
-    include_viscous: bool = True,
 ) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Full tendency (du/dt, db/dt) of the damped MHD system.
-
-    ``include_viscous`` drops the viscous term; the integrator treats it
-    exactly through an integrating factor and calls this with False.
-    """
+    """Full tendency (du/dt, db/dt) of the damped MHD system, viscous term
+    included."""
     grid = grid or state.grid
     if not state.is_finite():
         raise NonFiniteFieldError("state contains non-finite coefficients")
-    du_c, db_c, _ = _rhs_core(
-        state.u.coeffs, state.b.coeffs, grid, nu_h, nu_v, damping, include_viscous
-    )
+    u_c, b_c = state.u.coeffs, state.b.coeffs
+    du_c, db_c, _ = _rhs_core(u_c, b_c, grid, damping, want_dissipation=False)
+    sym = viscous_symbol(grid, nu_h, nu_v)
+    du_c -= sym * u_c
+    db_c -= sym * b_c
     return SpectralVectorField(du_c, grid), SpectralVectorField(db_c, grid)
-
-
-def damping_dissipation(values: np.ndarray, grid: GridSpec, damping: DampingSpec) -> float:
-    """Alpha-stripped damping dissipation integrand on collocation values.
-
-    power:       integral |u|^(beta+1)
-    generalized: integral f(|u|^2) |u|^4
-    """
-    if damping.kind == "none":
-        return 0.0
-    q = speed_sq(values)
-    if damping.kind == "power":
-        integrand = q ** ((damping.beta + 1.0) / 2.0)
-    else:
-        fn = damping.function
-        integrand = fn.f(q) * q * q
-    return float(np.sum(integrand)) * grid.cell_volume

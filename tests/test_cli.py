@@ -91,6 +91,37 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="unknown check"):
             experiment(grid16, checks=("l2", "wat"))
 
+    @pytest.mark.parametrize(
+        "path,value,match",
+        [
+            (("checks",), 5, "checks: expected a list"),
+            (("solver",), 5, "solver: section missing or not an object"),
+            (("solver", "damping"), None, "solver.damping: section missing"),
+            (("solver", "damping"), 5, "solver.damping: section missing"),
+            (("output_dir",), 5, "output_dir: expected a string or null"),
+            (("report_formats",), "csv", "report_formats: expected a list"),
+            (("report_formats",), ["xml"], "unknown report format 'xml'"),
+            (("solver", "grid", "n_modes"), 16.0, "n_modes must be an even integer"),
+        ],
+        ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
+             "formats-string", "formats-unknown", "n-modes-float"],
+    )
+    def test_malformed_shape_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
+                                      path, value, match):
+        data = config_to_dict(experiment(grid16, t_end=0.0, checks=("l2",)))
+        section = data
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        monkeypatch.delenv("MHDDAMP_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert match in err and "\n" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 class TestCmdRun:
     def test_t_end_zero_single_row_exit_zero(self, grid16, tmp_path):

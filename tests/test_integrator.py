@@ -68,6 +68,21 @@ class TestMakeInitial:
             state = make_initial(kind, grid16, seed=1, **kw)
             assert state.max_divergence() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kind,kw,match",
+        [
+            ("single_mode", {"mode": (1.5, 0, 0)}, "mode"),
+            ("random_divfree", {"target_h1": -2.0}, "target_h1"),
+            ("random_divfree", {"target_h1": float("nan")}, "finite"),
+            ("random_divfree", {}, "target_h1"),
+            ("from_checkpoint", {}, "path"),
+            ("vortex_ring", {}, "unknown"),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, grid16, kind, kw, match):
+        with pytest.raises(ValueError, match=match):
+            make_initial(kind, grid16, **kw)
+
     def test_random_field_is_hermitian(self, grid16):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
         assert hermitian_defect(state.u) <= 1e-12

@@ -12,12 +12,12 @@ from mhddamp import (
     damping_generalized,
     damping_power,
     forward_transform,
+    ledger_row,
     make_initial,
     rhs_mhd,
 )
 from mhddamp.damping import damping_term
 from mhddamp.fields import fft_grid, ifft_grid
-from mhddamp.nonlinear import damping_dissipation
 from mhddamp.operators import (
     inner_l2,
     leray_project_coeffs,
@@ -198,17 +198,20 @@ class TestRhs:
         assert abs(total) <= 1e-9 * max(gu, gb, 1.0)
 
     def test_damping_quadrature_identity(self, grid16):
-        # <damping_power(u), u> = alpha ||u||^(beta+1)_L^(beta+1)
+        # <damping_power(u), u> = alpha ||u||^(beta+1)_L^(beta+1), and the
+        # generalized flux = alpha || f(|u|^2) |u|^4 ||_L1, against the
+        # ledger's closed-form columns
         u = random_divfree(grid16, seed=14, l2_norm=2.0)
+        state = MhdState(u, SpectralVectorField.zeros(grid16))
         up = ifft_grid(u.coeffs, 16)
         spec = DampingSpec(kind="power", alpha=0.8, beta=4.0)
         flux = float(np.sum(damping_term(up, spec) * up)) * grid16.cell_volume
-        norm_term = spec.alpha * damping_dissipation(up, grid16, spec)
+        norm_term = spec.alpha * ledger_row(state, spec)["lbeta"]
         assert flux == pytest.approx(norm_term, rel=1e-10)
 
         spec_f = DampingSpec(kind="generalized", alpha=1.2, f_id="log1")
         flux_f = float(np.sum(damping_term(up, spec_f) * up)) * grid16.cell_volume
-        norm_f = spec_f.alpha * damping_dissipation(up, grid16, spec_f)
+        norm_f = spec_f.alpha * ledger_row(state, spec_f)["d_f4"]
         assert flux_f == pytest.approx(norm_f, rel=1e-10)
 
     def test_rejects_non_finite_state(self, grid8):
