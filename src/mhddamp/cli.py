@@ -23,7 +23,7 @@ import scipy.fft
 from . import __version__
 from .damping import DampingSpec, F_CATALOG
 from .energy import check_H1_inequalities, check_L2_inequality
-from .grid import GridSpec, _is_int
+from .grid import GridSpec, _is_int, _is_number
 from .integrator import (
     BlowUpError,
     InitialCondition,
@@ -69,8 +69,8 @@ class ExperimentConfig:
     report_formats: tuple[str, ...] = KNOWN_REPORT_FORMATS
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("name: experiment name must be nonempty")
+        if not (isinstance(self.name, str) and self.name):
+            raise ConfigError(f"name: experiment name must be a nonempty string, got {self.name!r}")
         for key, noun, known in (
             ("checks", "check", KNOWN_CHECKS),
             ("report_formats", "report format", KNOWN_REPORT_FORMATS),
@@ -84,8 +84,9 @@ class ExperimentConfig:
             object.__setattr__(self, key, tuple(names))
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ConfigError(f"output_dir: expected a string or null, got {self.output_dir!r}")
-        if not (math.isfinite(self.perturbation_scale) and self.perturbation_scale >= 0):
-            raise ConfigError("perturbation_scale: must be finite and >= 0")
+        eps = self.perturbation_scale
+        if not (_is_number(eps) and eps >= 0):
+            raise ConfigError(f"perturbation_scale: must be finite and >= 0, got {eps!r}")
 
 
 # Configuration (de)serialization -------------------------------------------
@@ -283,10 +284,6 @@ def _twin_report(cfg: ExperimentConfig) -> CheckReport:
         worst_margin=result.c_hat,
         detail=f"c_hat={result.c_hat:.6g} c_bound={result.c_bound:.6g}",
     )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _load_lemma_matrix(path) -> dict:

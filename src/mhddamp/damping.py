@@ -15,11 +15,12 @@ than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .grid import _is_number
 
 E = float(np.e)
 E_E = float(np.exp(np.e))        # e^e
@@ -83,8 +84,8 @@ class DampingSpec:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not (_is_number(value) or (name == "beta" and value is None)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind not in DAMPING_KINDS:
             raise ValueError(f"unknown damping kind {self.kind!r}")
         if self.kind == "power":

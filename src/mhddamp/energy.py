@@ -52,11 +52,11 @@ ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 L2_DAMPING_COLUMN = {"power": "lbeta", "generalized": "d_f4"}
 
 
-def spectral_sums(u_c: np.ndarray, b_c: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
+def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
     """(||w||^2, ||grad w||^2, ||Lap w||^2) in L2 of the pair w = (u, b),
-    from raw coefficient arrays; the integrator takes its stage integrands
+    from its stacked coefficients; the integrator takes its stage integrands
     from here too."""
-    mag = (u_c.real**2 + u_c.imag**2 + b_c.real**2 + b_c.imag**2).sum(axis=0)
+    mag = (w.real**2 + w.imag**2).sum(axis=0)
     s = grid.parseval_weight * mag
     grad = grid.k_sq * s
     lap = grid.k_sq * grad
@@ -101,9 +101,7 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
 def ledger_row(state: MhdState, damping: DampingSpec) -> dict[str, float]:
     """Instantaneous ledger columns for one state."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
-    row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(
-        state.u.coeffs, state.b.coeffs, state.grid
-    )
+    row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
         return row
 

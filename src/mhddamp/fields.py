@@ -54,9 +54,6 @@ class SpectralVectorField:
     def zeros(cls, grid: GridSpec) -> "SpectralVectorField":
         return cls(np.zeros((3,) + grid.spectral_shape, dtype=np.complex128), grid)
 
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.coeffs.copy(), self.grid)
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.coeffs)))
 
@@ -78,9 +75,6 @@ class PhysicalVectorField:
     @classmethod
     def zeros(cls, grid: GridSpec) -> "PhysicalVectorField":
         return cls(np.zeros((3,) + grid.shape, dtype=np.float64), grid)
-
-    def copy(self) -> "PhysicalVectorField":
-        return PhysicalVectorField(self.values.copy(), self.grid)
 
 
 # Raw-array transform helpers (shared by the hot paths in nonlinear/integrator).
@@ -129,9 +123,9 @@ def inverse_transform(s: SpectralVectorField, check: bool = True) -> PhysicalVec
     return PhysicalVectorField(ifft_grid(s.coeffs, s.grid.n_modes), s.grid)
 
 
-def hermitian_defect(s: SpectralVectorField) -> float:
-    """Relative defect max |c(-k) - conj(c(k))| / max |c| on the planes
-    k3 = 0 and k3 = N/2.
+def hermitian_defect(s) -> float:
+    """Relative defect max |c(-k) - conj(c(k))| / max |c| of ``s.coeffs``
+    (a field or an MhdState) on the planes k3 = 0 and k3 = N/2.
 
     Those planes hold both k and -k; every other stored mode has its mirror
     outside the half spectrum, so the defect is zero (to roundoff) exactly

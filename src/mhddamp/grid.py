@@ -18,6 +18,7 @@ unstored mirror.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -28,6 +29,11 @@ TWO_PI = 2.0 * np.pi
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -57,16 +63,16 @@ class GridSpec:
         n = self.n_modes
         if not (_is_int(n) and n % 2 == 0 and n >= 8):
             raise ValueError(f"n_modes must be an even integer >= 8, got {n!r}")
-        if abs(self.box_length - TWO_PI) > 1e-14:
-            raise ValueError("box_length is fixed at 2*pi")
-        if not (0.0 < self.dealias_fraction <= 1.0):
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}")
+        if not (_is_number(self.box_length) and abs(self.box_length - TWO_PI) <= 1e-14):
+            raise ValueError(f"box_length is fixed at 2*pi, got {self.box_length!r}")
+        if not (_is_number(self.dealias_fraction) and 0.0 < self.dealias_fraction <= 1.0):
+            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction!r}")
         if self.truncation_radius is None:
             object.__setattr__(self, "truncation_radius", self.dealias_fraction * n / 2.0)
-        radius = float(self.truncation_radius)
-        if not (0.0 < radius <= n / 2.0):
-            raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius}")
-        object.__setattr__(self, "truncation_radius", radius)
+        radius = self.truncation_radius
+        if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
+            raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
+        object.__setattr__(self, "truncation_radius", float(radius))
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # Along k3 only the half spectrum 0..N/2 is stored.

@@ -25,7 +25,6 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -35,7 +34,7 @@ import numpy as np
 from .damping import DampingSpec
 from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, SpectralVectorField, fft_grid, hermitian_defect, ifft_grid
-from .grid import GridSpec, _is_int
+from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import _rhs_core
 from .operators import (
     h1_norm_pair,
@@ -79,8 +78,8 @@ class InitialCondition:
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
         for name in ("target_h1", "amplitude", "b_amplitude"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not (_is_number(value) or (name == "target_h1" and value is None)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.kind == "random_divfree" and self.target_h1 is None:
             raise ValueError("random_divfree requires target_h1")
         if self.kind == "random_divfree" and self.target_h1 < 0:
@@ -107,9 +106,8 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("dt", "t_end", "nu_h", "nu_v", "cfl_target"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not _is_int(self.ledger_stride):
             raise ValueError(f"ledger_stride must be an integer, got {self.ledger_stride!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -146,28 +144,38 @@ def config_hash(config: SolverConfig) -> str:
 # Initial conditions -------------------------------------------------------
 
 
-def _random_divfree_pair(grid: GridSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-free random coefficient pair with ~|k|^-4 spectral decay.
+def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
+    """Divergence-free random pair (u, b) with ~|k|^-4 spectral decay.
 
     Full (3, N, N, N) normals are drawn and made Hermitian, c(k) =
     (raw(k) + conj(raw(-k))) / 2, on the half spectrum, so a seed gives the
-    same state in every storage layout.
+    same state in every storage layout.  ValueError when the ball |k| < R
+    holds no nonzero wavenumber (R <= 1).
     """
+    if grid.truncation_radius <= 1.0:
+        raise ValueError(
+            f"random_divfree needs truncation_radius > 1, got {grid.truncation_radius:g}: "
+            "the ball |k| < R holds no nonzero wavenumber"
+        )
     rng = np.random.default_rng(seed)
     n = grid.n_modes
     shape = (3,) + grid.shape
     rev = (-np.arange(n)) % n
     half = n // 2 + 1
     decay = (1.0 + grid.k_sq) ** -2.0
-    out = []
-    for _ in range(2):
+    state = MhdState.zeros(grid)
+    for field in (state.u, state.b):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         flipped = raw[..., rev[:half]][:, rev][:, :, rev]
-        c = 0.5 * (raw[..., :half] + np.conj(flipped)) * decay
-        c[:, 0, 0, 0] = 0.0
-        c = leray_project_coeffs(truncate_coeffs(c, grid), grid)
-        out.append(c)
-    return out[0], out[1]
+        np.multiply(0.5 * (raw[..., :half] + np.conj(flipped)), decay, out=field.coeffs)
+        field.coeffs[:, 0, 0, 0] = 0.0
+    return _projected(state)
+
+
+def _projected(state: MhdState) -> MhdState:
+    """``state`` with both fields truncated to the ball and Leray-projected."""
+    state.coeffs = leray_project_coeffs(truncate_coeffs(state.coeffs, state.grid), state.grid)
+    return state
 
 
 def make_initial(
@@ -209,16 +217,11 @@ def make_initial(
         return state
 
     if kind == "random_divfree":
-        u_c, b_c = _random_divfree_pair(grid, seed)
-        u = SpectralVectorField(u_c, grid)
-        b = SpectralVectorField(b_c, grid)
         if target_h1 == 0.0:
-            return MhdState(SpectralVectorField.zeros(grid), SpectralVectorField.zeros(grid))
-        current = h1_norm_pair(u, b)
-        scale = target_h1 / current
-        u.coeffs *= scale
-        b.coeffs *= scale
-        return MhdState(u, b)
+            return MhdState.zeros(grid)
+        state = _random_divfree_state(grid, seed)
+        state.coeffs *= target_h1 / h1_norm_pair(state.coeffs, grid)
+        return state
 
     if kind == "single_mode":
         k = np.array(ic.mode, dtype=np.float64)
@@ -233,8 +236,8 @@ def make_initial(
         x1, x2, x3 = grid.mesh()
         phase = k[0] * x1 + k[1] * x2 + k[2] * x3
         values = amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
-        u_c = truncate_coeffs(fft_grid(values), grid)
-        return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField.zeros(grid))
+        u = SpectralVectorField(truncate_coeffs(fft_grid(values), grid), grid)
+        return MhdState.from_fields(u, SpectralVectorField.zeros(grid))
 
     # taylor_green_like
     x1, x2, x3 = grid.mesh()
@@ -246,25 +249,17 @@ def make_initial(
     b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
     b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
     b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
-    u_c = fft_grid(amplitude * u)
-    b_c = fft_grid(amplitude * b_amplitude * b)
-    u_c = leray_project_coeffs(truncate_coeffs(u_c, grid), grid)
-    b_c = leray_project_coeffs(truncate_coeffs(b_c, grid), grid)
-    return MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid))
+    return _projected(
+        MhdState.from_fields(
+            SpectralVectorField(fft_grid(amplitude * u), grid),
+            SpectralVectorField(fft_grid(amplitude * b_amplitude * b), grid),
+        )
+    )
 
 
 def make_initial_from_config(config: SolverConfig) -> MhdState:
-    ic = config.initial_condition
-    return make_initial(
-        ic.kind,
-        config.grid,
-        config.seed,
-        target_h1=ic.target_h1,
-        amplitude=ic.amplitude,
-        b_amplitude=ic.b_amplitude,
-        mode=ic.mode,
-        path=ic.path,
-    )
+    ic = asdict(config.initial_condition)
+    return make_initial(ic.pop("kind"), config.grid, config.seed, **ic)
 
 
 # Stepping ------------------------------------------------------------------
@@ -281,51 +276,51 @@ class _StepWork:
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
 
-    def _stage(self, u_c, b_c, want_diag):
+    def _stage(self, w, want_diag):
         """Tendency at one RK4 stage and, with ``want_diag``, the stage's
         (||grad w||^2, ||Lap w||^2, damping dissipation)."""
-        du_c, db_c, diss = _rhs_core(u_c, b_c, self.grid, self.damping, want_diag)
+        dw, diss = _rhs_core(w, self.grid, self.damping, want_diag)
         if not want_diag:
-            return du_c, db_c, (0.0, 0.0, 0.0)
-        _, grad, lap = spectral_sums(u_c, b_c, self.grid)
-        return du_c, db_c, (grad, lap, diss)
+            return dw, (0.0, 0.0, 0.0)
+        _, grad, lap = spectral_sums(w, self.grid)
+        return dw, (grad, lap, diss)
 
-    def advance(self, u_c, b_c, want_diag=True):
-        """One integrating-factor RK4 step on raw coefficient arrays.
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(self, w, want_diag=True):
+        """One integrating-factor RK4 step on the stacked coefficients
+        w = (u, b) of an :class:`MhdState`.
 
-        Returns (u_new, b_new, increments) where increments holds the
+        Returns (w_new, increments) where increments holds the
         stage-weighted contributions to (int ||grad w||^2, int ||Lap w||^2,
         int damping dissipation) over this step.  Overflow is not trapped
         here: non-finite values are the blow-up signal, detected by the
         caller after the step.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._advance(u_c, b_c, want_diag)
-
-    def _advance(self, u_c, b_c, want_diag):
         dt, E, E2 = self.dt, self.half_factor, self.full_factor
         h = 0.5 * dt
-        n1u, n1b, s1 = self._stage(u_c, b_c, want_diag)
-        n2u, n2b, s2 = self._stage(E * (u_c + h * n1u), E * (b_c + h * n1b), want_diag)
-        n3u, n3b, s3 = self._stage(E * u_c + h * n2u, E * b_c + h * n2b, want_diag)
-        n4u, n4b, s4 = self._stage(E2 * u_c + dt * (E * n3u), E2 * b_c + dt * (E * n3b), want_diag)
+        n1, s1 = self._stage(w, want_diag)
+        n2, s2 = self._stage(E * (w + h * n1), want_diag)
+        n3, s3 = self._stage(E * w + h * n2, want_diag)
+        n4, s4 = self._stage(E2 * w + dt * (E * n3), want_diag)
 
-        u_new = E2 * u_c + (dt / 6.0) * (E2 * n1u + 2.0 * E * (n2u + n3u) + n4u)
-        b_new = E2 * b_c + (dt / 6.0) * (E2 * n1b + 2.0 * E * (n2b + n3b) + n4b)
-        u_new = leray_project_coeffs(truncate_coeffs(u_new, self.grid), self.grid)
-        b_new = leray_project_coeffs(truncate_coeffs(b_new, self.grid), self.grid)
+        # w_new = E2 w + dt/6 (E2 n1 + 2 E (n2 + n3) + n4), in place in the spent tendencies
+        c = dt / 6.0
+        n2 += n3
+        n2 *= 2.0 * E
+        n2 += np.multiply(E2, n1, out=n1)
+        n2 += n4
+        n2 *= c
+        n2 += np.multiply(E2, w, out=n1)
+        w_new = leray_project_coeffs(truncate_coeffs(n2, self.grid), self.grid)
 
-        w = dt / 6.0
-        increments = tuple(w * (a + 2.0 * (b + c) + d) for a, b, c, d in zip(s1, s2, s3, s4))
-        return u_new, b_new, increments
+        increments = tuple(c * (a + 2.0 * (b + d) + e) for a, b, d, e in zip(s1, s2, s3, s4))
+        return w_new, increments
 
 
 def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
     n = config.grid.n_modes
-    u_inf = float(np.max(np.abs(ifft_grid(state.u.coeffs, n))))
-    b_inf = float(np.max(np.abs(ifft_grid(state.b.coeffs, n))))
-    speed = u_inf + b_inf
+    speed = sum(float(np.max(np.abs(ifft_grid(f, n)))) for f in np.split(state.coeffs, 2))
     if speed == 0.0:
         return np.inf
     return config.cfl_target / (config.grid.truncation_radius * speed)
@@ -334,11 +329,12 @@ def cfl_bound(state: MhdState, config: SolverConfig) -> float:
 def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
     """Step ``state`` to config.t_end, yielding the sampled states.
 
-    Yields (t, u_c, b_c, integrals) at the state time, every ledger_stride
+    Yields (t, w, integrals) at the state time, every ledger_stride
     steps and at t_end.  ``integrals`` holds the running stage-weighted
     (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) since the
-    state time; it stays zero without ``want_diag``.  Every step makes new
-    coefficient arrays, so yielded arrays are never modified later.  Raises
+    state time; it stays zero without ``want_diag``.  ``w`` is the stacked
+    coefficient array of an :class:`MhdState`; every step makes a new one,
+    so yielded arrays are never modified later.  Raises
     BlowUpError at the first step that leaves the finite fields.
     """
     t0 = state.t
@@ -350,19 +346,17 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
         raise ValueError("t_end - t0 must be an integer multiple of dt")
 
     work = _StepWork(config)
-    u_c, b_c = state.u.coeffs, state.b.coeffs
+    w = state.coeffs
     acc = [0.0, 0.0, 0.0]
-    yield t0, u_c, b_c, (0.0, 0.0, 0.0)
+    yield t0, w, (0.0, 0.0, 0.0)
     for i in range(1, n_steps + 1):
-        u_c, b_c, inc = work.advance(u_c, b_c, want_diag)
-        acc[0] += inc[0]
-        acc[1] += inc[1]
-        acc[2] += inc[2]
+        w, inc = work.advance(w, want_diag)
+        acc = [a + x for a, x in zip(acc, inc)]
         t = t0 + i * config.dt
-        if not (np.all(np.isfinite(u_c)) and np.all(np.isfinite(b_c))):
+        if not np.all(np.isfinite(w)):
             raise BlowUpError(t)
         if i % config.ledger_stride == 0 or i == n_steps:
-            yield t, u_c, b_c, tuple(acc)
+            yield t, w, tuple(acc)
 
 
 def run(config: SolverConfig):
@@ -408,10 +402,9 @@ def run(config: SolverConfig):
             out["int_" + damp_col] = acc[2]
         return out
 
-    grid = config.grid
     try:
-        for t, u_c, b_c, acc in itertools.chain([first], steps):
-            snapshot = MhdState(SpectralVectorField(u_c, grid), SpectralVectorField(b_c, grid), t)
+        for t, w, acc in itertools.chain([first], steps):
+            snapshot = MhdState(w, config.grid, t)
             ledger.append(t, ledger_row(snapshot, damping), exact_integrals(acc))
     except BlowUpError as exc:
         exc.ledger = ledger
@@ -426,9 +419,10 @@ def save_checkpoint(path, state: MhdState) -> None:
     """Fixed-layout little-endian binary snapshot; bit-exact round trip.
 
     Layout (version 2): magic "MHDF", format version (u32), N (i64),
-    truncation radius (f64), time (f64), then the six half-spectrum
-    coefficient arrays u1 u2 u3 b1 b2 b3, each (N, N, N/2+1) complex128 in C
-    order.  Version 1 stored full (N, N, N) arrays in the same order.
+    truncation radius (f64), time (f64), then ``state.coeffs``: the six
+    half-spectrum coefficient arrays u1 u2 u3 b1 b2 b3, each (N, N, N/2+1)
+    complex128 in C order.  Version 1 stored full (N, N, N) arrays in the
+    same order.
     """
     header = struct.pack(
         CHECKPOINT_HEADER,
@@ -440,8 +434,7 @@ def save_checkpoint(path, state: MhdState) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for comp in (*state.u.coeffs, *state.b.coeffs):
-            fh.write(np.ascontiguousarray(comp, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").tobytes())
 
 
 def load_checkpoint(path) -> MhdState:
@@ -470,33 +463,30 @@ def load_checkpoint(path) -> MhdState:
                 f"{path}: payload of {payload} bytes does not hold six N = {n} "
                 f"version {version} coefficient arrays"
             )
-        if not math.isfinite(t):
+        if not _is_number(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
         data = np.frombuffer(fh.read(payload), dtype="<c16").reshape(6, n, n, stored)
     coeffs = np.ascontiguousarray(data[..., : n // 2 + 1], dtype=np.complex128)
-    state = MhdState(
-        SpectralVectorField(coeffs[0:3], grid), SpectralVectorField(coeffs[3:6], grid), float(t)
-    )
+    state = MhdState(coeffs, grid, float(t))
     _check_loaded_state(path, state)
     return state
 
 
 def _check_loaded_state(path, state: MhdState) -> None:
     grid = state.grid
-    for name, field in (("u", state.u), ("b", state.b)):
-        if not field.is_finite():
-            raise ValueError(f"{path}: {name} has non-finite coefficients")
-        if np.any(field.coeffs[:, ~grid.keep_mask]):
-            raise ValueError(f"{path}: {name} has nonzero modes outside |k| < {grid.truncation_radius:g}")
-        defect = hermitian_defect(field)
-        if defect > HERMITIAN_TOL:
-            raise ValueError(
-                f"{path}: {name} is not a real field (Hermitian defect {defect:.3e} "
-                f"> {HERMITIAN_TOL:.0e})"
-            )
+    if not state.is_finite():
+        raise ValueError(f"{path}: state has non-finite coefficients")
+    if np.any(state.coeffs[:, ~grid.keep_mask]):
+        raise ValueError(f"{path}: state is nonzero outside |k| < {grid.truncation_radius:g}")
+    defect = hermitian_defect(state)
+    if defect > HERMITIAN_TOL:
+        raise ValueError(
+            f"{path}: state is not a real field (Hermitian defect {defect:.3e} "
+            f"> {HERMITIAN_TOL:.0e})"
+        )
     divergence = state.max_divergence()
-    h1 = h1_norm_pair(state.u, state.b)
+    h1 = h1_norm_pair(state.coeffs, grid)
     if divergence > DIV_FREE_RTOL * h1:
         raise ValueError(
             f"{path}: divergence {divergence:.3e} exceeds {DIV_FREE_RTOL:.0e} x H1 norm {h1:.3e}"

@@ -50,10 +50,14 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
 
 
 def _curl_coeffs(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
+    """Write the curl i k x c of the m vector fields stacked in ``c``,
+    (3 m, N, N, N/2+1), into the C-contiguous ``out`` of the same shape."""
+    stack = (-1, 3) + grid.spectral_shape
+    c, out = c.reshape(stack), out.reshape(stack)  # views: writes land in out
     kx, ky, kz = grid.kx, grid.ky, grid.kz
-    out[0] = 1j * (ky * c[2] - kz * c[1])
-    out[1] = 1j * (kz * c[0] - kx * c[2])
-    out[2] = 1j * (kx * c[1] - ky * c[0])
+    out[:, 0] = 1j * (ky * c[:, 2] - kz * c[:, 1])
+    out[:, 1] = 1j * (kz * c[:, 0] - kx * c[:, 2])
+    out[:, 2] = 1j * (kx * c[:, 1] - ky * c[:, 0])
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -63,15 +67,15 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 
 def _rhs_core(
-    u_c: np.ndarray,
-    b_c: np.ndarray,
+    w: np.ndarray,
     grid: GridSpec,
     damping: DampingSpec,
     want_dissipation: bool,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Non-viscous tendency on raw coefficient arrays: the quadratic terms and
-    the damping, without the viscous term, which the integrator treats exactly
-    through its integrating factor.
+) -> tuple[np.ndarray, float]:
+    """Non-viscous tendency of the stacked coefficients w = (u, b) of an
+    :class:`MhdState`: the quadratic terms and the damping, without the
+    viscous term, which the integrator treats exactly through its
+    integrating factor.
 
     The quadratic terms are evaluated in rotational/curl form,
 
@@ -83,17 +87,15 @@ def _rhs_core(
     and the products are alias-free inside the spectral ball) while needing
     half the inverse transforms.
 
-    Returns (du_c, db_c, damp_diss) where damp_diss is the alpha-stripped
-    damping dissipation integrand over the box: ||u||^(beta+1)_L^(beta+1)
-    for power damping, || f(|u|^2) |u|^4 ||_L1 for generalized damping,
-    0 otherwise.  Only computed when requested.
+    Returns (dw, damp_diss): the tendency, stacked like ``w``, and the
+    alpha-stripped damping dissipation integrand over the box:
+    ||u||^(beta+1)_L^(beta+1) for power damping, || f(|u|^2) |u|^4 ||_L1
+    for generalized damping, 0 otherwise.  Only computed when requested.
     """
     # One batched inverse transform: u, b and both vorticities.
     batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-    batch[0:3] = u_c
-    batch[3:6] = b_c
-    _curl_coeffs(u_c, grid, batch[6:9])
-    _curl_coeffs(b_c, grid, batch[9:12])
+    batch[0:6] = w
+    _curl_coeffs(w, grid, batch[6:12])
     phys = ifft_grid(batch, grid.n_modes)
     up = phys[0:3]
     bp = phys[3:6]
@@ -117,10 +119,10 @@ def _rhs_core(
 
     hat = fft_grid(fwd)
     hat *= grid.keep_mask
-    du_c = leray_project_coeffs(hat[0:3], grid)
-    db_c = np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
-    _curl_coeffs(hat[3:6], grid, db_c)
-    return du_c, db_c, damp_diss
+    dw = np.empty_like(hat)
+    dw[0:3] = leray_project_coeffs(hat[0:3], grid)
+    _curl_coeffs(hat[3:6], grid, dw[3:6])
+    return dw, damp_diss
 
 
 def rhs_mhd(
@@ -135,9 +137,7 @@ def rhs_mhd(
     grid = grid or state.grid
     if not state.is_finite():
         raise NonFiniteFieldError("state contains non-finite coefficients")
-    u_c, b_c = state.u.coeffs, state.b.coeffs
-    du_c, db_c, _ = _rhs_core(u_c, b_c, grid, damping, want_dissipation=False)
-    sym = viscous_symbol(grid, nu_h, nu_v)
-    du_c -= sym * u_c
-    db_c -= sym * b_c
-    return SpectralVectorField(du_c, grid), SpectralVectorField(db_c, grid)
+    dw, _ = _rhs_core(state.coeffs, grid, damping, want_dissipation=False)
+    dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
+    tendency = MhdState(dw, grid)
+    return tendency.u, tendency.b

@@ -41,17 +41,20 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     divergence-free).  Idempotent and self-adjoint for the discrete inner
     product.
     """
-    return SpectralVectorField(leray_project_coeffs(s.coeffs, s.grid), s.grid)
+    return SpectralVectorField(leray_project_coeffs(s.coeffs.copy(), s.grid), s.grid)
 
 
 def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k_dot = grid.kx * coeffs[0] + grid.ky * coeffs[1] + grid.kz * coeffs[2]
+    """Raw-array form of :func:`leray_project`; returns the projection, made
+    in place when ``coeffs`` is C-contiguous.  ``coeffs`` may stack m vector
+    fields, (3 m, N, N, N/2+1) or (m, 3, N, N, N/2+1); each is projected."""
+    c = coeffs.reshape((-1, 3) + grid.spectral_shape)  # a view of a contiguous coeffs
+    k_dot = grid.kx * c[:, 0] + grid.ky * c[:, 1] + grid.kz * c[:, 2]
     k_dot *= grid.inv_k_sq  # zero at k = 0: mean mode untouched
-    out = coeffs.copy()
-    out[0] -= grid.kx * k_dot
-    out[1] -= grid.ky * k_dot
-    out[2] -= grid.kz * k_dot
-    return out
+    c[:, 0] -= grid.kx * k_dot
+    c[:, 1] -= grid.ky * k_dot
+    c[:, 2] -= grid.kz * k_dot
+    return c.reshape(coeffs.shape)
 
 
 def gradient(s: SpectralVectorField) -> np.ndarray:
@@ -141,6 +144,8 @@ def divergence_l2(s: SpectralVectorField) -> float:
     return float(np.sqrt(weighted_sum_sq(divergence(s), 1.0, s.grid)))
 
 
-def h1_norm_pair(u: SpectralVectorField, b: SpectralVectorField) -> float:
-    """Inhomogeneous H1 norm of the pair (u, b)."""
-    return float(np.sqrt(sobolev_norm(u, 1.0) ** 2 + sobolev_norm(b, 1.0) ** 2))
+def h1_norm_pair(w: np.ndarray, grid: GridSpec) -> float:
+    """Inhomogeneous H1 norm sqrt(||u||_H1^2 + ||b||_H1^2) of the pair
+    w = (u, b), from its stacked (6, N, N, N/2+1) coefficients."""
+    u_h1, b_h1 = (sobolev_norm(SpectralVectorField(f, grid), 1.0) for f in np.split(w, 2))
+    return float(np.sqrt(u_h1**2 + b_h1**2))

@@ -1,6 +1,6 @@
 """
 Twin-run experiments: evolve two nearby trajectories and measure the growth
-of their L2 separation d(t) = ||u_A - u_B||^2 + ||b_A - b_B||^2.
+of their L2 separation d(t) = ||w_A - w_B||^2 = ||u_A - u_B||^2 + ||b_A - b_B||^2.
 
 The difference system is realized literally as the difference of two solver
 trajectories advanced in lockstep, so no re-derivation of the coupled
@@ -13,18 +13,17 @@ window by construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .damping import DampingSpec, damping_term
-from .fields import PhysicalVectorField, SpectralVectorField
-from .grid import GridSpec
+from .fields import PhysicalVectorField
+from .grid import GridSpec, _is_number
 from .integrator import (
     BlowUpError,
     SolverConfig,
-    _random_divfree_pair,
+    _random_divfree_state,
     config_hash,
     make_initial_from_config,
     trajectory,
@@ -89,8 +88,9 @@ class TwinRunResult:
             fh.write("\n")
 
 
-def _separation(u_a, b_a, u_b, b_b, grid: GridSpec) -> float:
-    return weighted_sum_sq(u_a - u_b, 1.0, grid) + weighted_sum_sq(b_a - b_b, 1.0, grid)
+def _separation(w_a, w_b, grid: GridSpec) -> float:
+    """d = ||w_a - w_b||^2 in L2 of the stacked pairs w = (u, b)."""
+    return weighted_sum_sq(w_a - w_b, 1.0, grid)
 
 
 def _fit_window(d: np.ndarray) -> int:
@@ -123,17 +123,6 @@ def _fit_rates(t: np.ndarray, d: np.ndarray, window_end: int) -> tuple[float, fl
     return float(slope), c_bound
 
 
-def perturbation_fields(config: SolverConfig):
-    """Unit-H1 divergence-free noise pair used to displace the twin state."""
-    grid = config.grid
-    du_c, db_c = _random_divfree_pair(grid, config.seed + NOISE_SEED_OFFSET)
-    du = SpectralVectorField(du_c, grid)
-    db = SpectralVectorField(db_c, grid)
-    du.coeffs /= sobolev_norm(du, 1.0)
-    db.coeffs /= sobolev_norm(db, 1.0)
-    return du, db
-
-
 def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
     """Evolve the configured state and an eps-perturbed copy in lockstep.
 
@@ -142,37 +131,31 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
     the last common recorded time and flags the result, which is then not
     ``identical``.
     """
-    if not (math.isfinite(perturbation_scale) and perturbation_scale >= 0):
+    if not (_is_number(perturbation_scale) and perturbation_scale >= 0):
         raise ValueError(f"perturbation scale must be finite and >= 0, got {perturbation_scale}")
     eps = float(perturbation_scale)
     state = make_initial_from_config(config)
     twin = state
     if eps != 0.0:
-        du, db = perturbation_fields(config)
-        twin = MhdState(
-            SpectralVectorField(state.u.coeffs + eps * du.coeffs, config.grid),
-            SpectralVectorField(state.b.coeffs + eps * db.coeffs, config.grid),
-            state.t,
-        )
+        # divergence-free noise, each field scaled to unit H1 norm
+        noise = _random_divfree_state(config.grid, config.seed + NOISE_SEED_OFFSET)
+        for half in (noise.u, noise.b):
+            half.coeffs /= sobolev_norm(half, 1.0)
+        twin = MhdState(state.coeffs + eps * noise.coeffs, config.grid, state.t)
 
     times, seps = [], []
     blown = False
     pairs = zip(trajectory(state, config, False), trajectory(twin, config, False))
     try:
-        for (t, u_a, b_a, _), (_, u_b, b_b, _) in pairs:
+        for (t, w_a, _), (_, w_b, _) in pairs:
             times.append(t)
-            seps.append(_separation(u_a, b_a, u_b, b_b, config.grid))
+            seps.append(_separation(w_a, w_b, config.grid))
     except BlowUpError:
         blown = True
 
     t = np.asarray(times)
     d = np.asarray(seps)
-    identical = bool(
-        not blown
-        and np.array_equal(u_a, u_b)
-        and np.array_equal(b_a, b_b)
-        and np.all(d == 0.0)
-    )
+    identical = bool(not blown and np.array_equal(w_a, w_b) and np.all(d == 0.0))
     window_end = _fit_window(d)
     c_hat, c_bound = _fit_rates(t, d, window_end)
     return TwinRunResult(

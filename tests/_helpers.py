@@ -120,7 +120,7 @@ def write_v1_checkpoint(path, state) -> None:
     """A version 1 checkpoint: the same header, full (N, N, N) spectra."""
     grid = state.grid
     header = struct.pack("<4sIqdd", b"MHDF", 1, grid.n_modes, grid.truncation_radius, state.t)
-    arrays = full_spectrum(np.concatenate([state.u.coeffs, state.b.coeffs]))
+    arrays = full_spectrum(state.coeffs)
     path.write_bytes(header + arrays.astype("<c16").tobytes())
 
 

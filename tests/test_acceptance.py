@@ -281,7 +281,7 @@ def test_criterion_7_monotonicity(grid16):
 
 def test_criterion_8_damping_identity(grid32):
     u = random_divfree(grid32, seed=5, l2_norm=2.0, band=32 / 6.0, decay=1.0)
-    state = MhdState(u, SpectralVectorField.zeros(grid32))
+    state = MhdState.from_fields(u, SpectralVectorField.zeros(grid32))
     rep3 = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
 
     big = GridSpec(n_modes=64)
@@ -292,7 +292,9 @@ def test_criterion_8_damping_identity(grid32):
         (grid32, u32.coeffs),
         (big, embed_coeffs(u32.coeffs, grid32, big)),
     ):
-        st = MhdState(SpectralVectorField(coeffs, grid), SpectralVectorField.zeros(grid))
+        st = MhdState.from_fields(
+            SpectralVectorField(coeffs, grid), SpectralVectorField.zeros(grid)
+        )
         rels.append(check_damping_identity(st, damping).extra["rel_error"])
     shrink = rels[0] / max(rels[1], 1e-300)
     ok = rep3.status == "PASS" and rep3.extra["rel_error"] <= 1e-6 and shrink >= 4.0

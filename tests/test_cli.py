@@ -102,9 +102,19 @@ class TestConfigIO:
             (("report_formats",), "csv", "report_formats: expected a list"),
             (("report_formats",), ["xml"], "unknown report format 'xml'"),
             (("solver", "grid", "n_modes"), 16.0, "n_modes must be an even integer"),
+            (("solver", "dt"), True, "dt must be a finite number"),
+            (("solver", "nu_h"), True, "nu_h must be a finite number"),
+            (("solver", "damping", "alpha"), True, "alpha must be a finite number"),
+            (("solver", "initial_condition", "target_h1"), True, "target_h1 must be a finite"),
+            (("perturbation_scale",), True, "perturbation_scale: must be finite"),
+            (("name",), 5, "name: experiment name must be a nonempty string"),
+            (("solver", "grid", "dealias_fraction"), True, "dealias_fraction must lie in"),
+            (("solver", "grid", "truncation_radius"), "5", "truncation_radius must lie in"),
         ],
         ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
-             "formats-string", "formats-unknown", "n-modes-float"],
+             "formats-string", "formats-unknown", "n-modes-float", "dt-bool", "nu-h-bool",
+             "alpha-bool", "target-bool", "eps-bool", "name-int", "dealias-bool",
+             "radius-string"],
     )
     def test_malformed_shape_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
                                       path, value, match):

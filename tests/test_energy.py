@@ -38,7 +38,7 @@ def small_run(grid, damping, seed=11, t_end=1.0, dt=2e-3, target=0.01, stride=25
 
 class TestLedgerRow:
     def test_zero_state(self, grid16):
-        state = MhdState(SpectralVectorField.zeros(grid16), SpectralVectorField.zeros(grid16))
+        state = MhdState.zeros(grid16)
         row = ledger_row(state, DampingSpec(kind="power", alpha=1.0, beta=4.0))
         assert all(v == 0.0 for v in row.values())
 
@@ -52,7 +52,7 @@ class TestLedgerRow:
     def test_beta3_weight_reduces_to_gradient_norm(self, grid16):
         # |u|^0 = 1, so d_beta_sq is the squared L2 norm of grad |u|^2
         u = random_divfree(grid16, seed=2, h1_norm=1.5)
-        state = MhdState(u, SpectralVectorField.zeros(grid16))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
         row = ledger_row(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
         up = ifft_grid(u.coeffs, 16)
         q = np.sum(up**2, axis=0)
@@ -68,7 +68,7 @@ class TestLedgerRow:
         # spectral Parseval sums against physical quadrature
         u = random_divfree(grid16, seed=3, h1_norm=2.0)
         b = random_divfree(grid16, seed=4, h1_norm=1.0)
-        state = MhdState(u, b)
+        state = MhdState.from_fields(u, b)
         row = ledger_row(state, DampingSpec())
         w = grid16.cell_volume
         up = ifft_grid(u.coeffs, 16)
@@ -87,7 +87,7 @@ class TestLedgerRow:
 
     def test_generalized_columns_positive(self, grid16):
         u = random_divfree(grid16, seed=5, h1_norm=2.0)
-        state = MhdState(u, SpectralVectorField.zeros(grid16))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
         row = ledger_row(state, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))
         for name in ("d_f4", "d_fprime", "d_fprime_lit", "d_f_gradsq", "d_f_grad"):
             assert row[name] > 0.0
@@ -237,7 +237,7 @@ class TestAAlpha:
 
 class TestDampingIdentity:
     def test_zero_state(self, grid16):
-        state = MhdState(SpectralVectorField.zeros(grid16), SpectralVectorField.zeros(grid16))
+        state = MhdState.zeros(grid16)
         rep = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
         assert rep.extra["lhs"] == 0.0 and rep.extra["rhs"] == 0.0
         assert rep.status == "PASS"
@@ -245,14 +245,14 @@ class TestDampingIdentity:
     def test_beta3_polynomial_exact(self, grid32):
         # cubic damping with modes inside N/6: alias-free, so both sides agree
         u = random_divfree(grid32, seed=5, l2_norm=2.0, band=32 / 6.0, decay=1.0)
-        state = MhdState(u, SpectralVectorField.zeros(grid32))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid32))
         rep = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
         assert rep.status == "PASS"
         assert rep.extra["rel_error"] <= 1e-6
 
     def test_beta_below_three_not_applicable(self, grid16):
         u = random_divfree(grid16, seed=6, l2_norm=1.0)
-        state = MhdState(u, SpectralVectorField.zeros(grid16))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
         rep = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=2.0))
         assert rep.status == "NOT-APPLICABLE"
 
@@ -268,7 +268,7 @@ class TestDampingIdentity:
             (grid32, u32.coeffs),
             (big, embed_coeffs(u32.coeffs, grid32, big)),
         ):
-            state = MhdState(
+            state = MhdState.from_fields(
                 SpectralVectorField(coeffs, grid), SpectralVectorField.zeros(grid)
             )
             rep = check_damping_identity(state, damping)

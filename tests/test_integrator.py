@@ -13,7 +13,6 @@ from mhddamp import (
     InitialCondition,
     MhdState,
     SolverConfig,
-    SpectralVectorField,
     friedrichs_truncate,
     inverse_transform,
     load_checkpoint,
@@ -31,14 +30,14 @@ from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint, write_v1_check
 def stepped_states(state, cfg):
     """The state after each step, read from the engine with ledger_stride = 1."""
     cfg = dataclasses.replace(cfg, ledger_stride=1)
-    for t, u_c, b_c, _ in itertools.islice(trajectory(state, cfg, want_diag=False), 1, None):
-        yield MhdState(SpectralVectorField(u_c, cfg.grid), SpectralVectorField(b_c, cfg.grid), t)
+    for t, w, _ in itertools.islice(trajectory(state, cfg, want_diag=False), 1, None):
+        yield MhdState(w, cfg.grid, t)
 
 
 class TestMakeInitial:
     def test_random_divfree_hits_target_exactly(self, grid16):
         state = make_initial("random_divfree", grid16, seed=3, target_h1=0.01)
-        assert abs(h1_norm_pair(state.u, state.b) - 0.01) <= 1e-12
+        assert abs(h1_norm_pair(state.coeffs, grid16) - 0.01) <= 1e-12
 
     def test_zero_target_gives_zero_field(self, grid16):
         state = make_initial("random_divfree", grid16, seed=3, target_h1=0.0)
@@ -82,6 +81,23 @@ class TestMakeInitial:
     def test_invalid_arguments_rejected(self, grid16, kind, kw, match):
         with pytest.raises(ValueError, match=match):
             make_initial(kind, grid16, **kw)
+
+    @pytest.mark.parametrize("radius", [0.9, 1.0])
+    def test_radius_without_nonzero_wavenumber_rejected(self, tmp_path, capsys, radius):
+        from mhddamp.cli import ExperimentConfig, main, save_config
+
+        grid = GridSpec(n_modes=8, truncation_radius=radius)
+        with pytest.raises(ValueError, match="no nonzero wavenumber"):
+            make_initial("random_divfree", grid, target_h1=1.0)
+        ic = InitialCondition(kind="random_divfree", target_h1=1.0)
+        cfg = ExperimentConfig(
+            name="ball", solver=SolverConfig(grid=grid, dt=1e-2, t_end=0.02, initial_condition=ic)
+        )
+        save_config(cfg, tmp_path / "cfg.json")
+        argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err and "no nonzero wavenumber" in err
 
     def test_random_field_is_hermitian(self, grid16):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
@@ -357,6 +373,11 @@ class TestCheckpoint:
         write_v1_checkpoint(v1, state)
         assert v2.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
         assert v1.stat().st_size - 32 == 6 * 16**3 * 16
+        # one (6, N, N, N/2+1) array u1 u2 u3 b1 b2 b3; u and b are views of it
+        assert state.coeffs.shape == (6,) + grid16.spectral_shape
+        assert np.shares_memory(state.coeffs, state.u.coeffs)
+        assert np.shares_memory(state.coeffs, state.b.coeffs)
+        assert v2.read_bytes()[32:] == state.coeffs.tobytes()
         loaded = load_checkpoint(v1)
         assert loaded.t == state.t
         assert np.array_equal(loaded.u.coeffs, state.u.coeffs)

@@ -141,7 +141,7 @@ class TestDampingTerms:
 
 class TestRhs:
     def test_zero_state(self, grid16):
-        state = MhdState(SpectralVectorField.zeros(grid16), SpectralVectorField.zeros(grid16))
+        state = MhdState.zeros(grid16)
         du, db = rhs_mhd(state, grid16)
         assert np.all(du.coeffs == 0.0) and np.all(db.coeffs == 0.0)
 
@@ -157,7 +157,7 @@ class TestRhs:
         u = random_divfree(grid16, seed=10, h1_norm=2.0)
         b = random_divfree(grid16, seed=11, h1_norm=1.5)
         damping = DampingSpec(kind="power", alpha=1.0, beta=4.0)
-        du, db = rhs_mhd(MhdState(u, b), grid16, 1.0, 1.0, damping)
+        du, db = rhs_mhd(MhdState.from_fields(u, b), grid16, 1.0, 1.0, damping)
 
         uu = convection(u, u)
         bb = convection(b, b)
@@ -188,7 +188,7 @@ class TestRhs:
         #   + <damping(u), u> = 0
         u = random_divfree(grid16, seed=12, h1_norm=2.0)
         b = random_divfree(grid16, seed=13, h1_norm=1.5)
-        du, db = rhs_mhd(MhdState(u, b), grid16, 1.0, 1.0, damping)
+        du, db = rhs_mhd(MhdState.from_fields(u, b), grid16, 1.0, 1.0, damping)
         gu = sobolev_norm(u, 1.0, homogeneous=True) ** 2
         gb = sobolev_norm(b, 1.0, homogeneous=True) ** 2
         up = ifft_grid(u.coeffs, 16)
@@ -202,7 +202,7 @@ class TestRhs:
         # generalized flux = alpha || f(|u|^2) |u|^4 ||_L1, against the
         # ledger's closed-form columns
         u = random_divfree(grid16, seed=14, l2_norm=2.0)
-        state = MhdState(u, SpectralVectorField.zeros(grid16))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
         up = ifft_grid(u.coeffs, 16)
         spec = DampingSpec(kind="power", alpha=0.8, beta=4.0)
         flux = float(np.sum(damping_term(up, spec) * up)) * grid16.cell_volume
@@ -217,7 +217,7 @@ class TestRhs:
     def test_rejects_non_finite_state(self, grid8):
         u = SpectralVectorField.zeros(grid8)
         u.coeffs[0, 1, 1, 1] = np.nan
-        state = MhdState(u, SpectralVectorField.zeros(grid8))
+        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid8))
         with pytest.raises(ValueError):
             rhs_mhd(state, grid8)
 

@@ -43,6 +43,21 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n_modes=16, truncation_radius=9.0)
 
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            ({"box_length": float("nan")}, "box_length"),
+            ({"dealias_fraction": True}, "dealias_fraction"),
+            ({"dealias_fraction": float("nan")}, "dealias_fraction"),
+            ({"truncation_radius": True}, "truncation_radius"),
+            ({"truncation_radius": "3"}, "truncation_radius"),
+        ],
+        ids=["box-nan", "dealias-bool", "dealias-nan", "radius-bool", "radius-string"],
+    )
+    def test_rejects_non_number_parameters(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(n_modes=16, **kw)
+
     def test_wavenumber_range(self, grid16):
         k = grid16.k1d
         assert k.min() == -7 and k.max() == 8
