@@ -110,8 +110,13 @@ class DampingSpec:
 
 
 def speed_sq(values: np.ndarray) -> np.ndarray:
-    """Pointwise squared magnitude |u(x)|^2 of a (3, ...) component stack."""
-    return values[0] ** 2 + values[1] ** 2 + values[2] ** 2
+    """Pointwise sum of squares of the components of a (m, ...) stack, added
+    in component order: |u(x)|^2 for a vector field."""
+    out = np.multiply(values[0], values[0])
+    tmp = np.empty_like(out)
+    for v in values[1:]:
+        out += np.multiply(v, v, out=tmp)
+    return out
 
 
 def damping_amplitude(q: np.ndarray, spec: DampingSpec) -> np.ndarray:
@@ -133,8 +138,14 @@ def damping_generalized(values: np.ndarray, alpha: float, fn: DampingFunction | 
     return damping_term(values, DampingSpec("generalized", alpha, f_id=f_id))
 
 
-def damping_term(values: np.ndarray, spec: DampingSpec) -> np.ndarray:
-    """Pointwise D(u) of the spec on collocation values; zero for kind 'none'."""
+def damping_term(values: np.ndarray, spec: DampingSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise D(u) of the spec on collocation values; zero for kind 'none'.
+    Written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(values)
     if spec.kind == "none":
-        return np.zeros_like(values)
-    return (spec.alpha * damping_amplitude(speed_sq(values), spec)) * values
+        out[...] = 0.0
+        return out
+    amplitude = damping_amplitude(speed_sq(values), spec)
+    amplitude *= spec.alpha
+    return np.multiply(amplitude, values, out=out)

@@ -56,12 +56,17 @@ def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
     """(||w||^2, ||grad w||^2, ||Lap w||^2) in L2 of the pair w = (u, b),
     from its stacked coefficients; the integrator takes its stage integrands
     from here too."""
-    mag = (w.real**2 + w.imag**2).sum(axis=0)
-    s = grid.parseval_weight * mag
-    grad = grid.k_sq * s
-    lap = grid.k_sq * grad
-    vol = grid.volume
-    return vol * float(s.sum()), vol * float(grad.sum()), vol * float(lap.sum())
+    mag = np.zeros(w.shape[1:])
+    re2, im2 = np.empty_like(mag), np.empty_like(mag)
+    for c in w:
+        np.multiply(c.real, c.real, out=re2)
+        re2 += np.multiply(c.imag, c.imag, out=im2)
+        mag += re2
+    sums = []
+    for weight in (grid.parseval_weight, grid.k_sq, grid.k_sq):
+        mag *= weight
+        sums.append(grid.volume * float(mag.sum()))
+    return tuple(sums)
 
 
 def _velocity_pointwise(u: SpectralVectorField):
@@ -76,13 +81,14 @@ def _velocity_pointwise(u: SpectralVectorField):
     batch = np.empty((12,) + g.spectral_shape, dtype=np.complex128)
     batch[0:3] = u.coeffs
     gradient_coeffs(u.coeffs, g, batch[3:12])
-    phys = ifft_grid(batch, n)
+    phys = ifft_grid(batch, n, ball=g, overwrite_x=True)
     up = phys[0:3]
-    grad_u_sq = np.sum(phys[3:12] ** 2, axis=0)
+    grad_u_sq = speed_sq(phys[3:12])
     q = speed_sq(up)
-    q_hat = fft_grid(q) * g.keep_mask
-    gq = gradient_coeffs(q_hat[None], g, np.empty((3,) + g.spectral_shape, dtype=np.complex128))
-    grad_q_sq = np.sum(ifft_grid(gq, n) ** 2, axis=0)
+    gq = gradient_coeffs(
+        fft_grid(q, ball=g)[None], g, np.empty((3,) + g.spectral_shape, dtype=np.complex128)
+    )
+    grad_q_sq = speed_sq(ifft_grid(gq, n, ball=g, overwrite_x=True))
     return up, grad_u_sq, q, grad_q_sq
 
 
@@ -373,10 +379,11 @@ def check_damping_identity(
         )
 
     grid = state.grid
-    up = ifft_grid(state.u.coeffs, grid.n_modes)
-    d_hat = fft_grid(damping_amplitude(speed_sq(up), damping) * up)
+    up = ifft_grid(state.u.coeffs, grid.n_modes, ball=grid)
+    d_hat = fft_grid(damping_amplitude(speed_sq(up), damping) * up, ball=grid)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); the
-    # coefficients of u vanish outside the ball so no explicit cutoff needed.
+    # coefficients of u vanish outside the ball, so cutting D there changes
+    # no term.
     weight = grid.parseval_weight * grid.k_sq
     lhs = grid.volume * float(
         np.sum(weight * np.sum((d_hat * np.conj(state.u.coeffs)).real, axis=0))

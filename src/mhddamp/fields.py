@@ -12,6 +12,7 @@ Fields are real, so only the half spectrum k3 = 0..N/2 is stored (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +82,63 @@ class PhysicalVectorField:
 # They use scipy.fft's default worker count, 1 unless a caller enters a
 # scipy.fft.set_workers context (the CLI does, for --threads).  norm="forward"
 # puts the 1/N^3 of the Fourier-series convention on the forward transform.
+#
+# With ``ball`` (the grid whose cutoff |k| < R the data respects) the 3-D
+# transforms run as 1-D scipy.fft passes that skip the lines holding only
+# modes outside the ball: every wavenumber component of a mode in the ball
+# is at most kc = ceil(R) - 1 in magnitude.  The passes are the ones
+# rfftn/irfftn make, in the same order (x, then y, then the real z axis for
+# the inverse; z, then x, then y for the forward) and with the same scaling,
+# so the results are bitwise those of the full transforms; only the signs of
+# zeros can differ.
 
-def fft_grid(values: np.ndarray) -> np.ndarray:
+
+def _ball_lines(ball: GridSpec, n: int) -> tuple[int, tuple[slice, slice]]:
+    """kc and the two index ranges |k| <= kc of an axis of length n."""
+    kc = math.ceil(ball.truncation_radius) - 1
+    return kc, (slice(0, kc + 1), slice(n - kc, n))
+
+
+def fft_grid(values: np.ndarray, ball: GridSpec | None = None) -> np.ndarray:
     """Real-to-complex DFT of stacked real grids -> half-spectrum
-    Fourier-series coefficients."""
-    return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    Fourier-series coefficients.
+
+    With ``ball`` the result is truncated to |k| < R, equal to the full
+    transform times ``ball.keep_mask``, for any finite input.
+    """
+    if ball is None:
+        return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    n = values.shape[-1]
+    kc, rows = _ball_lines(ball, n)
+    out = _fft.rfft(values, axis=-1)
+    out *= 1.0 / n**3  # where rfftn applies its scaling: after the z pass
+    slab = out[..., : kc + 1]
+    _fft.fft(slab, axis=-3, overwrite_x=True)
+    for r in rows:
+        _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
+    out *= ball.keep_mask  # whole-array passes beat strided ones on the slab
+    return out
 
 
-def ifft_grid(coeffs: np.ndarray, n: int) -> np.ndarray:
+def ifft_grid(
+    coeffs: np.ndarray, n: int, ball: GridSpec | None = None, overwrite_x: bool = False
+) -> np.ndarray:
     """Half-spectrum Fourier-series coefficients -> real point values on the
-    N^3 grid.  Only the Hermitian part of the self-conjugate planes counts."""
-    return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    N^3 grid.  Only the Hermitian part of the self-conjugate planes counts.
+
+    With ``ball`` the coefficients must vanish outside |k| < R, and
+    ``overwrite_x`` lets the transform use ``coeffs`` as its work array,
+    which then holds garbage; otherwise ``coeffs`` is left unchanged.
+    """
+    if ball is None:
+        return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    kc, rows = _ball_lines(ball, n)
+    work = coeffs if overwrite_x else coeffs.copy()
+    slab = work[..., : kc + 1]
+    for r in rows:
+        _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
+    _fft.ifft(slab, axis=-2, norm="forward", overwrite_x=True)
+    return _fft.irfft(work, n=n, axis=-1, norm="forward")
 
 
 def forward_transform(p: PhysicalVectorField) -> SpectralVectorField:

@@ -20,11 +20,37 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# The arrays of one trajectory's IF-RK4 workspace, as (name, count, layout):
+# a "spectral" grid is (N, N, N/2+1) complex, a "physical" grid (N, N, N)
+# real.  :class:`mhddamp.nonlinear.Workspace` allocates exactly these.
+WORKSPACE_GRIDS = (
+    ("stage", 6, "spectral"),      # stage state w = (u, b), transformed in place
+    ("products", 11, "physical"),  # T (5 entries), u x b and the damping
+)
+# Held beside the workspace while a stage runs: the state, the next state,
+# which holds the running RK4 sum until the step ends, and scipy's outputs
+# of the inverse (6 grids) and forward (11) transforms; the stage's
+# tendency overwrites the first 6 grids of the latter.
+STEP_TRANSIENT_GRIDS = (
+    ("state", 6, "spectral"),
+    ("next_state", 6, "spectral"),
+    ("inverse_output", 6, "physical"),
+    ("forward_output", 11, "spectral"),
+)
+
+
+def working_set_bytes(n: int) -> int:
+    """Bytes one trajectory holds while it steps at N = ``n``: its workspace
+    plus the arrays of ``STEP_TRANSIENT_GRIDS``."""
+    size = {"spectral": n * n * (n // 2 + 1) * 16, "physical": n**3 * 8}
+    return sum(count * size[layout] for _, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS)
 
 
 def _is_int(value) -> bool:
@@ -52,6 +78,9 @@ class GridSpec:
         truncating operations.  Defaults to dealias_fraction * n_modes / 2.
     dealias_fraction : float
         Fraction of the Nyquist band kept by the dealias rule, in (0, 1].
+
+    A grid whose :func:`working_set_bytes` exceed the physical memory is
+    rejected before any array is built.
     """
 
     n_modes: int
@@ -73,6 +102,13 @@ class GridSpec:
         if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
             raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
         object.__setattr__(self, "truncation_radius", float(radius))
+        need = working_set_bytes(n)
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(
+                f"n_modes = {n} needs about {need / 2**30:.3g} GiB to step one trajectory, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
+            )
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # Along k3 only the half spectrum 0..N/2 is stored.

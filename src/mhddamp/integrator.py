@@ -35,7 +35,7 @@ from .damping import DampingSpec
 from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, SpectralVectorField, fft_grid, hermitian_defect, ifft_grid
 from .grid import GridSpec, _is_int, _is_number
-from .nonlinear import _rhs_core
+from .nonlinear import Workspace, _rhs_core
 from .operators import (
     h1_norm_pair,
     leray_project_coeffs,
@@ -236,7 +236,7 @@ def make_initial(
         x1, x2, x3 = grid.mesh()
         phase = k[0] * x1 + k[1] * x2 + k[2] * x3
         values = amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
-        u = SpectralVectorField(truncate_coeffs(fft_grid(values), grid), grid)
+        u = SpectralVectorField(fft_grid(values, ball=grid), grid)
         return MhdState.from_fields(u, SpectralVectorField.zeros(grid))
 
     # taylor_green_like
@@ -251,8 +251,8 @@ def make_initial(
     b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
     return _projected(
         MhdState.from_fields(
-            SpectralVectorField(fft_grid(amplitude * u), grid),
-            SpectralVectorField(fft_grid(amplitude * b_amplitude * b), grid),
+            SpectralVectorField(fft_grid(amplitude * u, ball=grid), grid),
+            SpectralVectorField(fft_grid(amplitude * b_amplitude * b, ball=grid), grid),
         )
     )
 
@@ -266,7 +266,8 @@ def make_initial_from_config(config: SolverConfig) -> MhdState:
 
 
 class _StepWork:
-    """Precomputed multipliers and parameters for one (grid, dt) pair."""
+    """Integrating factors for one (grid, dt) pair and the
+    :class:`Workspace` of one trajectory."""
 
     def __init__(self, config: SolverConfig):
         self.grid = config.grid
@@ -275,43 +276,68 @@ class _StepWork:
         sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
+        self.work = Workspace(self.grid)
 
-    def _stage(self, w, want_diag):
-        """Tendency at one RK4 stage and, with ``want_diag``, the stage's
+    def _stage(self, want_diag):
+        """Tendency at the stage state held in work.stage, which the
+        evaluation consumes, and, with ``want_diag``, the stage's
         (||grad w||^2, ||Lap w||^2, damping dissipation)."""
-        dw, diss = _rhs_core(w, self.grid, self.damping, want_diag)
-        if not want_diag:
-            return dw, (0.0, 0.0, 0.0)
-        _, grad, lap = spectral_sums(w, self.grid)
-        return dw, (grad, lap, diss)
+        sums = spectral_sums(self.work.stage, self.grid)[1:] if want_diag else (0.0, 0.0)
+        dw, diss = _rhs_core(self.work.stage, self.grid, self.damping, want_diag, self.work)
+        return dw, sums + (diss,)
 
     @np.errstate(over="ignore", invalid="ignore")
     def advance(self, w, want_diag=True):
         """One integrating-factor RK4 step on the stacked coefficients
         w = (u, b) of an :class:`MhdState`.
 
-        Returns (w_new, increments) where increments holds the
-        stage-weighted contributions to (int ||grad w||^2, int ||Lap w||^2,
-        int damping dissipation) over this step.  Overflow is not trapped
-        here: non-finite values are the blow-up signal, detected by the
-        caller after the step.
+        Returns (w_new, increments) where w_new is a new array and
+        increments holds the stage-weighted contributions to
+        (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) over
+        this step.  Overflow is not trapped here: non-finite values are the
+        blow-up signal, detected by the caller after the step.
         """
         dt, E, E2 = self.dt, self.half_factor, self.full_factor
         h = 0.5 * dt
-        n1, s1 = self._stage(w, want_diag)
-        n2, s2 = self._stage(E * (w + h * n1), want_diag)
-        n3, s3 = self._stage(E * w + h * n2, want_diag)
-        n4, s4 = self._stage(E2 * w + dt * (E * n3), want_diag)
+        stage = self.work.stage
+        # The new state's array first holds the running RK4 sum, which runs
+        # through E n1 / 2 + n2 + n3 to E2 n1 + 2 E (n2 + n3) + n4.  Each
+        # tendency is spent on that sum and on the next stage state, built
+        # in place in work.stage, then dropped before the next stage
+        # allocates its own.
+        acc = np.empty_like(w)
+        np.copyto(stage, w)
+        n, s1 = self._stage(want_diag)
+        np.multiply(E, n, out=acc)
+        acc *= 0.5
+        n *= h
+        np.add(w, n, out=stage)
+        stage *= E                                  # E (w + h n1)
+        del n
+        n, s2 = self._stage(want_diag)
+        acc += n
+        n *= h
+        np.multiply(E, w, out=stage)
+        stage += n                                  # E w + h n2
+        del n
+        n, s3 = self._stage(want_diag)
+        acc += n
+        n *= E
+        n *= dt
+        np.multiply(E2, w, out=stage)
+        stage += n                                  # E2 w + dt E n3
+        del n
+        n, s4 = self._stage(want_diag)
+        acc *= E
+        acc *= 2.0
+        acc += n
+        del n
 
-        # w_new = E2 w + dt/6 (E2 n1 + 2 E (n2 + n3) + n4), in place in the spent tendencies
+        # w_new = E2 w + dt/6 acc
         c = dt / 6.0
-        n2 += n3
-        n2 *= 2.0 * E
-        n2 += np.multiply(E2, n1, out=n1)
-        n2 += n4
-        n2 *= c
-        n2 += np.multiply(E2, w, out=n1)
-        w_new = leray_project_coeffs(truncate_coeffs(n2, self.grid), self.grid)
+        acc *= c
+        acc += np.multiply(E2, w, out=stage)
+        w_new = leray_project_coeffs(acc, self.grid)
 
         increments = tuple(c * (a + 2.0 * (b + d) + e) for a, b, d, e in zip(s1, s2, s3, s4))
         return w_new, increments
@@ -319,11 +345,14 @@ class _StepWork:
 
 def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
-    n = config.grid.n_modes
-    speed = sum(float(np.max(np.abs(ifft_grid(f, n)))) for f in np.split(state.coeffs, 2))
+    grid = config.grid
+    speed = sum(
+        float(np.max(np.abs(ifft_grid(f, grid.n_modes, ball=grid))))
+        for f in np.split(state.coeffs, 2)
+    )
     if speed == 0.0:
         return np.inf
-    return config.cfl_target / (config.grid.truncation_radius * speed)
+    return config.cfl_target / (grid.truncation_radius * speed)
 
 
 def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
@@ -444,7 +473,8 @@ def load_checkpoint(path) -> MhdState:
     header.  The state must then have a finite time and finite coefficients,
     no mode outside the truncation ball, self-conjugate planes within
     HERMITIAN_TOL of Hermitian symmetry and a divergence within
-    DIV_FREE_RTOL of its H1 norm; otherwise ValueError.
+    DIV_FREE_RTOL of its H1 norm; otherwise ValueError.  The state owns its
+    coefficient array, which is writable for both versions.
     """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
@@ -466,9 +496,12 @@ def load_checkpoint(path) -> MhdState:
         if not _is_number(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        data = np.frombuffer(fh.read(payload), dtype="<c16").reshape(6, n, n, stored)
-    coeffs = np.ascontiguousarray(data[..., : n // 2 + 1], dtype=np.complex128)
-    state = MhdState(coeffs, grid, float(t))
+        data = np.empty((6, n, n, stored), dtype="<c16")
+        if fh.readinto(data) != payload:
+            raise ValueError(f"{path}: checkpoint payload changed while it was read")
+    if version == 1:
+        data = data[..., : n // 2 + 1].copy()
+    state = MhdState(data.astype(np.complex128, copy=False), grid, float(t))
     _check_loaded_state(path, state)
     return state
 

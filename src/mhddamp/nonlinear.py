@@ -12,6 +12,18 @@ follow the standard incompressible MHD form
 with P the Leray projection (the pressure gradient is eliminated by P).  This
 is the unique sign arrangement for which the quadratic terms cancel exactly
 in the L2 energy balance of the pair (u, b).
+
+The solver evaluates the quadratic terms in divergence form (Basdevant,
+J. Comput. Phys. 50, 1983).  For divergence-free u and b,
+
+    u.grad u - b.grad b    = div(u u - b b) = div T + grad(tr/3)
+    -(u.grad b - b.grad u) = curl(u x b),
+
+with T the trace-free part of u u - b b and tr its trace; P removes the
+gradient.  So only w = (u, b) goes to the grid (6 fields), and the 5
+independent entries of T, u x b and the damping come back (11 fields, 8
+without damping).  :func:`convection` keeps the convective form, as the
+reference the tests hold the divergence form to.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .fields import (
     fft_grid,
     ifft_grid,
 )
-from .grid import GridSpec
+from .grid import WORKSPACE_GRIDS, GridSpec
 from .operators import gradient_coeffs, leray_project_coeffs, viscous_symbol
 from .state import MhdState
 
@@ -49,21 +61,81 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
     return SpectralVectorField(fft_grid(out) * grid.keep_mask, grid)
 
 
-def _curl_coeffs(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
-    """Write the curl i k x c of the m vector fields stacked in ``c``,
-    (3 m, N, N, N/2+1), into the C-contiguous ``out`` of the same shape."""
-    stack = (-1, 3) + grid.spectral_shape
-    c, out = c.reshape(stack), out.reshape(stack)  # views: writes land in out
-    kx, ky, kz = grid.kx, grid.ky, grid.kz
-    out[:, 0] = 1j * (ky * c[:, 2] - kz * c[:, 1])
-    out[:, 1] = 1j * (kz * c[:, 0] - kx * c[:, 2])
-    out[:, 2] = 1j * (kx * c[:, 1] - ky * c[:, 0])
+class Workspace:
+    """The buffers of one trajectory, allocated once from
+    :data:`mhddamp.grid.WORKSPACE_GRIDS` (attributes ``stage`` and
+    ``products``), plus the multipliers i k_j and -i k_j.  Each trajectory
+    makes its own; none is shared."""
+
+    def __init__(self, grid: GridSpec):
+        layouts = {
+            "spectral": (grid.spectral_shape, np.complex128),
+            "physical": (grid.shape, np.float64),
+        }
+        for name, count, layout in WORKSPACE_GRIDS:
+            shape, dtype = layouts[layout]
+            setattr(self, name, np.empty((count,) + shape, dtype=dtype))
+        self.ik = tuple(1j * k for k in (grid.kx, grid.ky, grid.kz))
+        self.minus_ik = tuple(-k for k in self.ik)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
+def _products(phys: np.ndarray, out: np.ndarray) -> None:
+    """Write the entries T11 T12 T13 T22 T23 of the trace-free part of
+    u u - b b, then u x b, into out[0:8] from the point values
+    phys = (u, b).  Overwrites b2 of ``phys``."""
+    u1, u2, u3, b1, b2, b3 = phys
+    t11, t12, t13, t22, t23, c1, c2, c3 = out[:8]
+    # c1 and c2 serve as scratch until u x b is formed
+    np.multiply(u1, u1, out=t11)
+    t11 -= np.multiply(b1, b1, out=c1)
+    np.multiply(u2, u2, out=t22)
+    t22 -= np.multiply(b2, b2, out=c1)
+    np.multiply(u3, u3, out=c2)
+    c2 -= np.multiply(b3, b3, out=c1)
+    np.add(t11, t22, out=c1)
+    c1 += c2
+    c1 /= 3.0
+    t11 -= c1
+    t22 -= c1
+    for t, i, j in ((t12, 0, 1), (t13, 0, 2), (t23, 1, 2)):
+        np.multiply(phys[i], phys[j], out=t)
+        t -= np.multiply(phys[3 + i], phys[3 + j], out=c1)
+    np.multiply(u1, b2, out=c3)
+    c3 -= np.multiply(u2, b1, out=c1)
+    np.multiply(u3, b1, out=c2)
+    c2 -= np.multiply(u1, b3, out=c1)
+    np.multiply(u2, b3, out=c1)
+    c1 -= np.multiply(u3, b2, out=b2)
+
+
+def _tendency(hat: np.ndarray, work: Workspace, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite hat[0:6], the transformed products, with the tendency
+    (-(i k_j T_ij + D), i k x (u x b)) and return that view; D only when
+    ``hat`` holds it.  ``scratch`` holds two grids.  P is left to the
+    caller."""
+    t11, t12, t13, t22, t23, c1, c2, c3 = hat[:8]
+    ikx, iky, ikz = work.ik
+    mx, my, mz = work.minus_ik
+    s, t_sum = scratch
+    np.add(t11, t22, out=t_sum)  # -T33
+    # Each component goes into the slot of an entry that no later one reads.
+    for m, b, c in ((t11, t12, t13), (t12, t22, t23)):
+        np.multiply(mx, m, out=m)
+        m += np.multiply(my, b, out=s)
+        m += np.multiply(mz, c, out=s)
+    np.multiply(mx, t13, out=t13)
+    t13 += np.multiply(my, t23, out=s)
+    t13 += np.multiply(ikz, t_sum, out=t_sum)
+    for m, d in zip(hat[0:3], hat[8:11]):
+        m -= d
+    np.multiply(iky, c3, out=t22)
+    t22 -= np.multiply(ikz, c2, out=s)
+    np.multiply(ikz, c1, out=t23)
+    t23 -= np.multiply(ikx, c3, out=s)
+    np.multiply(iky, c1, out=s)
+    np.multiply(ikx, c2, out=c1)
+    c1 -= s
+    return hat[:6]
 
 
 def _rhs_core(
@@ -71,57 +143,46 @@ def _rhs_core(
     grid: GridSpec,
     damping: DampingSpec,
     want_dissipation: bool,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """Non-viscous tendency of the stacked coefficients w = (u, b) of an
-    :class:`MhdState`: the quadratic terms and the damping, without the
-    viscous term, which the integrator treats exactly through its
-    integrating factor.
+    :class:`MhdState`: the quadratic terms, in divergence form, and the
+    damping, without the viscous term, which the integrator treats exactly
+    through its integrating factor.  ``w`` must lie in the ball |k| < R.
 
-    The quadratic terms are evaluated in rotational/curl form,
-
-        P[-(u.grad u - b.grad b)] = P[-(curl u) x u + (curl b) x b]
-        -(u.grad b - b.grad u)    = curl(u x b),
-
-    which agrees with the convective form exactly on the dealiased modes for
-    divergence-free inputs (the forms differ by gradients, annihilated by P,
-    and the products are alias-free inside the spectral ball) while needing
-    half the inverse transforms.
+    With a :class:`Workspace` nothing of state size is allocated but the two
+    transform outputs: ``w`` is copied into work.stage (unless it is that
+    array) and transformed there, and the tendency is returned in the first
+    six grids of the forward transform's output.
 
     Returns (dw, damp_diss): the tendency, stacked like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
     ||u||^(beta+1)_L^(beta+1) for power damping, || f(|u|^2) |u|^4 ||_L1
     for generalized damping, 0 otherwise.  Only computed when requested.
     """
-    # One batched inverse transform: u, b and both vorticities.
-    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-    batch[0:6] = w
-    _curl_coeffs(w, grid, batch[6:12])
-    phys = ifft_grid(batch, grid.n_modes)
-    up = phys[0:3]
-    bp = phys[3:6]
-
-    fwd = np.empty((6,) + grid.shape, dtype=np.float64)
-    _cross(phys[9:12], bp, fwd[0:3])   # (curl b) x b,   toward du/dt
-    momentum = fwd[0:3]
-    tmp = np.empty((3,) + grid.shape, dtype=np.float64)
-    _cross(phys[6:9], up, tmp)         # (curl u) x u
-    momentum -= tmp
-    _cross(up, bp, fwd[3:6])           # u x b,          toward db/dt
+    if work is None:
+        work = Workspace(grid)
+    if w is not work.stage:
+        np.copyto(work.stage, w)
+    phys = ifft_grid(work.stage, grid.n_modes, ball=grid, overwrite_x=True)
+    prod = work.products[: 8 if damping.kind == "none" else 11]
+    _products(phys, prod)
 
     damp_diss = 0.0
     if damping.kind != "none":
-        dmp = damping_term(up, damping)
-        momentum -= dmp
+        up, dmp = phys[0:3], prod[8:11]
+        damping_term(up, damping, out=dmp)
         if want_dissipation:
-            # <damping(u), u> / alpha by collocation quadrature
-            damp_diss = float(np.sum(dmp[0] * up[0] + dmp[1] * up[1] + dmp[2] * up[2]))
+            # <damping(u), u> / alpha by collocation quadrature; einsum sums
+            # without a temporary and, unlike np.dot, without BLAS threads
+            damp_diss = float(np.einsum("i,i->", dmp.ravel(), up.ravel()))
             damp_diss *= grid.cell_volume / damping.alpha
+        del up
+    del phys  # freed before the forward transform allocates its output
 
-    hat = fft_grid(fwd)
-    hat *= grid.keep_mask
-    dw = np.empty_like(hat)
-    dw[0:3] = leray_project_coeffs(hat[0:3], grid)
-    _curl_coeffs(hat[3:6], grid, dw[3:6])
+    # work.stage holds garbage after the inverse transform: scratch
+    dw = _tendency(fft_grid(prod, ball=grid), work, work.stage[0:2])
+    leray_project_coeffs(dw[0:3], grid)
     return dw, damp_diss
 
 

@@ -49,11 +49,14 @@ def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     in place when ``coeffs`` is C-contiguous.  ``coeffs`` may stack m vector
     fields, (3 m, N, N, N/2+1) or (m, 3, N, N, N/2+1); each is projected."""
     c = coeffs.reshape((-1, 3) + grid.spectral_shape)  # a view of a contiguous coeffs
-    k_dot = grid.kx * c[:, 0] + grid.ky * c[:, 1] + grid.kz * c[:, 2]
+    k = (grid.kx, grid.ky, grid.kz)
+    k_dot = np.multiply(k[0], c[:, 0])
+    tmp = np.empty_like(k_dot)
+    k_dot += np.multiply(k[1], c[:, 1], out=tmp)
+    k_dot += np.multiply(k[2], c[:, 2], out=tmp)
     k_dot *= grid.inv_k_sq  # zero at k = 0: mean mode untouched
-    c[:, 0] -= grid.kx * k_dot
-    c[:, 1] -= grid.ky * k_dot
-    c[:, 2] -= grid.kz * k_dot
+    for i in range(3):
+        c[:, i] -= np.multiply(k[i], k_dot, out=tmp)
     return c.reshape(coeffs.shape)
 
 

@@ -87,6 +87,11 @@ class TestConfigIO:
         err = capsys.readouterr().err.strip()
         assert f"{field} must be an integer" in err and "\n" not in err
 
+    def test_working_set_within_physical_memory_accepted(self, grid16):
+        data = config_to_dict(experiment(grid16))
+        data["solver"]["grid"]["n_modes"] = 64
+        assert config_from_dict(data).solver.grid.n_modes == 64
+
     def test_unknown_check_rejected(self, grid16):
         with pytest.raises(ConfigError, match="unknown check"):
             experiment(grid16, checks=("l2", "wat"))
@@ -110,11 +115,13 @@ class TestConfigIO:
             (("name",), 5, "name: experiment name must be a nonempty string"),
             (("solver", "grid", "dealias_fraction"), True, "dealias_fraction must lie in"),
             (("solver", "grid", "truncation_radius"), "5", "truncation_radius must lie in"),
+            (("solver", "grid", "n_modes"), 1_000_000, "of physical memory"),
+            (("solver", "grid", "n_modes"), 4096, "of physical memory"),
         ],
         ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
              "formats-string", "formats-unknown", "n-modes-float", "dt-bool", "nu-h-bool",
              "alpha-bool", "target-bool", "eps-bool", "name-int", "dealias-bool",
-             "radius-string"],
+             "radius-string", "n-modes-1e6", "n-modes-4096"],
     )
     def test_malformed_shape_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
                                       path, value, match):
@@ -229,13 +236,16 @@ class TestCmdRun:
         import mhddamp.fields as fields
 
         seen = []
-        original = fields._fft.irfftn
 
-        def spy(*args, **kwargs):
-            seen.append(scipy.fft.get_workers())
-            return original(*args, **kwargs)
+        def spy(original):
+            def wrapped(*args, **kwargs):
+                seen.append(scipy.fft.get_workers())
+                return original(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(fields._fft, "irfftn", spy)
+        # the 1-D passes of the ball-pruned transforms the stepper runs
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(fields._fft, name, spy(getattr(fields._fft, name)))
         cfg = experiment(grid16, t_end=0.02, checks=("l2",))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)

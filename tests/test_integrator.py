@@ -213,6 +213,45 @@ class TestStep:
         assert info.value.ledger is not None
         assert len(info.value.ledger) >= 1
 
+    def test_yielded_arrays_never_modified(self, grid16):
+        # each step's workspace is reused; what trajectory yields must not be
+        cfg = SolverConfig(
+            grid=grid16, dt=2e-3, t_end=12 * 2e-3, ledger_stride=1, seed=3,
+            initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+            damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+        )
+        kept = [(w, w.copy()) for _, w, _ in trajectory(make_initial_from_config(cfg), cfg)]
+        assert len(kept) == 13
+        for w, copy in kept:
+            assert w.tobytes() == copy.tobytes()
+        arrays = [w for w, _ in kept]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    def test_twin_engines_share_no_buffer(self, grid16, monkeypatch):
+        from mhddamp import integrator, twin_run
+        from mhddamp.grid import WORKSPACE_GRIDS
+
+        engines = []
+        init = integrator._StepWork.__init__
+
+        def record(self, config):
+            init(self, config)
+            engines.append(self)
+
+        monkeypatch.setattr(integrator._StepWork, "__init__", record)
+        cfg = SolverConfig(
+            grid=grid16, dt=2e-3, t_end=3 * 2e-3,
+            initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+            damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+        )
+        twin_run(cfg, 1e-6)
+        assert len(engines) == 2
+        a, b = (
+            [e.half_factor, e.full_factor] + [getattr(e.work, name) for name, _, _ in WORKSPACE_GRIDS]
+            for e in engines
+        )
+        assert not any(np.shares_memory(x, y) for x in a for y in b)
+
     def test_span_must_be_whole_steps_from_state_time(self, grid16):
         cfg = SolverConfig(
             grid=grid16, dt=1e-2, t_end=0.1,
@@ -378,10 +417,13 @@ class TestCheckpoint:
         assert np.shares_memory(state.coeffs, state.u.coeffs)
         assert np.shares_memory(state.coeffs, state.b.coeffs)
         assert v2.read_bytes()[32:] == state.coeffs.tobytes()
-        loaded = load_checkpoint(v1)
-        assert loaded.t == state.t
-        assert np.array_equal(loaded.u.coeffs, state.u.coeffs)
-        assert np.array_equal(loaded.b.coeffs, state.b.coeffs)
+        for path in (v1, v2):
+            loaded = load_checkpoint(path)
+            assert loaded.t == state.t
+            assert np.array_equal(loaded.u.coeffs, state.u.coeffs)
+            assert np.array_equal(loaded.b.coeffs, state.b.coeffs)
+            assert loaded.coeffs.flags.writeable and loaded.coeffs.flags.owndata
+            loaded.u.coeffs[0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(

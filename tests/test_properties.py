@@ -1,5 +1,6 @@
 """Property tests: Parseval and round trips in the half-spectrum layout, the
-Leray projector's algebra, and random bytes fed to the checkpoint reader."""
+ball-pruned transforms against scipy's full ones, the Leray projector's
+algebra, and random bytes fed to the checkpoint reader."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +66,42 @@ def test_transform_round_trip(seed, n, nyquist):
     back = ifft_grid(fft_grid(values), n)
     assert back.dtype == np.float64
     assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+def ball_grid(n: int, radius: str) -> GridSpec:
+    """The grid of size n with the default cutoff, R = 1.5 or R = N/2."""
+    return {"default": GRIDS[n], "1.5": GridSpec(n, truncation_radius=1.5),
+            "N/2": GridSpec(n, truncation_radius=n / 2)}[radius]
+
+
+radii = st.sampled_from(["default", "1.5", "N/2"])
+stacks = st.integers(1, 4)
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, radius=radii, m=stacks)
+def test_pruned_inverse_equals_irfftn(seed, n, radius, m):
+    grid = ball_grid(n, radius)
+    rng = np.random.default_rng(seed)
+    shape = (m,) + grid.spectral_shape
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * grid.keep_mask
+    before = coeffs.copy()
+    got = ifft_grid(coeffs, n, ball=grid)
+    assert np.array_equal(got, scipy.fft.irfftn(before, s=(n, n, n), axes=(-3, -2, -1), norm="forward"))
+    assert coeffs.tobytes() == before.tobytes()
+
+
+@PROPERTY
+@given(seed=seeds, n=sizes, radius=radii, m=stacks)
+def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
+    # exact for any finite input, band-limited or not
+    grid = ball_grid(n, radius)
+    values = np.random.default_rng(seed).standard_normal((m, n, n, n))
+    before = values.copy()
+    got = fft_grid(values, ball=grid)
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward") * grid.keep_mask
+    assert np.array_equal(got, want)
+    assert values.tobytes() == before.tobytes()
 
 
 @PROPERTY
