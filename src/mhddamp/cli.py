@@ -28,7 +28,6 @@ from .integrator import (
     BlowUpError,
     InitialCondition,
     SolverConfig,
-    config_hash,
     run,
     save_checkpoint,
 )
@@ -199,15 +198,14 @@ def cmd_run(args) -> int:
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
     formats = set(cfg.report_formats)
-    summary = {
-        "name": cfg.name,
-        "config": config_to_dict(cfg),
-        "config_hash": config_hash(cfg.solver),
-    }
+    summary = {"name": cfg.name, "config": config_to_dict(cfg)}
     try:
         state, ledger = run(cfg.solver)
     except BlowUpError as exc:
-        if exc.ledger is not None and "csv" in formats:
+        # run() hashes the config once (a restart hashes its checkpoint
+        # file); the ledger's meta carries that hash
+        summary["config_hash"] = exc.ledger.meta["config_hash"]
+        if "csv" in formats:
             exc.ledger.to_csv(os.path.join(out, "ledger.csv"))
         summary["blow_up_time"] = exc.time
         if "json" in formats:
@@ -237,6 +235,7 @@ def cmd_run(args) -> int:
     if "text" in formats:
         _write_checks(os.path.join(out, "checks.txt"), reports)
 
+    summary["config_hash"] = ledger.meta["config_hash"]
     summary["final_state"] = _final_state_summary(state)
     summary["checks"] = {rep.name: rep.status for rep in reports}
     if "json" in formats:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
 from .fields import SpectralVectorField, fft_grid, ifft_grid
-from .grid import GridSpec
+from .grid import BallTable, GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .operators import gradient_coeffs
 from .state import MhdState
@@ -52,10 +52,10 @@ ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 L2_DAMPING_COLUMN = {"power": "lbeta", "generalized": "d_f4"}
 
 
-def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
+def spectral_sums(w: np.ndarray, grid: GridSpec | BallTable) -> tuple[float, float, float]:
     """(||w||^2, ||grad w||^2, ||Lap w||^2) in L2 of the pair w = (u, b),
     from its stacked coefficients; the integrator takes its stage integrands
-    from here too."""
+    from here too, from the packed stage state and its :class:`BallTable`."""
     mag = np.zeros(w.shape[1:])
     re2, im2 = np.empty_like(mag), np.empty_like(mag)
     for c in w:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridSpec
+from .grid import BallTable, GridSpec
 
 HERMITIAN_TOL = 1e-12
 
@@ -83,28 +83,32 @@ class PhysicalVectorField:
 # scipy.fft.set_workers context (the CLI does, for --threads).  norm="forward"
 # puts the 1/N^3 of the Fourier-series convention on the forward transform.
 #
-# With ``ball`` (the grid whose cutoff |k| < R the data respects) the 3-D
-# transforms run as 1-D scipy.fft passes that skip the lines holding only
-# modes outside the ball: every wavenumber component of a mode in the ball
-# is at most kc = ceil(R) - 1 in magnitude.  The passes are the ones
-# rfftn/irfftn make, in the same order (x, then y, then the real z axis for
-# the inverse; z, then x, then y for the forward) and with the same scaling,
-# so the results are bitwise those of the full transforms; only the signs of
-# zeros can differ.
+# With ``ball`` (the grid whose cutoff |k| < R the data respects, or its
+# BallTable for data packed to the ball) the 3-D transforms run as 1-D
+# scipy.fft passes that skip the lines holding only modes outside the ball:
+# every wavenumber component of a mode in the ball is at most
+# kc = ceil(R) - 1 in magnitude.  The passes are the ones rfftn/irfftn make,
+# in the same order (x, then y, then the real z axis for the inverse; z,
+# then x, then y for the forward) and with the same scaling, so the results
+# are bitwise those of the full transforms; only the signs of zeros can
+# differ.
 
 
-def _ball_lines(ball: GridSpec, n: int) -> tuple[int, tuple[slice, slice]]:
+def _ball_lines(ball: GridSpec | BallTable, n: int) -> tuple[int, tuple[slice, slice]]:
     """kc and the two index ranges |k| <= kc of an axis of length n."""
-    kc = math.ceil(ball.truncation_radius) - 1
+    grid = ball.grid if isinstance(ball, BallTable) else ball
+    kc = math.ceil(grid.truncation_radius) - 1
     return kc, (slice(0, kc + 1), slice(n - kc, n))
 
 
-def fft_grid(values: np.ndarray, ball: GridSpec | None = None) -> np.ndarray:
+def fft_grid(values: np.ndarray, ball: GridSpec | BallTable | None = None) -> np.ndarray:
     """Real-to-complex DFT of stacked real grids -> half-spectrum
     Fourier-series coefficients.
 
-    With ``ball`` the result is truncated to |k| < R, equal to the full
-    transform times ``ball.keep_mask``, for any finite input.
+    With a grid ``ball`` the result is truncated to |k| < R, equal to the
+    full transform times ``ball.keep_mask``; with a :class:`BallTable` it is
+    the (..., M) packed ball modes of the full transform.  Both hold for any
+    finite input.
     """
     if ball is None:
         return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
@@ -112,33 +116,52 @@ def fft_grid(values: np.ndarray, ball: GridSpec | None = None) -> np.ndarray:
     kc, rows = _ball_lines(ball, n)
     out = _fft.rfft(values, axis=-1)
     out *= 1.0 / n**3  # where rfftn applies its scaling: after the z pass
-    slab = out[..., : kc + 1]
+    slab = out[..., : kc + 1]  # holds every mode of the ball
     _fft.fft(slab, axis=-3, overwrite_x=True)
     for r in rows:
         _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
+    if isinstance(ball, BallTable):
+        return ball.pack(out)
     out *= ball.keep_mask  # whole-array passes beat strided ones on the slab
     return out
 
 
 def ifft_grid(
-    coeffs: np.ndarray, n: int, ball: GridSpec | None = None, overwrite_x: bool = False
+    coeffs: np.ndarray,
+    n: int,
+    ball: GridSpec | BallTable | None = None,
+    overwrite_x: bool = False,
+    staging: np.ndarray | None = None,
 ) -> np.ndarray:
     """Half-spectrum Fourier-series coefficients -> real point values on the
     N^3 grid.  Only the Hermitian part of the self-conjugate planes counts.
 
-    With ``ball`` the coefficients must vanish outside |k| < R, and
+    With a grid ``ball`` the coefficients must vanish outside |k| < R, and
     ``overwrite_x`` lets the transform use ``coeffs`` as its work array,
-    which then holds garbage; otherwise ``coeffs`` is left unchanged.
+    whose slab k3 <= kc then holds garbage; otherwise ``coeffs`` is left
+    unchanged.
+
+    With a :class:`BallTable` ``ball``, ``coeffs`` holds packed (..., M)
+    ball modes and is left unchanged.  They are scattered into ``staging``,
+    a C-contiguous all-zero (..., N, N, N/2+1) array (a new one when None),
+    which is transformed in place and zeroed again afterwards, ready for the
+    next call.
     """
     if ball is None:
         return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     kc, rows = _ball_lines(ball, n)
-    work = coeffs if overwrite_x else coeffs.copy()
+    if isinstance(ball, BallTable):
+        work = ball.unpack(coeffs, staging)
+    else:
+        work = coeffs if overwrite_x else coeffs.copy()
     slab = work[..., : kc + 1]
     for r in rows:
         _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
     _fft.ifft(slab, axis=-2, norm="forward", overwrite_x=True)
-    return _fft.irfft(work, n=n, axis=-1, norm="forward")
+    phys = _fft.irfft(work, n=n, axis=-1, norm="forward")
+    if isinstance(ball, BallTable):
+        work.fill(0.0)  # a whole-array fill beats a strided one on the slab
+    return phys
 
 
 def forward_transform(p: PhysicalVectorField) -> SpectralVectorField:

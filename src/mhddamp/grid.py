@@ -27,30 +27,58 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# The arrays of one trajectory's IF-RK4 workspace, as (name, count, layout):
+# The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout):
 # a "spectral" grid is (N, N, N/2+1) complex, a "physical" grid (N, N, N)
-# real.  :class:`mhddamp.nonlinear.Workspace` allocates exactly these.
+# real, a "packed" array (M,) complex and a "table" (M,) real or int64,
+# with M the number of modes in the ball |k| < R.
+# :class:`mhddamp.nonlinear.Workspace` allocates exactly these.
 WORKSPACE_GRIDS = (
-    ("stage", 6, "spectral"),      # stage state w = (u, b), transformed in place
+    ("staging", 6, "spectral"),    # zero but while an inverse transform runs in it
     ("products", 11, "physical"),  # T (5 entries), u x b and the damping
+    ("stage", 6, "packed"),        # the stage state w = (u, b)
+    ("scratch", 2, "packed"),
+    ("ik", 3, "packed"),           # the multipliers i k_j
 )
-# Held beside the workspace while a stage runs: the state, the next state,
-# which holds the running RK4 sum until the step ends, and scipy's outputs
-# of the inverse (6 grids) and forward (11) transforms; the stage's
-# tendency overwrites the first 6 grids of the latter.
+# The ball table of the workspace (:class:`BallTable`): ``index`` and these.
+BALL_TABLES = ("kx", "ky", "kz", "k_sq", "inv_k_sq", "parseval_weight")
+# Held beside the workspace while a stage runs: the integrating factors E
+# and E^2, the packed state and next state, which holds the running RK4 sum
+# until the step ends, the last sampled state, unpacked to the half
+# spectrum, scipy's outputs of the inverse (6 grids) and forward (11)
+# transforms, and the tendency, the latter gathered to the ball.
 STEP_TRANSIENT_GRIDS = (
-    ("state", 6, "spectral"),
-    ("next_state", 6, "spectral"),
+    ("factors", 2, "table"),
+    ("state", 6, "packed"),
+    ("next_state", 6, "packed"),
+    ("sample", 6, "spectral"),
     ("inverse_output", 6, "physical"),
     ("forward_output", 11, "spectral"),
+    ("tendency", 11, "packed"),
 )
 
 
-def working_set_bytes(n: int) -> int:
-    """Bytes one trajectory holds while it steps at N = ``n``: its workspace
-    plus the arrays of ``STEP_TRANSIENT_GRIDS``."""
-    size = {"spectral": n * n * (n // 2 + 1) * 16, "physical": n**3 * 8}
-    return sum(count * size[layout] for _, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS)
+def working_set_bytes(n: int, m: int) -> int:
+    """Bytes one trajectory holds while it steps at N = ``n`` with ``m``
+    modes in the ball: its workspace, its ball table and the arrays of
+    ``STEP_TRANSIENT_GRIDS``."""
+    size = {
+        "spectral": n * n * (n // 2 + 1) * 16,
+        "physical": n**3 * 8,
+        "packed": m * 16,
+        "table": m * 8,
+    }
+    grids = WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS + (("ball", 1 + len(BALL_TABLES), "table"),)
+    return sum(count * size[layout] for _, count, layout in grids)
+
+
+def _check_memory(n: int, m: int) -> None:
+    need = working_set_bytes(n, m)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"n_modes = {n} needs about {need / 2**30:.3g} GiB to step one trajectory, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _is_int(value) -> bool:
@@ -80,7 +108,8 @@ class GridSpec:
         Fraction of the Nyquist band kept by the dealias rule, in (0, 1].
 
     A grid whose :func:`working_set_bytes` exceed the physical memory is
-    rejected before any array is built.
+    rejected; one whose spectral and physical grids alone exceed it, before
+    any array is built.
     """
 
     n_modes: int
@@ -102,13 +131,7 @@ class GridSpec:
         if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
             raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
         object.__setattr__(self, "truncation_radius", float(radius))
-        need = working_set_bytes(n)
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
-            raise ValueError(
-                f"n_modes = {n} needs about {need / 2**30:.3g} GiB to step one trajectory, "
-                f"more than the {have / 2**30:.3g} GiB of physical memory"
-            )
+        _check_memory(n, 0)  # the grids alone, before any array is built
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # Along k3 only the half spectrum 0..N/2 is stored.
@@ -136,6 +159,7 @@ class GridSpec:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        _check_memory(n, int(np.count_nonzero(keep)))
 
     # Derived scalars -----------------------------------------------------
 
@@ -172,3 +196,40 @@ class GridSpec:
         """Broadcastable (X1, X2, X3) coordinate arrays on the grid."""
         x = self.collocation_axis()
         return x[:, None, None], x[None, :, None], x[None, None, :]
+
+
+class BallTable:
+    """The modes of a grid's ball |k| < R, packed.
+
+    ``index`` holds their flat positions in the (N, N, N/2+1) half spectrum,
+    in C order (``np.flatnonzero(grid.keep_mask)``), and the attributes
+    named in :data:`BALL_TABLES` hold the grid's tables of the same names at
+    those modes, each of shape (M,).  Functions written against a grid's
+    tables (``leray_project_coeffs``, ``viscous_symbol``,
+    ``energy.spectral_sums``) therefore also run on packed (..., M) arrays
+    when given a table in place of the grid.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self.volume = grid.volume
+        self.index = np.flatnonzero(grid.keep_mask)
+        for name in BALL_TABLES:
+            value = np.broadcast_to(getattr(grid, name), grid.spectral_shape)[grid.keep_mask]
+            setattr(self, name, value)
+
+    def pack(self, coeffs: np.ndarray) -> np.ndarray:
+        """The ball modes of (..., N, N, N/2+1) coefficients, as a new
+        (..., M) array."""
+        return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), self.index, axis=-1)
+
+    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Packed (..., M) ball modes written into ``out``, a C-contiguous
+        (..., N, N, N/2+1) array that is zero outside the ball, or into a new
+        zeroed one; returns it."""
+        if out is None:
+            out = np.zeros(packed.shape[:-1] + self.grid.spectral_shape, dtype=packed.dtype)
+        if not out.flags.c_contiguous:  # reshape would copy, not view
+            raise ValueError("unpack writes only into a C-contiguous array")
+        out.reshape(packed.shape[:-1] + (-1,))[..., self.index] = packed
+        return out

@@ -22,7 +22,6 @@ being limited by row-level quadrature.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -267,31 +266,35 @@ def make_initial_from_config(config: SolverConfig) -> MhdState:
 
 class _StepWork:
     """Integrating factors for one (grid, dt) pair and the
-    :class:`Workspace` of one trajectory."""
+    :class:`Workspace` of one trajectory, whose ball table ``ball`` packs
+    the stepper's arrays."""
 
     def __init__(self, config: SolverConfig):
         self.grid = config.grid
         self.dt = config.dt
         self.damping = config.damping
-        sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
+        self.work = Workspace(self.grid)
+        self.ball = self.work.ball
+        sym = viscous_symbol(self.ball, config.nu_h, config.nu_v)
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
-        self.work = Workspace(self.grid)
 
     def _stage(self, want_diag):
-        """Tendency at the stage state held in work.stage, which the
-        evaluation consumes, and, with ``want_diag``, the stage's
-        (||grad w||^2, ||Lap w||^2, damping dissipation)."""
-        sums = spectral_sums(self.work.stage, self.grid)[1:] if want_diag else (0.0, 0.0)
+        """Tendency at the stage state held in work.stage and, with
+        ``want_diag``, the stage's (||grad w||^2, ||Lap w||^2, damping
+        dissipation)."""
+        sums = spectral_sums(self.work.stage, self.ball)[1:] if want_diag else (0.0, 0.0)
         dw, diss = _rhs_core(self.work.stage, self.grid, self.damping, want_diag, self.work)
         return dw, sums + (diss,)
 
     @np.errstate(over="ignore", invalid="ignore")
     def advance(self, w, want_diag=True):
         """One integrating-factor RK4 step on the stacked coefficients
-        w = (u, b) of an :class:`MhdState`.
+        w = (u, b) of an :class:`MhdState`, packed to the ball: (6, M) in
+        the order of ``self.ball``.  The modes outside the ball are zero in
+        every stage and stay zero, so they are not stored.
 
-        Returns (w_new, increments) where w_new is a new array and
+        Returns (w_new, increments) where w_new is a new packed array and
         increments holds the stage-weighted contributions to
         (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) over
         this step.  Overflow is not trapped here: non-finite values are the
@@ -337,7 +340,7 @@ class _StepWork:
         c = dt / 6.0
         acc *= c
         acc += np.multiply(E2, w, out=stage)
-        w_new = leray_project_coeffs(acc, self.grid)
+        w_new = leray_project_coeffs(acc, self.ball)
 
         increments = tuple(c * (a + 2.0 * (b + d) + e) for a, b, d, e in zip(s1, s2, s3, s4))
         return w_new, increments
@@ -355,6 +358,18 @@ def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     return config.cfl_target / (grid.truncation_radius * speed)
 
 
+def _step_count(t0: float, config: SolverConfig) -> int:
+    """Number of steps from t0 to config.t_end; ValueError unless that span
+    is a whole number of steps."""
+    span = config.t_end - t0
+    if span < -1e-12:
+        raise ValueError(f"t_end = {config.t_end} precedes the state time {t0}")
+    n_steps = max(round(span / config.dt), 0)
+    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("t_end - t0 must be an integer multiple of dt")
+    return n_steps
+
+
 def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
     """Step ``state`` to config.t_end, yielding the sampled states.
 
@@ -362,22 +377,19 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
     steps and at t_end.  ``integrals`` holds the running stage-weighted
     (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) since the
     state time; it stays zero without ``want_diag``.  ``w`` is the stacked
-    coefficient array of an :class:`MhdState`; every step makes a new one,
-    so yielded arrays are never modified later.  Raises
-    BlowUpError at the first step that leaves the finite fields.
+    coefficient array of an :class:`MhdState`: ``state.coeffs`` itself at
+    the state time, then a new array each time, unpacked from the stepper's
+    packed ball, so yielded arrays are never modified later.  Only the modes
+    of ``state`` in the ball |k| < R are stepped; the others must be zero.
+    Raises BlowUpError at the first step that leaves the finite fields.
     """
     t0 = state.t
-    span = config.t_end - t0
-    if span < -1e-12:
-        raise ValueError(f"t_end = {config.t_end} precedes the state time {t0}")
-    n_steps = max(round(span / config.dt), 0)
-    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-
+    n_steps = _step_count(t0, config)
     work = _StepWork(config)
-    w = state.coeffs
+    w = work.ball.pack(state.coeffs)
     acc = [0.0, 0.0, 0.0]
-    yield t0, w, (0.0, 0.0, 0.0)
+    yield t0, state.coeffs, (0.0, 0.0, 0.0)
+    del state  # the caller alone keeps the initial state alive, if it wants to
     for i in range(1, n_steps + 1):
         w, inc = work.advance(w, want_diag)
         acc = [a + x for a, x in zip(acc, inc)]
@@ -385,7 +397,7 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
         if not np.all(np.isfinite(w)):
             raise BlowUpError(t)
         if i % config.ledger_stride == 0 or i == n_steps:
-            yield t, w, tuple(acc)
+            yield t, work.ball.unpack(w), tuple(acc)
 
 
 def run(config: SolverConfig):
@@ -397,8 +409,7 @@ def run(config: SolverConfig):
     ledger) if the solution leaves the space of finite fields.
     """
     state = make_initial_from_config(config)
-    steps = trajectory(state, config)
-    first = next(steps)  # checks the span before any other work
+    n_steps = _step_count(state.t, config)  # checks the span before any other work
     bound = cfl_bound(state, config)
     if config.dt > bound:
         log.warning(
@@ -412,7 +423,7 @@ def run(config: SolverConfig):
     ledger = EnergyLedger(
         damping,
         config.dt,
-        round((config.t_end - state.t) / config.dt),
+        n_steps,
         meta={
             "n_modes": config.grid.n_modes,
             "truncation_radius": config.grid.truncation_radius,
@@ -431,8 +442,12 @@ def run(config: SolverConfig):
             out["int_" + damp_col] = acc[2]
         return out
 
+    # Only the latest sample is held here, so the initial state is freed
+    # after the first step instead of living beside every later sample.
+    steps = trajectory(state, config)
+    del state
     try:
-        for t, w, acc in itertools.chain([first], steps):
+        for t, w, acc in steps:
             snapshot = MhdState(w, config.grid, t)
             ledger.append(t, ledger_row(snapshot, damping), exact_integrals(acc))
     except BlowUpError as exc:

@@ -24,6 +24,11 @@ gradient.  So only w = (u, b) goes to the grid (6 fields), and the 5
 independent entries of T, u x b and the damping come back (11 fields, 8
 without damping).  :func:`convection` keeps the convective form, as the
 reference the tests hold the divergence form to.
+
+The solver's right-hand side :func:`_rhs_core` takes and returns w packed
+to the ball |k| < R, the only modes of the truncated system (see
+:class:`mhddamp.grid.BallTable`): its spectral arithmetic runs on those M
+modes alone, and only the transforms see the full grids.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .fields import (
     fft_grid,
     ifft_grid,
 )
-from .grid import WORKSPACE_GRIDS, GridSpec
+from .grid import WORKSPACE_GRIDS, BallTable, GridSpec
 from .operators import gradient_coeffs, leray_project_coeffs, viscous_symbol
 from .state import MhdState
 
@@ -63,20 +68,24 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
 
 class Workspace:
     """The buffers of one trajectory, allocated once from
-    :data:`mhddamp.grid.WORKSPACE_GRIDS` (attributes ``stage`` and
-    ``products``), plus the multipliers i k_j and -i k_j.  Each trajectory
-    makes its own; none is shared."""
+    :data:`mhddamp.grid.WORKSPACE_GRIDS`, and its :class:`BallTable`
+    ``ball``.  ``staging`` (zero between transforms) and ``products`` have
+    the full layouts the transforms need; ``stage``, ``scratch`` and the
+    multipliers ``ik`` = i (k1, k2, k3) are packed to the ball.  Each
+    trajectory makes its own; none is shared."""
 
     def __init__(self, grid: GridSpec):
+        self.ball = BallTable(grid)
         layouts = {
             "spectral": (grid.spectral_shape, np.complex128),
             "physical": (grid.shape, np.float64),
+            "packed": (self.ball.index.shape, np.complex128),
         }
         for name, count, layout in WORKSPACE_GRIDS:
             shape, dtype = layouts[layout]
-            setattr(self, name, np.empty((count,) + shape, dtype=dtype))
-        self.ik = tuple(1j * k for k in (grid.kx, grid.ky, grid.kz))
-        self.minus_ik = tuple(-k for k in self.ik)
+            setattr(self, name, np.zeros((count,) + shape, dtype=dtype))
+        for ik, k in zip(self.ik, (self.ball.kx, self.ball.ky, self.ball.kz)):
+            np.multiply(1j, k, out=ik)
 
 
 def _products(phys: np.ndarray, out: np.ndarray) -> None:
@@ -108,26 +117,27 @@ def _products(phys: np.ndarray, out: np.ndarray) -> None:
     c1 -= np.multiply(u3, b2, out=b2)
 
 
-def _tendency(hat: np.ndarray, work: Workspace, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite hat[0:6], the transformed products, with the tendency
-    (-(i k_j T_ij + D), i k x (u x b)) and return that view; D only when
-    ``hat`` holds it.  ``scratch`` holds two grids.  P is left to the
-    caller."""
+def _tendency(hat: np.ndarray, ik: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite hat[0:6], the transformed products packed to the ball,
+    with the tendency (-(i k_j T_ij + D), i k x (u x b)) and return that
+    view; D only when ``hat`` holds it.  ``scratch`` holds two packed
+    arrays.  P is left to the caller."""
     t11, t12, t13, t22, t23, c1, c2, c3 = hat[:8]
-    ikx, iky, ikz = work.ik
-    mx, my, mz = work.minus_ik
+    ikx, iky, ikz = ik
     s, t_sum = scratch
     np.add(t11, t22, out=t_sum)  # -T33
     # Each component goes into the slot of an entry that no later one reads.
     for m, b, c in ((t11, t12, t13), (t12, t22, t23)):
-        np.multiply(mx, m, out=m)
-        m += np.multiply(my, b, out=s)
-        m += np.multiply(mz, c, out=s)
-    np.multiply(mx, t13, out=t13)
-    t13 += np.multiply(my, t23, out=s)
-    t13 += np.multiply(ikz, t_sum, out=t_sum)
-    for m, d in zip(hat[0:3], hat[8:11]):
-        m -= d
+        np.multiply(ikx, m, out=m)
+        m += np.multiply(iky, b, out=s)
+        m += np.multiply(ikz, c, out=s)
+    np.multiply(ikx, t13, out=t13)
+    t13 += np.multiply(iky, t23, out=s)
+    t13 -= np.multiply(ikz, t_sum, out=t_sum)
+    momentum = hat[0:3]
+    if len(hat) > 8:
+        momentum += hat[8:11]
+    np.negative(momentum, out=momentum)  # exact: the sign of every term flips
     np.multiply(iky, c3, out=t22)
     t22 -= np.multiply(ikz, c2, out=s)
     np.multiply(ikz, c1, out=t23)
@@ -146,25 +156,24 @@ def _rhs_core(
     work: Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """Non-viscous tendency of the stacked coefficients w = (u, b) of an
-    :class:`MhdState`: the quadratic terms, in divergence form, and the
-    damping, without the viscous term, which the integrator treats exactly
-    through its integrating factor.  ``w`` must lie in the ball |k| < R.
+    :class:`MhdState`, packed to the ball |k| < R: (6, M), in the order of
+    ``work.ball``.  It holds the quadratic terms, in divergence form, and
+    the damping, without the viscous term, which the integrator treats
+    exactly through its integrating factor.
 
-    With a :class:`Workspace` nothing of state size is allocated but the two
-    transform outputs: ``w`` is copied into work.stage (unless it is that
-    array) and transformed there, and the tendency is returned in the first
-    six grids of the forward transform's output.
+    With a :class:`Workspace` nothing of state size is allocated but the
+    transform outputs: ``w`` is scattered into work.staging and transformed
+    there, and the tendency is returned, packed, in the first six rows of
+    the forward transform's packed output.
 
-    Returns (dw, damp_diss): the tendency, stacked like ``w``, and the
+    Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
     ||u||^(beta+1)_L^(beta+1) for power damping, || f(|u|^2) |u|^4 ||_L1
     for generalized damping, 0 otherwise.  Only computed when requested.
     """
     if work is None:
         work = Workspace(grid)
-    if w is not work.stage:
-        np.copyto(work.stage, w)
-    phys = ifft_grid(work.stage, grid.n_modes, ball=grid, overwrite_x=True)
+    phys = ifft_grid(w, grid.n_modes, ball=work.ball, staging=work.staging)
     prod = work.products[: 8 if damping.kind == "none" else 11]
     _products(phys, prod)
 
@@ -180,9 +189,8 @@ def _rhs_core(
         del up
     del phys  # freed before the forward transform allocates its output
 
-    # work.stage holds garbage after the inverse transform: scratch
-    dw = _tendency(fft_grid(prod, ball=grid), work, work.stage[0:2])
-    leray_project_coeffs(dw[0:3], grid)
+    dw = _tendency(fft_grid(prod, ball=work.ball), work.ik, work.scratch)
+    leray_project_coeffs(dw[0:3], work.ball)
     return dw, damp_diss
 
 
@@ -198,7 +206,9 @@ def rhs_mhd(
     grid = grid or state.grid
     if not state.is_finite():
         raise NonFiniteFieldError("state contains non-finite coefficients")
-    dw, _ = _rhs_core(state.coeffs, grid, damping, want_dissipation=False)
+    work = Workspace(grid)
+    dw, _ = _rhs_core(work.ball.pack(state.coeffs), grid, damping, False, work)
+    dw = work.ball.unpack(dw)
     dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
     tendency = MhdState(dw, grid)
     return tendency.u, tendency.b

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import SpectralVectorField
-from .grid import GridSpec
+from .grid import BallTable, GridSpec
 
 
 def friedrichs_truncate(s: SpectralVectorField, radius: float | None = None) -> SpectralVectorField:
@@ -44,11 +44,13 @@ def leray_project(s: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(leray_project_coeffs(s.coeffs.copy(), s.grid), s.grid)
 
 
-def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec | BallTable) -> np.ndarray:
     """Raw-array form of :func:`leray_project`; returns the projection, made
     in place when ``coeffs`` is C-contiguous.  ``coeffs`` may stack m vector
-    fields, (3 m, N, N, N/2+1) or (m, 3, N, N, N/2+1); each is projected."""
-    c = coeffs.reshape((-1, 3) + grid.spectral_shape)  # a view of a contiguous coeffs
+    fields, (3 m, N, N, N/2+1) or (m, 3, N, N, N/2+1); each is projected.
+    With a :class:`BallTable` for ``grid`` they are packed, (3 m, M) or
+    (m, 3, M)."""
+    c = coeffs.reshape((-1, 3) + grid.k_sq.shape)  # a view of a contiguous coeffs
     k = (grid.kx, grid.ky, grid.kz)
     k_dot = np.multiply(k[0], c[:, 0])
     tmp = np.empty_like(k_dot)
@@ -93,8 +95,9 @@ def laplacian(s: SpectralVectorField, nu_h: float = 1.0, nu_v: float = 1.0) -> S
     return SpectralVectorField(-sym * s.coeffs, s.grid)
 
 
-def viscous_symbol(grid: GridSpec, nu_h: float, nu_v: float) -> np.ndarray:
-    """Nonnegative multiplier nu_h (k1^2 + k2^2) + nu_v k3^2, shape (N, N, N/2+1)."""
+def viscous_symbol(grid: GridSpec | BallTable, nu_h: float, nu_v: float) -> np.ndarray:
+    """Nonnegative multiplier nu_h (k1^2 + k2^2) + nu_v k3^2, shaped like
+    ``grid.k_sq``: (N, N, N/2+1), or (M,) for a :class:`BallTable`."""
     return nu_h * (grid.kx**2 + grid.ky**2) + nu_v * grid.kz**2
 
 

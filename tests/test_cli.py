@@ -1,10 +1,12 @@
 """CLI subcommands: exit codes, artifact outputs and reproducibility."""
 
+import dataclasses
 import json
 
 import pytest
 
 from mhddamp import DampingSpec, InitialCondition, SolverConfig
+from mhddamp.integrator import config_hash
 from mhddamp.cli import (
     ConfigError,
     ExperimentConfig,
@@ -176,6 +178,46 @@ class TestCmdRun:
         b = (tmp_path / "b" / "ledger.csv").read_bytes()
         assert a == b
 
+    def test_summary_config_hash_is_stable(self, grid16, tmp_path):
+        # the value the hash has had since summary.json carried it
+        path = tmp_path / "cfg.json"
+        save_config(experiment(grid16, t_end=0.1), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config_hash"] == (
+            "2857aff8f9388acbb36eb221663584d86e8b583cdbcd4df1fcee33d918428d7e"
+        )
+
+    def test_restart_hashes_config_once(self, grid16, tmp_path, monkeypatch):
+        # a restart's hash reads and hashes the whole checkpoint file
+        from mhddamp import cli, integrator
+
+        first = tmp_path / "first.json"
+        save_config(experiment(grid16, t_end=0.02), first)
+        assert main(["run", "--config", str(first), "--out", str(tmp_path / "a")]) == 0
+        restart = experiment(grid16, t_end=0.04)
+        ic = InitialCondition(kind="from_checkpoint", path=str(tmp_path / "a" / "checkpoint.mhdf"))
+        restart = dataclasses.replace(
+            restart, solver=dataclasses.replace(restart.solver, initial_condition=ic)
+        )
+        path = tmp_path / "restart.json"
+        save_config(restart, path)
+
+        calls = []
+        original = integrator.config_hash
+
+        def spy(config):
+            calls.append(config)
+            return original(config)
+
+        for module in (cli, integrator):
+            if hasattr(module, "config_hash"):
+                monkeypatch.setattr(module, "config_hash", spy)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 1
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["config_hash"] == original(restart.solver)
+
     def test_blow_up_exit_three(self, grid16, tmp_path):
         cfg = experiment(grid16, t_end=2.0, dt=0.1, target=1e3, damping=DampingSpec(), seed=1)
         path = tmp_path / "cfg.json"
@@ -184,6 +226,7 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blow_up_time"] > 0
+        assert summary["config_hash"] == config_hash(cfg.solver)
         assert (out / "ledger.csv").exists()  # partial ledger written
 
     def test_missing_config_exit_one(self, tmp_path):

@@ -227,9 +227,27 @@ class TestStep:
         arrays = [w for w, _ in kept]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
+    def test_yielded_arrays_vanish_outside_ball_and_checkpoint_reloads(self, grid16, tmp_path):
+        from mhddamp.cli import ExperimentConfig, main, save_config
+
+        cfg = SolverConfig(
+            grid=grid16, dt=2e-3, t_end=12 * 2e-3, ledger_stride=1, seed=3,
+            initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+            damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+        )
+        samples = [w for _, w, _ in trajectory(make_initial_from_config(cfg), cfg)]
+        assert len(samples) == 13
+        for w in samples:
+            assert not np.any(w[:, ~grid16.keep_mask])
+        path = tmp_path / "cfg.json"
+        save_config(ExperimentConfig(name="ball", solver=cfg, checks=("l2",)), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        state = load_checkpoint(tmp_path / "out" / "checkpoint.mhdf")
+        assert np.array_equal(state.coeffs, samples[-1])
+
     def test_twin_engines_share_no_buffer(self, grid16, monkeypatch):
         from mhddamp import integrator, twin_run
-        from mhddamp.grid import WORKSPACE_GRIDS
+        from mhddamp.grid import BALL_TABLES, WORKSPACE_GRIDS
 
         engines = []
         init = integrator._StepWork.__init__
@@ -247,7 +265,9 @@ class TestStep:
         twin_run(cfg, 1e-6)
         assert len(engines) == 2
         a, b = (
-            [e.half_factor, e.full_factor] + [getattr(e.work, name) for name, _, _ in WORKSPACE_GRIDS]
+            [e.half_factor, e.full_factor, e.ball.index]
+            + [getattr(e.ball, name) for name in BALL_TABLES]
+            + [getattr(e.work, name) for name, _, _ in WORKSPACE_GRIDS]
             for e in engines
         )
         assert not any(np.shares_memory(x, y) for x in a for y in b)

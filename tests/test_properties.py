@@ -1,6 +1,7 @@
 """Property tests: Parseval and round trips in the half-spectrum layout, the
-ball-pruned transforms against scipy's full ones, the Leray projector's
-algebra, and random bytes fed to the checkpoint reader."""
+ball-pruned transforms against scipy's full ones, in both the truncated
+half-spectrum and the packed ball layout, the ball table, the Leray
+projector's algebra, and random bytes fed to the checkpoint reader."""
 
 import contextlib
 import io
@@ -24,9 +25,11 @@ from mhddamp import (
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
 from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.grid import BALL_TABLES, BallTable
 from mhddamp.operators import inner_l2
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
+DERANDOMIZED = settings(PROPERTY, derandomize=True)
 GRIDS = {n: GridSpec(n_modes=n) for n in (8, 10, 16)}
 
 seeds = st.integers(0, 2**32 - 1)
@@ -102,6 +105,67 @@ def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
     want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward") * grid.keep_mask
     assert np.array_equal(got, want)
     assert values.tobytes() == before.tobytes()
+
+
+def ball_stack(seed: int, grid: GridSpec, m: int) -> np.ndarray:
+    """Random complex (m, N, N, N/2+1) coefficients, zero outside the ball."""
+    rng = np.random.default_rng(seed)
+    shape = (m, int(np.count_nonzero(grid.keep_mask)))
+    coeffs = np.zeros((m,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[..., grid.keep_mask] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return coeffs
+
+
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, radius=radii, m=stacks)
+def test_pack_unpack_round_trip(seed, n, radius, m):
+    grid = ball_grid(n, radius)
+    ball = BallTable(grid)
+    coeffs = ball_stack(seed, grid, m)
+    packed = ball.pack(coeffs)
+    assert packed.shape == (m, int(np.count_nonzero(grid.keep_mask)))
+    assert np.array_equal(packed, coeffs[..., grid.keep_mask])
+    assert ball.unpack(packed).tobytes() == coeffs.tobytes()
+
+
+@DERANDOMIZED
+@given(n=sizes, radius=radii)
+def test_packed_tables_are_the_grid_tables_on_the_ball(n, radius):
+    grid = ball_grid(n, radius)
+    ball = BallTable(grid)
+    assert np.array_equal(ball.index, np.flatnonzero(grid.keep_mask))
+    for name in BALL_TABLES:
+        full = np.broadcast_to(getattr(grid, name), grid.spectral_shape)
+        assert getattr(ball, name).tobytes() == full[grid.keep_mask].tobytes(), name
+
+
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, radius=radii, m=stacks)
+def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
+    grid = ball_grid(n, radius)
+    values = np.random.default_rng(seed).standard_normal((m, n, n, n))
+    before = values.copy()
+    got = fft_grid(values, ball=BallTable(grid))
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., grid.keep_mask]
+    assert np.array_equal(got, want)
+    assert values.tobytes() == before.tobytes()
+
+
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, radius=radii, m=stacks)
+def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m):
+    grid = ball_grid(n, radius)
+    ball = BallTable(grid)
+    coeffs = ball_stack(seed, grid, m)
+    packed = ball.pack(coeffs)
+    before = packed.copy()
+    staging = np.zeros_like(coeffs)
+    want = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    for _ in range(2):  # the staging array is left ready for the next call
+        assert np.array_equal(ifft_grid(packed, n, ball=ball, staging=staging), want)
+        assert not np.any(staging)
+    assert np.array_equal(ifft_grid(packed, n, ball=ball), want)
+    assert packed.tobytes() == before.tobytes()
 
 
 @PROPERTY
