@@ -109,10 +109,11 @@ class DampingSpec:
         return F_CATALOG[self.f_id]  # type: ignore[index]
 
 
-def speed_sq(values: np.ndarray) -> np.ndarray:
+def speed_sq(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise sum of squares of the components of a (m, ...) stack, added
-    in component order: |u(x)|^2 for a vector field."""
-    out = np.multiply(values[0], values[0])
+    in component order: |u(x)|^2 for a vector field.  Written into ``out``
+    when given."""
+    out = np.multiply(values[0], values[0], out=out)
     tmp = np.empty_like(out)
     for v in values[1:]:
         out += np.multiply(v, v, out=tmp)

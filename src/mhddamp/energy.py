@@ -24,10 +24,9 @@ import csv
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
-from .fields import SpectralVectorField, fft_grid, ifft_grid
-from .grid import BallTable, GridSpec
+from .fields import fft_grid, ifft_grid, x_slabs
+from .grid import BallTable, GridSpec, slab_width
 from .lemmas import CheckReport, interpolation_constant
-from .operators import gradient_coeffs
 from .state import MhdState
 
 INSTANT_COLUMNS = (
@@ -69,27 +68,52 @@ def spectral_sums(w: np.ndarray, grid: GridSpec | BallTable) -> tuple[float, flo
     return tuple(sums)
 
 
-def _velocity_pointwise(u: SpectralVectorField):
-    """Collocation data needed by the damping integrands.
+def _velocity_squares(u: np.ndarray, grid: GridSpec, work=None):
+    """Collocation data needed by the damping integrands, from the
+    half-spectrum coefficients ``u`` of the velocity.
 
-    Returns (u_phys, grad_u_sq, q, grad_q_sq) where q = |u|^2 on the grid,
+    Returns (q, grad_u_sq, grad_q_sq) where q = |u|^2 on the grid,
     grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
-    taken spectrally from the dealiased product q.
+    taken spectrally from the dealiased product q.  Physical space is
+    visited one slab of x-planes at a time: only these three grids are
+    built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
+    of the grid that is between stages, lends its ball table, staging
+    array, multipliers i k and slab width.
     """
-    g = u.grid
-    n = g.n_modes
-    batch = np.empty((12,) + g.spectral_shape, dtype=np.complex128)
-    batch[0:3] = u.coeffs
-    gradient_coeffs(u.coeffs, g, batch[3:12])
-    phys = ifft_grid(batch, n, ball=g, overwrite_x=True)
-    up = phys[0:3]
-    grad_u_sq = speed_sq(phys[3:12])
-    q = speed_sq(up)
-    gq = gradient_coeffs(
-        fft_grid(q, ball=g)[None], g, np.empty((3,) + g.spectral_shape, dtype=np.complex128)
-    )
-    grad_q_sq = speed_sq(ifft_grid(gq, n, ball=g, overwrite_x=True))
-    return up, grad_u_sq, q, grad_q_sq
+    if work is None:
+        ball = BallTable(grid)
+        staging = np.zeros((6,) + grid.spectral_shape, dtype=np.complex128)
+        ik = np.multiply(1j, np.stack((ball.kx, ball.ky, ball.kz)))
+        width = slab_width(grid.n_modes)
+    else:
+        ball, staging, ik, width = work.ball, work.staging, work.ik, work.width
+    u = ball.pack(u)
+    batch = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    q, grad_u_sq, grad_q_sq = (np.empty(grid.shape) for _ in range(3))
+
+    # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
+    # gradient add up in the order i, j of d_j u_i.  Each slab's values are
+    # dropped before the next slab's are made.
+    batch[0:3] = u
+    np.multiply(ik, u[0], out=batch[3:6])
+    for x0, phys in x_slabs(batch, ball, staging, width):
+        planes = slice(x0, x0 + phys.shape[-3])
+        speed_sq(phys[0:3], out=q[planes])
+        speed_sq(phys[3:6], out=grad_u_sq[planes])
+        del phys
+    np.multiply(ik, u[1], out=batch[0:3])
+    np.multiply(ik, u[2], out=batch[3:6])
+    for x0, phys in x_slabs(batch, ball, staging, width):
+        acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
+        for d in phys:
+            acc += np.multiply(d, d, out=d)
+        del phys, d
+
+    np.multiply(ik, fft_grid(q, ball=ball), out=batch[0:3])
+    for x0, phys in x_slabs(batch[0:3], ball, staging[0:3], width):
+        speed_sq(phys, out=grad_q_sq[x0 : x0 + phys.shape[-3]])
+        del phys
+    return q, grad_u_sq, grad_q_sq
 
 
 def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
@@ -104,29 +128,37 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def ledger_row(state: MhdState, damping: DampingSpec) -> dict[str, float]:
-    """Instantaneous ledger columns for one state."""
+def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, float]:
+    """Instantaneous ledger columns for one state.  ``work`` may lend the
+    idle :class:`mhddamp.nonlinear.Workspace` of the trajectory that
+    yielded the state, whose buffers then need not be allocated again."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
     row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
         return row
 
     w = state.grid.cell_volume
-    up, grad_u_sq, q, grad_q_sq = _velocity_pointwise(state.u)
+    q, grad_u_sq, grad_q_sq = _velocity_squares(state.u.coeffs, state.grid, work)
     if damping.kind == "power":
         beta = float(damping.beta)
         row["lbeta"] = float(np.sum(_power_law(q, (beta + 1.0) / 2.0))) * w
         row["d_beta_grad"] = float(np.sum(_power_law(q, (beta - 1.0) / 2.0) * grad_u_sq)) * w
         row["d_beta_sq"] = float(np.sum(_power_law(q, (beta - 3.0) / 2.0) * grad_q_sq)) * w
     else:
+        # Products are formed in place, each in a grid whose values are no
+        # longer needed, so a row holds at most five full-size grids.
         fn = damping.function
         fq = fn.f(q)
+        fq_q = fq * q
+        row["d_f_grad"] = float(np.sum(np.multiply(fq_q, grad_u_sq, out=grad_u_sq))) * w
+        row["d_f4"] = float(np.sum(np.multiply(fq_q, q, out=fq_q))) * w
+        del fq_q, grad_u_sq
+        row["d_f_gradsq"] = float(np.sum(np.multiply(fq, grad_q_sq, out=fq))) * w
+        del fq
         fpq = fn.f_prime(q)
-        row["d_f4"] = float(np.sum(fq * q * q)) * w
-        row["d_fprime"] = float(np.sum(fpq * q * grad_q_sq)) * w
         row["d_fprime_lit"] = float(np.sum(fpq * grad_q_sq)) * w
-        row["d_f_gradsq"] = float(np.sum(fq * grad_q_sq)) * w
-        row["d_f_grad"] = float(np.sum(fq * q * grad_u_sq)) * w
+        fpq *= q
+        row["d_fprime"] = float(np.sum(np.multiply(fpq, grad_q_sq, out=fpq))) * w
     return row
 
 

@@ -12,13 +12,12 @@ Fields are real, so only the half spectrum k3 = 0..N/2 is stored (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import BallTable, GridSpec
+from .grid import BallTable, GridSpec, column_cutoff
 
 HERMITIAN_TOL = 1e-12
 
@@ -91,14 +90,56 @@ class PhysicalVectorField:
 # in the same order (x, then y, then the real z axis for the inverse; z,
 # then x, then y for the forward) and with the same scaling, so the results
 # are bitwise those of the full transforms; only the signs of zeros can
-# differ.
+# differ.  Each transform is split at its z pass: ifft_xy and irfft_z make
+# the inverse, rfft_z and fft_xy the forward.  Every z line lies in one
+# x-plane, so the z passes may run on slabs of x-planes (see x_slabs), with
+# the same results.
 
 
-def _ball_lines(ball: GridSpec | BallTable, n: int) -> tuple[int, tuple[slice, slice]]:
-    """kc and the two index ranges |k| <= kc of an axis of length n."""
+def _ball_lines(ball: GridSpec | BallTable) -> tuple[int, tuple[slice, slice]]:
+    """kc and the two index ranges |k| <= kc of an axis of the grid."""
     grid = ball.grid if isinstance(ball, BallTable) else ball
-    kc = math.ceil(grid.truncation_radius) - 1
+    n = grid.n_modes
+    kc = column_cutoff(grid.truncation_radius)
     return kc, (slice(0, kc + 1), slice(n - kc, n))
+
+
+def rfft_z(values: np.ndarray, columns: np.ndarray | None = None, x0: int = 0) -> np.ndarray:
+    """z pass of the forward transform of stacked real (..., c, N, N)
+    grids, scaled by 1/N^3 as rfftn scales.
+
+    Without ``columns`` returns the (..., c, N, N/2+1) result.  With
+    ``columns``, a (..., N, N, kc+1) array, writes its columns k3 <= kc into
+    the x-planes x0 .. x0+c-1 of columns[:len(values)] and returns that.
+    """
+    n = values.shape[-1]
+    spectra = _fft.rfft(values, axis=-1)
+    if columns is None:
+        spectra *= 1.0 / n**3
+        return spectra
+    columns = columns[: len(values)]
+    dest = columns[..., x0 : x0 + values.shape[-3], :, :]
+    np.multiply(spectra[..., : columns.shape[-1]], 1.0 / n**3, out=dest)
+    return columns
+
+
+def fft_xy(spectra: np.ndarray, ball: GridSpec | BallTable) -> np.ndarray:
+    """x and y passes of the forward transform, in place, on the columns
+    k3 <= kc of z-transformed (..., N, N, *) ``spectra`` (see
+    :func:`rfft_z`).
+
+    With a grid ``ball`` returns ``spectra`` times ``ball.keep_mask``; with
+    a :class:`BallTable` the packed (..., M) ball modes.
+    """
+    kc, rows = _ball_lines(ball)
+    slab = spectra[..., : kc + 1]  # holds every mode of the ball
+    _fft.fft(slab, axis=-3, overwrite_x=True)
+    for r in rows:
+        _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
+    if isinstance(ball, BallTable):
+        return ball.pack(spectra)
+    spectra *= ball.keep_mask  # whole-array passes beat strided ones on the slab
+    return spectra
 
 
 def fft_grid(values: np.ndarray, ball: GridSpec | BallTable | None = None) -> np.ndarray:
@@ -112,44 +153,26 @@ def fft_grid(values: np.ndarray, ball: GridSpec | BallTable | None = None) -> np
     """
     if ball is None:
         return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
-    n = values.shape[-1]
-    kc, rows = _ball_lines(ball, n)
-    out = _fft.rfft(values, axis=-1)
-    out *= 1.0 / n**3  # where rfftn applies its scaling: after the z pass
-    slab = out[..., : kc + 1]  # holds every mode of the ball
-    _fft.fft(slab, axis=-3, overwrite_x=True)
-    for r in rows:
-        _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
-    if isinstance(ball, BallTable):
-        return ball.pack(out)
-    out *= ball.keep_mask  # whole-array passes beat strided ones on the slab
-    return out
+    return fft_xy(rfft_z(values), ball)
 
 
-def ifft_grid(
+def ifft_xy(
     coeffs: np.ndarray,
-    n: int,
-    ball: GridSpec | BallTable | None = None,
-    overwrite_x: bool = False,
+    ball: GridSpec | BallTable,
     staging: np.ndarray | None = None,
+    overwrite_x: bool = False,
 ) -> np.ndarray:
-    """Half-spectrum Fourier-series coefficients -> real point values on the
-    N^3 grid.  Only the Hermitian part of the self-conjugate planes counts.
+    """x and y passes of the inverse transform; returns the array they ran
+    in, whose z pass (:func:`irfft_z`) gives the point values.
 
-    With a grid ``ball`` the coefficients must vanish outside |k| < R, and
-    ``overwrite_x`` lets the transform use ``coeffs`` as its work array,
-    whose slab k3 <= kc then holds garbage; otherwise ``coeffs`` is left
-    unchanged.
-
-    With a :class:`BallTable` ``ball``, ``coeffs`` holds packed (..., M)
-    ball modes and is left unchanged.  They are scattered into ``staging``,
-    a C-contiguous all-zero (..., N, N, N/2+1) array (a new one when None),
-    which is transformed in place and zeroed again afterwards, ready for the
-    next call.
+    With a grid ``ball`` the half-spectrum ``coeffs`` must vanish outside
+    |k| < R; the passes run in a copy, or in ``coeffs`` itself with
+    ``overwrite_x``.  With a :class:`BallTable` ``coeffs`` holds packed
+    (..., M) ball modes, scattered into ``staging``, a C-contiguous
+    (..., N, N, N/2+1) array that is zero outside the ball (a new zeroed
+    one when None), where the passes run; ``coeffs`` is left unchanged.
     """
-    if ball is None:
-        return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-    kc, rows = _ball_lines(ball, n)
+    kc, rows = _ball_lines(ball)
     if isinstance(ball, BallTable):
         work = ball.unpack(coeffs, staging)
     else:
@@ -158,10 +181,48 @@ def ifft_grid(
     for r in rows:
         _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
     _fft.ifft(slab, axis=-2, norm="forward", overwrite_x=True)
-    phys = _fft.irfft(work, n=n, axis=-1, norm="forward")
-    if isinstance(ball, BallTable):
+    return work
+
+
+def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
+    """z pass of the inverse transform: (..., N/2+1) -> (..., N) real."""
+    return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
+
+
+def ifft_grid(
+    coeffs: np.ndarray, n: int, ball: GridSpec | None = None, overwrite_x: bool = False
+) -> np.ndarray:
+    """Half-spectrum Fourier-series coefficients -> real point values on the
+    N^3 grid.  Only the Hermitian part of the self-conjugate planes counts.
+
+    With a grid ``ball`` the coefficients must vanish outside |k| < R, and
+    ``overwrite_x`` lets the transform use ``coeffs`` as its work array,
+    whose slab k3 <= kc then holds garbage; otherwise ``coeffs`` is left
+    unchanged.  Packed ball modes go through :func:`x_slabs`.
+    """
+    if ball is None:
+        return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    return irfft_z(ifft_xy(coeffs, ball, overwrite_x=overwrite_x), n)
+
+
+def x_slabs(packed: np.ndarray, ball: BallTable, staging: np.ndarray, width: int):
+    """Point values of packed (..., M) ball modes, one slab of ``width``
+    x-planes at a time: yields (x0, values) with ``values`` the new
+    (..., c, N, N) real point values of the planes x0 .. x0+c-1.
+
+    The modes are scattered into ``staging``, a C-contiguous all-zero
+    (..., N, N, N/2+1) array, transformed there along x and y, and the
+    z pass runs per slab; ``staging`` is zero again once the generator is
+    exhausted or closed.  A slab's values are not referenced by the
+    generator, so a caller that drops them frees them.
+    """
+    n = ball.grid.n_modes
+    work = ifft_xy(packed, ball, staging)
+    try:
+        for x0 in range(0, n, width):
+            yield x0, irfft_z(work[..., x0 : x0 + width, :, :], n)
+    finally:
         work.fill(0.0)  # a whole-array fill beats a strided one on the slab
-    return phys
 
 
 def forward_transform(p: PhysicalVectorField) -> SpectralVectorField:

@@ -28,51 +28,121 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout):
-# a "spectral" grid is (N, N, N/2+1) complex, a "physical" grid (N, N, N)
-# real, a "packed" array (M,) complex and a "table" (M,) real or int64,
-# with M the number of modes in the ball |k| < R.
-# :class:`mhddamp.nonlinear.Workspace` allocates exactly these.
+# a "spectral" grid is (N, N, N/2+1) complex, a "columns" grid its columns
+# k3 <= kc (N, N, kc+1), with kc = ceil(R) - 1 the largest wavenumber
+# component in the ball, a "physical" grid (N, N, N) real, a "packed" array
+# (M,) complex and a "table" (M,) real or int64, with M the number of modes
+# in the ball |k| < R.  A "slab" is c x-planes (c, N, N) of a physical grid
+# and a "spectral_slab" c x-planes (c, N, N/2+1) of a spectral one, with c
+# = :func:`slab_width`.  :class:`mhddamp.nonlinear.Workspace` allocates
+# exactly the WORKSPACE_GRIDS.
 WORKSPACE_GRIDS = (
     ("staging", 6, "spectral"),    # zero but while an inverse transform runs in it
-    ("products", 11, "physical"),  # T (5 entries), u x b and the damping
+    ("columns", 11, "columns"),    # the forward z pass; absent with one slab
+    ("products", 11, "slab"),      # T (5 entries), u x b and the damping
     ("stage", 6, "packed"),        # the stage state w = (u, b)
     ("scratch", 2, "packed"),
     ("ik", 3, "packed"),           # the multipliers i k_j
 )
-# The ball table of the workspace (:class:`BallTable`): ``index`` and these.
+# The ball table of the workspace (:class:`BallTable`): ``index``,
+# ``column_index`` and these.
 BALL_TABLES = ("kx", "ky", "kz", "k_sq", "inv_k_sq", "parseval_weight")
 # Held beside the workspace while a stage runs: the integrating factors E
 # and E^2, the packed state and next state, which holds the running RK4 sum
 # until the step ends, the last sampled state, unpacked to the half
-# spectrum, scipy's outputs of the inverse (6 grids) and forward (11)
-# transforms, and the tendency, the latter gathered to the ball.
+# spectrum, and, per slab, scipy's outputs of the inverse (6 grids) and
+# forward (11) z passes and the damping law's temporaries, then the
+# tendency, gathered to the ball.
 STEP_TRANSIENT_GRIDS = (
     ("factors", 2, "table"),
     ("state", 6, "packed"),
     ("next_state", 6, "packed"),
     ("sample", 6, "spectral"),
-    ("inverse_output", 6, "physical"),
-    ("forward_output", 11, "spectral"),
+    ("inverse_output", 6, "slab"),
+    ("damping", 3, "slab"),
+    ("forward_output", 11, "spectral_slab"),
     ("tendency", 11, "packed"),
 )
+# Held beside the workspace while :func:`mhddamp.energy.ledger_row` runs on
+# a sample, borrowing the workspace's staging array: the integrating
+# factors, the packed state, the sample, the row's packed velocity and
+# gradient batch, its full-size q = |u|^2, |grad u|^2 and |grad q|^2, and
+# per slab scipy's inverse output and a temporary, or the forward transform
+# of q.
+LEDGER_GRIDS = (
+    ("factors", 2, "table"),
+    ("state", 6, "packed"),
+    ("sample", 6, "spectral"),
+    ("gradients", 9, "packed"),
+    ("pointwise", 3, "physical"),
+    ("inverse_output", 7, "slab"),
+    ("q_spectrum", 1, "spectral"),
+)
+# The slab pass holds its "slab" and "spectral_slab" arrays for c x-planes
+# at a time; c is the largest width, in equal slabs, whose arrays fit this
+# many bytes.  Fixed, so a run computes the same sums on every host.
+SLAB_BYTES = 8 * 2**20
 
 
-def working_set_bytes(n: int, m: int) -> int:
-    """Bytes one trajectory holds while it steps at N = ``n`` with ``m``
-    modes in the ball: its workspace, its ball table and the arrays of
-    ``STEP_TRANSIENT_GRIDS``."""
-    size = {
+def column_cutoff(radius: float) -> int:
+    """kc = ceil(R) - 1: no wavenumber component of a mode in the ball
+    |k| < R exceeds it in magnitude."""
+    return math.ceil(radius) - 1
+
+
+def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
+    kc = column_cutoff(radius)
+    return {
         "spectral": n * n * (n // 2 + 1) * 16,
+        "columns": n * n * (kc + 1) * 16 if width < n else 0,
         "physical": n**3 * 8,
+        "slab": width * n * n * 8,
+        "spectral_slab": width * n * (n // 2 + 1) * 16,
         "packed": m * 16,
         "table": m * 8,
     }
-    grids = WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS + (("ball", 1 + len(BALL_TABLES), "table"),)
-    return sum(count * size[layout] for _, count, layout in grids)
 
 
-def _check_memory(n: int, m: int) -> None:
-    need = working_set_bytes(n, m)
+def _slab_plane_bytes(n: int) -> int:
+    """Bytes of the slab arrays of :data:`WORKSPACE_GRIDS` and
+    :data:`STEP_TRANSIENT_GRIDS` per x-plane at N = ``n``."""
+    plane = _layout_bytes(n, 0, 1.0, 1)
+    return sum(
+        count * plane[layout]
+        for _, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS
+        if layout in ("slab", "spectral_slab")
+    )
+
+
+def slab_width(n: int) -> int:
+    """x-planes per slab of the physical-space pass at N = ``n``: n when
+    the slab arrays of all n planes fit :data:`SLAB_BYTES`, else the width
+    of the fewest equal slabs whose arrays do (the last slab may be
+    narrower)."""
+    fit = max(1, min(n, SLAB_BYTES // _slab_plane_bytes(n)))
+    slabs = -(-n // fit)
+    return -(-n // slabs)
+
+
+def working_set_bytes(n: int, m: int, radius: float | None = None) -> int:
+    """Bytes one trajectory holds at N = ``n`` with ``m`` modes in the ball
+    of radius ``radius`` (default N/3): its workspace, its ball table and
+    the grid's tables, and the larger of :data:`STEP_TRANSIENT_GRIDS` and
+    :data:`LEDGER_GRIDS`."""
+    size = _layout_bytes(n, m, n / 3.0 if radius is None else radius, slab_width(n))
+
+    def total(grids):
+        return sum(count * size[layout] for _, count, layout in grids)
+
+    tables = (
+        ("ball", 2 + len(BALL_TABLES), "table"),
+        ("grid_tables", 1, "spectral"),  # the grid's real k_sq and inv_k_sq
+    )
+    return total(WORKSPACE_GRIDS + tables) + max(total(STEP_TRANSIENT_GRIDS), total(LEDGER_GRIDS))
+
+
+def _check_memory(n: int, m: int, radius: float) -> None:
+    need = working_set_bytes(n, m, radius)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
@@ -131,7 +201,7 @@ class GridSpec:
         if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
             raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
         object.__setattr__(self, "truncation_radius", float(radius))
-        _check_memory(n, 0)  # the grids alone, before any array is built
+        _check_memory(n, 0, radius)  # the grids alone, before any array is built
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # Along k3 only the half spectrum 0..N/2 is stored.
@@ -159,7 +229,7 @@ class GridSpec:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        _check_memory(n, int(np.count_nonzero(keep)))
+        _check_memory(n, int(np.count_nonzero(keep)), radius)
 
     # Derived scalars -----------------------------------------------------
 
@@ -202,26 +272,30 @@ class BallTable:
     """The modes of a grid's ball |k| < R, packed.
 
     ``index`` holds their flat positions in the (N, N, N/2+1) half spectrum,
-    in C order (``np.flatnonzero(grid.keep_mask)``), and the attributes
-    named in :data:`BALL_TABLES` hold the grid's tables of the same names at
-    those modes, each of shape (M,).  Functions written against a grid's
-    tables (``leray_project_coeffs``, ``viscous_symbol``,
-    ``energy.spectral_sums``) therefore also run on packed (..., M) arrays
-    when given a table in place of the grid.
+    in C order (``np.flatnonzero(grid.keep_mask)``), ``column_index`` their
+    positions, in the same order, in its columns k3 <= kc, (N, N, kc+1),
+    and the attributes named in :data:`BALL_TABLES` hold the grid's tables
+    of the same names at those modes, each of shape (M,).  Functions
+    written against a grid's tables (``leray_project_coeffs``,
+    ``viscous_symbol``, ``energy.spectral_sums``) therefore also run on
+    packed (..., M) arrays when given a table in place of the grid.
     """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
         self.volume = grid.volume
+        self.kc = column_cutoff(grid.truncation_radius)
         self.index = np.flatnonzero(grid.keep_mask)
+        self.column_index = np.flatnonzero(grid.keep_mask[..., : self.kc + 1])
         for name in BALL_TABLES:
             value = np.broadcast_to(getattr(grid, name), grid.spectral_shape)[grid.keep_mask]
             setattr(self, name, value)
 
     def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """The ball modes of (..., N, N, N/2+1) coefficients, as a new
-        (..., M) array."""
-        return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), self.index, axis=-1)
+        """The ball modes of (..., N, N, N/2+1) coefficients or of their
+        (..., N, N, kc+1) columns, as a new C-contiguous (..., M) array."""
+        index = self.column_index if coeffs.shape[-1] == self.kc + 1 else self.index
+        return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), index, axis=-1)
 
     def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Packed (..., M) ball modes written into ``out``, a C-contiguous

@@ -370,7 +370,7 @@ def _step_count(t0: float, config: SolverConfig) -> int:
     return n_steps
 
 
-def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
+def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, work=None):
     """Step ``state`` to config.t_end, yielding the sampled states.
 
     Yields (t, w, integrals) at the state time, every ledger_stride
@@ -382,10 +382,13 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True):
     packed ball, so yielded arrays are never modified later.  Only the modes
     of ``state`` in the ball |k| < R are stepped; the others must be zero.
     Raises BlowUpError at the first step that leaves the finite fields.
+    ``work`` is the trajectory's :class:`_StepWork`, a new one when None;
+    its workspace is idle while a yield waits.
     """
     t0 = state.t
     n_steps = _step_count(t0, config)
-    work = _StepWork(config)
+    if work is None:
+        work = _StepWork(config)
     w = work.ball.pack(state.coeffs)
     acc = [0.0, 0.0, 0.0]
     yield t0, state.coeffs, (0.0, 0.0, 0.0)
@@ -444,12 +447,15 @@ def run(config: SolverConfig):
 
     # Only the latest sample is held here, so the initial state is freed
     # after the first step instead of living beside every later sample.
-    steps = trajectory(state, config)
+    # The ledger rows borrow the stepper's workspace, idle at each sample.
+    stepper = _StepWork(config)
+    steps = trajectory(state, config, work=stepper)
     del state
     try:
         for t, w, acc in steps:
             snapshot = MhdState(w, config.grid, t)
-            ledger.append(t, ledger_row(snapshot, damping), exact_integrals(acc))
+            row = ledger_row(snapshot, damping, stepper.work)
+            ledger.append(t, row, exact_integrals(acc))
     except BlowUpError as exc:
         exc.ledger = ledger
         raise
@@ -478,7 +484,7 @@ def save_checkpoint(path, state: MhdState) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").data)  # no copy
 
 
 def load_checkpoint(path) -> MhdState:

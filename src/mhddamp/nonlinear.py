@@ -40,9 +40,12 @@ from .fields import (
     NonFiniteFieldError,
     SpectralVectorField,
     fft_grid,
+    fft_xy,
     ifft_grid,
+    rfft_z,
+    x_slabs,
 )
-from .grid import WORKSPACE_GRIDS, BallTable, GridSpec
+from .grid import WORKSPACE_GRIDS, BallTable, GridSpec, slab_width
 from .operators import gradient_coeffs, leray_project_coeffs, viscous_symbol
 from .state import MhdState
 
@@ -68,22 +71,28 @@ def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVector
 
 class Workspace:
     """The buffers of one trajectory, allocated once from
-    :data:`mhddamp.grid.WORKSPACE_GRIDS`, and its :class:`BallTable`
-    ``ball``.  ``staging`` (zero between transforms) and ``products`` have
-    the full layouts the transforms need; ``stage``, ``scratch`` and the
-    multipliers ``ik`` = i (k1, k2, k3) are packed to the ball.  Each
-    trajectory makes its own; none is shared."""
+    :data:`mhddamp.grid.WORKSPACE_GRIDS`, its :class:`BallTable` ``ball``
+    and the slab width ``width`` of its physical-space pass.  ``staging``
+    (zero between transforms) has the full layout the inverse transform
+    needs, ``columns`` (None with a single slab) the columns k3 <= kc the
+    forward transform keeps, ``products`` the layout of one slab;
+    ``stage``, ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are
+    packed to the ball.  Each trajectory makes its own; none is shared."""
 
     def __init__(self, grid: GridSpec):
+        n = grid.n_modes
         self.ball = BallTable(grid)
+        self.width = slab_width(n)
         layouts = {
             "spectral": (grid.spectral_shape, np.complex128),
-            "physical": (grid.shape, np.float64),
+            "columns": ((n, n, self.ball.kc + 1), np.complex128),
+            "slab": ((self.width, n, n), np.float64),
             "packed": (self.ball.index.shape, np.complex128),
         }
         for name, count, layout in WORKSPACE_GRIDS:
             shape, dtype = layouts[layout]
-            setattr(self, name, np.zeros((count,) + shape, dtype=dtype))
+            one_slab = layout == "columns" and self.width == n  # scipy's output serves
+            setattr(self, name, None if one_slab else np.zeros((count,) + shape, dtype=dtype))
         for ik, k in zip(self.ik, (self.ball.kx, self.ball.ky, self.ball.kz)):
             np.multiply(1j, k, out=ik)
 
@@ -161,10 +170,14 @@ def _rhs_core(
     the damping, without the viscous term, which the integrator treats
     exactly through its integrating factor.
 
-    With a :class:`Workspace` nothing of state size is allocated but the
-    transform outputs: ``w`` is scattered into work.staging and transformed
-    there, and the tendency is returned, packed, in the first six rows of
-    the forward transform's packed output.
+    Physical space is visited one slab of ``work.width`` x-planes at a
+    time: ``w`` is scattered into work.staging, transformed there along x
+    and y, and each slab's z pass, products, damping and dissipation
+    quadrature run on the slab alone; its forward z pass fills the slab's
+    planes of work.columns (with one slab, scipy's output takes its place).
+    With a :class:`Workspace` nothing of state size is allocated but that
+    output and the packed tendency, returned in the first six rows of the
+    forward transform's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
@@ -173,23 +186,26 @@ def _rhs_core(
     """
     if work is None:
         work = Workspace(grid)
-    phys = ifft_grid(w, grid.n_modes, ball=work.ball, staging=work.staging)
-    prod = work.products[: 8 if damping.kind == "none" else 11]
-    _products(phys, prod)
-
+    count = 8 if damping.kind == "none" else 11
     damp_diss = 0.0
-    if damping.kind != "none":
-        up, dmp = phys[0:3], prod[8:11]
-        damping_term(up, damping, out=dmp)
-        if want_dissipation:
-            # <damping(u), u> / alpha by collocation quadrature; einsum sums
-            # without a temporary and, unlike np.dot, without BLAS threads
-            damp_diss = float(np.einsum("i,i->", dmp.ravel(), up.ravel()))
-            damp_diss *= grid.cell_volume / damping.alpha
-        del up
-    del phys  # freed before the forward transform allocates its output
+    for x0, phys in x_slabs(w, work.ball, work.staging, work.width):
+        prod = work.products[:count, : phys.shape[-3]]
+        _products(phys, prod)
+        if damping.kind != "none":
+            up, dmp = phys[0:3], prod[8:11]
+            damping_term(up, damping, out=dmp)
+            if want_dissipation:
+                # <damping(u), u> by collocation quadrature, summed over the
+                # slabs; einsum sums without a temporary and, unlike np.dot,
+                # without BLAS threads
+                damp_diss += float(np.einsum("i,i->", dmp.ravel(), up.ravel()))
+            del up
+        del phys  # freed before the forward z pass allocates its output
+        spectra = rfft_z(prod, work.columns, x0)
+    if damp_diss:
+        damp_diss *= grid.cell_volume / damping.alpha
 
-    dw = _tendency(fft_grid(prod, ball=work.ball), work.ik, work.scratch)
+    dw = _tendency(fft_xy(spectra, work.ball), work.ik, work.scratch)
     leray_project_coeffs(dw[0:3], work.ball)
     return dw, damp_diss
 

@@ -1,11 +1,16 @@
 """Shared builders and brute-force oracles for the test suite."""
 
+import contextlib
 import struct
+from unittest import mock
 
 import numpy as np
 
-from mhddamp import SpectralVectorField, friedrichs_truncate, leray_project
-from mhddamp.operators import sobolev_norm
+from mhddamp import SpectralVectorField, energy, friedrichs_truncate, leray_project
+from mhddamp import grid as grid_module
+from mhddamp.damping import speed_sq
+from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.operators import gradient_coeffs, sobolev_norm
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
@@ -103,6 +108,41 @@ def convolution_oracle_vgradw(v: SpectralVectorField, w: SpectralVectorField) ->
             coeff = 1j * (vp[0] * q[0] + vp[1] * q[1] + vp[2] * q[2])
             out[:, k[0], k[1], k[2]] += coeff * wq
     return half_spectrum(out)
+
+
+@contextlib.contextmanager
+def slab_planes(n: int, planes: int):
+    """Within the block the physical-space pass at N = ``n`` runs in slabs
+    of at most ``planes`` x-planes (``grid.slab_width``)."""
+    budget = planes * grid_module._slab_plane_bytes(n)
+    with mock.patch.object(grid_module, "SLAB_BYTES", budget):
+        assert grid_module.slab_width(n) <= planes
+        yield
+
+
+def velocity_squares_oracle(u: np.ndarray, grid, work=None):
+    """(q, |grad u|^2, |grad q|^2) on the grid, as ``energy._velocity_squares``
+    returns them, from one 12-grid batch (u and its nine derivatives)
+    transformed at full size in a single call."""
+    n = grid.n_modes
+    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    batch[0:3] = u
+    gradient_coeffs(u, grid, batch[3:12])
+    phys = ifft_grid(batch, n, ball=grid, overwrite_x=True)
+    grad_u_sq = speed_sq(phys[3:12])
+    q = speed_sq(phys[0:3])
+    gq = gradient_coeffs(
+        fft_grid(q, ball=grid)[None], grid, np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
+    )
+    grad_q_sq = speed_sq(ifft_grid(gq, n, ball=grid, overwrite_x=True))
+    return q, grad_u_sq, grad_q_sq
+
+
+def ledger_row_oracle(state, damping) -> dict:
+    """``ledger_row`` with its pointwise data taken from
+    :func:`velocity_squares_oracle`."""
+    with mock.patch.object(energy, "_velocity_squares", velocity_squares_oracle):
+        return energy.ledger_row(state, damping)
 
 
 def embed_coeffs(c_small: np.ndarray, grid_small, grid_big) -> np.ndarray:

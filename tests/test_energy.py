@@ -21,7 +21,14 @@ from mhddamp import (
 from mhddamp.energy import ALL_COLUMNS, EnergyLedger
 from mhddamp.fields import ifft_grid
 
-from _helpers import embed_coeffs, full_spectrum, half_spectrum, random_divfree
+from _helpers import (
+    embed_coeffs,
+    full_spectrum,
+    half_spectrum,
+    ledger_row_oracle,
+    random_divfree,
+    slab_planes,
+)
 
 E5_MINUS_E = 145.69487727411754  # exp(5) - e
 FOUR_PI_CUBED = 4.0 * np.pi**3    # integral of sin^2 over the box
@@ -91,6 +98,43 @@ class TestLedgerRow:
         row = ledger_row(state, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))
         for name in ("d_f4", "d_fprime", "d_fprime_lit", "d_f_gradsq", "d_f_grad"):
             assert row[name] > 0.0
+
+
+ORACLE_DAMPINGS = {
+    "none": DampingSpec(),
+    "power3": DampingSpec(kind="power", alpha=1.0, beta=3.0),
+    "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
+    "log1": DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+    "log2": DampingSpec(kind="generalized", alpha=1.0, f_id="log2"),
+}
+
+
+def assert_rows_match(row, want, rtol=1e-13):
+    assert row.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(row[name] - value) <= rtol * abs(value), name
+
+
+class TestLedgerOracle:
+    """ledger_row, whose physical-space passes run in slabs of x-planes,
+    against one 12-grid batch transformed at full size."""
+
+    @pytest.mark.parametrize("damping", sorted(ORACLE_DAMPINGS))
+    @pytest.mark.parametrize("n", (16, 32))
+    def test_columns_match_full_batch(self, n, damping, request):
+        grid = request.getfixturevalue(f"grid{n}")
+        state = make_initial("random_divfree", grid, seed=n, target_h1=10.0)
+        spec = ORACLE_DAMPINGS[damping]
+        assert_rows_match(ledger_row(state, spec), ledger_row_oracle(state, spec))
+
+    @pytest.mark.parametrize("planes", (1, 3, 5))
+    @pytest.mark.parametrize("damping", ("power5", "log1"))
+    def test_columns_match_in_narrow_slabs(self, grid16, damping, planes):
+        state = make_initial("random_divfree", grid16, seed=2, target_h1=10.0)
+        spec = ORACLE_DAMPINGS[damping]
+        with slab_planes(16, planes):
+            row = ledger_row(state, spec)
+        assert_rows_match(row, ledger_row_oracle(state, spec))
 
 
 class TestLedgerContainer:

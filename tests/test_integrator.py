@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from mhddamp.fields import hermitian_defect
 from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config, trajectory
 from mhddamp.operators import h1_norm_pair
 
-from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint, write_v1_checkpoint
+from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint, slab_planes, write_v1_checkpoint
 
 
 def stepped_states(state, cfg):
@@ -287,6 +288,22 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("planes", (1, 5))
+    def test_slabs_step_the_one_slab_states(self, grid16, planes):
+        cfg = SolverConfig(
+            grid=grid16, dt=2e-3, t_end=10 * 2e-3, ledger_stride=5,
+            initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+            damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+        )
+        want, want_ledger = run(cfg)
+        with slab_planes(16, planes):
+            got, ledger = run(cfg)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        for name, column in want_ledger.columns.items():
+            # the stage-weighted damping integral sums per-slab partial sums
+            rtol = 1e-15 if name == "int_d_f4" else 0.0
+            assert np.allclose(ledger.column(name), column, rtol=rtol, atol=0.0), name
+
     def test_t_end_zero_single_row(self, grid16):
         cfg = SolverConfig(
             grid=grid16, dt=1e-2, t_end=0.0,
@@ -376,6 +393,15 @@ class TestRun:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_file_is_header_then_coefficients(self, grid16, tmp_path, order):
+        state = make_initial("random_divfree", grid16, seed=6, target_h1=1.0)
+        state = MhdState(np.asarray(state.coeffs, order=order), grid16, 0.5)
+        path = tmp_path / "state.mhdf"
+        save_checkpoint(path, state)
+        header = struct.pack("<4sIqdd", b"MHDF", 2, 16, grid16.truncation_radius, 0.5)
+        assert path.read_bytes() == header + state.coeffs.astype("<c16").tobytes()
+
     def test_bit_exact_round_trip(self, grid16, tmp_path):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
         state.t = 0.625

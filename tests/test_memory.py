@@ -1,0 +1,62 @@
+"""Traced memory: a trajectory's peak against grid.working_set_bytes, and a
+ledger row against a right-hand side."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mhddamp import DampingSpec, GridSpec, InitialCondition, SolverConfig, make_initial, run
+from mhddamp.energy import ledger_row
+from mhddamp.grid import BallTable, working_set_bytes
+from mhddamp.nonlinear import _rhs_core
+
+DAMPINGS = {
+    "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
+    "log1": DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+}
+GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32)}
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated by ``fn(*args)`` at its peak, beyond what was held
+    when it was called."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("damping", sorted(DAMPINGS))
+@pytest.mark.parametrize("n", sorted(GRIDS))
+def test_run_peak_within_working_set(n, damping):
+    grid = GRIDS[n]
+    cfg = SolverConfig(
+        grid=grid, dt=1e-3, t_end=2e-3, ledger_stride=1, seed=5,
+        initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+        damping=DAMPINGS[damping],
+    )
+    m = int(np.count_nonzero(grid.keep_mask))
+    state_bytes = 6 * n * n * (n // 2 + 1) * 16
+    assert traced_peak(run, cfg) <= working_set_bytes(n, m) + state_bytes
+
+
+@pytest.mark.parametrize("damping", sorted(DAMPINGS))
+def test_ledger_row_peak_below_rhs_with_workspace(damping):
+    # In a run the stepper's workspace is held throughout, so a row that
+    # allocates less than a right-hand side and its workspace does not set
+    # the process's peak.
+    grid = GRIDS[32]
+    state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
+    packed = BallTable(grid).pack(state.coeffs)
+    spec = DAMPINGS[damping]
+    row = traced_peak(ledger_row, state, spec)
+    rhs = traced_peak(_rhs_core, packed, grid, spec, True)  # builds its Workspace
+    assert row <= rhs

@@ -18,6 +18,8 @@ from mhddamp import (
 )
 from mhddamp.damping import damping_term
 from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.grid import BallTable
+from mhddamp.nonlinear import Workspace, _rhs_core
 from mhddamp.operators import (
     inner_l2,
     leray_project_coeffs,
@@ -26,7 +28,7 @@ from mhddamp.operators import (
     viscous_symbol,
 )
 
-from _helpers import convolution_oracle_vgradw, random_divfree
+from _helpers import convolution_oracle_vgradw, random_divfree, slab_planes
 
 LOG_E_PLUS_1 = 1.3132616875182228  # log(e + 1)
 
@@ -213,6 +215,29 @@ class TestRhs:
         flux_f = float(np.sum(damping_term(up, spec_f) * up)) * grid16.cell_volume
         norm_f = spec_f.alpha * ledger_row(state, spec_f)["d_f4"]
         assert flux_f == pytest.approx(norm_f, rel=1e-10)
+
+    @pytest.mark.parametrize("planes", (1, 3, 5))
+    @pytest.mark.parametrize(
+        "damping",
+        [DampingSpec(), DampingSpec(kind="power", alpha=1.0, beta=5.0),
+         DampingSpec(kind="generalized", alpha=1.0, f_id="log1")],
+        ids=["none", "power5", "log1"],
+    )
+    def test_slabs_give_the_one_slab_tendency(self, grid16, damping, planes):
+        # every z line lies in one x-plane, so only the dissipation's
+        # per-slab partial sums can round differently
+        w = BallTable(grid16).pack(make_initial("random_divfree", grid16, seed=9, target_h1=10.0).coeffs)
+        before = w.copy()
+        want, want_diss = _rhs_core(w, grid16, damping, True)
+        with slab_planes(16, planes):
+            work = Workspace(grid16)
+            assert work.width <= planes and work.columns is not None
+            for _ in range(2):  # the workspace is left ready for the next call
+                got, diss = _rhs_core(w, grid16, damping, True, work)
+                assert np.array_equal(got, want)
+                assert abs(diss - want_diss) <= 1e-14 * abs(want_diss)
+                assert not np.any(work.staging)
+        assert np.array_equal(w, before)
 
     def test_rejects_non_finite_state(self, grid8):
         u = SpectralVectorField.zeros(grid8)

@@ -1,7 +1,8 @@
 """Property tests: Parseval and round trips in the half-spectrum layout, the
 ball-pruned transforms against scipy's full ones, in both the truncated
 half-spectrum and the packed ball layout, the ball table, the Leray
-projector's algebra, and random bytes fed to the checkpoint reader."""
+projector's algebra, ledger rows against a full-size oracle, and random
+bytes fed to the checkpoint reader."""
 
 import contextlib
 import io
@@ -15,18 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhddamp import (
+    DampingSpec,
     GridSpec,
     InitialCondition,
     SolverConfig,
+    MhdState,
     SpectralVectorField,
+    ledger_row,
     leray_project,
     load_checkpoint,
     sobolev_norm,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.fields import fft_grid, fft_xy, ifft_grid, rfft_z, x_slabs
 from mhddamp.grid import BALL_TABLES, BallTable
 from mhddamp.operators import inner_l2
+
+from _helpers import ledger_row_oracle, random_divfree, slab_planes
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 DERANDOMIZED = settings(PROPERTY, derandomize=True)
@@ -152,8 +158,8 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
 
 
 @DERANDOMIZED
-@given(seed=seeds, n=sizes, radius=radii, m=stacks)
-def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m):
+@given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
+def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width):
     grid = ball_grid(n, radius)
     ball = BallTable(grid)
     coeffs = ball_stack(seed, grid, m)
@@ -161,11 +167,53 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m):
     before = packed.copy()
     staging = np.zeros_like(coeffs)
     want = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-    for _ in range(2):  # the staging array is left ready for the next call
-        assert np.array_equal(ifft_grid(packed, n, ball=ball, staging=staging), want)
+    for _ in range(2):  # the staging array is left ready for the next pass
+        got = np.empty_like(want)
+        for x0, values in x_slabs(packed, ball, staging, width):
+            assert values.shape[-3] == min(width, n - x0)
+            got[..., x0 : x0 + values.shape[-3], :, :] = values
+        assert np.array_equal(got, want)
         assert not np.any(staging)
-    assert np.array_equal(ifft_grid(packed, n, ball=ball), want)
     assert packed.tobytes() == before.tobytes()
+
+
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
+def test_slab_forward_columns_equal_rfftn_on_the_ball(seed, n, radius, m, width):
+    grid = ball_grid(n, radius)
+    ball = BallTable(grid)
+    values = np.random.default_rng(seed).standard_normal((m, n, n, n))
+    before = values.copy()
+    columns = np.full((m, n, n, ball.kc + 1), np.nan, dtype=np.complex128)
+    for x0 in range(0, n, width):
+        out = rfft_z(values[..., x0 : x0 + width, :, :], columns, x0)
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., grid.keep_mask]
+    assert np.array_equal(fft_xy(out, ball), want)
+    assert values.tobytes() == before.tobytes()
+
+
+DAMPINGS = [
+    DampingSpec(),
+    DampingSpec(kind="power", alpha=1.0, beta=3.0),
+    DampingSpec(kind="power", alpha=1.0, beta=5.0),
+    DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+    DampingSpec(kind="generalized", alpha=1.0, f_id="log2"),
+]
+
+
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, damping=st.sampled_from(DAMPINGS), planes=st.integers(1, 16),
+       h1=st.floats(1e-3, 30.0))
+def test_ledger_row_matches_full_batch_oracle(seed, n, damping, planes, h1):
+    grid = GRIDS[n]
+    u = random_divfree(grid, seed, h1_norm=h1)
+    b = random_divfree(grid, seed + 1, h1_norm=h1)
+    state = MhdState.from_fields(u, b)
+    want = ledger_row_oracle(state, damping)
+    with slab_planes(n, planes):
+        row = ledger_row(state, damping)
+    for name, value in want.items():
+        assert abs(row[name] - value) <= 1e-13 * abs(value), name
 
 
 @PROPERTY
