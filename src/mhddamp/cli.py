@@ -23,7 +23,7 @@ import scipy.fft
 from . import __version__
 from .damping import DampingSpec, F_CATALOG
 from .energy import check_H1_inequalities, check_L2_inequality
-from .grid import GridSpec, _is_int, _is_number
+from .grid import GridSpec, _is_int, _is_number, check_memory
 from .integrator import (
     BlowUpError,
     InitialCondition,
@@ -52,6 +52,9 @@ DEFAULT_MATRIX = {
     "pairs": 100_000,
     "seed": 0,
 }
+# Peak bytes per x point of check_interpolation_bound and per pair of
+# monotonicity_suite: 3 and 16 float64 arrays of that length (tracemalloc).
+MATRIX_BYTES = {"x_points": 3 * 8, "pairs": 16 * 8}
 
 
 class ConfigError(ValueError):
@@ -176,8 +179,8 @@ def _write_checks(path, reports: list[CheckReport]) -> None:
 def _final_state_summary(state) -> dict:
     return {
         "t": state.t,
-        "u_l2": sobolev_norm(state.u, 0.0),
-        "b_l2": sobolev_norm(state.b, 0.0),
+        "u_l2": sobolev_norm(state.u, state.grid, 0.0),
+        "b_l2": sobolev_norm(state.b, state.grid, 0.0),
         "max_divergence": state.max_divergence(),
     }
 
@@ -290,7 +293,8 @@ def _load_lemma_matrix(path) -> dict:
 
     Every entry is checked: nonempty lists of finite numbers in alphas and
     betas and of catalog names in f_ids, a finite x_max, integer x_points
-    and pairs >= 1 and an integer seed >= 0.  ConfigError otherwise.
+    and pairs >= 1 and an integer seed >= 0, and x_points and pairs whose
+    arrays fit the physical memory.  ConfigError otherwise.
     """
     try:
         with open(path) as fh:
@@ -317,6 +321,11 @@ def _load_lemma_matrix(path) -> dict:
     for key, minimum in (("x_points", 1), ("pairs", 1), ("seed", 0)):
         if not (_is_int(matrix[key]) and matrix[key] >= minimum):
             raise ConfigError(f"{path}: {key} must be an integer >= {minimum}, got {matrix[key]!r}")
+    for key, size in MATRIX_BYTES.items():
+        try:
+            check_memory(size * matrix[key], f"{key} = {matrix[key]}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return matrix
 
 
@@ -452,12 +461,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fft_workers(args) -> int:
-    """FFT worker cap of one command: --threads, else MHDDAMP_THREADS, else 1."""
+    """FFT worker cap of one command: --threads, else MHDDAMP_THREADS, else
+    1; at most the CPUs this process may run on."""
     if not hasattr(args, "threads"):
         return 1
     workers = args.threads or int(os.environ.get("MHDDAMP_THREADS", "0") or 0) or 1
-    if workers < 1:
-        raise ConfigError(f"FFT worker count must be >= 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0))
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"FFT worker count must lie in [1, {cpus}], the CPUs available, "
+                          f"got {workers}")
     return workers
 
 

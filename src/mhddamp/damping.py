@@ -128,17 +128,6 @@ def damping_amplitude(q: np.ndarray, spec: DampingSpec) -> np.ndarray:
     return spec.function.f(q) * q
 
 
-def damping_power(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Pointwise alpha |u|^(beta-1) u on collocation values."""
-    return damping_term(values, DampingSpec("power", alpha, beta))
-
-
-def damping_generalized(values: np.ndarray, alpha: float, fn: DampingFunction | str) -> np.ndarray:
-    """Pointwise alpha f(|u|^2) |u|^2 u on collocation values."""
-    f_id = fn if isinstance(fn, str) else fn.f_id
-    return damping_term(values, DampingSpec("generalized", alpha, f_id=f_id))
-
-
 def damping_term(values: np.ndarray, spec: DampingSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise D(u) of the spec on collocation values; zero for kind 'none'.
     Written into ``out`` when given."""

@@ -1,5 +1,6 @@
 """
-Vector fields on the periodic box, in collocation and coefficient form.
+Transforms between point values on the N^3 collocation grid and
+half-spectrum coefficients: plain arrays, with the grid passed beside them.
 
 Transform normalization: coefficients are Fourier-series coefficients, i.e.
 f(x) = sum_k c(k) exp(i k.x), so the k = 0 coefficient of a constant field c
@@ -12,8 +13,6 @@ Fields are real, so only the half spectrum k3 = 0..N/2 is stored (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as _fft
 
@@ -22,68 +21,13 @@ from .grid import BallTable, GridSpec, column_cutoff
 HERMITIAN_TOL = 1e-12
 
 
-class NonFiniteFieldError(ValueError):
-    """Raised when a field contains NaN or Inf values."""
-
-
-class HermitianSymmetryError(ValueError):
-    """Raised when a self-conjugate plane of the coefficients fed to the
-    inverse transform is not (to tolerance) that of a real field."""
-
-
-@dataclass
-class SpectralVectorField:
-    """Three complex half-spectrum coefficient arrays indexed by integer
-    wavenumber.
-
-    ``coeffs`` has shape (3, N, N, N/2+1); axis 0 is the vector component.
-    The modes with k3 < 0 are the complex conjugates of stored ones.
-    """
-
-    coeffs: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self) -> None:
-        expected = (3,) + self.grid.spectral_shape
-        if self.coeffs.shape != expected:
-            raise ValueError(f"coefficient shape {self.coeffs.shape} != {expected}")
-        if self.coeffs.dtype != np.complex128:
-            self.coeffs = self.coeffs.astype(np.complex128)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "SpectralVectorField":
-        return cls(np.zeros((3,) + grid.spectral_shape, dtype=np.complex128), grid)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
-
-
-@dataclass
-class PhysicalVectorField:
-    """Three real arrays of point values on the N^3 collocation grid."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self) -> None:
-        expected = (3,) + self.grid.shape
-        if self.values.shape != expected:
-            raise ValueError(f"value shape {self.values.shape} != {expected}")
-        if self.values.dtype != np.float64:
-            self.values = self.values.astype(np.float64)
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "PhysicalVectorField":
-        return cls(np.zeros((3,) + grid.shape, dtype=np.float64), grid)
-
-
-# Raw-array transform helpers (shared by the hot paths in nonlinear/integrator).
-# They use scipy.fft's default worker count, 1 unless a caller enters a
-# scipy.fft.set_workers context (the CLI does, for --threads).  norm="forward"
-# puts the 1/N^3 of the Fourier-series convention on the forward transform.
+# The transforms use scipy.fft's default worker count, 1 unless a caller
+# enters a scipy.fft.set_workers context (the CLI does, for --threads).
+# norm="forward" puts the 1/N^3 of the Fourier-series convention on the
+# forward transform.
 #
-# With ``ball`` (the grid whose cutoff |k| < R the data respects, or its
-# BallTable for data packed to the ball) the 3-D transforms run as 1-D
+# ``ball`` is the grid whose cutoff |k| < R the data respects, or its
+# BallTable for data packed to the ball.  The 3-D transforms run as 1-D
 # scipy.fft passes that skip the lines holding only modes outside the ball:
 # every wavenumber component of a mode in the ball is at most
 # kc = ceil(R) - 1 in magnitude.  The passes are the ones rfftn/irfftn make,
@@ -142,7 +86,7 @@ def fft_xy(spectra: np.ndarray, ball: GridSpec | BallTable) -> np.ndarray:
     return spectra
 
 
-def fft_grid(values: np.ndarray, ball: GridSpec | BallTable | None = None) -> np.ndarray:
+def fft_grid(values: np.ndarray, ball: GridSpec | BallTable) -> np.ndarray:
     """Real-to-complex DFT of stacked real grids -> half-spectrum
     Fourier-series coefficients.
 
@@ -151,32 +95,27 @@ def fft_grid(values: np.ndarray, ball: GridSpec | BallTable | None = None) -> np
     the (..., M) packed ball modes of the full transform.  Both hold for any
     finite input.
     """
-    if ball is None:
-        return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
     return fft_xy(rfft_z(values), ball)
 
 
 def ifft_xy(
-    coeffs: np.ndarray,
-    ball: GridSpec | BallTable,
-    staging: np.ndarray | None = None,
-    overwrite_x: bool = False,
+    coeffs: np.ndarray, ball: GridSpec | BallTable, staging: np.ndarray | None = None
 ) -> np.ndarray:
     """x and y passes of the inverse transform; returns the array they ran
     in, whose z pass (:func:`irfft_z`) gives the point values.
 
     With a grid ``ball`` the half-spectrum ``coeffs`` must vanish outside
-    |k| < R; the passes run in a copy, or in ``coeffs`` itself with
-    ``overwrite_x``.  With a :class:`BallTable` ``coeffs`` holds packed
-    (..., M) ball modes, scattered into ``staging``, a C-contiguous
-    (..., N, N, N/2+1) array that is zero outside the ball (a new zeroed
-    one when None), where the passes run; ``coeffs`` is left unchanged.
+    |k| < R; the passes run in a copy.  With a :class:`BallTable` ``coeffs``
+    holds packed (..., M) ball modes, scattered into ``staging``, a
+    C-contiguous (..., N, N, N/2+1) array that is zero outside the ball (a
+    new zeroed one when None), where the passes run.  ``coeffs`` is left
+    unchanged.
     """
     kc, rows = _ball_lines(ball)
     if isinstance(ball, BallTable):
         work = ball.unpack(coeffs, staging)
     else:
-        work = coeffs if overwrite_x else coeffs.copy()
+        work = coeffs.copy()
     slab = work[..., : kc + 1]
     for r in rows:
         _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
@@ -189,20 +128,13 @@ def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
 
 
-def ifft_grid(
-    coeffs: np.ndarray, n: int, ball: GridSpec | None = None, overwrite_x: bool = False
-) -> np.ndarray:
-    """Half-spectrum Fourier-series coefficients -> real point values on the
-    N^3 grid.  Only the Hermitian part of the self-conjugate planes counts.
-
-    With a grid ``ball`` the coefficients must vanish outside |k| < R, and
-    ``overwrite_x`` lets the transform use ``coeffs`` as its work array,
-    whose slab k3 <= kc then holds garbage; otherwise ``coeffs`` is left
-    unchanged.  Packed ball modes go through :func:`x_slabs`.
+def ifft_grid(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Half-spectrum Fourier-series coefficients, which must vanish outside
+    the ball |k| < R of ``grid``, -> real point values on the N^3 grid.
+    Only the Hermitian part of the self-conjugate planes counts.  Packed
+    ball modes go through :func:`x_slabs`.
     """
-    if ball is None:
-        return _fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-    return irfft_z(ifft_xy(coeffs, ball, overwrite_x=overwrite_x), n)
+    return irfft_z(ifft_xy(coeffs, grid), grid.n_modes)
 
 
 def x_slabs(packed: np.ndarray, ball: BallTable, staging: np.ndarray, width: int):
@@ -225,48 +157,20 @@ def x_slabs(packed: np.ndarray, ball: BallTable, staging: np.ndarray, width: int
         work.fill(0.0)  # a whole-array fill beats a strided one on the slab
 
 
-def forward_transform(p: PhysicalVectorField) -> SpectralVectorField:
-    """Collocation values -> Fourier coefficients.
-
-    Rejects non-finite input.  Inverse of :func:`inverse_transform`.
-    """
-    if not np.all(np.isfinite(p.values)):
-        raise NonFiniteFieldError("physical field contains non-finite values")
-    return SpectralVectorField(fft_grid(p.values), p.grid)
-
-
-def inverse_transform(s: SpectralVectorField, check: bool = True) -> PhysicalVectorField:
-    """Fourier coefficients -> real collocation values.
-
-    With ``check`` enabled non-finite coefficients are rejected and the
-    self-conjugate planes are checked: a :func:`hermitian_defect` above
-    HERMITIAN_TOL means the coefficients do not represent a real field.
-    """
-    if check:
-        if not s.is_finite():
-            raise NonFiniteFieldError("spectral field contains non-finite coefficients")
-        defect = hermitian_defect(s)
-        if defect > HERMITIAN_TOL:
-            raise HermitianSymmetryError(
-                f"Hermitian defect {defect:.3e} of the self-conjugate planes exceeds "
-                f"{HERMITIAN_TOL:.0e}"
-            )
-    return PhysicalVectorField(ifft_grid(s.coeffs, s.grid.n_modes), s.grid)
-
-
-def hermitian_defect(s) -> float:
-    """Relative defect max |c(-k) - conj(c(k))| / max |c| of ``s.coeffs``
-    (a field or an MhdState) on the planes k3 = 0 and k3 = N/2.
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """Relative defect max |c(-k) - conj(c(k))| / max |c| of stacked
+    half-spectrum coefficients (..., N, N, N/2+1) on the planes k3 = 0 and
+    k3 = N/2.
 
     Those planes hold both k and -k; every other stored mode has its mirror
     outside the half spectrum, so the defect is zero (to roundoff) exactly
     when the coefficients represent a real-valued physical field.
     """
-    n = s.grid.n_modes
+    n = coeffs.shape[-2]
     rev = (-np.arange(n)) % n
-    planes = s.coeffs[..., [0, n // 2]]
-    mirrored = planes[:, rev][:, :, rev]
-    scale = float(np.max(np.abs(s.coeffs)))
+    planes = coeffs[..., [0, n // 2]]
+    mirrored = planes[..., rev, :, :][..., rev, :]
+    scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(np.conj(mirrored) - planes))) / scale

@@ -141,12 +141,13 @@ def working_set_bytes(n: int, m: int, radius: float | None = None) -> int:
     return total(WORKSPACE_GRIDS + tables) + max(total(STEP_TRANSIENT_GRIDS), total(LEDGER_GRIDS))
 
 
-def _check_memory(n: int, m: int, radius: float) -> None:
-    need = working_set_bytes(n, m, radius)
+def check_memory(need: int, what: str) -> None:
+    """ValueError, naming ``what``, when ``need`` bytes exceed the physical
+    memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
-            f"n_modes = {n} needs about {need / 2**30:.3g} GiB to step one trajectory, "
+            f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
@@ -201,7 +202,8 @@ class GridSpec:
         if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
             raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
         object.__setattr__(self, "truncation_radius", float(radius))
-        _check_memory(n, 0, radius)  # the grids alone, before any array is built
+        what = f"stepping one trajectory at n_modes = {n}"
+        check_memory(working_set_bytes(n, 0, radius), what)  # before any array is built
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # Along k3 only the half spectrum 0..N/2 is stored.
@@ -229,7 +231,7 @@ class GridSpec:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        _check_memory(n, int(np.count_nonzero(keep)), radius)
+        check_memory(working_set_bytes(n, int(np.count_nonzero(keep)), radius), what)
 
     # Derived scalars -----------------------------------------------------
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .damping import DampingSpec
 from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
-from .fields import HERMITIAN_TOL, SpectralVectorField, fft_grid, hermitian_defect, ifft_grid
+from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, ifft_grid
 from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import Workspace, _rhs_core
 from .operators import (
@@ -166,8 +166,8 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     for field in (state.u, state.b):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         flipped = raw[..., rev[:half]][:, rev][:, :, rev]
-        np.multiply(0.5 * (raw[..., :half] + np.conj(flipped)), decay, out=field.coeffs)
-        field.coeffs[:, 0, 0, 0] = 0.0
+        np.multiply(0.5 * (raw[..., :half] + np.conj(flipped)), decay, out=field)
+        field[:, 0, 0, 0] = 0.0
     return _projected(state)
 
 
@@ -235,8 +235,9 @@ def make_initial(
         x1, x2, x3 = grid.mesh()
         phase = k[0] * x1 + k[1] * x2 + k[2] * x3
         values = amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
-        u = SpectralVectorField(fft_grid(values, ball=grid), grid)
-        return MhdState.from_fields(u, SpectralVectorField.zeros(grid))
+        state = MhdState.zeros(grid)
+        state.u[...] = fft_grid(values, grid)
+        return state
 
     # taylor_green_like
     x1, x2, x3 = grid.mesh()
@@ -248,12 +249,10 @@ def make_initial(
     b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
     b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
     b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
-    return _projected(
-        MhdState.from_fields(
-            SpectralVectorField(fft_grid(amplitude * u, ball=grid), grid),
-            SpectralVectorField(fft_grid(amplitude * b_amplitude * b, ball=grid), grid),
-        )
-    )
+    state = MhdState.zeros(grid)
+    state.u[...] = fft_grid(amplitude * u, grid)
+    state.b[...] = fft_grid(amplitude * b_amplitude * b, grid)
+    return _projected(state)
 
 
 def make_initial_from_config(config: SolverConfig) -> MhdState:
@@ -350,7 +349,7 @@ def cfl_bound(state: MhdState, config: SolverConfig) -> float:
     """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
     grid = config.grid
     speed = sum(
-        float(np.max(np.abs(ifft_grid(f, grid.n_modes, ball=grid))))
+        float(np.max(np.abs(ifft_grid(f, grid))))
         for f in np.split(state.coeffs, 2)
     )
     if speed == 0.0:
@@ -533,7 +532,7 @@ def _check_loaded_state(path, state: MhdState) -> None:
         raise ValueError(f"{path}: state has non-finite coefficients")
     if np.any(state.coeffs[:, ~grid.keep_mask]):
         raise ValueError(f"{path}: state is nonzero outside |k| < {grid.truncation_radius:g}")
-    defect = hermitian_defect(state)
+    defect = hermitian_defect(state.coeffs)
     if defect > HERMITIAN_TOL:
         raise ValueError(
             f"{path}: state is not a real field (Hermitian defect {defect:.3e} "

@@ -1,12 +1,13 @@
 """
 Standalone numerical verifiers for the scalar/vector inequalities that feed
 the energy estimates: the sharp interpolation bound x^2 <= 2c + alpha x^(beta-1),
-monotonicity of the damping nonlinearity, a sampled Gronwall lemma, and the
-envelope conditions on the damping modifiers.
+monotonicity of the damping nonlinearity, and the envelope conditions on the
+damping modifiers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,8 @@ def interpolation_constant(alpha: float, beta: float) -> float:
 
         c = 1/2 * (beta-3)/(beta-1) * (alpha (beta-1) / 2)^(-2/(beta-3))
 
-    Defined for alpha > 0, beta > 3 only.
+    Defined for alpha > 0, beta > 3 only.  OverflowError when c exceeds
+    double range, as it does for beta close to 3 or a tiny alpha.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -79,16 +81,26 @@ def interpolation_minimizer(alpha: float, beta: float) -> float:
 
 
 def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> CheckReport:
-    """Margins of the interpolation bound over a grid, plus sharpness at x*."""
+    """Margins of the interpolation bound over a grid, plus sharpness at x*.
+
+    NOT-APPLICABLE for beta <= 3, and when c or the margin at x* leaves
+    double range.
+    """
     if beta <= 3:
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail="beta <= 3")
     x = np.asarray(x_grid, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("x_grid must lie in [0, inf)")
-    c = interpolation_constant(alpha, beta)
+    try:
+        c = interpolation_constant(alpha, beta)
+        x_star = interpolation_minimizer(alpha, beta)
+        margin_star = 2.0 * c + alpha * x_star ** (beta - 1.0) - x_star**2
+    except OverflowError:
+        margin_star = math.nan
+    if not math.isfinite(margin_star):
+        detail = f"c or the margin at x* leaves double range (alpha={alpha!r}, beta={beta!r})"
+        return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail=detail)
     margins = 2.0 * c + alpha * x ** (beta - 1.0) - x**2
-    x_star = interpolation_minimizer(alpha, beta)
-    margin_star = 2.0 * c + alpha * x_star ** (beta - 1.0) - x_star**2
     i = int(np.argmin(margins))
     ok = margins[i] >= -MARGIN_TOL and abs(margin_star) <= SHARPNESS_TOL
     return CheckReport(
@@ -143,64 +155,6 @@ def monotonicity_suite(
         worst_margin=float(gaps[i]),
         samples=n_pairs,
         extra={"f_id": fn.f_id, "worst_pair": (tuple(x[i]), tuple(y[i]))},
-    )
-
-
-def gronwall_check(
-    t: np.ndarray,
-    f: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    bound: float,
-    tol: float = 1e-9,
-) -> CheckReport:
-    """Sampled Gronwall lemma with trapezoidal integrals.
-
-    Hypothesis (verified first): f(t) + int_0^t g <= bound + int_0^t h f at
-    every sample.  If it fails the report is NOT-APPLICABLE.  Otherwise the
-    conclusion f(t) + int_0^t g <= bound * exp(int_0^t h) is checked with
-    tolerance ``tol`` on the margins.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if not (t.shape == f.shape == g.shape == h.shape):
-        raise ValueError("series must share one shape")
-    if np.any(f < 0) or np.any(g < 0) or np.any(h < 0):
-        raise ValueError("series must be nonnegative")
-
-    def running_trapezoid(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        if y.size > 1:
-            out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-        return out
-
-    int_g = running_trapezoid(g)
-    int_hf = running_trapezoid(h * f)
-    int_h = running_trapezoid(h)
-
-    hyp_margins = bound + int_hf - f - int_g
-    scale = max(bound, float(np.max(f + int_g)), 1.0)
-    if float(np.min(hyp_margins)) < -1e-12 * scale:
-        i = int(np.argmin(hyp_margins))
-        return CheckReport(
-            "lemma_gronwall",
-            "NOT-APPLICABLE",
-            worst_margin=float(hyp_margins[i]),
-            worst_time=float(t[i]),
-            samples=t.size,
-            detail="hypothesis fails on the sampled series",
-        )
-
-    margins = bound * np.exp(int_h) - f - int_g
-    i = int(np.argmin(margins))
-    return CheckReport(
-        "lemma_gronwall",
-        "PASS" if margins[i] >= -tol * scale else "FAIL",
-        worst_margin=float(margins[i]),
-        worst_time=float(t[i]),
-        samples=t.size,
     )
 
 

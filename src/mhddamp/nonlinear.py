@@ -22,8 +22,7 @@ J. Comput. Phys. 50, 1983).  For divergence-free u and b,
 with T the trace-free part of u u - b b and tr its trace; P removes the
 gradient.  So only w = (u, b) goes to the grid (6 fields), and the 5
 independent entries of T, u x b and the damping come back (11 fields, 8
-without damping).  :func:`convection` keeps the convective form, as the
-reference the tests hold the divergence form to.
+without damping).
 
 The solver's right-hand side :func:`_rhs_core` takes and returns w packed
 to the ball |k| < R, the only modes of the truncated system (see
@@ -36,37 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingSpec, damping_term
-from .fields import (
-    NonFiniteFieldError,
-    SpectralVectorField,
-    fft_grid,
-    fft_xy,
-    ifft_grid,
-    rfft_z,
-    x_slabs,
-)
+from .fields import fft_xy, rfft_z, x_slabs
 from .grid import WORKSPACE_GRIDS, BallTable, GridSpec, slab_width
-from .operators import gradient_coeffs, leray_project_coeffs, viscous_symbol
-from .state import MhdState
-
-
-def convection(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
-    """Dealiased spectral representation of v.grad w = sum_j v_j d_j w.
-
-    Both inputs are expected inside the dealias ball; the result is truncated
-    to it.
-    """
-    grid = v.grid
-    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
-    batch[0:3] = v.coeffs
-    gradient_coeffs(w.coeffs, grid, batch[3:12])
-    phys = ifft_grid(batch, grid.n_modes)
-    vp = phys[0:3]
-    out = np.empty((3,) + grid.shape, dtype=np.float64)
-    for i in range(3):
-        gw = phys[3 + 3 * i:6 + 3 * i]
-        out[i] = vp[0] * gw[0] + vp[1] * gw[1] + vp[2] * gw[2]
-    return SpectralVectorField(fft_grid(out) * grid.keep_mask, grid)
+from .operators import leray_project_coeffs
 
 
 class Workspace:
@@ -208,23 +179,3 @@ def _rhs_core(
     dw = _tendency(fft_xy(spectra, work.ball), work.ik, work.scratch)
     leray_project_coeffs(dw[0:3], work.ball)
     return dw, damp_diss
-
-
-def rhs_mhd(
-    state: MhdState,
-    grid: GridSpec | None = None,
-    nu_h: float = 1.0,
-    nu_v: float = 1.0,
-    damping: DampingSpec = DampingSpec(),
-) -> tuple[SpectralVectorField, SpectralVectorField]:
-    """Full tendency (du/dt, db/dt) of the damped MHD system, viscous term
-    included."""
-    grid = grid or state.grid
-    if not state.is_finite():
-        raise NonFiniteFieldError("state contains non-finite coefficients")
-    work = Workspace(grid)
-    dw, _ = _rhs_core(work.ball.pack(state.coeffs), grid, damping, False, work)
-    dw = work.ball.unpack(dw)
-    dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
-    tendency = MhdState(dw, grid)
-    return tendency.u, tendency.b

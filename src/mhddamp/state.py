@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralVectorField
 from .grid import GridSpec
 from .operators import divergence_l2
 
@@ -32,27 +31,20 @@ class MhdState:
             self.coeffs = self.coeffs.astype(np.complex128)
 
     @classmethod
-    def from_fields(cls, u: SpectralVectorField, b: SpectralVectorField, t=0.0) -> MhdState:
-        """A state holding copies of the fields u and b."""
-        if u.grid != b.grid:
-            raise ValueError("u and b must share one grid")
-        return cls(np.concatenate((u.coeffs, b.coeffs)), u.grid, t)
-
-    @classmethod
     def zeros(cls, grid: GridSpec) -> MhdState:
         return cls(np.zeros((6,) + grid.spectral_shape, dtype=np.complex128), grid)
 
     @property
-    def u(self) -> SpectralVectorField:
-        return SpectralVectorField(self.coeffs[0:3], self.grid)
+    def u(self) -> np.ndarray:
+        return self.coeffs[0:3]
 
     @property
-    def b(self) -> SpectralVectorField:
-        return SpectralVectorField(self.coeffs[3:6], self.grid)
+    def b(self) -> np.ndarray:
+        return self.coeffs[3:6]
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.coeffs)))
 
     def max_divergence(self) -> float:
         """max of the L2 divergence norms of u and b."""
-        return max(divergence_l2(self.u), divergence_l2(self.b))
+        return max(divergence_l2(self.u, self.grid), divergence_l2(self.b, self.grid))

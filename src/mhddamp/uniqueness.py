@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .damping import DampingSpec, damping_term
-from .fields import PhysicalVectorField
 from .grid import GridSpec, _is_number
 from .integrator import (
     BlowUpError,
@@ -140,7 +138,7 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
         # divergence-free noise, each field scaled to unit H1 norm
         noise = _random_divfree_state(config.grid, config.seed + NOISE_SEED_OFFSET)
         for half in (noise.u, noise.b):
-            half.coeffs /= sobolev_norm(half, 1.0)
+            half /= sobolev_norm(half, config.grid, 1.0)
         twin = MhdState(state.coeffs + eps * noise.coeffs, config.grid, state.t)
 
     times, seps = [], []
@@ -170,27 +168,3 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
         config_hash=config_hash(config),
         identical=identical,
     )
-
-
-def damping_contraction_pointwise(
-    u_values: np.ndarray, s_values: np.ndarray, damping: DampingSpec
-) -> np.ndarray:
-    """Pointwise integrand <F(u) - F(s), u - s> on the collocation grid."""
-    fu = damping_term(u_values, damping)
-    fs = damping_term(s_values, damping)
-    diff = u_values - s_values
-    return np.sum((fu - fs) * diff, axis=0)
-
-
-def damping_contraction_check(
-    u_field: PhysicalVectorField, s_field: PhysicalVectorField, damping: DampingSpec
-) -> float:
-    """Quadrature of <F(u) - F(s), u - s> over the box.
-
-    Nonnegative for both damping families (the damping map is monotone), so
-    the difference-energy contribution of the damping term has a sign.
-    """
-    if u_field.grid.n_modes != s_field.grid.n_modes:
-        raise ValueError("fields must share one grid")
-    integrand = damping_contraction_pointwise(u_field.values, s_field.values, damping)
-    return float(np.sum(integrand)) * u_field.grid.cell_volume

@@ -1,16 +1,71 @@
-"""Shared builders and brute-force oracles for the test suite."""
+"""Shared builders and brute-force oracles for the test suite.
+
+Fields are plain coefficient arrays, (3, N, N, N/2+1) for one vector field,
+with their grid passed beside them, as in the package.  The oracles here
+(full transforms, the convective form of the nonlinear term, the damping
+contraction, the sampled Gronwall lemma) are references the package's own
+code is held to; they are not part of it.
+"""
 
 import contextlib
 import struct
 from unittest import mock
 
 import numpy as np
+import scipy.fft
 
-from mhddamp import SpectralVectorField, energy, friedrichs_truncate, leray_project
+from mhddamp import DampingSpec, MhdState, energy
 from mhddamp import grid as grid_module
-from mhddamp.damping import speed_sq
+from mhddamp.damping import damping_term, speed_sq
 from mhddamp.fields import fft_grid, ifft_grid
-from mhddamp.operators import gradient_coeffs, sobolev_norm
+from mhddamp.lemmas import CheckReport
+from mhddamp.nonlinear import Workspace, _rhs_core
+from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
+
+
+def coeffs_of(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of stacked real (..., N, N, N) values: the
+    full 3-D transform, every mode kept."""
+    return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+
+
+def values_of(coeffs: np.ndarray) -> np.ndarray:
+    """Real point values of stacked half-spectrum coefficients: the full
+    3-D inverse transform, every mode used."""
+    n = coeffs.shape[-2]
+    return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def pair_state(grid, u, b=None) -> MhdState:
+    """A state holding copies of the fields u and b (zero when None)."""
+    state = MhdState.zeros(grid)
+    state.u[...] = u
+    if b is not None:
+        state.b[...] = b
+    return state
+
+
+def leray(coeffs: np.ndarray, grid) -> np.ndarray:
+    """The Leray projection of ``coeffs`` as a new array."""
+    return leray_project_coeffs(coeffs.copy(), grid)
+
+
+def inner_l2(a: np.ndarray, b: np.ndarray, grid) -> float:
+    """L2 inner product over the box, (2*pi)^3 sum Re(c_a . conj(c_b))."""
+    re = a.real * b.real + a.imag * b.imag
+    return grid.volume * float(np.sum(grid.parseval_weight * re))
+
+
+def gradient_coeffs(coeffs: np.ndarray, grid, out=None) -> np.ndarray:
+    """The derivative coefficients i k_j c_i of each component c_i of
+    ``coeffs`` in out[3 i + j]; a new (3 len(coeffs), N, N, N/2+1) array
+    when ``out`` is None."""
+    if out is None:
+        out = np.empty((3 * len(coeffs),) + grid.spectral_shape, dtype=np.complex128)
+    for i, c in enumerate(coeffs):
+        for j, k in enumerate((grid.kx, grid.ky, grid.kz)):
+            np.multiply(1j * k, c, out=out[3 * i + j])
+    return out
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
@@ -38,7 +93,8 @@ def full_spectrum(c: np.ndarray) -> np.ndarray:
 
 
 def random_divfree(grid, seed, h1_norm=None, l2_norm=None, band=None, decay=2.0):
-    """Smooth random divergence-free spectral field, optionally rescaled."""
+    """Smooth random divergence-free (3, N, N, N/2+1) coefficients inside the
+    grid's ball, optionally rescaled."""
     rng = np.random.default_rng(seed)
     shape = (3,) + grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -47,11 +103,11 @@ def random_divfree(grid, seed, h1_norm=None, l2_norm=None, band=None, decay=2.0)
     c[:, 0, 0, 0] = 0.0
     if band is not None:
         c[:, grid.k_sq >= band * band] = 0.0
-    s = leray_project(friedrichs_truncate(SpectralVectorField(c, grid)))
+    s = leray_project_coeffs(truncate_coeffs(c, grid), grid)
     if h1_norm is not None:
-        s.coeffs *= h1_norm / sobolev_norm(s, 1.0)
+        s *= h1_norm / sobolev_norm(s, grid, 1.0)
     elif l2_norm is not None:
-        s.coeffs *= l2_norm / sobolev_norm(s, 0.0)
+        s *= l2_norm / sobolev_norm(s, grid, 0.0)
     return s
 
 
@@ -81,16 +137,15 @@ def ball_modes(radius: float):
     return out
 
 
-def convolution_oracle_vgradw(v: SpectralVectorField, w: SpectralVectorField) -> np.ndarray:
+def convolution_oracle_vgradw(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
     """True (unaliased) convolution sum for v.grad w restricted to |k| < R.
 
     (v.grad w)^(k) = sum_{p+q=k} sum_j v_j(p) (i q_j) w(q); quadratic in the
     mode count of the ball, so meant for N = 8.  Sums over full spectra and
     returns the stored half.
     """
-    grid = v.grid
-    v_full = full_spectrum(v.coeffs)
-    w_full = full_spectrum(w.coeffs)
+    v_full = full_spectrum(v)
+    w_full = full_spectrum(w)
     out = np.zeros((3,) + grid.shape, dtype=np.complex128)
     modes = ball_modes(grid.truncation_radius)
     radius_sq = grid.truncation_radius**2
@@ -124,17 +179,14 @@ def velocity_squares_oracle(u: np.ndarray, grid, work=None):
     """(q, |grad u|^2, |grad q|^2) on the grid, as ``energy._velocity_squares``
     returns them, from one 12-grid batch (u and its nine derivatives)
     transformed at full size in a single call."""
-    n = grid.n_modes
     batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
     batch[0:3] = u
     gradient_coeffs(u, grid, batch[3:12])
-    phys = ifft_grid(batch, n, ball=grid, overwrite_x=True)
+    phys = ifft_grid(batch, grid)
     grad_u_sq = speed_sq(phys[3:12])
     q = speed_sq(phys[0:3])
-    gq = gradient_coeffs(
-        fft_grid(q, ball=grid)[None], grid, np.empty((3,) + grid.spectral_shape, dtype=np.complex128)
-    )
-    grad_q_sq = speed_sq(ifft_grid(gq, n, ball=grid, overwrite_x=True))
+    gq = gradient_coeffs(fft_grid(q, grid)[None], grid)
+    grad_q_sq = speed_sq(ifft_grid(gq, grid))
     return q, grad_u_sq, grad_q_sq
 
 
@@ -180,3 +232,119 @@ def malformed_checkpoint(good: bytes, case: str) -> bytes:
         "trailing_bytes": good + b"\0",
         "zero_n": good[:8] + (0).to_bytes(8, "little") + good[16:header],
     }[case]
+
+
+# Oracles ----------------------------------------------------------------
+
+
+def convection(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
+    """Dealiased coefficients of v.grad w = sum_j v_j d_j w, in convective
+    form with full transforms: the reference for the solver's divergence
+    form.  Both inputs are expected inside the dealias ball; the result is
+    truncated to it.
+    """
+    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    batch[0:3] = v
+    gradient_coeffs(w, grid, batch[3:12])
+    phys = values_of(batch)
+    vp = phys[0:3]
+    out = np.empty((3,) + grid.shape, dtype=np.float64)
+    for i in range(3):
+        gw = phys[3 + 3 * i:6 + 3 * i]
+        out[i] = vp[0] * gw[0] + vp[1] * gw[1] + vp[2] * gw[2]
+    return coeffs_of(out) * grid.keep_mask
+
+
+def rhs_mhd(state, grid, nu_h=1.0, nu_v=1.0, damping=DampingSpec()):
+    """Full tendency (du/dt, db/dt) of the damped MHD system, viscous term
+    included: the solver's right-hand side on the half spectrum."""
+    if not state.is_finite():
+        raise ValueError("state contains non-finite coefficients")
+    work = Workspace(grid)
+    dw, _ = _rhs_core(work.ball.pack(state.coeffs), grid, damping, False, work)
+    dw = work.ball.unpack(dw)
+    dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
+    return dw[0:3], dw[3:6]
+
+
+def damping_contraction_pointwise(
+    u_values: np.ndarray, s_values: np.ndarray, damping: DampingSpec
+) -> np.ndarray:
+    """Pointwise integrand <F(u) - F(s), u - s> on the collocation grid."""
+    fu = damping_term(u_values, damping)
+    fs = damping_term(s_values, damping)
+    diff = u_values - s_values
+    return np.sum((fu - fs) * diff, axis=0)
+
+
+def damping_contraction_check(
+    u_values: np.ndarray, s_values: np.ndarray, damping: DampingSpec, grid
+) -> float:
+    """Quadrature of <F(u) - F(s), u - s> over the box, from the (3, N, N, N)
+    point values of u and s on ``grid``.
+
+    Nonnegative for both damping families (the damping map is monotone), so
+    the difference-energy contribution of the damping term has a sign.
+    """
+    if not u_values.shape == s_values.shape == (3,) + grid.shape:
+        raise ValueError("fields must share one grid")
+    integrand = damping_contraction_pointwise(u_values, s_values, damping)
+    return float(np.sum(integrand)) * grid.cell_volume
+
+
+def gronwall_check(
+    t: np.ndarray,
+    f: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    bound: float,
+    tol: float = 1e-9,
+) -> CheckReport:
+    """Sampled Gronwall lemma with trapezoidal integrals.
+
+    Hypothesis (verified first): f(t) + int_0^t g <= bound + int_0^t h f at
+    every sample.  If it fails the report is NOT-APPLICABLE.  Otherwise the
+    conclusion f(t) + int_0^t g <= bound * exp(int_0^t h) is checked with
+    tolerance ``tol`` on the margins.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if not (t.shape == f.shape == g.shape == h.shape):
+        raise ValueError("series must share one shape")
+    if np.any(f < 0) or np.any(g < 0) or np.any(h < 0):
+        raise ValueError("series must be nonnegative")
+
+    def running_trapezoid(y: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(y)
+        if y.size > 1:
+            out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+        return out
+
+    int_g = running_trapezoid(g)
+    int_hf = running_trapezoid(h * f)
+    int_h = running_trapezoid(h)
+
+    hyp_margins = bound + int_hf - f - int_g
+    scale = max(bound, float(np.max(f + int_g)), 1.0)
+    if float(np.min(hyp_margins)) < -1e-12 * scale:
+        i = int(np.argmin(hyp_margins))
+        return CheckReport(
+            "lemma_gronwall",
+            "NOT-APPLICABLE",
+            worst_margin=float(hyp_margins[i]),
+            worst_time=float(t[i]),
+            samples=t.size,
+            detail="hypothesis fails on the sampled series",
+        )
+
+    margins = bound * np.exp(int_h) - f - int_g
+    i = int(np.argmin(margins))
+    return CheckReport(
+        "lemma_gronwall",
+        "PASS" if margins[i] >= -tol * scale else "FAIL",
+        worst_margin=float(margins[i]),
+        worst_time=float(t[i]),
+        samples=t.size,
+    )

@@ -14,26 +14,29 @@ from mhddamp import (
     DampingSpec,
     GridSpec,
     InitialCondition,
-    MhdState,
-    PhysicalVectorField,
     SolverConfig,
-    SpectralVectorField,
     check_damping_identity,
     check_H1_inequalities,
     check_L2_inequality,
     interpolation_constant,
-    damping_contraction_check,
-    forward_transform,
-    inverse_transform,
-    leray_project,
     run,
     twin_run,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
+from mhddamp.fields import fft_grid, ifft_grid
 from mhddamp.lemmas import check_interpolation_bound, monotonicity_suite
-from mhddamp.operators import gradient, inner_l2, l2_norm_sq
+from mhddamp.operators import weighted_sum_sq
 
-from _helpers import embed_coeffs, half_spectrum, random_divfree
+from _helpers import (
+    damping_contraction_check,
+    embed_coeffs,
+    gradient_coeffs,
+    half_spectrum,
+    inner_l2,
+    leray,
+    pair_state,
+    random_divfree,
+)
 
 
 def report(num: int, ok: bool, desc: str, detail: str = "") -> None:
@@ -105,19 +108,20 @@ def small_log1(grid32):
 
 
 def test_criterion_1_spectral_exactness(grid32):
+    # point values of a real field band-limited to the ball
     rng = np.random.default_rng(0)
-    p = PhysicalVectorField(rng.standard_normal((3, 32, 32, 32)), grid32)
-    back = inverse_transform(forward_transform(p))
-    rt_err = np.max(np.abs(back.values - p.values)) / np.max(np.abs(p.values))
+    p = ifft_grid(fft_grid(rng.standard_normal((3, 32, 32, 32)), grid32), grid32)
+    back = ifft_grid(fft_grid(p, grid32), grid32)
+    rt_err = np.max(np.abs(back - p)) / np.max(np.abs(p))
 
     # trig polynomial inside the dealias ball, derivative vs analytic
     x1, x2, x3 = grid32.mesh()
     vals = np.zeros((3, 32, 32, 32))
     vals[0] = np.sin(3 * x1) * np.cos(2 * x2) + np.cos(x3)
-    s = forward_transform(PhysicalVectorField(vals, grid32))
-    g = gradient(s)
-    d1 = inverse_transform(SpectralVectorField(g[:, 0], grid32)).values[0]
-    d3 = inverse_transform(SpectralVectorField(g[:, 2], grid32)).values[0]
+    s = fft_grid(vals, grid32)
+    g = gradient_coeffs(s, grid32).reshape((3, 3) + grid32.spectral_shape)
+    d1 = ifft_grid(g[:, 0], grid32)[0]
+    d3 = ifft_grid(g[:, 2], grid32)[0]
     exact1 = 3 * np.cos(3 * x1) * np.cos(2 * x2) + 0.0 * x3
     exact3 = -np.sin(x3) + 0.0 * x1 + 0.0 * x2
     scale = np.max(np.abs(exact1))
@@ -131,36 +135,32 @@ def test_criterion_1_spectral_exactness(grid32):
 def test_criterion_2_leray_algebra(grid32):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32))
-    f = SpectralVectorField(half_spectrum(c), grid32)
-    pf = leray_project(f)
-    ppf = leray_project(pf)
-    scale = np.max(np.abs(pf.coeffs))
-    idem = np.max(np.abs(ppf.coeffs - pf.coeffs)) / scale
+    f = half_spectrum(c)
+    pf = leray(f, grid32)
+    ppf = leray(pf, grid32)
+    scale = np.max(np.abs(pf))
+    idem = np.max(np.abs(ppf - pf)) / scale
 
-    g = SpectralVectorField(
-        half_spectrum(
-            rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32))
-        ),
-        grid32,
+    g = half_spectrum(
+        rng.standard_normal((3, 32, 32, 32)) + 1j * rng.standard_normal((3, 32, 32, 32))
     )
-    sa = abs(inner_l2(pf, g) - inner_l2(f, leray_project(g))) / max(abs(inner_l2(f, g)), 1.0)
+    sa = abs(inner_l2(pf, g, grid32) - inner_l2(f, leray(g, grid32), grid32)) / max(
+        abs(inner_l2(f, g, grid32)), 1.0
+    )
 
     q_hat = half_spectrum(rng.standard_normal((32, 32, 32)) + 1j * rng.standard_normal((32, 32, 32)))
     q_hat[0, 0, 0] = 0.0
-    grad_q = SpectralVectorField(
-        np.stack([1j * grid32.kx * q_hat, 1j * grid32.ky * q_hat, 1j * grid32.kz * q_hat]),
-        grid32,
-    )
-    annihilation = np.max(np.abs(leray_project(grad_q).coeffs)) / np.max(np.abs(grad_q.coeffs))
+    grad_q = np.stack([1j * grid32.kx * q_hat, 1j * grid32.ky * q_hat, 1j * grid32.kz * q_hat])
+    annihilation = np.max(np.abs(leray(grad_q, grid32))) / np.max(np.abs(grad_q))
 
     divfree = random_divfree(grid32, seed=2, l2_norm=1.0)
-    fixing = np.max(np.abs(leray_project(divfree).coeffs - divfree.coeffs)) / np.max(
-        np.abs(divfree.coeffs)
-    )
+    fixing = np.max(np.abs(leray(divfree, grid32) - divfree)) / np.max(np.abs(divfree))
 
-    total = l2_norm_sq(f)
-    rem = SpectralVectorField(f.coeffs - pf.coeffs, grid32)
-    pythagoras = abs(total - l2_norm_sq(pf) - l2_norm_sq(rem)) / total
+    def norm_sq(c):
+        return weighted_sum_sq(c, 1.0, grid32)
+
+    total = norm_sq(f)
+    pythagoras = abs(total - norm_sq(pf) - norm_sq(f - pf)) / total
 
     worst = max(idem, sa, annihilation, fixing, pythagoras)
     report(2, worst <= 1e-12, "Leray projector algebra at 1e-12",
@@ -175,9 +175,9 @@ def test_criterion_3_analytic_decay_and_order(grid16):
     )
     final, _ = run(cfg)
     _, _, x3 = grid16.mesh()
-    u = inverse_transform(final.u)
-    exact = np.exp(-1.0) * np.sin(x3) + np.zeros_like(u.values[0])
-    decay_err = np.max(np.abs(u.values[0] - exact))
+    u = ifft_grid(final.u, grid16)
+    exact = np.exp(-1.0) * np.sin(x3) + np.zeros_like(u[0])
+    decay_err = np.max(np.abs(u[0] - exact))
 
     ic = InitialCondition(kind="random_divfree", target_h1=40.0)
     errs = []
@@ -188,8 +188,8 @@ def test_criterion_3_analytic_decay_and_order(grid16):
         s1, _ = run(one)
         s2, _ = run(two)
         errs.append(np.sqrt(
-            np.sum(np.abs(s1.u.coeffs - s2.u.coeffs) ** 2)
-            + np.sum(np.abs(s1.b.coeffs - s2.b.coeffs) ** 2)
+            np.sum(np.abs(s1.u - s2.u) ** 2)
+            + np.sum(np.abs(s1.b - s2.b) ** 2)
         ))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     ok = decay_err <= 1e-8 and slope >= 3.8
@@ -271,9 +271,9 @@ def test_criterion_7_monotonicity(grid16):
     field_worst = np.inf
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-2, 1)
-        u = PhysicalVectorField(rng.standard_normal((3, 16, 16, 16)) * scale, grid16)
-        s = PhysicalVectorField(rng.standard_normal((3, 16, 16, 16)) * scale, grid16)
-        field_worst = min(field_worst, damping_contraction_check(u, s, spec))
+        u = rng.standard_normal((3, 16, 16, 16)) * scale
+        s = rng.standard_normal((3, 16, 16, 16)) * scale
+        field_worst = min(field_worst, damping_contraction_check(u, s, spec, grid16))
     ok = ok and field_worst >= -1e-10 * volume
     report(7, ok, "damping monotonicity pointwise and in integral form",
            f"vector_worst={worst:.1e} field_worst={field_worst:.1e}")
@@ -281,7 +281,7 @@ def test_criterion_7_monotonicity(grid16):
 
 def test_criterion_8_damping_identity(grid32):
     u = random_divfree(grid32, seed=5, l2_norm=2.0, band=32 / 6.0, decay=1.0)
-    state = MhdState.from_fields(u, SpectralVectorField.zeros(grid32))
+    state = pair_state(grid32, u)
     rep3 = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
 
     big = GridSpec(n_modes=64)
@@ -289,12 +289,10 @@ def test_criterion_8_damping_identity(grid32):
     damping = DampingSpec(kind="generalized", alpha=1.0, f_id="log1")
     rels = []
     for grid, coeffs in (
-        (grid32, u32.coeffs),
-        (big, embed_coeffs(u32.coeffs, grid32, big)),
+        (grid32, u32),
+        (big, embed_coeffs(u32, grid32, big)),
     ):
-        st = MhdState.from_fields(
-            SpectralVectorField(coeffs, grid), SpectralVectorField.zeros(grid)
-        )
+        st = pair_state(grid, coeffs)
         rels.append(check_damping_identity(st, damping).extra["rel_error"])
     shrink = rels[0] / max(rels[1], 1e-300)
     ok = rep3.status == "PASS" and rep3.extra["rel_error"] <= 1e-6 and shrink >= 4.0

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from mhddamp.cli import (
 )
 
 from _helpers import malformed_checkpoint
+
+QUICKSTART = Path(__file__).parent.parent / "configs" / "quickstart.json"
 
 
 def experiment(grid, name="exp", damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
@@ -310,6 +315,57 @@ class TestCmdRun:
         assert main(argv) == 1
         assert "worker count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [10**20, len(os.sched_getaffinity(0)) + 1])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_threads_above_cpu_count_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
+                                               workers, via):
+        import scipy.fft
+
+        def no_workers(count):
+            raise AssertionError(f"set_workers({count}) called")
+
+        monkeypatch.setattr(scipy.fft, "set_workers", no_workers)
+        cfg = experiment(grid16, t_end=0.02, checks=("l2",))
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        if via == "flag":
+            argv += ["--threads", str(workers)]
+        else:
+            monkeypatch.setenv("MHDDAMP_THREADS", str(workers))
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err and "worker count" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "alpha,beta,applicable",
+        [(0.5, 3 + 1e-9, False), (1e-10, 3.01, False), (1e-300, 5.0, True)],
+        ids=["beta-3+1e-9", "alpha-1e-10", "alpha-1e-300"],
+    )
+    def test_sharp_constant_out_of_double_range(self, tmp_path, capsys, alpha, beta,
+                                                applicable):
+        # c_(alpha,beta) overflows, or only exp(2 c t) does
+        data = json.loads(QUICKSTART.read_text())
+        data["solver"]["grid"] = {"n_modes": 8}
+        data["solver"]["t_end"] = data["solver"]["dt"]
+        data["solver"]["damping"].update(alpha=alpha, beta=beta)
+        data["checks"] = ["l2", "h1_additive", "h1_exponential", "lemmas"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        checks = (out / "checks.txt").read_text()
+        statuses = json.loads((out / "summary.json").read_text())["checks"]
+        assert statuses["lemma_interpolation"] == "NOT-APPLICABLE"
+        for name in ("h1_additive", "h1_exponential"):
+            assert (statuses[name] == "PASS") == applicable
+            if not applicable:
+                assert f"NOT-APPLICABLE {name}: interpolation constant out of double range" in checks
+
     @pytest.mark.parametrize("case", ["five_bytes", "huge_n", "trailing_bytes"])
     def test_malformed_checkpoint_exit_one(self, grid8, tmp_path, capsys, case):
         from mhddamp import make_initial, save_checkpoint
@@ -349,6 +405,22 @@ class TestCmdLemmas:
         text = (out / "lemmas" / "interpolation.csv").read_text()
         assert "NOT-APPLICABLE" in text
 
+    @pytest.mark.parametrize(
+        "matrix,cells",
+        [({"betas": [3.000001]}, {"0.1,3.000001"}),
+         ({"alphas": [1e-200], "betas": [3.5, 4.0, 5.0]}, {"1e-200,3.5", "1e-200,4.0", "1e-200,5.0"})],
+        ids=["beta-3.000001", "alpha-1e-200"],
+    )
+    def test_sharp_constant_out_of_double_range(self, tmp_path, capsys, matrix, cells):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**matrix, "pairs": 1000}))
+        out = tmp_path / "out"
+        assert main(["lemmas", "--matrix", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "lemmas" / "interpolation.csv").read_text().splitlines()[1:]
+        not_applicable = {row.rsplit(",", 5)[0] for row in rows if "NOT-APPLICABLE" in row}
+        assert not_applicable == cells
+
     def test_empty_matrix_usage_error(self, tmp_path):
         matrix = tmp_path / "m.json"
         matrix.write_text(json.dumps({"alphas": []}))
@@ -372,6 +444,8 @@ class TestCmdLemmas:
             ('{"pairs": 0}', "pairs must be an integer >= 1"),
             ('{"seed": true}', "seed must be an integer"),
             ('{"alpha": [1.0]}', "unknown keys"),
+            ('{"x_points": 1000000000000}', "x_points = 1000000000000 needs about"),
+            ('{"pairs": 1000000000000}', "pairs = 1000000000000 needs about"),
         ],
     )
     def test_malformed_matrix_exit_one(self, tmp_path, capsys, text, message):

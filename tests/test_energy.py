@@ -1,5 +1,7 @@
 """Energy ledger columns, inequality checks and the damping identity."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mhddamp import (
     InitialCondition,
     MhdState,
     SolverConfig,
-    SpectralVectorField,
     gronwall_rate,
     check_damping_identity,
     check_H1_inequalities,
@@ -18,16 +19,17 @@ from mhddamp import (
     make_initial,
     run,
 )
-from mhddamp.energy import ALL_COLUMNS, EnergyLedger
-from mhddamp.fields import ifft_grid
+from mhddamp.energy import ALL_COLUMNS
 
 from _helpers import (
     embed_coeffs,
     full_spectrum,
     half_spectrum,
     ledger_row_oracle,
+    pair_state,
     random_divfree,
     slab_planes,
+    values_of,
 )
 
 E5_MINUS_E = 145.69487727411754  # exp(5) - e
@@ -59,9 +61,9 @@ class TestLedgerRow:
     def test_beta3_weight_reduces_to_gradient_norm(self, grid16):
         # |u|^0 = 1, so d_beta_sq is the squared L2 norm of grad |u|^2
         u = random_divfree(grid16, seed=2, h1_norm=1.5)
-        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
+        state = pair_state(grid16, u)
         row = ledger_row(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
-        up = ifft_grid(u.coeffs, 16)
+        up = values_of(u)
         q = np.sum(up**2, axis=0)
         q_hat = half_spectrum(np.fft.fftn(q) / 16**3) * grid16.keep_mask
         gq = np.stack(
@@ -75,11 +77,11 @@ class TestLedgerRow:
         # spectral Parseval sums against physical quadrature
         u = random_divfree(grid16, seed=3, h1_norm=2.0)
         b = random_divfree(grid16, seed=4, h1_norm=1.0)
-        state = MhdState.from_fields(u, b)
+        state = pair_state(grid16, u, b)
         row = ledger_row(state, DampingSpec())
         w = grid16.cell_volume
-        up = ifft_grid(u.coeffs, 16)
-        bp = ifft_grid(b.coeffs, 16)
+        up = values_of(u)
+        bp = values_of(b)
         l2_phys = (np.sum(up**2) + np.sum(bp**2)) * w
         assert row["l2_sq"] == pytest.approx(l2_phys, rel=1e-10)
 
@@ -87,14 +89,14 @@ class TestLedgerRow:
             g = np.stack(
                 [1j * grid16.kx * c, 1j * grid16.ky * c, 1j * grid16.kz * c]
             ).reshape((9,) + grid16.spectral_shape)
-            return ifft_grid(g, 16)
+            return values_of(g)
 
-        h1_phys = (np.sum(grad_phys(u.coeffs) ** 2) + np.sum(grad_phys(b.coeffs) ** 2)) * w
+        h1_phys = (np.sum(grad_phys(u) ** 2) + np.sum(grad_phys(b) ** 2)) * w
         assert row["h1dot_sq"] == pytest.approx(h1_phys, rel=1e-10)
 
     def test_generalized_columns_positive(self, grid16):
         u = random_divfree(grid16, seed=5, h1_norm=2.0)
-        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
+        state = pair_state(grid16, u)
         row = ledger_row(state, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))
         for name in ("d_f4", "d_fprime", "d_fprime_lit", "d_f_gradsq", "d_f_grad"):
             assert row[name] > 0.0
@@ -143,9 +145,11 @@ class TestLedgerContainer:
         _, ledger = small_run(grid16, damping, t_end=0.05, dt=1e-2, target=1.0, stride=2)
         path = tmp_path / "ledger.csv"
         ledger.to_csv(path)
-        loaded = EnergyLedger.from_csv(path, damping, ledger.dt, ledger.steps_total)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
         for name in ALL_COLUMNS:
-            assert np.array_equal(loaded.column(name), ledger.column(name))
+            loaded = np.array([float(record[name]) for record in records])
+            assert np.array_equal(loaded, ledger.column(name))
 
     def test_entries_nonnegative_and_integrals_monotone(self, grid16):
         damping = DampingSpec(kind="generalized", alpha=1.0, f_id="log1")
@@ -289,14 +293,14 @@ class TestDampingIdentity:
     def test_beta3_polynomial_exact(self, grid32):
         # cubic damping with modes inside N/6: alias-free, so both sides agree
         u = random_divfree(grid32, seed=5, l2_norm=2.0, band=32 / 6.0, decay=1.0)
-        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid32))
+        state = pair_state(grid32, u)
         rep = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
         assert rep.status == "PASS"
         assert rep.extra["rel_error"] <= 1e-6
 
     def test_beta_below_three_not_applicable(self, grid16):
         u = random_divfree(grid16, seed=6, l2_norm=1.0)
-        state = MhdState.from_fields(u, SpectralVectorField.zeros(grid16))
+        state = pair_state(grid16, u)
         rep = check_damping_identity(state, DampingSpec(kind="power", alpha=1.0, beta=2.0))
         assert rep.status == "NOT-APPLICABLE"
 
@@ -309,12 +313,10 @@ class TestDampingIdentity:
 
         rels = []
         for grid, coeffs in (
-            (grid32, u32.coeffs),
-            (big, embed_coeffs(u32.coeffs, grid32, big)),
+            (grid32, u32),
+            (big, embed_coeffs(u32, grid32, big)),
         ):
-            state = MhdState.from_fields(
-                SpectralVectorField(coeffs, grid), SpectralVectorField.zeros(grid)
-            )
+            state = pair_state(grid, coeffs)
             rep = check_damping_identity(state, damping)
             rels.append(rep.extra["rel_error"])
         assert rels[0] / max(rels[1], 1e-300) >= 4.0

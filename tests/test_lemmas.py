@@ -11,12 +11,12 @@ from mhddamp import (
     SolverConfig,
     interpolation_constant,
     check_interpolation_bound,
-    gronwall_check,
     modifier_envelope_report,
-    monotonicity_gap,
     run,
 )
-from mhddamp.lemmas import interpolation_minimizer, monotonicity_suite
+from mhddamp.lemmas import interpolation_minimizer, monotonicity_gap, monotonicity_suite
+
+from _helpers import gronwall_check
 
 LOG_E_PLUS_1 = 1.3132616875182228
 
