@@ -11,7 +11,7 @@ same fourth-order stage weights as the state itself, from the same
 the trapezoidal rule over ledger rows.
 
 Norm convention: for coefficients c(k), ||f||_L2^2 = (2*pi)^3 sum |c(k)|^2,
-summed over the stored half spectrum with the grid's ``parseval_weight``;
+summed over the packed ball modes with the grid's ``parseval_weight``;
 damping integrands are evaluated on collocation points with quadrature
 weight (2*pi/N)^3, so <D(u), u> / alpha matches the closed-form ``lbeta``
 and ``d_f4`` columns to round-off.
@@ -23,8 +23,9 @@ import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
 from .fields import fft_grid, ifft_grid, x_slabs
-from .grid import BallTable, GridSpec, slab_width
+from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
+from .nonlinear import Workspace
 from .state import MhdState
 
 INSTANT_COLUMNS = (
@@ -49,10 +50,10 @@ ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 L2_DAMPING_COLUMN = {"power": "lbeta", "generalized": "d_f4"}
 
 
-def spectral_sums(w: np.ndarray, grid: GridSpec | BallTable) -> tuple[float, float, float]:
+def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
     """(||w||^2, ||grad w||^2, ||Lap w||^2) in L2 of the pair w = (u, b),
-    from its stacked coefficients; the integrator takes its stage integrands
-    from here too, from the packed stage state and its :class:`BallTable`."""
+    from its stacked (6, M) coefficients; the integrator takes its stage
+    integrands from here too."""
     mag = np.zeros(w.shape[1:])
     re2, im2 = np.empty_like(mag), np.empty_like(mag)
     for c in w:
@@ -66,26 +67,19 @@ def spectral_sums(w: np.ndarray, grid: GridSpec | BallTable) -> tuple[float, flo
     return tuple(sums)
 
 
-def _velocity_squares(u: np.ndarray, grid: GridSpec, work=None):
-    """Collocation data needed by the damping integrands, from the
-    half-spectrum coefficients ``u`` of the velocity.
+def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
+    """Collocation data needed by the damping integrands, from the packed
+    (3, M) coefficients ``u`` of the velocity.
 
     Returns (q, grad_u_sq, grad_q_sq) where q = |u|^2 on the grid,
     grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
     taken spectrally from the dealiased product q.  Physical space is
     visited one slab of x-planes at a time: only these three grids are
     built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
-    of the grid that is between stages, lends its ball table, staging
-    array, multipliers i k and slab width.
+    of the grid that is between stages, lends its staging array,
+    multipliers i k and slab width.
     """
-    if work is None:
-        ball = BallTable(grid)
-        staging = np.zeros((6,) + grid.spectral_shape, dtype=np.complex128)
-        ik = np.multiply(1j, np.stack((ball.kx, ball.ky, ball.kz)))
-        width = slab_width(grid.n_modes)
-    else:
-        ball, staging, ik, width = work.ball, work.staging, work.ik, work.width
-    u = ball.pack(u)
+    staging, ik, width = work.staging, work.ik, work.width
     batch = np.empty((6,) + u.shape[1:], dtype=np.complex128)
     q, grad_u_sq, grad_q_sq = (np.empty(grid.shape) for _ in range(3))
 
@@ -94,21 +88,21 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work=None):
     # dropped before the next slab's are made.
     batch[0:3] = u
     np.multiply(ik, u[0], out=batch[3:6])
-    for x0, phys in x_slabs(batch, ball, staging, width):
+    for x0, phys in x_slabs(batch, grid, staging, width):
         planes = slice(x0, x0 + phys.shape[-3])
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
         del phys
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
-    for x0, phys in x_slabs(batch, ball, staging, width):
+    for x0, phys in x_slabs(batch, grid, staging, width):
         acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
         for d in phys:
             acc += np.multiply(d, d, out=d)
         del phys, d
 
-    np.multiply(ik, fft_grid(q, ball), out=batch[0:3])
-    for x0, phys in x_slabs(batch[0:3], ball, staging[0:3], width):
+    np.multiply(ik, fft_grid(q, grid), out=batch[0:3])
+    for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width):
         speed_sq(phys, out=grad_q_sq[x0 : x0 + phys.shape[-3]])
         del phys
     return q, grad_u_sq, grad_q_sq
@@ -129,13 +123,15 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
 def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, float]:
     """Instantaneous ledger columns for one state.  ``work`` may lend the
     idle :class:`mhddamp.nonlinear.Workspace` of the trajectory that
-    yielded the state, whose buffers then need not be allocated again."""
+    yielded the state; without it the row makes its own."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
     row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
         return row
 
     w = state.grid.cell_volume
+    if work is None:
+        work = Workspace(state.grid)
     q, grad_u_sq, grad_q_sq = _velocity_squares(state.u, state.grid, work)
     if damping.kind == "power":
         beta = float(damping.beta)
@@ -311,12 +307,13 @@ def _h1_lhs(ledger: EnergyLedger) -> np.ndarray:
 
 
 def _exponential_report(ledger: EnergyLedger, rate: float, detail: str = "") -> CheckReport:
-    """h1_exponential: LHS(t) <= ||grad w0||^2 exp(rate t) at every row.
-    Rows where the bound is not finite (beyond double range, or inf * 0 at
-    t = 0 for an infinite rate) hold trivially."""
+    """h1_exponential: LHS(t) <= ||grad w0||^2 exp(rate (t - t0)) at every
+    row, with t0 the time of the first row.  Rows where the bound is not
+    finite (beyond double range, or inf * 0 at t = t0 for an infinite rate)
+    hold trivially."""
     t = ledger.times
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = ledger.column("h1dot_sq")[0] * np.exp(rate * t)
+        rhs = ledger.column("h1dot_sq")[0] * np.exp(rate * (t - t[0]))
     finite = np.isfinite(rhs)
     margins = np.where(finite, rhs - _h1_lhs(ledger), np.inf)
     tol = 1e-12 * max(1.0, float(np.max(rhs[finite])) if finite.any() else 1.0)
@@ -328,11 +325,12 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
 
     Power damping with beta > 3:
       additive:    LHS(t) <= ||grad w0||^2 + c_{alpha,beta} ||w0||^2
-      exponential: LHS(t) <= ||grad w0||^2 exp(2 c_{alpha,beta} t)
+      exponential: LHS(t) <= ||grad w0||^2 exp(2 c_{alpha,beta} (t - t0))
     Generalized damping:
-      exponential: LHS(t) <= ||grad w0||^2 exp(gronwall_rate t)
-    where LHS collects ||grad w(t)||^2, int ||Lap w||^2 and the damping
-    dissipation integrals with their stated prefactors.  Both power bounds
+      exponential: LHS(t) <= ||grad w0||^2 exp(gronwall_rate (t - t0))
+    where w0 is the state at the first row, at time t0, and LHS collects
+    ||grad w(t)||^2, int ||Lap w||^2 and the damping dissipation integrals
+    with their stated prefactors.  Both power bounds
     are NOT-APPLICABLE when c_{alpha,beta} leaves double range.
     """
     t = ledger.times
@@ -399,9 +397,8 @@ def check_damping_identity(
     grid = state.grid
     up = ifft_grid(state.u, grid)
     d_hat = fft_grid(damping_amplitude(speed_sq(up), damping) * up, grid)
-    # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); the
-    # coefficients of u vanish outside the ball, so cutting D there changes
-    # no term.
+    # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
+    # mode outside the ball, so D's modes there add no term.
     weight = grid.parseval_weight * grid.k_sq
     lhs = grid.volume * float(
         np.sum(weight * np.sum((d_hat * np.conj(state.u)).real, axis=0))

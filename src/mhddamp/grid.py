@@ -1,5 +1,5 @@
 """
-Periodic-box spectral grid: wavenumbers, truncation mask and quadrature weights.
+Periodic-box spectral grid: wavenumbers, the truncation ball and its tables.
 
 The box is [0, 2*pi)^3 with N collocation points per axis.  Wavenumbers are
 integers k = (k1, k2, k3) with ki in {-N/2+1, ..., N/2}.  A single spherical
@@ -8,12 +8,15 @@ with the default R = dealias_fraction * N/2 = N/3, quadratic products of
 fields supported inside the ball are alias-free on the retained modes.
 
 Fields are real, so their coefficients satisfy c(-k) = conj(c(k)) and only
-the half spectrum k3 in {0, ..., N/2} is stored: the spectral arrays have
-shape (N, N, N/2+1).  A sum of |c(k)|^2 over all wavenumbers is the sum over
-the half spectrum weighted by ``parseval_weight``: 1 on the self-conjugate
-planes k3 = 0 and k3 = N/2, whose mirror images are stored in the same
-plane, and 2 in between, where each stored mode stands for itself and its
-unstored mirror.
+the half spectrum k3 in {0, ..., N/2}, of shape (N, N, N/2+1), needs to be
+known.  The solver keeps less: the M modes of the half spectrum inside the
+ball, packed, in C order, as (..., M) arrays.  The half spectrum appears only
+in the staging array of an inverse transform and in checkpoint files.  A sum
+of |c(k)|^2 over all wavenumbers is the sum over the packed modes weighted by
+``parseval_weight``: 1 on the self-conjugate plane k3 = 0, whose mirror
+images are packed too, and 2 elsewhere, where each packed mode stands for
+itself and its unpacked mirror.  (The other self-conjugate plane, k3 = N/2,
+lies outside every ball R <= N/2.)
 """
 
 from __future__ import annotations
@@ -44,20 +47,16 @@ WORKSPACE_GRIDS = (
     ("scratch", 2, "packed"),
     ("ik", 3, "packed"),           # the multipliers i k_j
 )
-# The ball table of the workspace (:class:`BallTable`): ``index``,
-# ``column_index`` and these.
-BALL_TABLES = ("kx", "ky", "kz", "k_sq", "inv_k_sq", "parseval_weight")
 # Held beside the workspace while a stage runs: the integrating factors E
 # and E^2, the packed state and next state, which holds the running RK4 sum
-# until the step ends, the last sampled state, unpacked to the half
-# spectrum, and, per slab, scipy's outputs of the inverse (6 grids) and
-# forward (11) z passes and the damping law's temporaries, then the
-# tendency, gathered to the ball.
+# until the step ends, and, per slab, scipy's outputs of the inverse (6
+# grids) and forward (11) z passes and the damping law's temporaries, then
+# the tendency, gathered to the ball.  The last sampled state is the packed
+# state of an earlier step.
 STEP_TRANSIENT_GRIDS = (
     ("factors", 2, "table"),
     ("state", 6, "packed"),
     ("next_state", 6, "packed"),
-    ("sample", 6, "spectral"),
     ("inverse_output", 6, "slab"),
     ("damping", 3, "slab"),
     ("forward_output", 11, "spectral_slab"),
@@ -65,14 +64,13 @@ STEP_TRANSIENT_GRIDS = (
 )
 # Held beside the workspace while :func:`mhddamp.energy.ledger_row` runs on
 # a sample, borrowing the workspace's staging array: the integrating
-# factors, the packed state, the sample, the row's packed velocity and
-# gradient batch, its full-size q = |u|^2, |grad u|^2 and |grad q|^2, and
-# per slab scipy's inverse output and a temporary, or the forward transform
-# of q.
+# factors, the packed state, which is the sample, the row's packed velocity
+# and gradient batch, its full-size q = |u|^2, |grad u|^2 and |grad q|^2,
+# and per slab scipy's inverse output and a temporary, or the forward
+# transform of q.
 LEDGER_GRIDS = (
     ("factors", 2, "table"),
     ("state", 6, "packed"),
-    ("sample", 6, "spectral"),
     ("gradients", 9, "packed"),
     ("pointwise", 3, "physical"),
     ("inverse_output", 7, "slab"),
@@ -126,18 +124,16 @@ def slab_width(n: int) -> int:
 
 def working_set_bytes(n: int, m: int, radius: float | None = None) -> int:
     """Bytes one trajectory holds at N = ``n`` with ``m`` modes in the ball
-    of radius ``radius`` (default N/3): its workspace, its ball table and
-    the grid's tables, and the larger of :data:`STEP_TRANSIENT_GRIDS` and
+    of radius ``radius`` (default N/3): its workspace, the grid's tables
+    and the larger of :data:`STEP_TRANSIENT_GRIDS` and
     :data:`LEDGER_GRIDS`."""
     size = _layout_bytes(n, m, n / 3.0 if radius is None else radius, slab_width(n))
 
     def total(grids):
         return sum(count * size[layout] for _, count, layout in grids)
 
-    tables = (
-        ("ball", 2 + len(BALL_TABLES), "table"),
-        ("grid_tables", 1, "spectral"),  # the grid's real k_sq and inv_k_sq
-    )
+    # index, column_index, kx, ky, kz, k_sq, inv_k_sq and parseval_weight
+    tables = (("tables", 8, "table"),)
     return total(WORKSPACE_GRIDS + tables) + max(total(STEP_TRANSIENT_GRIDS), total(LEDGER_GRIDS))
 
 
@@ -178,6 +174,14 @@ class GridSpec:
     dealias_fraction : float
         Fraction of the Nyquist band kept by the dealias rule, in (0, 1].
 
+    The grid holds the integer wavenumbers ``k1d`` of one axis, in FFT
+    order, kc = :func:`column_cutoff` (R), and (M,) tables of the M modes of
+    the ball |k| < R in C order: ``index`` and ``column_index``, their flat
+    positions in the half spectrum (N, N, N/2+1) and in its columns k3 <=
+    kc, (N, N, kc+1); ``kx``, ``ky``, ``kz`` and ``k_sq`` = |k|^2;
+    ``inv_k_sq`` = 1/|k|^2, 0 at k = 0; and ``parseval_weight``.  The k = 0
+    mode is the first.
+
     A grid whose :func:`working_set_bytes` exceed the physical memory is
     rejected; one whose spectral and physical grids alone exceed it, before
     any array is built.
@@ -206,32 +210,35 @@ class GridSpec:
         check_memory(working_set_bytes(n, 0, radius), what)  # before any array is built
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
-        # Along k3 only the half spectrum 0..N/2 is stored.
+        # No component of a mode in the ball exceeds kc in magnitude, so the
+        # ball is found among the half spectrum's columns k3 <= kc.
         j = np.arange(n)
         k1d = np.where(j <= n // 2, j, j - n).astype(np.float64)
-        kx = k1d[:, None, None]
-        ky = k1d[None, :, None]
-        kz = k1d[None, None, : n // 2 + 1]
-        k_sq = (kx * kx + ky * ky + kz * kz).astype(np.float64)
-        parseval_weight = np.full(kz.shape, 2.0)
-        parseval_weight[..., 0] = parseval_weight[..., -1] = 1.0
-        keep = k_sq < radius * radius
+        kc = column_cutoff(radius)
+        columns = (n, n, kc + 1)
+        k_sq = k1d[:, None, None] ** 2 + k1d[None, :, None] ** 2 + k1d[None, None, : kc + 1] ** 2
+        column_index = np.flatnonzero(k_sq < radius * radius)
+        i1, i2, i3 = np.unravel_index(column_index, columns)
+        kx, ky, kz = k1d[i1], k1d[i2], k1d[i3]
+        k_sq = kx * kx + ky * ky + kz * kz
         inv_k_sq = np.zeros_like(k_sq)
         nz = k_sq > 0
         inv_k_sq[nz] = 1.0 / k_sq[nz]
+        object.__setattr__(self, "kc", kc)
         for name, value in (
             ("k1d", k1d),
+            ("index", (i1 * n + i2) * (n // 2 + 1) + i3),
+            ("column_index", column_index),
             ("kx", kx),
             ("ky", ky),
             ("kz", kz),
             ("k_sq", k_sq),
-            ("keep_mask", keep),
             ("inv_k_sq", inv_k_sq),
-            ("parseval_weight", parseval_weight),
+            ("parseval_weight", np.where(kz == 0, 1.0, 2.0)),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        check_memory(working_set_bytes(n, int(np.count_nonzero(keep)), radius), what)
+        check_memory(working_set_bytes(n, k_sq.size, radius), what)
 
     # Derived scalars -----------------------------------------------------
 
@@ -257,7 +264,8 @@ class GridSpec:
 
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
-        """Shape (N, N, N/2+1) of one half-spectrum coefficient array."""
+        """Shape (N, N, N/2+1) of one half spectrum: a field of a
+        checkpoint file, or of an inverse transform's staging array."""
         return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
 
     def collocation_axis(self) -> np.ndarray:
@@ -268,44 +276,3 @@ class GridSpec:
         """Broadcastable (X1, X2, X3) coordinate arrays on the grid."""
         x = self.collocation_axis()
         return x[:, None, None], x[None, :, None], x[None, None, :]
-
-
-class BallTable:
-    """The modes of a grid's ball |k| < R, packed.
-
-    ``index`` holds their flat positions in the (N, N, N/2+1) half spectrum,
-    in C order (``np.flatnonzero(grid.keep_mask)``), ``column_index`` their
-    positions, in the same order, in its columns k3 <= kc, (N, N, kc+1),
-    and the attributes named in :data:`BALL_TABLES` hold the grid's tables
-    of the same names at those modes, each of shape (M,).  Functions
-    written against a grid's tables (``leray_project_coeffs``,
-    ``viscous_symbol``, ``energy.spectral_sums``) therefore also run on
-    packed (..., M) arrays when given a table in place of the grid.
-    """
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.volume = grid.volume
-        self.kc = column_cutoff(grid.truncation_radius)
-        self.index = np.flatnonzero(grid.keep_mask)
-        self.column_index = np.flatnonzero(grid.keep_mask[..., : self.kc + 1])
-        for name in BALL_TABLES:
-            value = np.broadcast_to(getattr(grid, name), grid.spectral_shape)[grid.keep_mask]
-            setattr(self, name, value)
-
-    def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """The ball modes of (..., N, N, N/2+1) coefficients or of their
-        (..., N, N, kc+1) columns, as a new C-contiguous (..., M) array."""
-        index = self.column_index if coeffs.shape[-1] == self.kc + 1 else self.index
-        return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), index, axis=-1)
-
-    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Packed (..., M) ball modes written into ``out``, a C-contiguous
-        (..., N, N, N/2+1) array that is zero outside the ball, or into a new
-        zeroed one; returns it."""
-        if out is None:
-            out = np.zeros(packed.shape[:-1] + self.grid.spectral_shape, dtype=packed.dtype)
-        if not out.flags.c_contiguous:  # reshape would copy, not view
-            raise ValueError("unpack writes only into a C-contiguous array")
-        out.reshape(packed.shape[:-1] + (-1,))[..., self.index] = packed
-        return out

@@ -35,12 +35,7 @@ from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, ifft_grid
 from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import Workspace, _rhs_core
-from .operators import (
-    h1_norm_pair,
-    leray_project_coeffs,
-    truncate_coeffs,
-    viscous_symbol,
-)
+from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
 from .state import MhdState
 
 log = logging.getLogger(__name__)
@@ -147,9 +142,9 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     """Divergence-free random pair (u, b) with ~|k|^-4 spectral decay.
 
     Full (3, N, N, N) normals are drawn and made Hermitian, c(k) =
-    (raw(k) + conj(raw(-k))) / 2, on the half spectrum, so a seed gives the
-    same state in every storage layout.  ValueError when the ball |k| < R
-    holds no nonzero wavenumber (R <= 1).
+    (raw(k) + conj(raw(-k))) / 2, on the half spectrum, then cut to the
+    ball, so a seed gives the same state in every storage layout.
+    ValueError when the ball |k| < R holds no nonzero wavenumber (R <= 1).
     """
     if grid.truncation_radius <= 1.0:
         raise ValueError(
@@ -166,14 +161,10 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     for field in (state.u, state.b):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         flipped = raw[..., rev[:half]][:, rev][:, :, rev]
-        np.multiply(0.5 * (raw[..., :half] + np.conj(flipped)), decay, out=field)
-        field[:, 0, 0, 0] = 0.0
-    return _projected(state)
-
-
-def _projected(state: MhdState) -> MhdState:
-    """``state`` with both fields truncated to the ball and Leray-projected."""
-    state.coeffs = leray_project_coeffs(truncate_coeffs(state.coeffs, state.grid), state.grid)
+        np.multiply(truncate_coeffs(0.5 * (raw[..., :half] + np.conj(flipped)), grid), decay,
+                    out=field)
+        field[:, 0] = 0.0  # the k = 0 mode
+    leray_project_coeffs(state.coeffs, grid)
     return state
 
 
@@ -252,7 +243,8 @@ def make_initial(
     state = MhdState.zeros(grid)
     state.u[...] = fft_grid(amplitude * u, grid)
     state.b[...] = fft_grid(amplitude * b_amplitude * b, grid)
-    return _projected(state)
+    leray_project_coeffs(state.coeffs, grid)
+    return state
 
 
 def make_initial_from_config(config: SolverConfig) -> MhdState:
@@ -265,16 +257,14 @@ def make_initial_from_config(config: SolverConfig) -> MhdState:
 
 class _StepWork:
     """Integrating factors for one (grid, dt) pair and the
-    :class:`Workspace` of one trajectory, whose ball table ``ball`` packs
-    the stepper's arrays."""
+    :class:`Workspace` of one trajectory."""
 
     def __init__(self, config: SolverConfig):
         self.grid = config.grid
         self.dt = config.dt
         self.damping = config.damping
         self.work = Workspace(self.grid)
-        self.ball = self.work.ball
-        sym = viscous_symbol(self.ball, config.nu_h, config.nu_v)
+        sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
         self.half_factor = np.exp(-sym * (self.dt / 2.0))
         self.full_factor = self.half_factor * self.half_factor
 
@@ -282,16 +272,16 @@ class _StepWork:
         """Tendency at the stage state held in work.stage and, with
         ``want_diag``, the stage's (||grad w||^2, ||Lap w||^2, damping
         dissipation)."""
-        sums = spectral_sums(self.work.stage, self.ball)[1:] if want_diag else (0.0, 0.0)
+        sums = spectral_sums(self.work.stage, self.grid)[1:] if want_diag else (0.0, 0.0)
         dw, diss = _rhs_core(self.work.stage, self.grid, self.damping, want_diag, self.work)
         return dw, sums + (diss,)
 
     @np.errstate(over="ignore", invalid="ignore")
     def advance(self, w, want_diag=True):
         """One integrating-factor RK4 step on the stacked coefficients
-        w = (u, b) of an :class:`MhdState`, packed to the ball: (6, M) in
-        the order of ``self.ball``.  The modes outside the ball are zero in
-        every stage and stay zero, so they are not stored.
+        w = (u, b) of an :class:`MhdState`, packed to the ball: (6, M).  The
+        modes outside the ball are zero in every stage and stay zero, so
+        they are not stored.
 
         Returns (w_new, increments) where w_new is a new packed array and
         increments holds the stage-weighted contributions to
@@ -339,7 +329,7 @@ class _StepWork:
         c = dt / 6.0
         acc *= c
         acc += np.multiply(E2, w, out=stage)
-        w_new = leray_project_coeffs(acc, self.ball)
+        w_new = leray_project_coeffs(acc, self.grid)
 
         increments = tuple(c * (a + 2.0 * (b + d) + e) for a, b, d, e in zip(s1, s2, s3, s4))
         return w_new, increments
@@ -376,11 +366,10 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, wo
     steps and at t_end.  ``integrals`` holds the running stage-weighted
     (int ||grad w||^2, int ||Lap w||^2, int damping dissipation) since the
     state time; it stays zero without ``want_diag``.  ``w`` is the stacked
-    coefficient array of an :class:`MhdState`: ``state.coeffs`` itself at
-    the state time, then a new array each time, unpacked from the stepper's
-    packed ball, so yielded arrays are never modified later.  Only the modes
-    of ``state`` in the ball |k| < R are stepped; the others must be zero.
-    Raises BlowUpError at the first step that leaves the finite fields.
+    (6, M) coefficient array of an :class:`MhdState`: ``state.coeffs``
+    itself at the state time, then the stepper's new state, a new array
+    each step, so yielded arrays are never modified later.  Raises
+    BlowUpError at the first step that leaves the finite fields.
     ``work`` is the trajectory's :class:`_StepWork`, a new one when None;
     its workspace is idle while a yield waits.
     """
@@ -388,9 +377,9 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, wo
     n_steps = _step_count(t0, config)
     if work is None:
         work = _StepWork(config)
-    w = work.ball.pack(state.coeffs)
+    w = state.coeffs
     acc = [0.0, 0.0, 0.0]
-    yield t0, state.coeffs, (0.0, 0.0, 0.0)
+    yield t0, w, (0.0, 0.0, 0.0)
     del state  # the caller alone keeps the initial state alive, if it wants to
     for i in range(1, n_steps + 1):
         w, inc = work.advance(w, want_diag)
@@ -399,14 +388,14 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, wo
         if not np.all(np.isfinite(w)):
             raise BlowUpError(t)
         if i % config.ledger_stride == 0 or i == n_steps:
-            yield t, work.ball.unpack(w), tuple(acc)
+            yield t, w, tuple(acc)
 
 
 def run(config: SolverConfig):
     """Integrate from the configured initial state to t_end.
 
     Returns (final MhdState, EnergyLedger).  A ledger row is appended at
-    t = 0, every ledger_stride steps, and at t_end.  Identical configs
+    the state time, every ledger_stride steps, and at t_end.  Identical configs
     produce bit-identical ledgers.  Raises BlowUpError (carrying the partial
     ledger) if the solution leaves the space of finite fields.
     """
@@ -468,33 +457,39 @@ def save_checkpoint(path, state: MhdState) -> None:
     """Fixed-layout little-endian binary snapshot; bit-exact round trip.
 
     Layout (version 2): magic "MHDF", format version (u32), N (i64),
-    truncation radius (f64), time (f64), then ``state.coeffs``: the six
-    half-spectrum coefficient arrays u1 u2 u3 b1 b2 b3, each (N, N, N/2+1)
-    complex128 in C order.  Version 1 stored full (N, N, N) arrays in the
-    same order.
+    truncation radius (f64), time (f64), then the six coefficient arrays
+    u1 u2 u3 b1 b2 b3 of ``state``, each as its half spectrum (N, N, N/2+1)
+    complex128 in C order, zero outside the ball.  Version 1 stored full
+    (N, N, N) arrays in the same order.
     """
+    grid = state.grid
     header = struct.pack(
         CHECKPOINT_HEADER,
         CHECKPOINT_MAGIC,
         CHECKPOINT_VERSION,
-        state.grid.n_modes,
-        state.grid.truncation_radius,
+        grid.n_modes,
+        grid.truncation_radius,
         state.t,
     )
+    half = np.zeros(grid.spectral_shape, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.coeffs, dtype="<c16").data)  # no copy
+        for field in state.coeffs:  # one half spectrum at a time
+            half.reshape(-1)[grid.index] = field
+            fh.write(half.data)
 
 
 def load_checkpoint(path) -> MhdState:
     """Read a version 2 or version 1 checkpoint and check the state it holds.
 
     Malformed files raise ValueError before any allocation sized by the
-    header.  The state must then have a finite time and finite coefficients,
-    no mode outside the truncation ball, self-conjugate planes within
-    HERMITIAN_TOL of Hermitian symmetry and a divergence within
-    DIV_FREE_RTOL of its H1 norm; otherwise ValueError.  The state owns its
-    coefficient array, which is writable for both versions.
+    header.  The time must be finite, and the coefficients, in the file's
+    layout, finite, zero outside the truncation ball and within
+    HERMITIAN_TOL of Hermitian symmetry: on the self-conjugate planes of a
+    version 2 half spectrum, on every mode of a version 1 full spectrum.
+    The ball's modes are then packed, and the state must have a divergence
+    within DIV_FREE_RTOL of its H1 norm.  Otherwise ValueError.  The state
+    owns its coefficient array, which is writable.
     """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
@@ -519,28 +514,31 @@ def load_checkpoint(path) -> MhdState:
         data = np.empty((6, n, n, stored), dtype="<c16")
         if fh.readinto(data) != payload:
             raise ValueError(f"{path}: checkpoint payload changed while it was read")
-    if version == 1:
-        data = data[..., : n // 2 + 1].copy()
-    state = MhdState(data.astype(np.complex128, copy=False), grid, float(t))
-    _check_loaded_state(path, state)
-    return state
-
-
-def _check_loaded_state(path, state: MhdState) -> None:
-    grid = state.grid
-    if not state.is_finite():
-        raise ValueError(f"{path}: state has non-finite coefficients")
-    if np.any(state.coeffs[:, ~grid.keep_mask]):
-        raise ValueError(f"{path}: state is nonzero outside |k| < {grid.truncation_radius:g}")
-    defect = hermitian_defect(state.coeffs)
-    if defect > HERMITIAN_TOL:
-        raise ValueError(
-            f"{path}: state is not a real field (Hermitian defect {defect:.3e} "
-            f"> {HERMITIAN_TOL:.0e})"
-        )
+    _check_file_layout(path, data, grid)
+    state = MhdState(truncate_coeffs(data[..., : n // 2 + 1], grid), grid, float(t))
     divergence = state.max_divergence()
     h1 = h1_norm_pair(state.coeffs, grid)
     if divergence > DIV_FREE_RTOL * h1:
         raise ValueError(
             f"{path}: divergence {divergence:.3e} exceeds {DIV_FREE_RTOL:.0e} x H1 norm {h1:.3e}"
+        )
+    return state
+
+
+def _check_file_layout(path, data: np.ndarray, grid: GridSpec) -> None:
+    """ValueError unless the (6, N, N, *) coefficients of a checkpoint, a
+    half or a full spectrum, are finite, zero outside the ball and
+    Hermitian."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: state has non-finite coefficients")
+    k = grid.k1d
+    k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, : data.shape[-1]] ** 2
+    outside = k_sq >= grid.truncation_radius**2
+    if any(np.any(field[outside]) for field in data):
+        raise ValueError(f"{path}: state is nonzero outside |k| < {grid.truncation_radius:g}")
+    defect = hermitian_defect(data)
+    if defect > HERMITIAN_TOL:
+        raise ValueError(
+            f"{path}: state is not a real field (Hermitian defect {defect:.3e} "
+            f"> {HERMITIAN_TOL:.0e})"
         )

@@ -26,8 +26,8 @@ without damping).
 
 The solver's right-hand side :func:`_rhs_core` takes and returns w packed
 to the ball |k| < R, the only modes of the truncated system (see
-:class:`mhddamp.grid.BallTable`): its spectral arithmetic runs on those M
-modes alone, and only the transforms see the full grids.
+:mod:`mhddamp.grid`): its spectral arithmetic runs on those M modes alone,
+and only the transforms see the full grids.
 """
 
 from __future__ import annotations
@@ -36,35 +36,34 @@ import numpy as np
 
 from .damping import DampingSpec, damping_term
 from .fields import fft_xy, rfft_z, x_slabs
-from .grid import WORKSPACE_GRIDS, BallTable, GridSpec, slab_width
+from .grid import WORKSPACE_GRIDS, GridSpec, slab_width
 from .operators import leray_project_coeffs
 
 
 class Workspace:
     """The buffers of one trajectory, allocated once from
-    :data:`mhddamp.grid.WORKSPACE_GRIDS`, its :class:`BallTable` ``ball``
-    and the slab width ``width`` of its physical-space pass.  ``staging``
-    (zero between transforms) has the full layout the inverse transform
-    needs, ``columns`` (None with a single slab) the columns k3 <= kc the
-    forward transform keeps, ``products`` the layout of one slab;
+    :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
+    its physical-space pass.  ``staging`` (zero between transforms) has the
+    half-spectrum layout the inverse transform needs, ``columns`` (None
+    with a single slab) the columns k3 <= kc the forward transform keeps,
+    ``products`` the layout of one slab;
     ``stage``, ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are
     packed to the ball.  Each trajectory makes its own; none is shared."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n_modes
-        self.ball = BallTable(grid)
         self.width = slab_width(n)
         layouts = {
             "spectral": (grid.spectral_shape, np.complex128),
-            "columns": ((n, n, self.ball.kc + 1), np.complex128),
+            "columns": ((n, n, grid.kc + 1), np.complex128),
             "slab": ((self.width, n, n), np.float64),
-            "packed": (self.ball.index.shape, np.complex128),
+            "packed": (grid.index.shape, np.complex128),
         }
         for name, count, layout in WORKSPACE_GRIDS:
             shape, dtype = layouts[layout]
             one_slab = layout == "columns" and self.width == n  # scipy's output serves
             setattr(self, name, None if one_slab else np.zeros((count,) + shape, dtype=dtype))
-        for ik, k in zip(self.ik, (self.ball.kx, self.ball.ky, self.ball.kz)):
+        for ik, k in zip(self.ik, (grid.kx, grid.ky, grid.kz)):
             np.multiply(1j, k, out=ik)
 
 
@@ -136,10 +135,10 @@ def _rhs_core(
     work: Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """Non-viscous tendency of the stacked coefficients w = (u, b) of an
-    :class:`MhdState`, packed to the ball |k| < R: (6, M), in the order of
-    ``work.ball``.  It holds the quadratic terms, in divergence form, and
-    the damping, without the viscous term, which the integrator treats
-    exactly through its integrating factor.
+    :class:`MhdState`, packed to the ball |k| < R: (6, M).  It holds the
+    quadratic terms, in divergence form, and the damping, without the
+    viscous term, which the integrator treats exactly through its
+    integrating factor.
 
     Physical space is visited one slab of ``work.width`` x-planes at a
     time: ``w`` is scattered into work.staging, transformed there along x
@@ -159,7 +158,7 @@ def _rhs_core(
         work = Workspace(grid)
     count = 8 if damping.kind == "none" else 11
     damp_diss = 0.0
-    for x0, phys in x_slabs(w, work.ball, work.staging, work.width):
+    for x0, phys in x_slabs(w, grid, work.staging, work.width):
         prod = work.products[:count, : phys.shape[-3]]
         _products(phys, prod)
         if damping.kind != "none":
@@ -176,6 +175,6 @@ def _rhs_core(
     if damp_diss:
         damp_diss *= grid.cell_volume / damping.alpha
 
-    dw = _tendency(fft_xy(spectra, work.ball), work.ik, work.scratch)
-    leray_project_coeffs(dw[0:3], work.ball)
+    dw = _tendency(fft_xy(spectra, grid), work.ik, work.scratch)
+    leray_project_coeffs(dw[0:3], grid)
     return dw, damp_diss

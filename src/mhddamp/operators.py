@@ -1,36 +1,36 @@
 """
 Fourier-space operators: truncation, Leray projection, derivatives and norms.
 
-Everything here is exact coefficient algebra on stacked half-spectrum
-arrays, (..., N, N, N/2+1), with their grid passed beside them; no
-transforms are performed.  Integrals follow the convention of
-:mod:`mhddamp.fields`: for a field with coefficients c(k), the squared L2
-norm over the box is (2*pi)^3 sum |c(k)|^2, taken over the stored half
-spectrum with the grid's ``parseval_weight``.
+Everything here is exact coefficient algebra on stacked packed ball modes,
+(..., M), with their grid passed beside them; no transforms are performed.
+Integrals follow the convention of :mod:`mhddamp.fields`: for a field with
+coefficients c(k), the squared L2 norm over the box is (2*pi)^3 sum |c(k)|^2,
+taken over the packed modes with the grid's ``parseval_weight``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import BallTable, GridSpec
+from .grid import GridSpec
 
 
 def truncate_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``coeffs`` with every mode |k| >= R of the grid cutoff zeroed, as a
-    new array.  Idempotent."""
-    return coeffs * grid.keep_mask
+    """The modes |k| < R of stacked half-spectrum (..., N, N, N/2+1)
+    coefficients, or of their columns k3 <= kc, (..., N, N, kc+1), packed
+    as a new C-contiguous (..., M) array: every other mode is dropped."""
+    index = grid.column_index if coeffs.shape[-1] == grid.kc + 1 else grid.index
+    return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), index, axis=-1)
 
 
-def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec | BallTable) -> np.ndarray:
+def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Project onto divergence-free fields: c(k) -> c(k) - k (k.c)/|k|^2.
 
     The k = 0 mode passes through unchanged (a constant field is
     divergence-free).  Idempotent and self-adjoint for the discrete inner
     product.  Returns the projection, made in place when ``coeffs`` is
-    C-contiguous.  ``coeffs`` may stack m vector fields, (3 m, N, N, N/2+1)
-    or (m, 3, N, N, N/2+1); each is projected.  With a :class:`BallTable`
-    for ``grid`` they are packed, (3 m, M) or (m, 3, M).
+    C-contiguous.  ``coeffs`` may stack m vector fields, (3 m, M) or
+    (m, 3, M); each is projected.
     """
     c = coeffs.reshape((-1, 3) + grid.k_sq.shape)  # a view of a contiguous coeffs
     k = (grid.kx, grid.ky, grid.kz)
@@ -45,14 +45,13 @@ def leray_project_coeffs(coeffs: np.ndarray, grid: GridSpec | BallTable) -> np.n
 
 
 def divergence(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spectral scalar div(c) = i k . c(k) of a (3, N, N, N/2+1) field."""
+    """Spectral scalar div(c) = i k . c(k) of a (3, M) field."""
     return 1j * (grid.kx * coeffs[0] + grid.ky * coeffs[1] + grid.kz * coeffs[2])
 
 
-def viscous_symbol(grid: GridSpec | BallTable, nu_h: float, nu_v: float) -> np.ndarray:
-    """Nonnegative multiplier nu_h (k1^2 + k2^2) + nu_v k3^2, shaped like
-    ``grid.k_sq``: (N, N, N/2+1), or (M,) for a :class:`BallTable`.  Minus
-    it is the anisotropic viscous operator; with nu_h = nu_v = 1, the
+def viscous_symbol(grid: GridSpec, nu_h: float, nu_v: float) -> np.ndarray:
+    """Nonnegative (M,) multiplier nu_h (k1^2 + k2^2) + nu_v k3^2.  Minus it
+    is the anisotropic viscous operator; with nu_h = nu_v = 1, the
     Laplacian."""
     return nu_h * (grid.kx**2 + grid.ky**2) + nu_v * grid.kz**2
 
@@ -74,12 +73,12 @@ def sobolev_norm(coeffs: np.ndarray, grid: GridSpec, order: float) -> float:
 
 
 def divergence_l2(coeffs: np.ndarray, grid: GridSpec) -> float:
-    """L2 norm of the divergence of a (3, N, N, N/2+1) field over the box."""
+    """L2 norm of the divergence of a (3, M) field over the box."""
     return float(np.sqrt(weighted_sum_sq(divergence(coeffs, grid), 1.0, grid)))
 
 
 def h1_norm_pair(w: np.ndarray, grid: GridSpec) -> float:
     """Inhomogeneous H1 norm sqrt(||u||_H1^2 + ||b||_H1^2) of the pair
-    w = (u, b), from its stacked (6, N, N, N/2+1) coefficients."""
+    w = (u, b), from its stacked (6, M) coefficients."""
     u_h1, b_h1 = (sobolev_norm(f, grid, 1.0) for f in np.split(w, 2))
     return float(np.sqrt(u_h1**2 + b_h1**2))

@@ -12,11 +12,12 @@ from .operators import divergence_l2
 
 @dataclass
 class MhdState:
-    """The pair w = (u, b) as one complex half-spectrum array.
+    """The pair w = (u, b) as one complex array of packed ball modes.
 
-    ``coeffs`` has shape (6, N, N, N/2+1) with components u1 u2 u3 b1 b2 b3,
-    the checkpoint order; ``u`` and ``b`` are views of its two halves, so
-    writing through them changes the state.
+    ``coeffs`` has shape (6, M) with components u1 u2 u3 b1 b2 b3, the
+    checkpoint order, each holding the modes of the ball |k| < R in the
+    order of ``grid.index``; ``u`` and ``b`` are (3, M) views of its two
+    halves, so writing through them changes the state.
     """
 
     coeffs: np.ndarray
@@ -24,7 +25,7 @@ class MhdState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        expected = (6,) + self.grid.spectral_shape
+        expected = (6,) + self.grid.index.shape
         if self.coeffs.shape != expected:
             raise ValueError(f"state shape {self.coeffs.shape} != {expected}")
         if self.coeffs.dtype != np.complex128:
@@ -32,7 +33,7 @@ class MhdState:
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> MhdState:
-        return cls(np.zeros((6,) + grid.spectral_shape, dtype=np.complex128), grid)
+        return cls(np.zeros((6,) + grid.index.shape, dtype=np.complex128), grid)
 
     @property
     def u(self) -> np.ndarray:
@@ -41,9 +42,6 @@ class MhdState:
     @property
     def b(self) -> np.ndarray:
         return self.coeffs[3:6]
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
 
     def max_divergence(self) -> float:
         """max of the L2 divergence norms of u and b."""

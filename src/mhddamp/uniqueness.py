@@ -6,8 +6,8 @@ The difference system is realized literally as the difference of two solver
 trajectories advanced in lockstep, so no re-derivation of the coupled
 difference equations is involved.  Two exponential rates are reported: the
 least-squares slope of log d over the fit window, and the certified rate
-max_t log(d(t)/d(0))/t for which d(t) <= d(0) exp(rate * t) holds on the
-window by construction.
+max_t log(d(t)/d(t0))/(t - t0) for which d(t) <= d(t0) exp(rate (t - t0))
+holds on the window by construction, with t0 the start time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class TwinRunResult:
     d: np.ndarray
     d0: float
     c_hat: float          # least-squares slope of log d over the fit window
-    c_bound: float        # certified rate: max log(d/d0)/t over the window
+    c_bound: float        # certified rate: max log(d/d0)/(t - t0) over the window
     window_end: int       # index of the last row inside the fit window
     eps: float
     blown_up: bool
@@ -49,10 +49,11 @@ class TwinRunResult:
     def bound_series(self) -> np.ndarray:
         if self.d0 == 0.0:
             return np.zeros_like(self.t)
-        return self.d0 * np.exp(self.c_bound * self.t)
+        return self.d0 * np.exp(self.c_bound * (self.t - self.t[0]))
 
     def bound_satisfied(self, slack: float = 1e-6) -> bool:
-        """d(t) <= d(0) exp(c_bound t) (1 + slack) over the fit window."""
+        """d(t) <= d(t0) exp(c_bound (t - t0)) (1 + slack) over the fit
+        window."""
         if self.d0 == 0.0:
             return bool(np.all(self.d == 0.0))
         window = slice(0, self.window_end + 1)
@@ -92,7 +93,7 @@ def _separation(w_a, w_b, grid: GridSpec) -> float:
 
 
 def _fit_window(d: np.ndarray) -> int:
-    """Last index of the fit window: from t = 0 to the first local maximum
+    """Last index of the fit window: from the start to the first local maximum
     of d, or the end of the series when d never stops growing (or never
     grows at all)."""
     n = d.size
@@ -106,7 +107,7 @@ def _fit_window(d: np.ndarray) -> int:
 
 def _fit_rates(t: np.ndarray, d: np.ndarray, window_end: int) -> tuple[float, float]:
     window = slice(0, window_end + 1)
-    tw = t[window]
+    tw = t[window] - t[0]  # elapsed time
     dw = d[window]
     positive = dw > 0
     if positive.sum() < 2:

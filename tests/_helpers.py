@@ -1,14 +1,16 @@
 """Shared builders and brute-force oracles for the test suite.
 
-Fields are plain coefficient arrays, (3, N, N, N/2+1) for one vector field,
-with their grid passed beside them, as in the package.  The oracles here
-(full transforms, the convective form of the nonlinear term, the damping
-contraction, the sampled Gronwall lemma) are references the package's own
-code is held to; they are not part of it.
+Fields are plain arrays of packed ball modes, (3, M) for one vector field,
+with their grid passed beside them, as in the package.  Tests that need the
+half spectrum (N, N, N/2+1) reach it through :func:`unpack` and
+:func:`half_tables`.  The oracles here (full transforms, the convective form
+of the nonlinear term, the damping contraction, the sampled Gronwall lemma)
+are references the package's own code is held to; they are not part of it.
 """
 
 import contextlib
 import struct
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,8 +21,32 @@ from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
 from mhddamp.fields import fft_grid, ifft_grid
 from mhddamp.lemmas import CheckReport
-from mhddamp.nonlinear import Workspace, _rhs_core
+from mhddamp.nonlinear import _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
+
+
+def half_tables(grid) -> SimpleNamespace:
+    """The half spectrum's (N, N, N/2+1) tables, built from the wavenumber
+    axis alone: ``kx``, ``ky``, ``kz`` and ``k_sq`` (broadcast to full
+    size), ``keep_mask`` (|k| < R) and ``parseval_weight`` (1 on the planes
+    k3 = 0 and k3 = N/2, 2 in between)."""
+    n = grid.n_modes
+    k = grid.k1d
+    kx, ky, kz = (np.broadcast_to(a, grid.spectral_shape) for a in
+                  (k[:, None, None], k[None, :, None], k[None, None, : n // 2 + 1]))
+    k_sq = kx * kx + ky * ky + kz * kz
+    weight = np.full(grid.spectral_shape, 2.0)
+    weight[..., 0] = weight[..., -1] = 1.0
+    return SimpleNamespace(kx=kx, ky=ky, kz=kz, k_sq=k_sq, parseval_weight=weight,
+                           keep_mask=k_sq < grid.truncation_radius**2)
+
+
+def unpack(packed: np.ndarray, grid) -> np.ndarray:
+    """Packed (..., M) ball modes as a new (..., N, N, N/2+1) half spectrum,
+    zero outside the ball.  ``truncate_coeffs`` is the inverse."""
+    half = np.zeros(packed.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
+    half[..., half_tables(grid).keep_mask] = packed
+    return half
 
 
 def coeffs_of(values: np.ndarray) -> np.ndarray:
@@ -29,11 +55,11 @@ def coeffs_of(values: np.ndarray) -> np.ndarray:
     return scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
 
 
-def values_of(coeffs: np.ndarray) -> np.ndarray:
-    """Real point values of stacked half-spectrum coefficients: the full
-    3-D inverse transform, every mode used."""
-    n = coeffs.shape[-2]
-    return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+def values_of(coeffs: np.ndarray, grid) -> np.ndarray:
+    """Real point values of stacked packed ball modes: the full 3-D inverse
+    transform of their half spectrum."""
+    n = grid.n_modes
+    return scipy.fft.irfftn(unpack(coeffs, grid), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
 
 def pair_state(grid, u, b=None) -> MhdState:
@@ -57,11 +83,11 @@ def inner_l2(a: np.ndarray, b: np.ndarray, grid) -> float:
 
 
 def gradient_coeffs(coeffs: np.ndarray, grid, out=None) -> np.ndarray:
-    """The derivative coefficients i k_j c_i of each component c_i of
-    ``coeffs`` in out[3 i + j]; a new (3 len(coeffs), N, N, N/2+1) array
-    when ``out`` is None."""
+    """The derivative coefficients i k_j c_i of each packed component c_i
+    of ``coeffs`` in out[3 i + j]; a new (3 len(coeffs), M) array when
+    ``out`` is None."""
     if out is None:
-        out = np.empty((3 * len(coeffs),) + grid.spectral_shape, dtype=np.complex128)
+        out = np.empty((3 * len(coeffs),) + grid.k_sq.shape, dtype=np.complex128)
     for i, c in enumerate(coeffs):
         for j, k in enumerate((grid.kx, grid.ky, grid.kz)):
             np.multiply(1j * k, c, out=out[3 * i + j])
@@ -93,17 +119,17 @@ def full_spectrum(c: np.ndarray) -> np.ndarray:
 
 
 def random_divfree(grid, seed, h1_norm=None, l2_norm=None, band=None, decay=2.0):
-    """Smooth random divergence-free (3, N, N, N/2+1) coefficients inside the
-    grid's ball, optionally rescaled."""
+    """Smooth random divergence-free packed (3, M) coefficients of a real
+    field in the grid's ball, optionally rescaled."""
     rng = np.random.default_rng(seed)
     shape = (3,) + grid.shape
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c = half_spectrum(hermitian_symmetrize(c))
+    c = truncate_coeffs(half_spectrum(hermitian_symmetrize(c)), grid)
     c *= (1.0 + grid.k_sq) ** (-decay)
-    c[:, 0, 0, 0] = 0.0
+    c[:, 0] = 0.0
     if band is not None:
         c[:, grid.k_sq >= band * band] = 0.0
-    s = leray_project_coeffs(truncate_coeffs(c, grid), grid)
+    s = leray_project_coeffs(c, grid)
     if h1_norm is not None:
         s *= h1_norm / sobolev_norm(s, grid, 1.0)
     elif l2_norm is not None:
@@ -141,11 +167,11 @@ def convolution_oracle_vgradw(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
     """True (unaliased) convolution sum for v.grad w restricted to |k| < R.
 
     (v.grad w)^(k) = sum_{p+q=k} sum_j v_j(p) (i q_j) w(q); quadratic in the
-    mode count of the ball, so meant for N = 8.  Sums over full spectra and
-    returns the stored half.
+    mode count of the ball, so meant for N = 8.  Sums over the full spectra
+    of the packed inputs and returns the packed ball modes.
     """
-    v_full = full_spectrum(v)
-    w_full = full_spectrum(w)
+    v_full = full_spectrum(unpack(v, grid))
+    w_full = full_spectrum(unpack(w, grid))
     out = np.zeros((3,) + grid.shape, dtype=np.complex128)
     modes = ball_modes(grid.truncation_radius)
     radius_sq = grid.truncation_radius**2
@@ -162,7 +188,7 @@ def convolution_oracle_vgradw(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
                 continue
             coeff = 1j * (vp[0] * q[0] + vp[1] * q[1] + vp[2] * q[2])
             out[:, k[0], k[1], k[2]] += coeff * wq
-    return half_spectrum(out)
+    return truncate_coeffs(half_spectrum(out), grid)
 
 
 @contextlib.contextmanager
@@ -179,7 +205,7 @@ def velocity_squares_oracle(u: np.ndarray, grid, work=None):
     """(q, |grad u|^2, |grad q|^2) on the grid, as ``energy._velocity_squares``
     returns them, from one 12-grid batch (u and its nine derivatives)
     transformed at full size in a single call."""
-    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    batch = np.empty((12,) + grid.k_sq.shape, dtype=np.complex128)
     batch[0:3] = u
     gradient_coeffs(u, grid, batch[3:12])
     phys = ifft_grid(batch, grid)
@@ -198,22 +224,30 @@ def ledger_row_oracle(state, damping) -> dict:
 
 
 def embed_coeffs(c_small: np.ndarray, grid_small, grid_big) -> np.ndarray:
-    """Copy coefficients from a coarse grid into a finer one by wavenumber."""
+    """Copy packed coefficients from a coarse grid into a finer one by
+    wavenumber."""
     nb = grid_big.n_modes
     r = int(np.ceil(grid_small.truncation_radius))
     idx = np.arange(-r, r + 1)
     big = np.zeros((3, nb, nb, nb), dtype=np.complex128)
     ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
-    big[:, ii, jj, kk] = full_spectrum(c_small)[:, ii, jj, kk]
-    return half_spectrum(big)
+    big[:, ii, jj, kk] = full_spectrum(unpack(c_small, grid_small))[:, ii, jj, kk]
+    return truncate_coeffs(half_spectrum(big), grid_big)
+
+
+def write_checkpoint(path, grid, coeffs, t, version=2) -> None:
+    """A checkpoint file holding (6, N, N, N/2+1) half-spectrum ``coeffs``
+    as they are (version 2) or as full (N, N, N) spectra (version 1); full
+    (6, N, N, N) ``coeffs`` are written as they are."""
+    header = struct.pack("<4sIqdd", b"MHDF", version, grid.n_modes, grid.truncation_radius, t)
+    if version == 1 and coeffs.shape[-1] != grid.n_modes:
+        coeffs = full_spectrum(coeffs)
+    path.write_bytes(header + coeffs.astype("<c16").tobytes())
 
 
 def write_v1_checkpoint(path, state) -> None:
     """A version 1 checkpoint: the same header, full (N, N, N) spectra."""
-    grid = state.grid
-    header = struct.pack("<4sIqdd", b"MHDF", 1, grid.n_modes, grid.truncation_radius, state.t)
-    arrays = full_spectrum(state.coeffs)
-    path.write_bytes(header + arrays.astype("<c16").tobytes())
+    write_checkpoint(path, state.grid, unpack(state.coeffs, state.grid), state.t, version=1)
 
 
 MALFORMED_CHECKPOINTS = (
@@ -240,29 +274,26 @@ def malformed_checkpoint(good: bytes, case: str) -> bytes:
 def convection(v: np.ndarray, w: np.ndarray, grid) -> np.ndarray:
     """Dealiased coefficients of v.grad w = sum_j v_j d_j w, in convective
     form with full transforms: the reference for the solver's divergence
-    form.  Both inputs are expected inside the dealias ball; the result is
-    truncated to it.
+    form.  Both inputs are packed to the dealias ball; so is the result.
     """
-    batch = np.empty((12,) + grid.spectral_shape, dtype=np.complex128)
+    batch = np.empty((12,) + grid.k_sq.shape, dtype=np.complex128)
     batch[0:3] = v
     gradient_coeffs(w, grid, batch[3:12])
-    phys = values_of(batch)
+    phys = values_of(batch, grid)
     vp = phys[0:3]
     out = np.empty((3,) + grid.shape, dtype=np.float64)
     for i in range(3):
         gw = phys[3 + 3 * i:6 + 3 * i]
         out[i] = vp[0] * gw[0] + vp[1] * gw[1] + vp[2] * gw[2]
-    return coeffs_of(out) * grid.keep_mask
+    return truncate_coeffs(coeffs_of(out), grid)
 
 
 def rhs_mhd(state, grid, nu_h=1.0, nu_v=1.0, damping=DampingSpec()):
     """Full tendency (du/dt, db/dt) of the damped MHD system, viscous term
-    included: the solver's right-hand side on the half spectrum."""
-    if not state.is_finite():
+    included: the solver's right-hand side, packed."""
+    if not np.all(np.isfinite(state.coeffs)):
         raise ValueError("state contains non-finite coefficients")
-    work = Workspace(grid)
-    dw, _ = _rhs_core(work.ball.pack(state.coeffs), grid, damping, False, work)
-    dw = work.ball.unpack(dw)
+    dw, _ = _rhs_core(state.coeffs, grid, damping, False)
     dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
     return dw[0:3], dw[3:6]
 

@@ -421,6 +421,16 @@ class TestCmdLemmas:
         not_applicable = {row.rsplit(",", 5)[0] for row in rows if "NOT-APPLICABLE" in row}
         assert not_applicable == cells
 
+    def test_huge_sharp_constant_passes(self, tmp_path, capsys):
+        # c = 1.9e99 is in double range; its margin at x* is held relative to c
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"alphas": [1e-200], "betas": [7.0]}))
+        out = tmp_path / "out"
+        assert main(["lemmas", "--matrix", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "lemmas" / "interpolation.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["1e-200", "7.0", "PASS"]]
+
     def test_empty_matrix_usage_error(self, tmp_path):
         matrix = tmp_path / "m.json"
         matrix.write_text(json.dumps({"alphas": []}))

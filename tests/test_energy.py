@@ -18,6 +18,8 @@ from mhddamp import (
     ledger_row,
     make_initial,
     run,
+    save_checkpoint,
+    twin_run,
 )
 from mhddamp.energy import ALL_COLUMNS
 
@@ -25,6 +27,7 @@ from _helpers import (
     embed_coeffs,
     full_spectrum,
     half_spectrum,
+    half_tables,
     ledger_row_oracle,
     pair_state,
     random_divfree,
@@ -63,12 +66,11 @@ class TestLedgerRow:
         u = random_divfree(grid16, seed=2, h1_norm=1.5)
         state = pair_state(grid16, u)
         row = ledger_row(state, DampingSpec(kind="power", alpha=1.0, beta=3.0))
-        up = values_of(u)
+        up = values_of(u, grid16)
         q = np.sum(up**2, axis=0)
-        q_hat = half_spectrum(np.fft.fftn(q) / 16**3) * grid16.keep_mask
-        gq = np.stack(
-            [1j * grid16.kx * q_hat, 1j * grid16.ky * q_hat, 1j * grid16.kz * q_hat]
-        )
+        half = half_tables(grid16)
+        q_hat = half_spectrum(np.fft.fftn(q) / 16**3) * half.keep_mask
+        gq = np.stack([1j * half.kx * q_hat, 1j * half.ky * q_hat, 1j * half.kz * q_hat])
         gq_phys = np.fft.ifftn(full_spectrum(gq), axes=(1, 2, 3)).real * 16**3
         ref = np.sum(gq_phys**2) * grid16.cell_volume
         assert row["d_beta_sq"] == pytest.approx(ref, rel=1e-12)
@@ -80,16 +82,16 @@ class TestLedgerRow:
         state = pair_state(grid16, u, b)
         row = ledger_row(state, DampingSpec())
         w = grid16.cell_volume
-        up = values_of(u)
-        bp = values_of(b)
+        up = values_of(u, grid16)
+        bp = values_of(b, grid16)
         l2_phys = (np.sum(up**2) + np.sum(bp**2)) * w
         assert row["l2_sq"] == pytest.approx(l2_phys, rel=1e-10)
 
         def grad_phys(c):
             g = np.stack(
                 [1j * grid16.kx * c, 1j * grid16.ky * c, 1j * grid16.kz * c]
-            ).reshape((9,) + grid16.spectral_shape)
-            return values_of(g)
+            ).reshape((9,) + grid16.index.shape)
+            return values_of(g, grid16)
 
         h1_phys = (np.sum(grad_phys(u) ** 2) + np.sum(grad_phys(b) ** 2)) * w
         assert row["h1dot_sq"] == pytest.approx(h1_phys, rel=1e-10)
@@ -252,6 +254,35 @@ class TestH1Checks:
         reports = {r.name: r for r in check_H1_inequalities(ledger)}
         assert reports["h1_additive"].status == "PASS"
         assert reports["h1_exponential"].status == "PASS"
+
+
+def restart_at(t0, tmp_path):
+    """50 steps of power damping, beta = 4, at N = 8 from a checkpoint of
+    one state taken at time t0."""
+    grid = GridSpec(n_modes=8)
+    state = make_initial("random_divfree", grid, seed=4, target_h1=3.0)
+    state.t = t0
+    path = tmp_path / f"t0={t0}.mhdf"
+    save_checkpoint(path, state)
+    return SolverConfig(
+        grid=grid, dt=2e-3, t_end=t0 + 50 * 2e-3, ledger_stride=5, seed=4,
+        initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)),
+        damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
+    )
+
+
+def test_restart_bounds_are_measured_from_the_state_time(tmp_path):
+    # the same trajectory, restarted at other times, gets the same verdicts,
+    # margins and certified twin rate
+    want_reports = check_H1_inequalities(run(restart_at(0.0, tmp_path))[1])
+    want_rate = twin_run(restart_at(0.0, tmp_path), 1e-6).c_bound
+    for t0 in (-0.05, 0.05, 5.0):
+        cfg = restart_at(t0, tmp_path)
+        for got, want in zip(check_H1_inequalities(run(cfg)[1]), want_reports):
+            assert got.status == want.status == "PASS", (t0, got.name)
+            assert got.worst_time - t0 == pytest.approx(want.worst_time, abs=1e-12)
+            assert np.allclose(got.margins, want.margins, rtol=0.0, atol=want.tolerance), (t0, got.name)
+        assert twin_run(cfg, 1e-6).c_bound == pytest.approx(want_rate, rel=1e-9), t0
 
 
 def _h1_lhs_end(ledger):

@@ -23,7 +23,16 @@ from mhddamp.fields import hermitian_defect, ifft_grid
 from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config, trajectory
 from mhddamp.operators import h1_norm_pair, truncate_coeffs
 
-from _helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint, slab_planes, write_v1_checkpoint
+from _helpers import (
+    MALFORMED_CHECKPOINTS,
+    full_spectrum,
+    half_tables,
+    malformed_checkpoint,
+    slab_planes,
+    unpack,
+    write_checkpoint,
+    write_v1_checkpoint,
+)
 
 
 def stepped_states(state, cfg):
@@ -100,8 +109,8 @@ class TestMakeInitial:
 
     def test_random_field_is_hermitian(self, grid16):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
-        assert hermitian_defect(state.u) <= 1e-12
-        assert hermitian_defect(state.b) <= 1e-12
+        assert hermitian_defect(unpack(state.u, grid16)) <= 1e-12
+        assert hermitian_defect(unpack(state.b, grid16)) <= 1e-12
 
 
 class TestStep:
@@ -182,9 +191,10 @@ class TestStep:
         )
         state = make_initial_from_config(cfg)
         state = next(itertools.islice(stepped_states(state, cfg), 4, None))  # after 5 steps
-        assert np.all(state.u[:, ~grid16.keep_mask] == 0.0)
-        assert np.all(state.b[:, ~grid16.keep_mask] == 0.0)
-        again = truncate_coeffs(state.u, grid16)
+        outside = ~half_tables(grid16).keep_mask
+        assert np.all(unpack(state.u, grid16)[:, outside] == 0.0)
+        assert np.all(unpack(state.b, grid16)[:, outside] == 0.0)
+        again = truncate_coeffs(unpack(state.u, grid16), grid16)
         assert np.array_equal(again, state.u)
 
     def test_divergence_and_symmetry_preserved(self, grid16):
@@ -198,7 +208,7 @@ class TestStep:
         assert len(states) == 10
         for state in states:
             assert state.max_divergence() <= 1e-10
-            assert hermitian_defect(state.u) <= 1e-12
+            assert hermitian_defect(unpack(state.u, grid16)) <= 1e-12
 
     def test_blow_up_signal(self, grid16):
         cfg = SolverConfig(
@@ -236,8 +246,10 @@ class TestStep:
         )
         samples = [w for _, w, _ in trajectory(make_initial_from_config(cfg), cfg)]
         assert len(samples) == 13
+        outside = ~half_tables(grid16).keep_mask
         for w in samples:
-            assert not np.any(w[:, ~grid16.keep_mask])
+            assert w.shape == (6, grid16.index.size)  # only the ball is stored
+            assert not np.any(unpack(w, grid16)[:, outside])
         path = tmp_path / "cfg.json"
         save_config(ExperimentConfig(name="ball", solver=cfg, checks=("l2",)), path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -246,7 +258,7 @@ class TestStep:
 
     def test_twin_engines_share_no_buffer(self, grid16, monkeypatch):
         from mhddamp import integrator, twin_run
-        from mhddamp.grid import BALL_TABLES, WORKSPACE_GRIDS
+        from mhddamp.grid import WORKSPACE_GRIDS
 
         engines = []
         init = integrator._StepWork.__init__
@@ -263,9 +275,10 @@ class TestStep:
         )
         twin_run(cfg, 1e-6)
         assert len(engines) == 2
+        # the grid's tables are shared, and read-only
+        assert all(not t.flags.writeable for t in (grid16.index, grid16.k_sq, grid16.kx))
         a, b = (
-            [e.half_factor, e.full_factor, e.ball.index]
-            + [getattr(e.ball, name) for name in BALL_TABLES]
+            [e.half_factor, e.full_factor]
             + [getattr(e.work, name) for name, _, _ in WORKSPACE_GRIDS]
             for e in engines
         )
@@ -398,7 +411,7 @@ class TestCheckpoint:
         path = tmp_path / "state.mhdf"
         save_checkpoint(path, state)
         header = struct.pack("<4sIqdd", b"MHDF", 2, 16, grid16.truncation_radius, 0.5)
-        assert path.read_bytes() == header + state.coeffs.astype("<c16").tobytes()
+        assert path.read_bytes() == header + unpack(state.coeffs, grid16).astype("<c16").tobytes()
 
     def test_bit_exact_round_trip(self, grid16, tmp_path):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
@@ -452,18 +465,19 @@ class TestCheckpoint:
         write_v1_checkpoint(v1, state)
         assert v2.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
         assert v1.stat().st_size - 32 == 6 * 16**3 * 16
-        # one (6, N, N, N/2+1) array u1 u2 u3 b1 b2 b3; u and b are views of it
-        assert state.coeffs.shape == (6,) + grid16.spectral_shape
+        # one packed (6, M) array u1 u2 u3 b1 b2 b3; u and b are views of it,
+        # and the file holds their half spectra
+        assert state.coeffs.shape == (6, grid16.index.size)
         assert np.shares_memory(state.coeffs, state.u)
         assert np.shares_memory(state.coeffs, state.b)
-        assert v2.read_bytes()[32:] == state.coeffs.tobytes()
+        assert v2.read_bytes()[32:] == unpack(state.coeffs, grid16).tobytes()
         for path in (v1, v2):
             loaded = load_checkpoint(path)
             assert loaded.t == state.t
             assert np.array_equal(loaded.u, state.u)
             assert np.array_equal(loaded.b, state.b)
             assert loaded.coeffs.flags.writeable and loaded.coeffs.flags.owndata
-            loaded.u[0, 0, 0, 0] = 1.0
+            loaded.u[0, 0] = 1.0
 
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize(
@@ -477,39 +491,61 @@ class TestCheckpoint:
         ],
     )
     def test_invalid_state_rejected(self, grid8, tmp_path, capsys, case, match, version):
-        from mhddamp.cli import ExperimentConfig, main, save_config
-
         state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
+        coeffs, t = unpack(state.coeffs, grid8), state.t  # u1 u2 u3 b1 b2 b3
         if case == "nan_time":
-            state.t = float("nan")
+            t = float("nan")
         elif case == "nan_coefficient":
-            state.u[0, 1, 0, 1] = np.nan
+            coeffs[0, 1, 0, 1] = np.nan
         elif case == "mode_outside_ball":
-            state.b[0, 0, 0, 3] = 1e-3  # |k| = 3 > R = 8/3
+            coeffs[3, 0, 0, 3] = 1e-3  # |k| = 3 > R = 8/3
         elif case == "divergent":
-            state.u[0, 1, 0, 1] += 0.1  # k = (1, 0, 1), not orthogonal to e1
+            coeffs[0, 1, 0, 1] += 0.1  # k = (1, 0, 1), not orthogonal to e1
         else:
-            state.u[2, 1, 1, 0] += 0.1  # k3 = 0 plane, mirror (-1, -1, 0) unchanged
+            coeffs[2, 1, 1, 0] += 0.1  # k3 = 0 plane, mirror (-1, -1, 0) unchanged
         path = tmp_path / "state.mhdf"
-        (save_checkpoint if version == 2 else write_v1_checkpoint)(path, state)
-        with pytest.raises(ValueError, match=match):
-            load_checkpoint(path)
+        write_checkpoint(path, grid8, coeffs, t, version)
+        assert_rejected(path, grid8, tmp_path, capsys, match)
 
-        cfg = ExperimentConfig(
-            name="restart",
-            solver=SolverConfig(
-                grid=grid8, dt=1e-2, t_end=0.02,
-                initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)),
-            ),
-        )
-        save_config(cfg, tmp_path / "cfg.json")
-        argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("error: ") and "\n" not in err and match in err
+    @pytest.mark.parametrize(
+        "case,match",
+        [("nan_coefficient", "non-finite coefficients"), ("non_hermitian", "Hermitian defect")],
+    )
+    def test_v1_discarded_half_checked(self, grid8, tmp_path, capsys, case, match):
+        # the slots k3 > N/2 of a version 1 file are checked before they are cut
+        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
+        full = full_spectrum(unpack(state.coeffs, grid8))
+        if case == "nan_coefficient":
+            full[0, 1, 0, 6] = np.nan  # k = (1, 0, -2)
+        else:
+            full[0, 0, 0, 7] += 1e6  # k = (0, 0, -1), in the ball; its mirror is unchanged
+        path = tmp_path / "state.mhdf"
+        write_checkpoint(path, grid8, full, state.t, version=1)
+        assert_rejected(path, grid8, tmp_path, capsys, match)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mhdf"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+
+def assert_rejected(path, grid, tmp_path, capsys, match):
+    """``load_checkpoint`` rejects the file, and a restart from it exits 1
+    with one line of error."""
+    from mhddamp.cli import ExperimentConfig, main, save_config
+
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)
+    cfg = ExperimentConfig(
+        name="restart",
+        solver=SolverConfig(
+            grid=grid, dt=1e-2, t_end=0.02,
+            initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)),
+        ),
+    )
+    save_config(cfg, tmp_path / "cfg.json")
+    argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err and match in err

@@ -14,7 +14,12 @@ from mhddamp import (
     modifier_envelope_report,
     run,
 )
-from mhddamp.lemmas import interpolation_minimizer, monotonicity_gap, monotonicity_suite
+from mhddamp.lemmas import (
+    SHARPNESS_TOL,
+    interpolation_minimizer,
+    monotonicity_gap,
+    monotonicity_suite,
+)
 
 from _helpers import gronwall_check
 
@@ -72,6 +77,13 @@ class TestLemma24:
                 assert rep.status == "PASS", (alpha, beta, rep.worst_margin)
                 assert rep.worst_margin >= -1e-12
                 assert abs(rep.extra["margin_at_x_star"]) <= 1e-10
+
+    def test_sharpness_tolerance_is_relative_to_c(self):
+        # the roundoff of 2c + alpha x*^(beta-1) - x*^2 grows with c
+        rep = check_interpolation_bound(1e-20, 5.0, np.linspace(0, 100, 10000))
+        assert rep.status == "PASS"
+        margin, c = rep.extra["margin_at_x_star"], rep.extra["c"]
+        assert SHARPNESS_TOL < abs(margin) <= SHARPNESS_TOL * c
 
     def test_beta_three_not_applicable(self):
         rep = check_interpolation_bound(0.4, 3.0, np.linspace(0, 1, 10))

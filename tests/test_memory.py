@@ -3,12 +3,11 @@ ledger row against a right-hand side."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from mhddamp import DampingSpec, GridSpec, InitialCondition, SolverConfig, make_initial, run
 from mhddamp.energy import ledger_row
-from mhddamp.grid import BallTable, working_set_bytes
+from mhddamp.grid import working_set_bytes
 from mhddamp.nonlinear import _rhs_core
 
 DAMPINGS = {
@@ -43,8 +42,8 @@ def test_run_peak_within_working_set(n, damping):
         initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
         damping=DAMPINGS[damping],
     )
-    m = int(np.count_nonzero(grid.keep_mask))
-    state_bytes = 6 * n * n * (n // 2 + 1) * 16
+    m = grid.index.size
+    state_bytes = 6 * m * 16  # the packed initial state
     assert traced_peak(run, cfg) <= working_set_bytes(n, m) + state_bytes
 
 
@@ -55,8 +54,7 @@ def test_ledger_row_peak_below_rhs_with_workspace(damping):
     # the process's peak.
     grid = GRIDS[32]
     state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
-    packed = BallTable(grid).pack(state.coeffs)
     spec = DAMPINGS[damping]
-    row = traced_peak(ledger_row, state, spec)
-    rhs = traced_peak(_rhs_core, packed, grid, spec, True)  # builds its Workspace
+    row = traced_peak(ledger_row, state, spec)  # builds its Workspace
+    rhs = traced_peak(_rhs_core, state.coeffs, grid, spec, True)  # builds its Workspace
     assert row <= rhs

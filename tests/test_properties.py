@@ -1,8 +1,8 @@
-"""Property tests: Parseval and round trips in the half-spectrum layout, the
-ball-pruned transforms against scipy's full ones, in both the truncated
-half-spectrum and the packed ball layout, the ball table, the Leray
-projector's algebra, ledger rows against a full-size oracle, and random
-bytes fed to the checkpoint reader."""
+"""Property tests: Parseval and round trips on the packed ball, the
+ball-pruned transforms against scipy's full ones, seen in the half spectrum
+and on the packed ball, the grid's ball tables, the Leray projector's
+algebra, ledger rows against a full-size oracle, and random bytes fed to the
+checkpoint reader."""
 
 import contextlib
 import io
@@ -26,16 +26,17 @@ from mhddamp import (
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
 from mhddamp.fields import fft_grid, fft_xy, ifft_grid, rfft_z, x_slabs
-from mhddamp.grid import BALL_TABLES, BallTable
+from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
-    coeffs_of,
+    half_tables,
     inner_l2,
     ledger_row_oracle,
     leray,
     pair_state,
     random_divfree,
     slab_planes,
+    unpack,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -58,16 +59,17 @@ def real_field(seed: int, n: int, nyquist: float) -> np.ndarray:
 
 def random_coeffs(seed: int, grid: GridSpec) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    shape = (3,) + grid.spectral_shape
+    shape = (3,) + grid.index.shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @PROPERTY
 @given(seed=seeds, n=sizes, nyquist=st.floats(-3.0, 3.0))
 def test_parseval_matches_collocation_quadrature(seed, n, nyquist):
+    # on the band-limited part of a real field, which the packed modes hold
     grid = GRIDS[n]
-    values = real_field(seed, n, nyquist)
-    s = coeffs_of(values)
+    s = fft_grid(real_field(seed, n, nyquist), grid)
+    values = ifft_grid(s, grid)
     quadrature = float(np.sum(values**2)) * grid.cell_volume
     assert abs(sobolev_norm(s, grid, 0.0) ** 2 - quadrature) <= 1e-12 * quadrature
 
@@ -99,13 +101,12 @@ stacks = st.integers(1, 4)
 @given(seed=seeds, n=sizes, radius=radii, m=stacks)
 def test_pruned_inverse_equals_irfftn(seed, n, radius, m):
     grid = ball_grid(n, radius)
-    rng = np.random.default_rng(seed)
-    shape = (m,) + grid.spectral_shape
-    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * grid.keep_mask
-    before = coeffs.copy()
-    got = ifft_grid(coeffs, grid)
-    assert np.array_equal(got, scipy.fft.irfftn(before, s=(n, n, n), axes=(-3, -2, -1), norm="forward"))
-    assert coeffs.tobytes() == before.tobytes()
+    coeffs = ball_stack(seed, grid, m)
+    packed = truncate_coeffs(coeffs, grid)
+    before = packed.copy()
+    got = ifft_grid(packed, grid)
+    assert np.array_equal(got, scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward"))
+    assert packed.tobytes() == before.tobytes()
 
 
 @PROPERTY
@@ -115,8 +116,8 @@ def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    got = fft_grid(values, grid)
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward") * grid.keep_mask
+    got = unpack(fft_grid(values, grid), grid)
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward") * half_tables(grid).keep_mask
     assert np.array_equal(got, want)
     assert values.tobytes() == before.tobytes()
 
@@ -124,33 +125,40 @@ def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
 def ball_stack(seed: int, grid: GridSpec, m: int) -> np.ndarray:
     """Random complex (m, N, N, N/2+1) coefficients, zero outside the ball."""
     rng = np.random.default_rng(seed)
-    shape = (m, int(np.count_nonzero(grid.keep_mask)))
+    shape = (m, grid.index.size)
     coeffs = np.zeros((m,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs[..., grid.keep_mask] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[..., half_tables(grid).keep_mask] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return coeffs
 
 
 @DERANDOMIZED
 @given(seed=seeds, n=sizes, radius=radii, m=stacks)
 def test_pack_unpack_round_trip(seed, n, radius, m):
+    # truncate_coeffs packs a half spectrum, or its columns k3 <= kc
     grid = ball_grid(n, radius)
-    ball = BallTable(grid)
     coeffs = ball_stack(seed, grid, m)
-    packed = ball.pack(coeffs)
-    assert packed.shape == (m, int(np.count_nonzero(grid.keep_mask)))
-    assert np.array_equal(packed, coeffs[..., grid.keep_mask])
-    assert ball.unpack(packed).tobytes() == coeffs.tobytes()
+    packed = truncate_coeffs(coeffs, grid)
+    assert packed.shape == (m, grid.index.size)
+    assert np.array_equal(packed, coeffs[..., half_tables(grid).keep_mask])
+    assert unpack(packed, grid).tobytes() == coeffs.tobytes()
+    columns = np.ascontiguousarray(coeffs[..., : grid.kc + 1])
+    assert truncate_coeffs(columns, grid).tobytes() == packed.tobytes()
 
 
 @DERANDOMIZED
 @given(n=sizes, radius=radii)
 def test_packed_tables_are_the_grid_tables_on_the_ball(n, radius):
     grid = ball_grid(n, radius)
-    ball = BallTable(grid)
-    assert np.array_equal(ball.index, np.flatnonzero(grid.keep_mask))
-    for name in BALL_TABLES:
-        full = np.broadcast_to(getattr(grid, name), grid.spectral_shape)
-        assert getattr(ball, name).tobytes() == full[grid.keep_mask].tobytes(), name
+    half = half_tables(grid)
+    keep = half.keep_mask
+    assert np.array_equal(grid.index, np.flatnonzero(keep))
+    assert np.array_equal(grid.column_index, np.flatnonzero(keep[..., : grid.kc + 1]))
+    assert not keep[..., grid.kc + 1 :].any()
+    for name in ("kx", "ky", "kz", "k_sq", "parseval_weight"):
+        assert getattr(grid, name).tobytes() == getattr(half, name)[keep].tobytes(), name
+    with np.errstate(divide="ignore"):
+        inv = np.where(half.k_sq > 0, 1.0 / half.k_sq, 0.0)
+    assert grid.inv_k_sq.tobytes() == inv[keep].tobytes()
 
 
 @DERANDOMIZED
@@ -159,8 +167,8 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    got = fft_grid(values, BallTable(grid))
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., grid.keep_mask]
+    got = fft_grid(values, grid)
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., half_tables(grid).keep_mask]
     assert np.array_equal(got, want)
     assert values.tobytes() == before.tobytes()
 
@@ -169,15 +177,14 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
 @given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
 def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width):
     grid = ball_grid(n, radius)
-    ball = BallTable(grid)
     coeffs = ball_stack(seed, grid, m)
-    packed = ball.pack(coeffs)
+    packed = truncate_coeffs(coeffs, grid)
     before = packed.copy()
     staging = np.zeros_like(coeffs)
     want = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     for _ in range(2):  # the staging array is left ready for the next pass
         got = np.empty_like(want)
-        for x0, values in x_slabs(packed, ball, staging, width):
+        for x0, values in x_slabs(packed, grid, staging, width):
             assert values.shape[-3] == min(width, n - x0)
             got[..., x0 : x0 + values.shape[-3], :, :] = values
         assert np.array_equal(got, want)
@@ -189,14 +196,13 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width):
 @given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
 def test_slab_forward_columns_equal_rfftn_on_the_ball(seed, n, radius, m, width):
     grid = ball_grid(n, radius)
-    ball = BallTable(grid)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    columns = np.full((m, n, n, ball.kc + 1), np.nan, dtype=np.complex128)
+    columns = np.full((m, n, n, grid.kc + 1), np.nan, dtype=np.complex128)
     for x0 in range(0, n, width):
         out = rfft_z(values[..., x0 : x0 + width, :, :], columns, x0)
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., grid.keep_mask]
-    assert np.array_equal(fft_xy(out, ball), want)
+    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., half_tables(grid).keep_mask]
+    assert np.array_equal(fft_xy(out, grid), want)
     assert values.tobytes() == before.tobytes()
 
 
