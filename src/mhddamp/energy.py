@@ -69,19 +69,17 @@ def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
 
 def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     """Collocation data needed by the damping integrands, from the packed
-    (3, M) coefficients ``u`` of the velocity.
-
-    Returns (q, grad_u_sq, grad_q_sq) where q = |u|^2 on the grid,
-    grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
-    taken spectrally from the dealiased product q.  Physical space is
-    visited one slab of x-planes at a time: only these three grids are
+    (3, M) coefficients ``u`` of the velocity: yields, per slab of x-planes
+    in slab order, (q, grad_u_sq, grad_q_sq) where q = |u|^2, grad_u_sq =
+    sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q taken
+    spectrally from the dealiased product q.  Only q and grad_u_sq are
     built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
     of the grid that is between stages, lends its staging array,
-    multipliers i k and slab width.
+    multipliers i k and slab width, and its ``stage`` array holds the
+    six-row batch.
     """
-    staging, ik, width = work.staging, work.ik, work.width
-    batch = np.empty((6,) + u.shape[1:], dtype=np.complex128)
-    q, grad_u_sq, grad_q_sq = (np.empty(grid.shape) for _ in range(3))
+    staging, ik, width, batch = work.staging, work.ik, work.width, work.stage
+    q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
 
     # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
     # gradient add up in the order i, j of d_j u_i.  Each slab's values are
@@ -103,9 +101,10 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
 
     np.multiply(ik, fft_grid(q, grid), out=batch[0:3])
     for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width):
-        speed_sq(phys, out=grad_q_sq[x0 : x0 + phys.shape[-3]])
+        planes = slice(x0, x0 + phys.shape[-3])
+        grad_q_sq = speed_sq(phys)
         del phys
-    return q, grad_u_sq, grad_q_sq
+        yield q[planes], grad_u_sq[planes], grad_q_sq
 
 
 def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
@@ -120,39 +119,38 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, float]:
     """Instantaneous ledger columns for one state.  ``work`` may lend the
     idle :class:`mhddamp.nonlinear.Workspace` of the trajectory that
-    yielded the state; without it the row makes its own."""
+    yielded the state, whose ``stage`` array the row overwrites; without
+    it the row makes its own.  The damping integrands are summed per slab
+    of x-planes, in slab order, and scaled by the cell volume once."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
     row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
         return row
 
-    w = state.grid.cell_volume
     if work is None:
         work = Workspace(state.grid)
-    q, grad_u_sq, grad_q_sq = _velocity_squares(state.u, state.grid, work)
-    if damping.kind == "power":
-        beta = float(damping.beta)
-        row["lbeta"] = float(np.sum(_power_law(q, (beta + 1.0) / 2.0))) * w
-        row["d_beta_grad"] = float(np.sum(_power_law(q, (beta - 1.0) / 2.0) * grad_u_sq)) * w
-        row["d_beta_sq"] = float(np.sum(_power_law(q, (beta - 3.0) / 2.0) * grad_q_sq)) * w
-    else:
-        # Products are formed in place, each in a grid whose values are no
-        # longer needed, so a row holds at most five full-size grids.
-        fn = damping.function
-        fq = fn.f(q)
-        fq_q = fq * q
-        row["d_f_grad"] = float(np.sum(np.multiply(fq_q, grad_u_sq, out=grad_u_sq))) * w
-        row["d_f4"] = float(np.sum(np.multiply(fq_q, q, out=fq_q))) * w
-        del fq_q, grad_u_sq
-        row["d_f_gradsq"] = float(np.sum(np.multiply(fq, grad_q_sq, out=fq))) * w
-        del fq
-        fpq = fn.f_prime(q)
-        row["d_fprime_lit"] = float(np.sum(fpq * grad_q_sq)) * w
-        fpq *= q
-        row["d_fprime"] = float(np.sum(np.multiply(fpq, grad_q_sq, out=fpq))) * w
+    for q, grad_u_sq, grad_q_sq in _velocity_squares(state.u, state.grid, work):
+        if damping.kind == "power":
+            beta = float(damping.beta)
+            row["lbeta"] += float(np.sum(_power_law(q, (beta + 1.0) / 2.0)))
+            row["d_beta_grad"] += float(np.sum(_power_law(q, (beta - 1.0) / 2.0) * grad_u_sq))
+            row["d_beta_sq"] += float(np.sum(_power_law(q, (beta - 3.0) / 2.0) * grad_q_sq))
+        else:
+            fn = damping.function
+            fq = fn.f(q)
+            fq_q = fq * q
+            row["d_f_grad"] += float(np.sum(fq_q * grad_u_sq))
+            row["d_f4"] += float(np.sum(fq_q * q))
+            row["d_f_gradsq"] += float(np.sum(fq * grad_q_sq))
+            fpq = fn.f_prime(q)
+            row["d_fprime_lit"] += float(np.sum(fpq * grad_q_sq))
+            row["d_fprime"] += float(np.sum(fpq * q * grad_q_sq))
+    for name in INSTANT_COLUMNS[3:]:  # the collocation quadratures, from lbeta on
+        row[name] *= state.grid.cell_volume
     return row
 
 
@@ -182,15 +180,14 @@ class EnergyLedger:
     def times(self) -> np.ndarray:
         return self.column("t")
 
-    def append(
-        self,
-        t: float,
-        instant: dict[str, float],
-        exact_integrals: dict[str, float] | None = None,
-    ) -> None:
-        """Add one row; integral columns not supplied in ``exact_integrals``
-        are advanced by the trapezoidal rule from the previous row."""
-        exact = exact_integrals or {}
+    def append(self, t: float, instant: dict[str, float], integrals) -> None:
+        """Add one row.  ``integrals`` is a trajectory's stage-weighted
+        (int ||grad w||^2, int ||Lap w||^2, int damping dissipation); the
+        last fills the column named by ``L2_DAMPING_COLUMN``, if any.  The
+        other integral columns advance by the trapezoidal rule."""
+        damp = L2_DAMPING_COLUMN.get(self.damping.kind)
+        names = ("int_h1dot_sq", "int_h2dot_sq") + (("int_" + damp,) if damp else ())
+        exact = dict(zip(names, integrals))
         first = len(self) == 0
         self.columns["t"].append(float(t))
         for name in INSTANT_COLUMNS:

@@ -63,17 +63,17 @@ STEP_TRANSIENT_GRIDS = (
     ("tendency", 11, "packed"),
 )
 # Held beside the workspace while :func:`mhddamp.energy.ledger_row` runs on
-# a sample, borrowing the workspace's staging array: the integrating
-# factors, the packed state, which is the sample, the row's packed velocity
-# and gradient batch, its full-size q = |u|^2, |grad u|^2 and |grad q|^2,
-# and per slab scipy's inverse output and a temporary, or the forward
-# transform of q.
+# a sample, borrowing the workspace's staging array and, for its packed
+# velocity and gradient batch, its stage array: the integrating factors,
+# the packed state, which is the sample, the row's full-size q = |u|^2 and
+# |grad u|^2, and per slab scipy's inverse output and a temporary, or
+# |grad q|^2 and the damping law's temporaries; between the slab passes,
+# the forward transform of q.
 LEDGER_GRIDS = (
     ("factors", 2, "table"),
     ("state", 6, "packed"),
-    ("gradients", 9, "packed"),
-    ("pointwise", 3, "physical"),
-    ("inverse_output", 7, "slab"),
+    ("pointwise", 2, "physical"),
+    ("slab_temporaries", 7, "slab"),
     ("q_spectrum", 1, "spectral"),
 )
 # The slab pass holds its "slab" and "spectral_slab" arrays for c x-planes
@@ -268,11 +268,7 @@ class GridSpec:
         checkpoint file, or of an inverse transform's staging array."""
         return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
 
-    def collocation_axis(self) -> np.ndarray:
-        """1-D array of collocation coordinates on one axis."""
-        return self.spacing * np.arange(self.n_modes)
-
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (X1, X2, X3) coordinate arrays on the grid."""
-        x = self.collocation_axis()
+        x = self.spacing * np.arange(self.n_modes)
         return x[:, None, None], x[None, :, None], x[None, None, :]

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .damping import DampingSpec
-from .energy import L2_DAMPING_COLUMN, EnergyLedger, ledger_row, spectral_sums
+from .energy import EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, ifft_grid
 from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import Workspace, _rhs_core
@@ -114,9 +114,21 @@ class SolverConfig:
             raise ValueError("viscosities must be positive")
         if self.ledger_stride < 1:
             raise ValueError("ledger_stride must be >= 1")
-        n = round(self.t_end / self.dt) if self.t_end > 0 else 0
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer multiple of dt")
+        if self.cfl_target <= 0:
+            raise ValueError("cfl_target must be positive")
+        _whole_steps(self.t_end, self.dt, "t_end")
+
+
+def _whole_steps(span: float, dt: float, what: str) -> int:
+    """Number of steps of ``dt`` in ``span``, named ``what`` in errors;
+    ValueError unless the span is a whole, finite number of steps."""
+    steps = span / dt
+    if not _is_number(steps):
+        raise ValueError(f"{what} = {span:g} is not a finite number of steps of dt = {dt:g}")
+    n_steps = max(round(steps), 0)
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"{what} must be an integer multiple of dt")
+    return n_steps
 
 
 def config_hash(config: SolverConfig) -> str:
@@ -264,9 +276,11 @@ class _StepWork:
         self.dt = config.dt
         self.damping = config.damping
         self.work = Workspace(self.grid)
-        sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
-        self.half_factor = np.exp(-sym * (self.dt / 2.0))
-        self.full_factor = self.half_factor * self.half_factor
+        # A symbol beyond double range damps its mode to exactly zero.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = viscous_symbol(self.grid, config.nu_h, config.nu_v)
+            self.half_factor = np.exp(-sym * (self.dt / 2.0))
+            self.full_factor = self.half_factor * self.half_factor
 
     def _stage(self, want_diag):
         """Tendency at the stage state held in work.stage and, with
@@ -353,10 +367,7 @@ def _step_count(t0: float, config: SolverConfig) -> int:
     span = config.t_end - t0
     if span < -1e-12:
         raise ValueError(f"t_end = {config.t_end} precedes the state time {t0}")
-    n_steps = max(round(span / config.dt), 0)
-    if abs(n_steps * config.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
-    return n_steps
+    return _whole_steps(span, config.dt, "t_end - t0")
 
 
 def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, work=None):
@@ -410,7 +421,6 @@ def run(config: SolverConfig):
         )
 
     damping = config.damping
-    damp_col = L2_DAMPING_COLUMN.get(damping.kind)
     ledger = EnergyLedger(
         damping,
         config.dt,
@@ -427,12 +437,6 @@ def run(config: SolverConfig):
         },
     )
 
-    def exact_integrals(acc):
-        out = {"int_h1dot_sq": acc[0], "int_h2dot_sq": acc[1]}
-        if damp_col:
-            out["int_" + damp_col] = acc[2]
-        return out
-
     # Only the latest sample is held here, so the initial state is freed
     # after the first step instead of living beside every later sample.
     # The ledger rows borrow the stepper's workspace, idle at each sample.
@@ -442,8 +446,7 @@ def run(config: SolverConfig):
     try:
         for t, w, acc in steps:
             snapshot = MhdState(w, config.grid, t)
-            row = ledger_row(snapshot, damping, stepper.work)
-            ledger.append(t, row, exact_integrals(acc))
+            ledger.append(t, ledger_row(snapshot, damping, stepper.work), acc)
     except BlowUpError as exc:
         exc.ledger = ledger
         raise

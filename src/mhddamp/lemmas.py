@@ -84,7 +84,9 @@ def interpolation_minimizer(alpha: float, beta: float) -> float:
 def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> CheckReport:
     """Margins of the interpolation bound over a grid, plus sharpness at x*.
 
-    The margin at x* must vanish to SHARPNESS_TOL relative to max(1, c).
+    The margin at x* must vanish to SHARPNESS_TOL relative to max(1, c);
+    ``worst_margin`` is the smaller of the grid's worst margin and that
+    relative margin, while ``margin_at_x_star`` stays absolute.
     NOT-APPLICABLE for beta <= 3, and when c or the margin at x* leaves
     double range.
     """
@@ -104,11 +106,12 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail=detail)
     margins = 2.0 * c + alpha * x ** (beta - 1.0) - x**2
     i = int(np.argmin(margins))
-    ok = margins[i] >= -MARGIN_TOL and abs(margin_star) <= SHARPNESS_TOL * max(1.0, c)
+    relative_star = margin_star / max(1.0, c)
+    ok = margins[i] >= -MARGIN_TOL and abs(relative_star) <= SHARPNESS_TOL
     return CheckReport(
         "lemma_interpolation",
         "PASS" if ok else "FAIL",
-        worst_margin=float(min(margins[i], margin_star)),
+        worst_margin=float(min(margins[i], relative_star)),
         samples=x.size,
         extra={
             "alpha": alpha,

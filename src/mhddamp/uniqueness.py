@@ -13,7 +13,7 @@ holds on the window by construction, with t0 the start time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class TwinRunResult:
     blown_up: bool
     config_hash: str
     identical: bool = False  # bitwise-equal trajectories (eps = 0 case)
-    extra: dict = field(default_factory=dict)
 
     def bound_series(self) -> np.ndarray:
         if self.d0 == 0.0:
@@ -69,8 +68,8 @@ class TwinRunResult:
                     f"{format(bound[i], '.17g')}\n"
                 )
 
-    def summary_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        summary = {
             "c_hat": self.c_hat,
             "c_bound": self.c_bound,
             "d0": self.d0,
@@ -80,10 +79,8 @@ class TwinRunResult:
             "config_hash": self.config_hash,
             "window_end_index": self.window_end,
         }
-
-    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

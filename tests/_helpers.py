@@ -202,9 +202,9 @@ def slab_planes(n: int, planes: int):
 
 
 def velocity_squares_oracle(u: np.ndarray, grid, work=None):
-    """(q, |grad u|^2, |grad q|^2) on the grid, as ``energy._velocity_squares``
-    returns them, from one 12-grid batch (u and its nine derivatives)
-    transformed at full size in a single call."""
+    """Yields (q, |grad u|^2, |grad q|^2) on the whole grid, as one slab of
+    ``energy._velocity_squares``, from one 12-grid batch (u and its nine
+    derivatives) transformed at full size in a single call."""
     batch = np.empty((12,) + grid.k_sq.shape, dtype=np.complex128)
     batch[0:3] = u
     gradient_coeffs(u, grid, batch[3:12])
@@ -213,7 +213,7 @@ def velocity_squares_oracle(u: np.ndarray, grid, work=None):
     q = speed_sq(phys[0:3])
     gq = gradient_coeffs(fft_grid(q, grid)[None], grid)
     grad_q_sq = speed_sq(ifft_grid(gq, grid))
-    return q, grad_u_sq, grad_q_sq
+    yield q, grad_u_sq, grad_q_sq
 
 
 def ledger_row_oracle(state, damping) -> dict:

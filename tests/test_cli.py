@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from mhddamp.cli import (
 
 from _helpers import malformed_checkpoint
 
-QUICKSTART = Path(__file__).parent.parent / "configs" / "quickstart.json"
+ROOT = Path(__file__).parent.parent
+QUICKSTART = ROOT / "configs" / "quickstart.json"
 
 
 def experiment(grid, name="exp", damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
@@ -124,11 +127,16 @@ class TestConfigIO:
             (("solver", "grid", "truncation_radius"), "5", "truncation_radius must lie in"),
             (("solver", "grid", "n_modes"), 1_000_000, "of physical memory"),
             (("solver", "grid", "n_modes"), 4096, "of physical memory"),
+            (("solver",), {"dt": 1e-300, "t_end": 1e300}, "not a finite number of steps"),
+            (("solver",), {"dt": 5e-324, "t_end": 1.0}, "not a finite number of steps"),
+            (("solver", "cfl_target"), -1.0, "cfl_target must be positive"),
+            (("solver", "cfl_target"), 0.0, "cfl_target must be positive"),
         ],
         ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
              "formats-string", "formats-unknown", "n-modes-float", "dt-bool", "nu-h-bool",
              "alpha-bool", "target-bool", "eps-bool", "name-int", "dealias-bool",
-             "radius-string", "n-modes-1e6", "n-modes-4096"],
+             "radius-string", "n-modes-1e6", "n-modes-4096", "steps-1e600", "dt-subnormal",
+             "cfl-negative", "cfl-zero"],
     )
     def test_malformed_shape_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
                                       path, value, match):
@@ -136,7 +144,10 @@ class TestConfigIO:
         section = data
         for key in path[:-1]:
             section = section[key]
-        section[path[-1]] = value
+        if isinstance(value, dict):  # several fields of one section
+            section[path[-1]].update(value)
+        else:
+            section[path[-1]] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         monkeypatch.delenv("MHDDAMP_OUT", raising=False)
@@ -385,6 +396,59 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_restart_step_count_out_of_range_exit_one(self, grid8, tmp_path, capsys, command):
+        # (t_end - t0) / dt = 5e310 overflows to inf
+        from mhddamp import make_initial, save_checkpoint
+
+        state = make_initial("single_mode", grid8)
+        state.t = -1e308
+        ckpt = tmp_path / "state.mhdf"
+        save_checkpoint(ckpt, state)
+        cfg = ExperimentConfig(
+            name="restart",
+            solver=SolverConfig(
+                grid=grid8, dt=2e-3, t_end=0.0,
+                initial_condition=InitialCondition(kind="from_checkpoint", path=str(ckpt)),
+            ),
+        )
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "not a finite number of steps" in err
+
+    @pytest.mark.parametrize(
+        "field,value,code,stderr",
+        [(("initial_condition", "target_h1"), 1e200, 3,
+          ["dt = 0.002 exceeds the advective stability bound", "blow-up at t = 0.002"]),
+         (("nu_h",), 1e308, 0, [])],
+        ids=["target-h1-1e200", "nu-h-1e308"],
+    )
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, field, value, code, stderr):
+        # run as its own process, so that numpy's warnings and the log reach
+        # stderr as they do for a user
+        data = json.loads(QUICKSTART.read_text())
+        data["solver"]["grid"] = {"n_modes": 8}
+        data["solver"]["t_end"] = 10 * data["solver"]["dt"]
+        section = data["solver"]
+        for key in field[:-1]:
+            section = section[key]
+        section[field[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhddamp.cli", "run", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(stderr)
+        assert all(line.startswith(want) for line, want in zip(lines, stderr)), lines
 
 
 class TestCmdLemmas:

@@ -90,8 +90,10 @@ class TestLemma24:
         assert rep.status == "NOT-APPLICABLE"
 
     def test_report_invariant(self):
-        rep = check_interpolation_bound(1.0, 5.0, np.linspace(0, 100, 1000))
-        assert rep.passed == (rep.worst_margin >= -1e-12)
+        # worst_margin holds the margin at x* relative to max(1, c)
+        for alpha, beta in ((1.0, 5.0), (1e-200, 7.0), (1e-20, 5.0)):
+            rep = check_interpolation_bound(alpha, beta, np.linspace(0, 100, 1000))
+            assert rep.passed == (rep.worst_margin >= -1e-12), (alpha, beta)
 
 
 class TestMonotonicity:

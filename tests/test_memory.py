@@ -14,7 +14,7 @@ DAMPINGS = {
     "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
     "log1": DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
 }
-GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32)}
+GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32, 64)}  # 64: eight slabs
 
 
 def traced_peak(fn, *args) -> int:
