@@ -129,11 +129,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = dataclasses.asdict(cfg)
-    data["checks"] = list(cfg.checks)
-    data["report_formats"] = list(cfg.report_formats)
-    data["solver"]["initial_condition"]["mode"] = list(cfg.solver.initial_condition.mode)
-    return data
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -163,11 +159,23 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def _resolve_out_dir(cli_out: str | None, cfg_out: str | None, name: str) -> str:
+    """The output directory, checked but not made: an existing path must be
+    a writable directory, else its nearest existing ancestor must be one.
+    :func:`_out_file` makes it at the first write, so a command that fails
+    before writing leaves no directory behind."""
     out = cli_out or os.environ.get("MHDDAMP_OUT") or cfg_out or f"{name}_out"
-    os.makedirs(out, exist_ok=True)
-    if not os.access(out, os.W_OK):
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
         raise ConfigError(f"output directory {out!r} is not writable")
     return out
+
+
+def _out_file(out: str, name: str) -> str:
+    """Path of ``name`` in the output directory ``out``, made if missing."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _write_checks(path, reports: list[CheckReport]) -> None:
@@ -206,21 +214,21 @@ def cmd_run(args) -> int:
         state, ledger = run(cfg.solver)
     except BlowUpError as exc:
         # run() hashes the config once (a restart hashes its checkpoint
-        # file); the ledger's meta carries that hash
-        summary["config_hash"] = exc.ledger.meta["config_hash"]
+        # file); the ledger carries that hash
+        summary["config_hash"] = exc.ledger.config_hash
         if "csv" in formats:
-            exc.ledger.to_csv(os.path.join(out, "ledger.csv"))
+            exc.ledger.to_csv(_out_file(out, "ledger.csv"))
         summary["blow_up_time"] = exc.time
         if "json" in formats:
-            with open(os.path.join(out, "summary.json"), "w") as fh:
+            with open(_out_file(out, "summary.json"), "w") as fh:
                 json.dump(summary, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         print(f"blow-up at t = {exc.time:.6g}", file=sys.stderr)
         return 3
 
     if "csv" in formats:
-        ledger.to_csv(os.path.join(out, "ledger.csv"))
-    save_checkpoint(os.path.join(out, "checkpoint.mhdf"), state)
+        ledger.to_csv(_out_file(out, "ledger.csv"))
+    save_checkpoint(_out_file(out, "checkpoint.mhdf"), state)
 
     reports: list[CheckReport] = []
     h1_reports = None
@@ -236,13 +244,13 @@ def cmd_run(args) -> int:
         elif check == "twin":
             reports.append(_twin_report(cfg))
     if "text" in formats:
-        _write_checks(os.path.join(out, "checks.txt"), reports)
+        _write_checks(_out_file(out, "checks.txt"), reports)
 
-    summary["config_hash"] = ledger.meta["config_hash"]
+    summary["config_hash"] = ledger.config_hash
     summary["final_state"] = _final_state_summary(state)
     summary["checks"] = {rep.name: rep.status for rep in reports}
     if "json" in formats:
-        with open(os.path.join(out, "summary.json"), "w") as fh:
+        with open(_out_file(out, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -391,8 +399,8 @@ def cmd_twin(args) -> int:
     if result is None:
         print("determinism check failed: eps = 0 trajectories differ", file=sys.stderr)
         return 2
-    result.to_csv(os.path.join(out, "twin.csv"))
-    result.to_json(os.path.join(out, "summary.json"))
+    result.to_csv(_out_file(out, "twin.csv"))
+    result.to_json(_out_file(out, "summary.json"))
     if result.blown_up:
         print(f"twin run blew up (eps = {result.eps:g})", file=sys.stderr)
         return 3
@@ -426,8 +434,16 @@ def cmd_info(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, which ``main`` reports in one line
+    with exit code 1, instead of printing the usage and exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mhddamp",
         description="Damped-MHD pseudo-spectral solver and estimate verification harness",
     )
@@ -465,7 +481,13 @@ def _fft_workers(args) -> int:
     1; at most the CPUs this process may run on."""
     if not hasattr(args, "threads"):
         return 1
-    workers = args.threads or int(os.environ.get("MHDDAMP_THREADS", "0") or 0) or 1
+    workers = args.threads
+    if not workers:
+        env = os.environ.get("MHDDAMP_THREADS") or "0"
+        try:
+            workers = int(env) or 1
+        except ValueError:
+            raise ConfigError(f"MHDDAMP_THREADS must be an integer, got {env!r}") from None
     cpus = len(os.sched_getaffinity(0))
     if not 1 <= workers <= cpus:
         raise ConfigError(f"FFT worker count must lie in [1, {cpus}], the CPUs available, "
@@ -474,9 +496,8 @@ def _fft_workers(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with scipy.fft.set_workers(_fft_workers(args)):
             return args.func(args)
     except (ValueError, OSError) as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
-from .fields import fft_grid, ifft_grid, x_slabs
+from .fields import fft_grid, fft_xy, ifft_grid, rfft_z, x_slabs
 from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .nonlinear import Workspace
@@ -75,8 +75,9 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     spectrally from the dealiased product q.  Only q and grad_u_sq are
     built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
     of the grid that is between stages, lends its staging array,
-    multipliers i k and slab width, and its ``stage`` array holds the
-    six-row batch.
+    multipliers i k and slab width; the row overwrites its ``stage`` array
+    with the six-row batch and work.columns[0] with q's forward z pass,
+    slab by slab, as a stage does.  Both are idle between steps.
     """
     staging, ik, width, batch = work.staging, work.ik, work.width, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
@@ -91,6 +92,9 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
         del phys
+        spectra = rfft_z(q[None, planes], work.columns, x0)
+    q_hat = fft_xy(spectra, grid)[0]
+    del spectra
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
     for x0, phys in x_slabs(batch, grid, staging, width):
@@ -99,7 +103,8 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
             acc += np.multiply(d, d, out=d)
         del phys, d
 
-    np.multiply(ik, fft_grid(q, grid), out=batch[0:3])
+    np.multiply(ik, q_hat, out=batch[0:3])
+    del q_hat
     for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width):
         planes = slice(x0, x0 + phys.shape[-3])
         grad_q_sq = speed_sq(phys)
@@ -123,9 +128,10 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
 def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, float]:
     """Instantaneous ledger columns for one state.  ``work`` may lend the
     idle :class:`mhddamp.nonlinear.Workspace` of the trajectory that
-    yielded the state, whose ``stage`` array the row overwrites; without
-    it the row makes its own.  The damping integrands are summed per slab
-    of x-planes, in slab order, and scaled by the cell volume once."""
+    yielded the state, whose ``stage`` and ``columns`` the row overwrites;
+    without it the row makes its own.  The damping integrands are summed
+    per slab of x-planes, in slab order, and scaled by the cell volume
+    once."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
     row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
@@ -155,19 +161,13 @@ def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, fl
 
 
 class EnergyLedger:
-    """Time series of ledger rows plus run metadata."""
+    """Time series of ledger rows, with the hash of the configuration that
+    made them."""
 
-    def __init__(
-        self,
-        damping: DampingSpec,
-        dt: float,
-        steps_total: int,
-        meta: dict | None = None,
-    ) -> None:
+    def __init__(self, damping: DampingSpec, steps_total: int, config_hash: str) -> None:
         self.damping = damping
-        self.dt = dt
         self.steps_total = steps_total
-        self.meta = dict(meta or {})
+        self.config_hash = config_hash
         self.columns: dict[str, list[float]] = {name: [] for name in ALL_COLUMNS}
 
     def __len__(self) -> int:

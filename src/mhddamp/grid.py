@@ -10,8 +10,8 @@ fields supported inside the ball are alias-free on the retained modes.
 Fields are real, so their coefficients satisfy c(-k) = conj(c(k)) and only
 the half spectrum k3 in {0, ..., N/2}, of shape (N, N, N/2+1), needs to be
 known.  The solver keeps less: the M modes of the half spectrum inside the
-ball, packed, in C order, as (..., M) arrays.  The half spectrum appears only
-in the staging array of an inverse transform and in checkpoint files.  A sum
+ball, packed, in C order, as (..., M) arrays; a trajectory holds the half
+spectrum only to transform (see :data:`WORKSPACE_GRIDS`).  A sum
 of |c(k)|^2 over all wavenumbers is the sum over the packed modes weighted by
 ``parseval_weight``: 1 on the self-conjugate plane k3 = 0, whose mirror
 images are packed too, and 2 elsewhere, where each packed mode stands for
@@ -62,20 +62,6 @@ STEP_TRANSIENT_GRIDS = (
     ("forward_output", 11, "spectral_slab"),
     ("tendency", 11, "packed"),
 )
-# Held beside the workspace while :func:`mhddamp.energy.ledger_row` runs on
-# a sample, borrowing the workspace's staging array and, for its packed
-# velocity and gradient batch, its stage array: the integrating factors,
-# the packed state, which is the sample, the row's full-size q = |u|^2 and
-# |grad u|^2, and per slab scipy's inverse output and a temporary, or
-# |grad q|^2 and the damping law's temporaries; between the slab passes,
-# the forward transform of q.
-LEDGER_GRIDS = (
-    ("factors", 2, "table"),
-    ("state", 6, "packed"),
-    ("pointwise", 2, "physical"),
-    ("slab_temporaries", 7, "slab"),
-    ("q_spectrum", 1, "spectral"),
-)
 # The slab pass holds its "slab" and "spectral_slab" arrays for c x-planes
 # at a time; c is the largest width, in equal slabs, whose arrays fit this
 # many bytes.  Fixed, so a run computes the same sums on every host.
@@ -125,16 +111,15 @@ def slab_width(n: int) -> int:
 def working_set_bytes(n: int, m: int, radius: float | None = None) -> int:
     """Bytes one trajectory holds at N = ``n`` with ``m`` modes in the ball
     of radius ``radius`` (default N/3): its workspace, the grid's tables
-    and the larger of :data:`STEP_TRANSIENT_GRIDS` and
-    :data:`LEDGER_GRIDS`."""
+    and :data:`STEP_TRANSIENT_GRIDS`.  A ledger row, which borrows the
+    workspace between steps, holds less than a stage;
+    ``tests/test_memory.py`` holds it to that."""
     size = _layout_bytes(n, m, n / 3.0 if radius is None else radius, slab_width(n))
-
-    def total(grids):
-        return sum(count * size[layout] for _, count, layout in grids)
-
     # index, column_index, kx, ky, kz, k_sq, inv_k_sq and parseval_weight
     tables = (("tables", 8, "table"),)
-    return total(WORKSPACE_GRIDS + tables) + max(total(STEP_TRANSIENT_GRIDS), total(LEDGER_GRIDS))
+    return sum(
+        count * size[layout] for _, count, layout in WORKSPACE_GRIDS + tables + STEP_TRANSIENT_GRIDS
+    )
 
 
 def check_memory(need: int, what: str) -> None:

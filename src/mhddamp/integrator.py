@@ -180,49 +180,32 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     return state
 
 
-def make_initial(
-    kind: str,
-    grid: GridSpec,
-    seed: int = 0,
-    *,
-    target_h1: float | None = None,
-    amplitude: float = 1.0,
-    b_amplitude: float = 0.5,
-    mode: tuple[int, int, int] = (0, 0, 1),
-    path: str | None = None,
-) -> MhdState:
+def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState:
     """Construct a divergence-free initial state.
 
-    random_divfree rescales the pair so ||(u0, b0)||_H1 equals target_h1
-    exactly; single_mode produces amplitude * sin(k.x) along a direction
+    ``fields`` are the other keywords of :class:`InitialCondition`, with
+    its defaults; ValueError if they do not make one.  random_divfree
+    rescales the pair so ||(u0, b0)||_H1 equals target_h1 exactly;
+    single_mode produces amplitude * sin(k.x) along a direction
     perpendicular to k (b = 0); taylor_green_like is the classical vortex
-    with a perpendicular divergence-free magnetic companion.  The arguments
-    are checked as an :class:`InitialCondition`; ValueError if they do not
-    make one.
+    with a perpendicular divergence-free magnetic companion.
     """
-    ic = InitialCondition(kind, target_h1, amplitude, b_amplitude, mode, path)
+    ic = InitialCondition(kind, **fields)
     if kind == "from_checkpoint":
-        state = load_checkpoint(path)
-        if (
-            state.grid.n_modes != grid.n_modes
-            or state.grid.truncation_radius != grid.truncation_radius
-        ):
+        state = load_checkpoint(ic.path)
+        got = state.grid
+        if (got.n_modes, got.truncation_radius) != (grid.n_modes, grid.truncation_radius):
             raise ValueError(
-                "checkpoint grid (N=%d, R=%g) does not match configured grid (N=%d, R=%g)"
-                % (
-                    state.grid.n_modes,
-                    state.grid.truncation_radius,
-                    grid.n_modes,
-                    grid.truncation_radius,
-                )
+                f"checkpoint grid (N={got.n_modes}, R={got.truncation_radius:g}) does not "
+                f"match configured grid (N={grid.n_modes}, R={grid.truncation_radius:g})"
             )
         return state
 
     if kind == "random_divfree":
-        if target_h1 == 0.0:
+        if ic.target_h1 == 0.0:
             return MhdState.zeros(grid)
         state = _random_divfree_state(grid, seed)
-        state.coeffs *= target_h1 / h1_norm_pair(state.coeffs, grid)
+        state.coeffs *= ic.target_h1 / h1_norm_pair(state.coeffs, grid)
         return state
 
     if kind == "single_mode":
@@ -237,7 +220,7 @@ def make_initial(
         e /= np.linalg.norm(e)
         x1, x2, x3 = grid.mesh()
         phase = k[0] * x1 + k[1] * x2 + k[2] * x3
-        values = amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
+        values = ic.amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
         state = MhdState.zeros(grid)
         state.u[...] = fft_grid(values, grid)
         return state
@@ -253,8 +236,8 @@ def make_initial(
     b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
     b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
     state = MhdState.zeros(grid)
-    state.u[...] = fft_grid(amplitude * u, grid)
-    state.b[...] = fft_grid(amplitude * b_amplitude * b, grid)
+    state.u[...] = fft_grid(ic.amplitude * u, grid)
+    state.b[...] = fft_grid(ic.amplitude * ic.b_amplitude * b, grid)
     leray_project_coeffs(state.coeffs, grid)
     return state
 
@@ -420,22 +403,7 @@ def run(config: SolverConfig):
             bound,
         )
 
-    damping = config.damping
-    ledger = EnergyLedger(
-        damping,
-        config.dt,
-        n_steps,
-        meta={
-            "n_modes": config.grid.n_modes,
-            "truncation_radius": config.grid.truncation_radius,
-            "nu_h": config.nu_h,
-            "nu_v": config.nu_v,
-            "seed": config.seed,
-            "ledger_stride": config.ledger_stride,
-            "cfl_bound": bound,
-            "config_hash": config_hash(config),
-        },
-    )
+    ledger = EnergyLedger(config.damping, n_steps, config_hash(config))
 
     # Only the latest sample is held here, so the initial state is freed
     # after the first step instead of living beside every later sample.
@@ -446,7 +414,7 @@ def run(config: SolverConfig):
     try:
         for t, w, acc in steps:
             snapshot = MhdState(w, config.grid, t)
-            ledger.append(t, ledger_row(snapshot, damping, stepper.work), acc)
+            ledger.append(t, ledger_row(snapshot, config.damping, stepper.work), acc)
     except BlowUpError as exc:
         exc.ledger = ledger
         raise

@@ -593,3 +593,113 @@ class TestCmdInfo:
         out = capsys.readouterr().out
         assert "log1" in out and "log2" in out and "log3" in out
         assert "config template" in out
+
+
+# Exit 1: one stderr line and no output directory ------------------------------
+
+
+def quickstart_n8(tmp_path, **solver) -> Path:
+    """configs/quickstart.json at N = 8 and two steps, with the ``solver``
+    entries replaced; returns the path of the written config."""
+    data = json.loads(QUICKSTART.read_text())
+    data["solver"].update({"grid": {"n_modes": 8}, "t_end": 2 * data["solver"]["dt"], **solver})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def restart_from(tmp_path, t=0.0, radius=None) -> dict:
+    """An initial_condition entry restarting from a new N = 8 checkpoint."""
+    from mhddamp import GridSpec, make_initial, save_checkpoint
+
+    state = make_initial("single_mode", GridSpec(n_modes=8, truncation_radius=radius))
+    state.t = t
+    save_checkpoint(tmp_path / "state.mhdf", state)
+    return {"kind": "from_checkpoint", "path": str(tmp_path / "state.mhdf")}
+
+
+# Errors raised while the initial state is built, after the output directory
+# is resolved: solver entries per case.
+INITIAL_STATE_ERRORS = {
+    "checkpoint-grid-differs": lambda tmp: {"initial_condition": restart_from(tmp, radius=2.0)},
+    "checkpoint-missing": lambda tmp: {
+        "initial_condition": {"kind": "from_checkpoint", "path": str(tmp / "none.mhdf")}},
+    "t-end-before-checkpoint": lambda tmp: {"initial_condition": restart_from(tmp, t=1.0)},
+    "random-divfree-radius-1": lambda tmp: {"grid": {"n_modes": 8, "truncation_radius": 1.0}},
+    "single-mode-zero": lambda tmp: {
+        "initial_condition": {"kind": "single_mode", "mode": [0, 0, 0]}},
+}
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "twin"])
+@pytest.mark.parametrize("case", sorted(INITIAL_STATE_ERRORS))
+def test_initial_state_error_leaves_no_output_dir(tmp_path, capsys, command, case):
+    path = quickstart_n8(tmp_path, **INITIAL_STATE_ERRORS[case](tmp_path))
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    one_error_line(capsys)
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "twin"])
+def test_exit_one_keeps_existing_output_dir(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    path = quickstart_n8(tmp_path, **INITIAL_STATE_ERRORS["checkpoint-missing"](tmp_path))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    one_error_line(capsys)
+    assert os.listdir(out) == ["keep.txt"] and (out / "keep.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("out", ["file", "file/out"])
+@pytest.mark.parametrize("command", ["run", "twin"])
+def test_output_path_under_a_file_exit_one(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("kept\n")
+    path = quickstart_n8(tmp_path)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 1
+    assert "is not writable" in one_error_line(capsys)
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [(["run", "--config", "CFG", "--out", "OUT", "--threads", "abc"], None,
+      "--threads: invalid int value"),
+     (["twin", "--config", "CFG", "--out", "OUT", "--eps", "zz"], None,
+      "--eps: invalid float value"),
+     (["run", "--config", "CFG", "--out", "OUT", "--bogus"], None,
+      "unrecognized arguments: --bogus"),
+     (["run", "--out", "OUT"], None, "required: --config"),
+     ([], None, "required: command"),
+     (["walk", "--out", "OUT"], None, "invalid choice: 'walk'"),
+     (["run", "--config", "CFG", "--out", "OUT"], "abc",
+      "MHDDAMP_THREADS must be an integer, got 'abc'"),
+     (["twin", "--config", "CFG", "--out", "OUT"], "1.5",
+      "MHDDAMP_THREADS must be an integer, got '1.5'")],
+    ids=["threads-abc", "eps-zz", "unknown-flag", "no-config", "no-command",
+         "unknown-command", "env-threads-abc", "env-threads-1.5"],
+)
+def test_usage_error_exit_one(tmp_path, monkeypatch, capsys, argv, env, message):
+    monkeypatch.delenv("MHDDAMP_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MHDDAMP_THREADS", env)
+    out = tmp_path / "out"
+    paths = {"CFG": str(quickstart_n8(tmp_path)), "OUT": str(out)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    assert message in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

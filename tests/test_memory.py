@@ -1,5 +1,5 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, and a
-ledger row against a right-hand side."""
+ledger row against a right-hand side and against a stage's transients."""
 
 import tracemalloc
 
@@ -7,8 +7,8 @@ import pytest
 
 from mhddamp import DampingSpec, GridSpec, InitialCondition, SolverConfig, make_initial, run
 from mhddamp.energy import ledger_row
-from mhddamp.grid import working_set_bytes
-from mhddamp.nonlinear import _rhs_core
+from mhddamp.grid import STEP_TRANSIENT_GRIDS, _layout_bytes, slab_width, working_set_bytes
+from mhddamp.nonlinear import Workspace, _rhs_core
 
 DAMPINGS = {
     "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
@@ -58,3 +58,31 @@ def test_ledger_row_peak_below_rhs_with_workspace(damping):
     row = traced_peak(ledger_row, state, spec)  # builds its Workspace
     rhs = traced_peak(_rhs_core, state.coeffs, grid, spec, True)  # builds its Workspace
     assert row <= rhs
+
+
+ROW_DAMPINGS = {
+    "power2": DampingSpec(kind="power", alpha=1.0, beta=2.0),
+    "power5": DAMPINGS["power5"],
+    "log1": DAMPINGS["log1"],
+    "log3": DampingSpec(kind="generalized", alpha=1.0, f_id="log3"),
+}
+
+
+@pytest.fixture(scope="module", params=[16, 32, 48, 64], ids=lambda n: f"n{n}")
+def sample(request):
+    """A state at N = 16, 32 (one slab), 48 (four slabs) or 64 (eight) and
+    a workspace of its grid, as a trajectory lends it to a ledger row."""
+    grid = GridSpec(n_modes=request.param)
+    return make_initial("random_divfree", grid, seed=3, target_h1=10.0), Workspace(grid)
+
+
+@pytest.mark.parametrize("damping", sorted(ROW_DAMPINGS))
+def test_ledger_row_within_stage_transients(sample, damping):
+    # working_set_bytes budgets a trajectory's transients by a stage's
+    # alone, so a row with the stepper's workspace lent must fit them.
+    state, work = sample
+    grid = state.grid
+    n = grid.n_modes
+    size = _layout_bytes(n, grid.index.size, grid.truncation_radius, slab_width(n))
+    stage = sum(count * size[layout] for _, count, layout in STEP_TRANSIENT_GRIDS)
+    assert traced_peak(ledger_row, state, ROW_DAMPINGS[damping], work) <= stage

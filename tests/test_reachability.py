@@ -3,8 +3,8 @@
 One probe drives ``cli.main`` at N = 8 through each subcommand: ``run``
 with no, power and log3 damping (the three initial conditions and every
 check between them), a run that blows up, a restart from a checkpoint,
-``twin``, ``lemmas --matrix`` and ``info``.  The code objects called are
-recorded with ``sys.setprofile``.  Every function and method defined in
+``twin``, ``lemmas --matrix``, ``info`` and a usage error.  The code
+objects called are recorded with ``sys.setprofile``.  Every function and method defined in
 ``src/mhddamp`` must be among them, or in ALLOWED with the reason it stays
 without a command-line caller, so a wrapper or an option that no command
 reaches fails here.
@@ -104,6 +104,7 @@ def test_every_function_is_reached_from_the_cli(tmp_path):
         (["twin", "--config", log3, "--eps", "1e-6", "--out", str(tmp_path / "twin-out")], 0),
         (["lemmas", "--matrix", str(matrix), "--out", str(tmp_path / "lemmas-out")], 0),
         (["info"], 0),
+        (["run", "--bogus"], 1),
     ]
 
     called = set()
