@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
-from .fields import fft_grid, fft_xy, ifft_grid, rfft_z, x_slabs
+from .fields import fft_xy, rfft_z, x_slabs
 from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .nonlinear import Workspace
@@ -74,12 +74,12 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q taken
     spectrally from the dealiased product q.  Only q and grad_u_sq are
     built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
-    of the grid that is between stages, lends its staging array,
+    of the grid that is between stages, lends its transform buffers,
     multipliers i k and slab width; the row overwrites its ``stage`` array
     with the six-row batch and work.columns[0] with q's forward z pass,
     slab by slab, as a stage does.  Both are idle between steps.
     """
-    staging, ik, width, batch = work.staging, work.ik, work.width, work.stage
+    staging, columns, ik, width, batch = work.staging, work.columns, work.ik, work.width, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
 
     # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
@@ -87,17 +87,17 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     # dropped before the next slab's are made.
     batch[0:3] = u
     np.multiply(ik, u[0], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, staging, width):
+    for x0, phys in x_slabs(batch, grid, staging, width, columns):
         planes = slice(x0, x0 + phys.shape[-3])
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
         del phys
-        spectra = rfft_z(q[None, planes], work.columns, x0)
+        spectra = rfft_z(q[None, planes], columns, x0)
     q_hat = fft_xy(spectra, grid)[0]
     del spectra
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, staging, width):
+    for x0, phys in x_slabs(batch, grid, staging, width, columns):
         acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
         for d in phys:
             acc += np.multiply(d, d, out=d)
@@ -105,7 +105,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
 
     np.multiply(ik, q_hat, out=batch[0:3])
     del q_hat
-    for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width):
+    for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width, columns):
         planes = slice(x0, x0 + phys.shape[-3])
         grad_q_sq = speed_sq(phys)
         del phys
@@ -392,8 +392,10 @@ def check_damping_identity(
         )
 
     grid = state.grid
-    up = ifft_grid(state.u, grid)
-    d_hat = fft_grid(damping_amplitude(speed_sq(up), damping) * up, grid)
+    work = Workspace(grid)
+    for x0, up in x_slabs(state.u, grid, work.staging[0:3], work.width, work.columns):
+        spectra = rfft_z(damping_amplitude(speed_sq(up), damping) * up, work.columns, x0)
+    d_hat = fft_xy(spectra, grid)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
     # mode outside the ball, so D's modes there add no term.
     weight = grid.parseval_weight * grid.k_sq

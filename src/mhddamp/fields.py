@@ -35,10 +35,11 @@ HERMITIAN_TOL = 1e-12
 # ones rfftn/irfftn make, in the same order (x, then y, then the real z axis
 # for the inverse; z, then x, then y for the forward) and with the same
 # scaling, so the results are bitwise those of the full transforms, cut to
-# the ball; only the signs of zeros can differ.  Each transform is split at
-# its z pass: ifft_xy and irfft_z make the inverse, rfft_z and fft_xy the
-# forward.  Every z line lies in one x-plane, so the z passes may run on
-# slabs of x-planes (see x_slabs), with the same results.
+# the ball; only the signs of zeros can differ.  The inverse is made of
+# ifft_x, ifft_y and irfft_z, the forward of rfft_z and fft_xy.  Every y and
+# z line of the inverse and every z line of the forward lies in one x-plane,
+# so those passes may run on slabs of x-planes (see x_slabs), with the same
+# results.
 
 
 def _rows(grid: GridSpec) -> tuple[slice, slice]:
@@ -83,25 +84,19 @@ def fft_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return fft_xy(rfft_z(values), grid)
 
 
-def ifft_xy(coeffs: np.ndarray, grid: GridSpec, staging: np.ndarray | None = None) -> np.ndarray:
-    """x and y passes of the inverse transform of packed (..., M) ball
-    modes; returns the array they ran in, whose z pass (:func:`irfft_z`)
-    gives the point values.
-
-    ``coeffs`` is scattered into ``staging``, a C-contiguous
-    (..., N, N, N/2+1) array that is zero outside the ball (a new zeroed one
-    when None), where the passes run.  ``coeffs`` is left unchanged.
-    """
-    if staging is None:
-        staging = np.zeros(coeffs.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
-    if not staging.flags.c_contiguous:  # reshape would copy, not view
-        raise ValueError("ifft_xy scatters only into a C-contiguous array")
-    staging.reshape(coeffs.shape[:-1] + (-1,))[..., grid.index] = coeffs
-    slab = staging[..., : grid.kc + 1]
+def ifft_x(spectra: np.ndarray, grid: GridSpec) -> None:
+    """x pass of the inverse transform, in place, on the y rows |k2| <= kc
+    of the columns k3 <= kc of (..., N, N, *) ``spectra``: the only lines
+    that hold modes of the ball."""
+    slab = spectra[..., : grid.kc + 1]
     for r in _rows(grid):
         _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
-    _fft.ifft(slab, axis=-2, norm="forward", overwrite_x=True)
-    return staging
+
+
+def ifft_y(spectra: np.ndarray, grid: GridSpec) -> None:
+    """y pass of the inverse transform, in place, on the columns k3 <= kc
+    of x-transformed (..., c, N, *) ``spectra``."""
+    _fft.ifft(spectra[..., : grid.kc + 1], axis=-2, norm="forward", overwrite_x=True)
 
 
 def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
@@ -109,50 +104,69 @@ def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
 
 
-def ifft_grid(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Packed (..., M) ball modes -> real point values on the N^3 grid.
-    Only the Hermitian part of the plane k3 = 0 counts."""
-    return irfft_z(ifft_xy(coeffs, grid), grid.n_modes)
+def x_slabs(
+    packed: np.ndarray,
+    grid: GridSpec,
+    staging: np.ndarray,
+    width: int,
+    columns: np.ndarray | None = None,
+):
+    """Point values of stacked packed (m, M) ball modes, one slab of
+    ``width`` x-planes at a time: yields (x0, values) with ``values`` the
+    new (m, c, N, N) real point values of the planes x0 .. x0+c-1.
 
-
-def x_slabs(packed: np.ndarray, grid: GridSpec, staging: np.ndarray, width: int):
-    """Point values of packed (..., M) ball modes, one slab of ``width``
-    x-planes at a time: yields (x0, values) with ``values`` the new
-    (..., c, N, N) real point values of the planes x0 .. x0+c-1.
-
-    The modes are scattered into ``staging``, a C-contiguous all-zero
-    (..., N, N, N/2+1) array, transformed there along x and y, and the
-    z pass runs per slab; ``staging`` is zero again once the generator is
-    exhausted or closed.  A slab's values are not referenced by the
-    generator, so a caller that drops them frees them.
+    Without ``columns``, the modes are scattered into ``staging``, a
+    C-contiguous all-zero (m, N, N, N/2+1) array, and the x pass runs
+    there.  With ``columns``, a C-contiguous (>= m, N, N, kc+1) array of
+    any content, the x pass runs in columns[:m], zeroed first, and each
+    slab's planes are copied into ``staging``, an all-zero
+    (m, >= width, N, N/2+1) array, so that no array of the inverse
+    transform but the columns k3 <= kc is of full size; a slab's planes of
+    columns[:m] are not read again once it is yielded, so the caller may
+    overwrite them, as the forward z pass of :func:`rfft_z` does.  The y
+    and z passes run per slab.  ``staging`` is zero again once the
+    generator is exhausted or closed.  A slab's values are not referenced
+    by the generator, so a caller that drops them frees them.
     """
     n = grid.n_modes
-    work = ifft_xy(packed, grid, staging)
+    if columns is None:
+        spectra, index = staging, grid.index
+    else:
+        spectra, index = columns[: len(packed)], grid.column_index
+        spectra.fill(0.0)
+    if not spectra.flags.c_contiguous:  # reshape would copy, not view
+        raise ValueError("x_slabs scatters only into a C-contiguous array")
+    spectra.reshape(len(packed), -1)[:, index] = packed
+    ifft_x(spectra, grid)
     try:
         for x0 in range(0, n, width):
-            yield x0, irfft_z(work[..., x0 : x0 + width, :, :], n)
+            slab = spectra[:, x0 : x0 + width]
+            if columns is not None:
+                c = slab.shape[1]
+                staging[:, :c, :, : grid.kc + 1] = slab
+                slab = staging[:, :c]
+            ifft_y(slab, grid)
+            yield x0, irfft_z(slab, n)
     finally:
-        work.fill(0.0)  # a whole-array fill beats a strided one on the slab
+        staging.fill(0.0)  # a whole-array fill beats a strided one on the slab
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Relative defect max |c(-k) - conj(c(k))| / max |c| of stacked
-    coefficients in a checkpoint's layout: the planes k3 = 0 and k3 = N/2
-    of a half spectrum (..., N, N, N/2+1), or every mode of a full spectrum
-    (..., N, N, N).
+    """Defect max |c(-k) - conj(c(k))| of stacked coefficients in a
+    checkpoint's layout: the planes k3 = 0 and k3 = N/2 of a half spectrum
+    (..., N, N, N/2+1), or every mode of a full spectrum (..., N, N, N).
 
     Those are the stored modes whose mirror -k is stored too, so the defect
-    is zero (to roundoff) exactly when the coefficients represent a
-    real-valued physical field.
+    is zero (to roundoff, relative to max |c|) exactly when the
+    coefficients represent a real-valued physical field.  The mirror
+    images are formed one k3 plane at a time, so no temporary is larger
+    than a plane.
     """
     n = coeffs.shape[-2]
     rev = (-np.arange(n)) % n
-    if coeffs.shape[-1] == n:
-        planes, k3_rev = coeffs, rev
-    else:
-        planes, k3_rev = coeffs[..., [0, n // 2]], slice(None)
-    mirrored = planes[..., rev, :, :][..., rev, :][..., k3_rev]
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(np.conj(mirrored) - planes))) / scale
+    k3 = zip(range(n), rev) if coeffs.shape[-1] == n else ((0, 0), (n // 2, n // 2))
+    defect = [
+        np.max(np.abs(np.conj(coeffs[..., j_rev][..., rev, :][..., rev]) - coeffs[..., j]))
+        for j, j_rev in k3
+    ]
+    return float(np.max(defect))

@@ -31,17 +31,19 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout):
-# a "spectral" grid is (N, N, N/2+1) complex, a "columns" grid its columns
-# k3 <= kc (N, N, kc+1), with kc = ceil(R) - 1 the largest wavenumber
-# component in the ball, a "physical" grid (N, N, N) real, a "packed" array
-# (M,) complex and a "table" (M,) real or int64, with M the number of modes
-# in the ball |k| < R.  A "slab" is c x-planes (c, N, N) of a physical grid
-# and a "spectral_slab" c x-planes (c, N, N/2+1) of a spectral one, with c
-# = :func:`slab_width`.  :class:`mhddamp.nonlinear.Workspace` allocates
-# exactly the WORKSPACE_GRIDS.
+# a "columns" grid is the columns k3 <= kc (N, N, kc+1) of a complex half
+# spectrum (N, N, N/2+1), with kc = ceil(R) - 1 the largest wavenumber
+# component in the ball, a "packed" array (M,) complex and a "table" (M,)
+# real or int64, with M the number of modes in the ball |k| < R.  A "slab"
+# is c x-planes (c, N, N) of a real physical grid and a "spectral_slab" c
+# x-planes (c, N, N/2+1) of a half spectrum, with c = :func:`slab_width`.
+# :class:`mhddamp.nonlinear.Workspace` allocates exactly the
+# WORKSPACE_GRIDS.  With several slabs the inverse transform runs its x
+# pass in "columns" and its y and z passes in "staging"; with one slab
+# "staging" holds the whole half spectrum and "columns" is absent.
 WORKSPACE_GRIDS = (
-    ("staging", 6, "spectral"),    # zero but while an inverse transform runs in it
-    ("columns", 11, "columns"),    # the forward z pass; absent with one slab
+    ("staging", 6, "spectral_slab"),  # zero but while an inverse transform runs in it
+    ("columns", 11, "columns"),    # both transforms' x passes; absent with one slab
     ("products", 11, "slab"),      # T (5 entries), u x b and the damping
     ("stage", 6, "packed"),        # the stage state w = (u, b)
     ("scratch", 2, "packed"),
@@ -77,9 +79,7 @@ def column_cutoff(radius: float) -> int:
 def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
     kc = column_cutoff(radius)
     return {
-        "spectral": n * n * (n // 2 + 1) * 16,
         "columns": n * n * (kc + 1) * 16 if width < n else 0,
-        "physical": n**3 * 8,
         "slab": width * n * n * 8,
         "spectral_slab": width * n * (n // 2 + 1) * 16,
         "packed": m * 16,
@@ -89,12 +89,14 @@ def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
 
 def _slab_plane_bytes(n: int) -> int:
     """Bytes of the slab arrays of :data:`WORKSPACE_GRIDS` and
-    :data:`STEP_TRANSIENT_GRIDS` per x-plane at N = ``n``."""
+    :data:`STEP_TRANSIENT_GRIDS` per x-plane at N = ``n``, but for the
+    staging array: the slab width was fixed before staging became a slab,
+    and the slab sums of a run, hence its artifacts, depend on the width."""
     plane = _layout_bytes(n, 0, 1.0, 1)
     return sum(
         count * plane[layout]
-        for _, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS
-        if layout in ("slab", "spectral_slab")
+        for name, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS
+        if layout in ("slab", "spectral_slab") and name != "staging"
     )
 
 
@@ -250,7 +252,8 @@ class GridSpec:
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
         """Shape (N, N, N/2+1) of one half spectrum: a field of a
-        checkpoint file, or of an inverse transform's staging array."""
+        checkpoint file, or of a one-slab inverse transform's staging
+        array."""
         return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
-from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, ifft_grid
+from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, x_slabs
 from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import Workspace, _rhs_core
 from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"MHDF"
 CHECKPOINT_VERSION = 2  # 1: full (N, N, N) spectra, still read; 2: half spectra
 CHECKPOINT_HEADER = "<4sIqdd"
+HASH_CHUNK = 2**18  # bytes of a checkpoint hashed at a time
 # A loaded state must be divergence-free to this fraction of its H1 norm.
 DIV_FREE_RTOL = 1e-10
 
@@ -140,9 +141,12 @@ def config_hash(config: SolverConfig) -> str:
     data = asdict(config)
     ic = config.initial_condition
     if ic.kind == "from_checkpoint":
+        digest = hashlib.sha256()
+        chunk = bytearray(HASH_CHUNK)
         with open(ic.path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        data["initial_condition"]["path"] = "sha256:" + digest
+            while size := fh.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+        data["initial_condition"]["path"] = "sha256:" + digest.hexdigest()
     payload = json.dumps(data, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -154,9 +158,10 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     """Divergence-free random pair (u, b) with ~|k|^-4 spectral decay.
 
     Full (3, N, N, N) normals are drawn and made Hermitian, c(k) =
-    (raw(k) + conj(raw(-k))) / 2, on the half spectrum, then cut to the
-    ball, so a seed gives the same state in every storage layout.
-    ValueError when the ball |k| < R holds no nonzero wavenumber (R <= 1).
+    (raw(k) + conj(raw(-k))) / 2, on the ball, so a seed gives the same
+    state in every storage layout.  Of each draw only the values at the
+    ball's modes k and their mirrors -k are kept.  ValueError when the ball
+    |k| < R holds no nonzero wavenumber (R <= 1).
     """
     if grid.truncation_radius <= 1.0:
         raise ValueError(
@@ -166,15 +171,20 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     rng = np.random.default_rng(seed)
     n = grid.n_modes
     shape = (3,) + grid.shape
-    rev = (-np.arange(n)) % n
-    half = n // 2 + 1
+    k = np.array([grid.kx, grid.ky, grid.kz], dtype=np.int64)
+    # (2, M) flat positions in an (N, N, N) grid of the ball's modes k and -k
+    modes = np.ravel_multi_index(np.stack([k, -k], axis=1) % n, grid.shape)
+    del k
+
+    def draw():
+        return rng.standard_normal(shape).reshape(3, -1)[:, modes]
+
     decay = (1.0 + grid.k_sq) ** -2.0
     state = MhdState.zeros(grid)
     for field in (state.u, state.b):
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        flipped = raw[..., rev[:half]][:, rev][:, :, rev]
-        np.multiply(truncate_coeffs(0.5 * (raw[..., :half] + np.conj(flipped)), grid), decay,
-                    out=field)
+        raw = draw() + 1j * draw()
+        np.multiply(0.5 * (raw[:, 0] + np.conj(raw[:, 1])), decay, out=field)
+        del raw  # before the next field's draws
         field[:, 0] = 0.0  # the k = 0 mode
     leray_project_coeffs(state.coeffs, grid)
     return state
@@ -332,13 +342,20 @@ class _StepWork:
         return w_new, increments
 
 
-def cfl_bound(state: MhdState, config: SolverConfig) -> float:
-    """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf))."""
+def cfl_bound(state: MhdState, config: SolverConfig, work: Workspace | None = None) -> float:
+    """Advective time-step bound cfl_target / (k_max (||u||_inf + ||b||_inf)),
+    the maxima taken one slab of point values at a time in ``work``, a
+    :class:`Workspace` of the grid that is idle (a new one when None)."""
     grid = config.grid
-    speed = sum(
-        float(np.max(np.abs(ifft_grid(f, grid))))
-        for f in np.split(state.coeffs, 2)
-    )
+    if work is None:
+        work = Workspace(grid)
+    peaks = []
+    for _, phys in x_slabs(state.coeffs, grid, work.staging, work.width, work.columns):
+        np.abs(phys, out=phys)
+        peaks.append((np.max(phys[0:3]), np.max(phys[3:6])))
+        del phys  # freed before the next slab is made
+    u_max, b_max = np.max(peaks, axis=0)
+    speed = float(u_max) + float(b_max)
     if speed == 0.0:
         return np.inf
     return config.cfl_target / (grid.truncation_radius * speed)
@@ -395,7 +412,10 @@ def run(config: SolverConfig):
     """
     state = make_initial_from_config(config)
     n_steps = _step_count(state.t, config)  # checks the span before any other work
-    bound = cfl_bound(state, config)
+    # The ledger rows and the CFL bound borrow the stepper's workspace,
+    # idle before the first step and at each sample.
+    stepper = _StepWork(config)
+    bound = cfl_bound(state, config, stepper.work)
     if config.dt > bound:
         log.warning(
             "dt = %g exceeds the advective stability bound %g; expect blow-up",
@@ -407,8 +427,6 @@ def run(config: SolverConfig):
 
     # Only the latest sample is held here, so the initial state is freed
     # after the first step instead of living beside every later sample.
-    # The ledger rows borrow the stepper's workspace, idle at each sample.
-    stepper = _StepWork(config)
     steps = trajectory(state, config, work=stepper)
     del state
     try:
@@ -456,11 +474,12 @@ def load_checkpoint(path) -> MhdState:
     Malformed files raise ValueError before any allocation sized by the
     header.  The time must be finite, and the coefficients, in the file's
     layout, finite, zero outside the truncation ball and within
-    HERMITIAN_TOL of Hermitian symmetry: on the self-conjugate planes of a
-    version 2 half spectrum, on every mode of a version 1 full spectrum.
-    The ball's modes are then packed, and the state must have a divergence
-    within DIV_FREE_RTOL of its H1 norm.  Otherwise ValueError.  The state
-    owns its coefficient array, which is writable.
+    HERMITIAN_TOL of Hermitian symmetry, relative to the largest |c| of
+    the six arrays: on the self-conjugate planes of a version 2 half
+    spectrum, on every mode of a version 1 full spectrum.  The arrays are
+    read, checked and packed to the ball one at a time, and the state must
+    have a divergence within DIV_FREE_RTOL of its H1 norm.  Otherwise
+    ValueError.  The state owns its coefficient array, which is writable.
     """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
@@ -482,11 +501,26 @@ def load_checkpoint(path) -> MhdState:
         if not _is_number(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        data = np.empty((6, n, n, stored), dtype="<c16")
-        if fh.readinto(data) != payload:
-            raise ValueError(f"{path}: checkpoint payload changed while it was read")
-    _check_file_layout(path, data, grid)
-    state = MhdState(truncate_coeffs(data[..., : n // 2 + 1], grid), grid, float(t))
+        k = grid.k1d
+        k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :stored] ** 2
+        outside = k_sq >= grid.truncation_radius**2
+        del k_sq
+        coeffs = np.empty((6,) + grid.index.shape, dtype=np.complex128)
+        field = np.empty((n, n, stored), dtype="<c16")
+        defect = scale = 0.0
+        for packed in coeffs:
+            if fh.readinto(field) != field.nbytes:
+                raise ValueError(f"{path}: checkpoint payload changed while it was read")
+            scale = max(scale, _check_field(path, field, outside, grid.truncation_radius))
+            defect = max(defect, hermitian_defect(field))
+            packed[...] = truncate_coeffs(field[..., : n // 2 + 1], grid)
+    del field  # freed before the divergence check allocates
+    if scale and defect / scale > HERMITIAN_TOL:
+        raise ValueError(
+            f"{path}: state is not a real field (Hermitian defect {defect / scale:.3e} "
+            f"> {HERMITIAN_TOL:.0e})"
+        )
+    state = MhdState(coeffs, grid, float(t))
     divergence = state.max_divergence()
     h1 = h1_norm_pair(state.coeffs, grid)
     if divergence > DIV_FREE_RTOL * h1:
@@ -496,20 +530,15 @@ def load_checkpoint(path) -> MhdState:
     return state
 
 
-def _check_file_layout(path, data: np.ndarray, grid: GridSpec) -> None:
-    """ValueError unless the (6, N, N, *) coefficients of a checkpoint, a
-    half or a full spectrum, are finite, zero outside the ball and
-    Hermitian."""
-    if not np.all(np.isfinite(data)):
+def _check_field(path, field: np.ndarray, outside: np.ndarray, radius: float) -> float:
+    """max |c| of one (N, N, *) coefficient array of a checkpoint, taken
+    one x-plane at a time; ValueError unless the array is finite and zero
+    where ``outside`` (|k| >= ``radius``) is True."""
+    if not np.all(np.isfinite(field)):
         raise ValueError(f"{path}: state has non-finite coefficients")
-    k = grid.k1d
-    k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, : data.shape[-1]] ** 2
-    outside = k_sq >= grid.truncation_radius**2
-    if any(np.any(field[outside]) for field in data):
-        raise ValueError(f"{path}: state is nonzero outside |k| < {grid.truncation_radius:g}")
-    defect = hermitian_defect(data)
-    if defect > HERMITIAN_TOL:
-        raise ValueError(
-            f"{path}: state is not a real field (Hermitian defect {defect:.3e} "
-            f"> {HERMITIAN_TOL:.0e})"
-        )
+    scale = 0.0
+    for plane, off in zip(field, outside):
+        if np.any(plane[off]):
+            raise ValueError(f"{path}: state is nonzero outside |k| < {radius:g}")
+        scale = max(scale, float(np.max(np.abs(plane))))
+    return scale

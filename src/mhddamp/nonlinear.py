@@ -43,9 +43,11 @@ from .operators import leray_project_coeffs
 class Workspace:
     """The buffers of one trajectory, allocated once from
     :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
-    its physical-space pass.  ``staging`` (zero between transforms) has the
-    half-spectrum layout the inverse transform needs, ``columns`` (None
-    with a single slab) the columns k3 <= kc the forward transform keeps,
+    its physical-space pass.  ``staging`` (zero between transforms) holds
+    one slab of the half spectrum, where an inverse transform runs its y
+    and z passes, ``columns`` (None with a single slab, where ``staging``
+    holds the whole half spectrum) the columns k3 <= kc, where the inverse
+    transform runs its x pass and the forward transform keeps its z pass,
     ``products`` the layout of one slab;
     ``stage``, ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are
     packed to the ball.  Each trajectory makes its own; none is shared."""
@@ -54,9 +56,9 @@ class Workspace:
         n = grid.n_modes
         self.width = slab_width(n)
         layouts = {
-            "spectral": (grid.spectral_shape, np.complex128),
             "columns": ((n, n, grid.kc + 1), np.complex128),
             "slab": ((self.width, n, n), np.float64),
+            "spectral_slab": ((self.width,) + grid.spectral_shape[1:], np.complex128),
             "packed": (grid.index.shape, np.complex128),
         }
         for name, count, layout in WORKSPACE_GRIDS:
@@ -141,10 +143,11 @@ def _rhs_core(
     integrating factor.
 
     Physical space is visited one slab of ``work.width`` x-planes at a
-    time: ``w`` is scattered into work.staging, transformed there along x
-    and y, and each slab's z pass, products, damping and dissipation
-    quadrature run on the slab alone; its forward z pass fills the slab's
-    planes of work.columns (with one slab, scipy's output takes its place).
+    time: ``w`` is transformed along x in work.columns, then each slab's
+    planes along y and z in work.staging, and its products, damping and
+    dissipation quadrature run on the slab alone; its forward z pass fills
+    the slab's planes of work.columns (with one slab, the inverse runs
+    whole in work.staging and scipy's forward output takes its place).
     With a :class:`Workspace` nothing of state size is allocated but that
     output and the packed tendency, returned in the first six rows of the
     forward transform's packed output.
@@ -158,7 +161,7 @@ def _rhs_core(
         work = Workspace(grid)
     count = 8 if damping.kind == "none" else 11
     damp_diss = 0.0
-    for x0, phys in x_slabs(w, grid, work.staging, work.width):
+    for x0, phys in x_slabs(w, grid, work.staging, work.width, work.columns):
         prod = work.products[:count, : phys.shape[-3]]
         _products(phys, prod)
         if damping.kind != "none":

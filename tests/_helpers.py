@@ -19,7 +19,7 @@ import scipy.fft
 from mhddamp import DampingSpec, MhdState, energy
 from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
-from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.fields import fft_grid, x_slabs
 from mhddamp.lemmas import CheckReport
 from mhddamp.nonlinear import _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
@@ -60,6 +60,16 @@ def values_of(coeffs: np.ndarray, grid) -> np.ndarray:
     transform of their half spectrum."""
     n = grid.n_modes
     return scipy.fft.irfftn(unpack(coeffs, grid), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:
+    """Real point values of packed (..., M) ball modes on the N^3 grid, by
+    the package's own inverse passes run on the whole half spectrum at
+    once.  Only the Hermitian part of the plane k3 = 0 counts."""
+    stack = coeffs.reshape(-1, coeffs.shape[-1])
+    staging = np.zeros(stack.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
+    (_, values), = x_slabs(stack, grid, staging, grid.n_modes)
+    return values.reshape(coeffs.shape[:-1] + grid.shape)
 
 
 def pair_state(grid, u, b=None) -> MhdState:

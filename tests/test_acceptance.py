@@ -23,7 +23,7 @@ from mhddamp import (
     twin_run,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_grid, ifft_grid
+from mhddamp.fields import fft_grid
 from mhddamp.lemmas import check_interpolation_bound, monotonicity_suite
 from mhddamp.operators import truncate_coeffs, weighted_sum_sq
 
@@ -32,6 +32,7 @@ from _helpers import (
     embed_coeffs,
     gradient_coeffs,
     half_spectrum,
+    ifft_grid,
     inner_l2,
     leray,
     pair_state,

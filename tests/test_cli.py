@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mhddamp import DampingSpec, InitialCondition, SolverConfig
@@ -22,7 +24,7 @@ from mhddamp.cli import (
     save_config,
 )
 
-from _helpers import malformed_checkpoint
+from _helpers import malformed_checkpoint, unpack
 
 ROOT = Path(__file__).parent.parent
 QUICKSTART = ROOT / "configs" / "quickstart.json"
@@ -645,6 +647,57 @@ def test_initial_state_error_leaves_no_output_dir(tmp_path, capsys, command, cas
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     one_error_line(capsys)
     assert not (tmp_path / "new").exists()
+
+
+def faulty_checkpoint(tmp_path, case) -> Path:
+    """An N = 8 checkpoint of a single-mode velocity, b = 0, whose last
+    array, b3, is changed in the named way; returns its path."""
+    from mhddamp import GridSpec, make_initial
+
+    grid = GridSpec(n_modes=8)
+    half = unpack(make_initial("single_mode", grid).coeffs, grid)
+    b3 = half[5]
+    if case in ("small-field-defect", "defect-above-tolerance"):
+        # b3 gets one mode, k = (1, 0, 0), and not its mirror k = (-1, 0, 0):
+        # a defect as large as b3 itself, and 1e-14 or 1e-6 of the state
+        b3[1, 0, 0] = (1e-14 if case == "small-field-defect" else 1e-6) * np.max(np.abs(half))
+    elif case == "nan":
+        b3[1, 0, 0] = np.nan
+    elif case == "off-ball":
+        b3[0, 0, 4] = 1.0  # |k| = 4 >= R = 8/3
+    header = struct.pack("<4sIqdd", b"MHDF", 2, 8, grid.truncation_radius, 0.0)
+    data = header + half.astype("<c16").tobytes()
+    path = tmp_path / "state.mhdf"
+    path.write_bytes(data[:-16] if case == "truncated" else data)
+    return path
+
+
+# The checkpoint is read, checked and packed one array at a time, but each
+# fault is named as when the six arrays were checked together; a defect is
+# measured against the largest |c| of all six arrays.
+CHECKPOINT_FAULTS = {
+    "nan": "{path}: state has non-finite coefficients",
+    "off-ball": "{path}: state is nonzero outside |k| < 2.66667",
+    "truncated": "{path}: payload of 30704 bytes does not hold six N = 8 version 2 coefficient "
+                 "arrays",
+    "small-field-defect": None,
+    "defect-above-tolerance": "{path}: state is not a real field (Hermitian defect 1.000e-06 > "
+                              "1e-12)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_FAULTS))
+def test_checkpoint_fault_in_last_array(tmp_path, capsys, case):
+    ckpt = faulty_checkpoint(tmp_path, case)
+    path = quickstart_n8(tmp_path, initial_condition={"kind": "from_checkpoint",
+                                                      "path": str(ckpt)})
+    message = CHECKPOINT_FAULTS[case]
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 1
+        assert one_error_line(capsys) == "error: " + message.format(path=ckpt) + "\n"
 
 
 @pytest.mark.parametrize("command", ["run", "twin"])

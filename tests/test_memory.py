@@ -1,14 +1,24 @@
-"""Traced memory: a trajectory's peak against grid.working_set_bytes, and a
-ledger row against a right-hand side and against a stage's transients."""
+"""Traced memory: a trajectory's peak against grid.working_set_bytes, a
+ledger row against a right-hand side and against a stage's transients, and
+the set-up steps (initial state, checkpoint read and hash, CFL bound)
+against the slab-sized transients they are allowed."""
 
 import tracemalloc
 
 import pytest
 
-from mhddamp import DampingSpec, GridSpec, InitialCondition, SolverConfig, make_initial, run
+from mhddamp import (
+    DampingSpec, GridSpec, InitialCondition, SolverConfig, load_checkpoint, make_initial, run,
+    save_checkpoint,
+)
 from mhddamp.energy import ledger_row
 from mhddamp.grid import STEP_TRANSIENT_GRIDS, _layout_bytes, slab_width, working_set_bytes
+from mhddamp.integrator import cfl_bound, config_hash
 from mhddamp.nonlinear import Workspace, _rhs_core
+
+from _helpers import write_v1_checkpoint
+
+MiB = 2**20
 
 DAMPINGS = {
     "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
@@ -17,16 +27,16 @@ DAMPINGS = {
 GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32, 64)}  # 64: eight slabs
 
 
-def traced_peak(fn, *args) -> int:
-    """Bytes allocated by ``fn(*args)`` at its peak, beyond what was held
-    when it was called."""
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes allocated by ``fn(*args, **kwargs)`` at its peak, beyond what
+    was held when it was called."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         if not was_tracing:
@@ -86,3 +96,59 @@ def test_ledger_row_within_stage_transients(sample, damping):
     size = _layout_bytes(n, grid.index.size, grid.truncation_radius, slab_width(n))
     stage = sum(count * size[layout] for _, count, layout in STEP_TRANSIENT_GRIDS)
     assert traced_peak(ledger_row, state, ROW_DAMPINGS[damping], work) <= stage
+
+
+def test_slab_decomposition_is_pinned():
+    # a run's slab sums, hence its artifacts, depend on the slab width
+    widths = {32: 32, 34: 17, 48: 12, 64: 8, 96: 3, 128: 2, 130: 1}
+    assert {n: slab_width(n) for n in widths} == widths
+    for n, mib in ((64, 37.03), (128, 226.09)):
+        m = GridSpec(n_modes=n).index.size
+        assert round(working_set_bytes(n, m) / MiB, 2) == mib
+
+
+@pytest.fixture(scope="module")
+def state64():
+    return make_initial("random_divfree", GRIDS[64], seed=3, target_h1=10.0)
+
+
+@pytest.mark.parametrize("version", [2, 1])
+def test_checkpoint_read_within_half_the_payload(state64, tmp_path, version):
+    # one array of the file is held at a time, beside the packed state
+    path = tmp_path / "state.mhdf"
+    if version == 2:
+        save_checkpoint(path, state64)
+    else:
+        write_v1_checkpoint(path, state64)
+    payload = path.stat().st_size - 32
+    assert traced_peak(load_checkpoint, path) < payload / 2
+
+
+def test_cfl_bound_within_one_slab(state64):
+    # with the trajectory's workspace lent, only a slab's six inverse
+    # grids and their absolute values are new
+    grid = state64.grid
+    n = grid.n_modes
+    cfg = SolverConfig(grid=grid, dt=1e-3, t_end=1e-3,
+                       initial_condition=InitialCondition(kind="single_mode"))
+    work = Workspace(grid)
+    assert traced_peak(cfl_bound, state64, cfg, work) <= 2 * 6 * work.width * n * n * 8
+
+
+def test_restart_hash_reads_in_chunks(state64, tmp_path):
+    path = tmp_path / "state.mhdf"
+    save_checkpoint(path, state64)
+    cfg = SolverConfig(grid=state64.grid, dt=1e-3, t_end=1e-3,
+                       initial_condition=InitialCondition(kind="from_checkpoint", path=str(path)))
+    assert traced_peak(config_hash, cfg) < MiB
+
+
+def test_random_initial_state_holds_one_draw():
+    # a (3, N, N, N) normal draw at a time, beside the packed state, the
+    # ball's values of the two draws of a field at k and -k, their
+    # positions and decay factors, and 64 KiB of small objects
+    grid = GRIDS[64]
+    m = grid.index.size
+    draw = 3 * grid.n_modes**3 * 8
+    allowed = draw + 6 * m * 16 + 2 * (3 * 2 * m * 8) + 2 * m * 8 + m * 8 + 2**16
+    assert traced_peak(make_initial, "random_divfree", grid, 3, target_h1=10.0) <= allowed
