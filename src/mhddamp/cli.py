@@ -149,10 +149,14 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_config(cfg: ExperimentConfig, path) -> None:
+    _write_json(path, config_to_dict(cfg))
 
 
 # Output helpers -------------------------------------------------------------
@@ -220,9 +224,7 @@ def cmd_run(args) -> int:
             exc.ledger.to_csv(_out_file(out, "ledger.csv"))
         summary["blow_up_time"] = exc.time
         if "json" in formats:
-            with open(_out_file(out, "summary.json"), "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(_out_file(out, "summary.json"), summary)
         print(f"blow-up at t = {exc.time:.6g}", file=sys.stderr)
         return 3
 
@@ -250,9 +252,7 @@ def cmd_run(args) -> int:
     summary["final_state"] = _final_state_summary(state)
     summary["checks"] = {rep.name: rep.status for rep in reports}
     if "json" in formats:
-        with open(_out_file(out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(_out_file(out, "summary.json"), summary)
 
     for rep in reports:
         print(rep.summary_line())
@@ -262,7 +262,7 @@ def cmd_run(args) -> int:
 def _lemma_reports_for_run(damping: DampingSpec) -> list[CheckReport]:
     """Lemma-suite checks scoped to the run's damping parameters."""
     if damping.kind == "power":
-        x = np.linspace(0.0, 100.0, 10_000)
+        x = np.linspace(0.0, DEFAULT_MATRIX["x_max"], DEFAULT_MATRIX["x_points"])
         return [check_interpolation_bound(damping.alpha, float(damping.beta), x)]
     if damping.kind == "generalized":
         return [monotonicity_suite(damping.function, n_pairs=20_000, seed=0)]

@@ -129,13 +129,8 @@ def damping_amplitude(q: np.ndarray, spec: DampingSpec) -> np.ndarray:
 
 
 def damping_term(values: np.ndarray, spec: DampingSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise D(u) of the spec on collocation values; zero for kind 'none'.
-    Written into ``out`` when given."""
-    if out is None:
-        out = np.empty_like(values)
-    if spec.kind == "none":
-        out[...] = 0.0
-        return out
+    """Pointwise D(u) of a power or generalized spec on collocation
+    values.  Written into ``out`` when given."""
     amplitude = damping_amplitude(speed_sq(values), spec)
     amplitude *= spec.alpha
     return np.multiply(amplitude, values, out=out)

@@ -79,7 +79,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     with the six-row batch and work.columns[0] with q's forward z pass,
     slab by slab, as a stage does.  Both are idle between steps.
     """
-    staging, columns, ik, width, batch = work.staging, work.columns, work.ik, work.width, work.stage
+    columns, ik, batch = work.columns, work.ik, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
 
     # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
@@ -87,7 +87,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     # dropped before the next slab's are made.
     batch[0:3] = u
     np.multiply(ik, u[0], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, staging, width, columns):
+    for x0, phys in x_slabs(batch, grid, work):
         planes = slice(x0, x0 + phys.shape[-3])
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
@@ -97,7 +97,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     del spectra
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, staging, width, columns):
+    for x0, phys in x_slabs(batch, grid, work):
         acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
         for d in phys:
             acc += np.multiply(d, d, out=d)
@@ -105,7 +105,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
 
     np.multiply(ik, q_hat, out=batch[0:3])
     del q_hat
-    for x0, phys in x_slabs(batch[0:3], grid, staging[0:3], width, columns):
+    for x0, phys in x_slabs(batch[0:3], grid, work):
         planes = slice(x0, x0 + phys.shape[-3])
         grad_q_sq = speed_sq(phys)
         del phys
@@ -244,12 +244,6 @@ def _report(name: str, margins: np.ndarray, times: np.ndarray, tol: float, detai
     )
 
 
-def l2_damping_integral(ledger: EnergyLedger) -> np.ndarray:
-    """Running integral of the damping dissipation entering the L2 balance."""
-    name = L2_DAMPING_COLUMN.get(ledger.damping.kind)
-    return ledger.column("int_" + name) if name else np.zeros(len(ledger))
-
-
 def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckReport:
     """Residual of the L2 energy balance at every row.
 
@@ -260,10 +254,12 @@ def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckRe
     """
     t = ledger.times
     w0 = ledger.column("l2_sq")[0]
+    damp = L2_DAMPING_COLUMN.get(ledger.damping.kind)
+    int_damp = ledger.column("int_" + damp) if damp else np.zeros(len(ledger))
     residual = w0 - (
         ledger.column("l2_sq")
         + 2.0 * ledger.column("int_h1dot_sq")
-        + 2.0 * ledger.damping.alpha * l2_damping_integral(ledger)
+        + 2.0 * ledger.damping.alpha * int_damp
     )
     tol = tol_step * max(ledger.steps_total, 1)
     return _report("l2_energy", residual, t, tol)
@@ -393,7 +389,7 @@ def check_damping_identity(
 
     grid = state.grid
     work = Workspace(grid)
-    for x0, up in x_slabs(state.u, grid, work.staging[0:3], work.width, work.columns):
+    for x0, up in x_slabs(state.u, grid, work):
         spectra = rfft_z(damping_amplitude(speed_sq(up), damping) * up, work.columns, x0)
     d_hat = fft_xy(spectra, grid)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
@@ -403,7 +399,7 @@ def check_damping_identity(
         np.sum(weight * np.sum((d_hat * np.conj(state.u)).real, axis=0))
     )
 
-    row = ledger_row(state, damping)
+    row = ledger_row(state, damping, work)
     if damping.kind == "power":
         rhs = row["d_beta_grad"] + (float(damping.beta) - 1.0) / 4.0 * row["d_beta_sq"]
     else:

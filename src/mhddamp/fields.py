@@ -104,51 +104,39 @@ def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
 
 
-def x_slabs(
-    packed: np.ndarray,
-    grid: GridSpec,
-    staging: np.ndarray,
-    width: int,
-    columns: np.ndarray | None = None,
-):
+def x_slabs(packed: np.ndarray, grid: GridSpec, work):
     """Point values of stacked packed (m, M) ball modes, one slab of
-    ``width`` x-planes at a time: yields (x0, values) with ``values`` the
-    new (m, c, N, N) real point values of the planes x0 .. x0+c-1.
+    ``work.width`` x-planes at a time: yields (x0, values) with ``values``
+    the new (m, c, N, N) real point values of the planes x0 .. x0+c-1.
 
-    Without ``columns``, the modes are scattered into ``staging``, a
-    C-contiguous all-zero (m, N, N, N/2+1) array, and the x pass runs
-    there.  With ``columns``, a C-contiguous (>= m, N, N, kc+1) array of
-    any content, the x pass runs in columns[:m], zeroed first, and each
-    slab's planes are copied into ``staging``, an all-zero
-    (m, >= width, N, N/2+1) array, so that no array of the inverse
-    transform but the columns k3 <= kc is of full size; a slab's planes of
+    ``work`` is a :class:`mhddamp.nonlinear.Workspace` of the grid, or an
+    object with its ``staging``, ``width`` and ``columns``.  The modes are
+    scattered into columns[:m], or with one slab (``columns`` None) into
+    staging[:m], filled with zeros first, and the x pass runs there.  With
+    several slabs each slab's planes are then copied into the columns
+    k3 <= kc of staging[:m], whose columns k3 > kc must be zero; no pass
+    writes those.  The y and z passes run per slab.  A slab's planes of
     columns[:m] are not read again once it is yielded, so the caller may
-    overwrite them, as the forward z pass of :func:`rfft_z` does.  The y
-    and z passes run per slab.  ``staging`` is zero again once the
-    generator is exhausted or closed.  A slab's values are not referenced
-    by the generator, so a caller that drops them frees them.
+    overwrite them, as the forward z pass of :func:`rfft_z` does.  A
+    slab's values are not referenced by the generator, so a caller that
+    drops them frees them.
     """
-    n = grid.n_modes
+    n, m, columns, staging = grid.n_modes, len(packed), work.columns, work.staging
     if columns is None:
-        spectra, index = staging, grid.index
+        spectra, index = staging[:m], grid.index
     else:
-        spectra, index = columns[: len(packed)], grid.column_index
-        spectra.fill(0.0)
-    if not spectra.flags.c_contiguous:  # reshape would copy, not view
-        raise ValueError("x_slabs scatters only into a C-contiguous array")
-    spectra.reshape(len(packed), -1)[:, index] = packed
+        spectra, index = columns[:m], grid.column_index
+    spectra.fill(0.0)
+    spectra.reshape(m, -1)[:, index] = packed
     ifft_x(spectra, grid)
-    try:
-        for x0 in range(0, n, width):
-            slab = spectra[:, x0 : x0 + width]
-            if columns is not None:
-                c = slab.shape[1]
-                staging[:, :c, :, : grid.kc + 1] = slab
-                slab = staging[:, :c]
-            ifft_y(slab, grid)
-            yield x0, irfft_z(slab, n)
-    finally:
-        staging.fill(0.0)  # a whole-array fill beats a strided one on the slab
+    for x0 in range(0, n, work.width):
+        slab = spectra[:, x0 : x0 + work.width]
+        if columns is not None:
+            c = slab.shape[1]
+            staging[:m, :c, :, : grid.kc + 1] = slab
+            slab = staging[:m, :c]
+        ifft_y(slab, grid)
+        yield x0, irfft_z(slab, n)
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:

@@ -42,7 +42,7 @@ TWO_PI = 2.0 * np.pi
 # pass in "columns" and its y and z passes in "staging"; with one slab
 # "staging" holds the whole half spectrum and "columns" is absent.
 WORKSPACE_GRIDS = (
-    ("staging", 6, "spectral_slab"),  # zero but while an inverse transform runs in it
+    ("staging", 6, "spectral_slab"),  # zero at k3 > kc with several slabs
     ("columns", 11, "columns"),    # both transforms' x passes; absent with one slab
     ("products", 11, "slab"),      # T (5 entries), u x b and the damping
     ("stage", 6, "packed"),        # the stage state w = (u, b)

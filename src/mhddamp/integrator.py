@@ -350,7 +350,7 @@ def cfl_bound(state: MhdState, config: SolverConfig, work: Workspace | None = No
     if work is None:
         work = Workspace(grid)
     peaks = []
-    for _, phys in x_slabs(state.coeffs, grid, work.staging, work.width, work.columns):
+    for _, phys in x_slabs(state.coeffs, grid, work):
         np.abs(phys, out=phys)
         peaks.append((np.max(phys[0:3]), np.max(phys[3:6])))
         del phys  # freed before the next slab is made

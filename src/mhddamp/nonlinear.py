@@ -43,12 +43,12 @@ from .operators import leray_project_coeffs
 class Workspace:
     """The buffers of one trajectory, allocated once from
     :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
-    its physical-space pass.  ``staging`` (zero between transforms) holds
-    one slab of the half spectrum, where an inverse transform runs its y
-    and z passes, ``columns`` (None with a single slab, where ``staging``
-    holds the whole half spectrum) the columns k3 <= kc, where the inverse
-    transform runs its x pass and the forward transform keeps its z pass,
-    ``products`` the layout of one slab;
+    its physical-space pass, as :func:`mhddamp.fields.x_slabs` takes them.
+    ``staging`` holds one slab of the half spectrum, where an inverse
+    transform runs its y and z passes, ``columns`` (None with a single
+    slab, where ``staging`` holds the whole half spectrum) the columns
+    k3 <= kc, where the inverse transform runs its x pass and the forward
+    transform keeps its z pass, ``products`` the layout of one slab;
     ``stage``, ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are
     packed to the ball.  Each trajectory makes its own; none is shared."""
 
@@ -134,7 +134,7 @@ def _rhs_core(
     grid: GridSpec,
     damping: DampingSpec,
     want_dissipation: bool,
-    work: Workspace | None = None,
+    work: Workspace,
 ) -> tuple[np.ndarray, float]:
     """Non-viscous tendency of the stacked coefficients w = (u, b) of an
     :class:`MhdState`, packed to the ball |k| < R: (6, M).  It holds the
@@ -142,26 +142,23 @@ def _rhs_core(
     viscous term, which the integrator treats exactly through its
     integrating factor.
 
-    Physical space is visited one slab of ``work.width`` x-planes at a
-    time: ``w`` is transformed along x in work.columns, then each slab's
-    planes along y and z in work.staging, and its products, damping and
-    dissipation quadrature run on the slab alone; its forward z pass fills
-    the slab's planes of work.columns (with one slab, the inverse runs
-    whole in work.staging and scipy's forward output takes its place).
-    With a :class:`Workspace` nothing of state size is allocated but that
-    output and the packed tendency, returned in the first six rows of the
-    forward transform's packed output.
+    Physical space is visited one slab of x-planes at a time through
+    :func:`mhddamp.fields.x_slabs` in ``work``, the trajectory's
+    :class:`Workspace`: each slab's products, damping and dissipation
+    quadrature run on the slab alone, and its forward z pass fills the
+    slab's planes of work.columns (with one slab, scipy's forward output
+    takes its place).  Nothing of state size is allocated but that output
+    and the packed tendency, returned in the first six rows of the forward
+    transform's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
     ||u||^(beta+1)_L^(beta+1) for power damping, || f(|u|^2) |u|^4 ||_L1
     for generalized damping, 0 otherwise.  Only computed when requested.
     """
-    if work is None:
-        work = Workspace(grid)
     count = 8 if damping.kind == "none" else 11
     damp_diss = 0.0
-    for x0, phys in x_slabs(w, grid, work.staging, work.width, work.columns):
+    for x0, phys in x_slabs(w, grid, work):
         prod = work.products[:count, : phys.shape[-3]]
         _products(phys, prod)
         if damping.kind != "none":

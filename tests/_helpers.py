@@ -21,7 +21,7 @@ from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
 from mhddamp.fields import fft_grid, x_slabs
 from mhddamp.lemmas import CheckReport
-from mhddamp.nonlinear import _rhs_core
+from mhddamp.nonlinear import Workspace, _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
 
 
@@ -67,8 +67,9 @@ def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:
     the package's own inverse passes run on the whole half spectrum at
     once.  Only the Hermitian part of the plane k3 = 0 counts."""
     stack = coeffs.reshape(-1, coeffs.shape[-1])
-    staging = np.zeros(stack.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
-    (_, values), = x_slabs(stack, grid, staging, grid.n_modes)
+    staging = np.empty(stack.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
+    work = SimpleNamespace(staging=staging, width=grid.n_modes, columns=None)
+    (_, values), = x_slabs(stack, grid, work)
     return values.reshape(coeffs.shape[:-1] + grid.shape)
 
 
@@ -303,7 +304,7 @@ def rhs_mhd(state, grid, nu_h=1.0, nu_v=1.0, damping=DampingSpec()):
     included: the solver's right-hand side, packed."""
     if not np.all(np.isfinite(state.coeffs)):
         raise ValueError("state contains non-finite coefficients")
-    dw, _ = _rhs_core(state.coeffs, grid, damping, False)
+    dw, _ = _rhs_core(state.coeffs, grid, damping, False, Workspace(grid))
     dw -= viscous_symbol(grid, nu_h, nu_v) * state.coeffs
     return dw[0:3], dw[3:6]
 

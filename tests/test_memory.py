@@ -1,17 +1,19 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
-ledger row against a right-hand side and against a stage's transients, and
-the set-up steps (initial state, checkpoint read and hash, CFL bound)
-against the slab-sized transients they are allowed."""
+ledger row against a right-hand side and against a stage's transients, the
+damping-identity check against two workspaces, and the set-up steps
+(initial state, checkpoint read and hash, CFL bound) against the slab-sized
+transients they are allowed."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mhddamp import (
     DampingSpec, GridSpec, InitialCondition, SolverConfig, load_checkpoint, make_initial, run,
     save_checkpoint,
 )
-from mhddamp.energy import ledger_row
+from mhddamp.energy import check_damping_identity, ledger_row
 from mhddamp.grid import STEP_TRANSIENT_GRIDS, _layout_bytes, slab_width, working_set_bytes
 from mhddamp.integrator import cfl_bound, config_hash
 from mhddamp.nonlinear import Workspace, _rhs_core
@@ -66,7 +68,7 @@ def test_ledger_row_peak_below_rhs_with_workspace(damping):
     state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
     spec = DAMPINGS[damping]
     row = traced_peak(ledger_row, state, spec)  # builds its Workspace
-    rhs = traced_peak(_rhs_core, state.coeffs, grid, spec, True)  # builds its Workspace
+    rhs = traced_peak(lambda: _rhs_core(state.coeffs, grid, spec, True, Workspace(grid)))
     assert row <= rhs
 
 
@@ -133,6 +135,14 @@ def test_cfl_bound_within_one_slab(state64):
                        initial_condition=InitialCondition(kind="single_mode"))
     work = Workspace(grid)
     assert traced_peak(cfl_bound, state64, cfg, work) <= 2 * 6 * work.width * n * n * 8
+
+
+@pytest.mark.parametrize("damping", sorted(DAMPINGS))
+def test_damping_identity_builds_one_workspace(state64, damping):
+    # the check lends its workspace to its ledger row
+    work = Workspace(state64.grid)
+    one = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
+    assert traced_peak(check_damping_identity, state64, DAMPINGS[damping]) < 2 * one
 
 
 def test_restart_hash_reads_in_chunks(state64, tmp_path):

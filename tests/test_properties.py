@@ -9,6 +9,7 @@ import io
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -180,26 +181,28 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
 def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_columns):
     # in_columns: the x pass runs in a columns array of any content, and a
     # slab's planes there may be overwritten once it is yielded, as the
-    # forward z pass does; staging then holds one slab
+    # forward z pass does; staging then holds one slab, of any content but
+    # zero at k3 > kc.  Without columns the whole inverse runs in staging,
+    # of any content.
     grid = ball_grid(n, radius)
     coeffs = ball_stack(seed, grid, m)
     packed = truncate_coeffs(coeffs, grid)
     before = packed.copy()
-    columns = None
-    staging = np.zeros_like(coeffs)
+    work = SimpleNamespace(staging=np.zeros_like(coeffs), width=width, columns=None)
     if in_columns:
-        columns = np.full((m + 1, n, n, grid.kc + 1), np.nan + 1j, dtype=np.complex128)
-        staging = np.zeros((m, width, n, n // 2 + 1), dtype=np.complex128)
+        work.columns = np.full((m + 1, n, n, grid.kc + 1), np.nan + 1j, dtype=np.complex128)
+        work.staging = np.zeros((m, width, n, n // 2 + 1), dtype=np.complex128)
     want = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
-    for _ in range(2):  # the staging array is left ready for the next pass
+    for _ in range(2):  # the workspace is left ready for the next pass
+        work.staging[..., : grid.kc + 1 if in_columns else None] = np.nan
         got = np.empty_like(want)
-        for x0, values in x_slabs(packed, grid, staging, width, columns):
+        for x0, values in x_slabs(packed, grid, work):
             assert values.shape[-3] == min(width, n - x0)
             got[..., x0 : x0 + values.shape[-3], :, :] = values
             if in_columns:
-                columns[:, x0 : x0 + width] = np.nan
+                work.columns[:, x0 : x0 + width] = np.nan
         assert np.array_equal(got, want)
-        assert not np.any(staging)
+        assert not np.any(work.staging[..., grid.kc + 1 :])
     assert packed.tobytes() == before.tobytes()
 
 
