@@ -400,7 +400,7 @@ def cmd_twin(args) -> int:
         print("determinism check failed: eps = 0 trajectories differ", file=sys.stderr)
         return 2
     result.to_csv(_out_file(out, "twin.csv"))
-    result.to_json(_out_file(out, "summary.json"))
+    _write_json(_out_file(out, "summary.json"), result.summary())
     if result.blown_up:
         print(f"twin run blew up (eps = {result.eps:g})", file=sys.stderr)
         return 3

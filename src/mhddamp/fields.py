@@ -1,7 +1,7 @@
 """
 Transforms between point values on the N^3 collocation grid and the packed
-ball modes of :mod:`mhddamp.grid`: plain arrays, with the grid passed beside
-them.
+ball modes of :mod:`mhddamp.grid`, as the passes the solver streams by slabs
+of x-planes: plain arrays, with the grid passed beside them.
 
 Transform normalization: coefficients are Fourier-series coefficients, i.e.
 f(x) = sum_k c(k) exp(i k.x), so the k = 0 coefficient of a constant field c
@@ -75,13 +75,6 @@ def fft_xy(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
     for r in _rows(grid):
         _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
     return truncate_coeffs(spectra, grid)
-
-
-def fft_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real-to-complex DFT of stacked real grids -> the packed (..., M)
-    ball modes of their Fourier-series coefficients, equal to those of the
-    full transform for any finite input."""
-    return fft_xy(rfft_z(values), grid)
 
 
 def ifft_x(spectra: np.ndarray, grid: GridSpec) -> None:

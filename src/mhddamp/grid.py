@@ -230,14 +230,9 @@ class GridSpec:
     # Derived scalars -----------------------------------------------------
 
     @property
-    def spacing(self) -> float:
-        """Collocation spacing 2*pi / N."""
-        return self.box_length / self.n_modes
-
-    @property
     def cell_volume(self) -> float:
         """Quadrature weight (2*pi / N)^3 of one collocation cell."""
-        return self.spacing**3
+        return (self.box_length / self.n_modes) ** 3
 
     @property
     def volume(self) -> float:
@@ -255,8 +250,3 @@ class GridSpec:
         checkpoint file, or of a one-slab inverse transform's staging
         array."""
         return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
-
-    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (X1, X2, X3) coordinate arrays on the grid."""
-        x = self.spacing * np.arange(self.n_modes)
-        return x[:, None, None], x[None, :, None], x[None, None, :]

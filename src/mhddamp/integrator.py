@@ -32,7 +32,7 @@ import numpy as np
 
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
-from .fields import HERMITIAN_TOL, fft_grid, hermitian_defect, x_slabs
+from .fields import HERMITIAN_TOL, hermitian_defect, x_slabs
 from .grid import GridSpec, _is_int, _is_number
 from .nonlinear import Workspace, _rhs_core
 from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
@@ -190,6 +190,21 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     return state
 
 
+def _place_waves(grid: GridSpec, field: np.ndarray, waves, coeffs) -> None:
+    """Write into the packed (3, M) ``field`` the modes of the real field
+    sum_j c_j exp(i k_j.x) + c.c., k_j the rows of (w, 3) ``waves`` with
+    components in (-N/2, N/2] and c_j those of ``coeffs``: of each k and -k
+    those with k3 >= 0, when in the ball."""
+    n = grid.n_modes
+    k = np.concatenate([waves, np.negative(waves)])
+    c = np.concatenate([coeffs, np.conj(coeffs)])[k[:, 2] >= 0]
+    k = k[k[:, 2] >= 0] % n
+    flat = (k[:, 0] * n + k[:, 1]) * (n // 2 + 1) + k[:, 2]
+    pos = np.minimum(np.searchsorted(grid.index, flat), grid.index.size - 1)
+    found = grid.index[pos] == flat
+    field[:, pos[found]] = c[found].T
+
+
 def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState:
     """Construct a divergence-free initial state.
 
@@ -197,8 +212,10 @@ def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState
     its defaults; ValueError if they do not make one.  random_divfree
     rescales the pair so ||(u0, b0)||_H1 equals target_h1 exactly;
     single_mode produces amplitude * sin(k.x) along a direction
-    perpendicular to k (b = 0); taylor_green_like is the classical vortex
-    with a perpendicular divergence-free magnetic companion.
+    perpendicular to k (b = 0), k with components in (-N/2, N/2];
+    taylor_green_like is the classical vortex with a perpendicular
+    divergence-free magnetic companion.  These two are written as their
+    exact modes in the ball (ValueError if not finite), then projected.
     """
     ic = InitialCondition(kind, **fields)
     if kind == "from_checkpoint":
@@ -218,36 +235,33 @@ def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState
         state.coeffs *= ic.target_h1 / h1_norm_pair(state.coeffs, grid)
         return state
 
-    if kind == "single_mode":
-        k = np.array(ic.mode, dtype=np.float64)
-        if not np.any(k):
-            raise ValueError("single_mode wavenumber must be nonzero")
-        k_hat = k / np.linalg.norm(k)
-        e = np.array([1.0, 0.0, 0.0])
-        if abs(k_hat[0]) > 0.999:
-            e = np.array([0.0, 1.0, 0.0])
-        e = e - np.dot(e, k_hat) * k_hat
-        e /= np.linalg.norm(e)
-        x1, x2, x3 = grid.mesh()
-        phase = k[0] * x1 + k[1] * x2 + k[2] * x3
-        values = ic.amplitude * np.sin(phase)[None, :, :, :] * e[:, None, None, None]
-        state = MhdState.zeros(grid)
-        state.u[...] = fft_grid(values, grid)
-        return state
-
-    # taylor_green_like
-    x1, x2, x3 = grid.mesh()
-    u = np.empty((3,) + grid.shape)
-    u[0] = np.sin(x1) * np.cos(x2) * np.cos(x3)
-    u[1] = -np.cos(x1) * np.sin(x2) * np.cos(x3)
-    u[2] = 0.0
-    b = np.empty((3,) + grid.shape)
-    b[0] = np.cos(x1) * np.sin(x2) * np.sin(x3)
-    b[1] = np.sin(x1) * np.cos(x2) * np.sin(x3)
-    b[2] = -2.0 * np.sin(x1) * np.sin(x2) * np.cos(x3)
     state = MhdState.zeros(grid)
-    state.u[...] = fft_grid(ic.amplitude * u, grid)
-    state.b[...] = fft_grid(ic.amplitude * ic.b_amplitude * b, grid)
+    if kind == "single_mode":
+        n, k = grid.n_modes, ic.mode
+        if not any(k):
+            raise ValueError("single_mode wavenumber must be nonzero")
+        if not all(-n // 2 < j <= n // 2 for j in k):
+            raise ValueError(
+                f"single_mode wavenumber {k} has a component outside (-N/2, N/2] = "
+                f"({-n // 2}, {n // 2}], where it aliases"
+            )
+        k_hat = np.array(k, dtype=np.float64) / np.linalg.norm(k)
+        e = np.array([0.0, 1.0, 0.0] if abs(k_hat[0]) > 0.999 else [1.0, 0.0, 0.0])
+        e -= np.dot(e, k_hat) * k_hat
+        e /= np.linalg.norm(e)
+        _place_waves(grid, state.u, [k], [-0.5j * ic.amplitude * e])
+    else:  # taylor_green_like: 1/2 per cosine and s/(2i) per sine of s x
+        s1, s2 = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
+        waves = np.stack([s1, s2, np.ones_like(s1)], axis=1)
+        u = np.stack([-1j * s1, 1j * s2, 0 * s1], axis=1)
+        b = np.stack([-s2, -s1, 2 * s1 * s2], axis=1)
+        _place_waves(grid, state.u, waves, ic.amplitude / 8 * u)
+        _place_waves(grid, state.b, waves, ic.amplitude * ic.b_amplitude / 8 * b)
+    if not np.all(np.isfinite(state.coeffs)):
+        raise ValueError(
+            f"{kind} initial state is not finite (amplitude {ic.amplitude:g}, "
+            f"b_amplitude {ic.b_amplitude:g})"
+        )
     leray_project_coeffs(state.coeffs, grid)
     return state
 

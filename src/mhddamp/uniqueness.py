@@ -12,7 +12,6 @@ holds on the window by construction, with t0 the start time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +67,8 @@ class TwinRunResult:
                     f"{format(bound[i], '.17g')}\n"
                 )
 
-    def to_json(self, path) -> None:
-        summary = {
+    def summary(self) -> dict:
+        return {
             "c_hat": self.c_hat,
             "c_bound": self.c_bound,
             "d0": self.d0,
@@ -79,9 +78,6 @@ class TwinRunResult:
             "config_hash": self.config_hash,
             "window_end_index": self.window_end,
         }
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _separation(w_a, w_b, grid: GridSpec) -> float:

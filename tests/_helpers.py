@@ -19,7 +19,7 @@ import scipy.fft
 from mhddamp import DampingSpec, MhdState, energy
 from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
-from mhddamp.fields import fft_grid, x_slabs
+from mhddamp.fields import fft_xy, rfft_z, x_slabs
 from mhddamp.lemmas import CheckReport
 from mhddamp.nonlinear import Workspace, _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
@@ -60,6 +60,21 @@ def values_of(coeffs: np.ndarray, grid) -> np.ndarray:
     transform of their half spectrum."""
     n = grid.n_modes
     return scipy.fft.irfftn(unpack(coeffs, grid), s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def mesh(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcastable (X1, X2, X3) coordinate arrays of the N^3 collocation
+    points 2*pi j / N."""
+    x = grid.box_length / grid.n_modes * np.arange(grid.n_modes)
+    return x[:, None, None], x[None, :, None], x[None, None, :]
+
+
+def fft_grid(values: np.ndarray, grid) -> np.ndarray:
+    """Packed (..., M) ball modes of the Fourier-series coefficients of
+    stacked real (..., N, N, N) grids, by the package's own forward passes
+    run on the whole grid at once: equal to those of the full transform
+    for any finite input."""
+    return fft_xy(rfft_z(values), grid)
 
 
 def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:

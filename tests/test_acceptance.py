@@ -23,18 +23,19 @@ from mhddamp import (
     twin_run,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_grid
 from mhddamp.lemmas import check_interpolation_bound, monotonicity_suite
 from mhddamp.operators import truncate_coeffs, weighted_sum_sq
 
 from _helpers import (
     damping_contraction_check,
     embed_coeffs,
+    fft_grid,
     gradient_coeffs,
     half_spectrum,
     ifft_grid,
     inner_l2,
     leray,
+    mesh,
     pair_state,
     random_divfree,
 )
@@ -116,7 +117,7 @@ def test_criterion_1_spectral_exactness(grid32):
     rt_err = np.max(np.abs(back - p)) / np.max(np.abs(p))
 
     # trig polynomial inside the dealias ball, derivative vs analytic
-    x1, x2, x3 = grid32.mesh()
+    x1, x2, x3 = mesh(grid32)
     vals = np.zeros((3, 32, 32, 32))
     vals[0] = np.sin(3 * x1) * np.cos(2 * x2) + np.cos(x3)
     s = fft_grid(vals, grid32)
@@ -178,7 +179,7 @@ def test_criterion_3_analytic_decay_and_order(grid16):
         initial_condition=InitialCondition(kind="single_mode", mode=(0, 0, 1)),
     )
     final, _ = run(cfg)
-    _, _, x3 = grid16.mesh()
+    _, _, x3 = mesh(grid16)
     u = ifft_grid(final.u, grid16)
     exact = np.exp(-1.0) * np.sin(x3) + np.zeros_like(u[0])
     decay_err = np.max(np.abs(u[0] - exact))

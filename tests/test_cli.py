@@ -630,6 +630,16 @@ INITIAL_STATE_ERRORS = {
     "random-divfree-radius-1": lambda tmp: {"grid": {"n_modes": 8, "truncation_radius": 1.0}},
     "single-mode-zero": lambda tmp: {
         "initial_condition": {"kind": "single_mode", "mode": [0, 0, 0]}},
+    # a component outside (-N/2, N/2] aliases to another wavenumber
+    "single-mode-aliases": lambda tmp: {
+        "initial_condition": {"kind": "single_mode", "mode": [7, 0, 1]}},
+    "single-mode-huge": lambda tmp: {
+        "initial_condition": {"kind": "single_mode", "mode": [10**30, 0, 1]}},
+    "single-mode-aliases-n16": lambda tmp: {
+        "grid": {"n_modes": 16}, "initial_condition": {"kind": "single_mode", "mode": [15, 0, 1]}},
+    "taylor-green-overflows": lambda tmp: {
+        "initial_condition": {"kind": "taylor_green_like", "amplitude": 1e200,
+                              "b_amplitude": 1e200}},
 }
 
 

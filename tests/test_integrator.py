@@ -21,20 +21,62 @@ from mhddamp import (
 )
 from mhddamp.energy import INSTANT_COLUMNS
 from mhddamp.fields import hermitian_defect
-from mhddamp.integrator import cfl_bound, config_hash, make_initial_from_config, trajectory
-from mhddamp.operators import h1_norm_pair, truncate_coeffs
+from mhddamp.integrator import (
+    DIV_FREE_RTOL, cfl_bound, config_hash, make_initial_from_config, trajectory,
+)
+from mhddamp.operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs
 
 from _helpers import (
     MALFORMED_CHECKPOINTS,
+    fft_grid,
     full_spectrum,
     half_tables,
     ifft_grid,
     malformed_checkpoint,
+    mesh,
     slab_planes,
     unpack,
     write_checkpoint,
     write_v1_checkpoint,
 )
+
+
+# Analytic initial states, with modes of every sign of k3 for single_mode;
+# each lies in the ball at N = 8, 16 and 32.
+ANALYTIC_CASES = [
+    ("taylor_green_like", {}),
+    ("taylor_green_like", {"amplitude": 2.5, "b_amplitude": -0.3}),
+    ("single_mode", {"mode": (0, 0, 1), "amplitude": 0.7}),
+    ("single_mode", {"mode": (1, 2, -1)}),
+    ("single_mode", {"mode": (1, -2, 0)}),
+    ("single_mode", {"mode": (-2, 1, 1), "amplitude": -3.0}),
+    ("single_mode", {"mode": (1, 0, 0)}),
+]
+ANALYTIC_IDS = [f"{kind}-{i}" for i, (kind, _) in enumerate(ANALYTIC_CASES)]
+
+
+def sampled_state(kind, grid, amplitude=1.0, b_amplitude=0.5, mode=None):
+    """Oracle of make_initial's analytic kinds: the documented fields
+    sampled on the grid, transformed and Leray-projected."""
+    x1, x2, x3 = mesh(grid)
+    values = np.zeros((6,) + grid.shape)
+    if kind == "single_mode":
+        k = np.array(mode, dtype=np.float64)
+        k_hat = k / np.linalg.norm(k)
+        e = np.array([0.0, 1.0, 0.0]) if abs(k_hat[0]) > 0.999 else np.array([1.0, 0.0, 0.0])
+        e -= np.dot(e, k_hat) * k_hat
+        e /= np.linalg.norm(e)
+        phase = k[0] * x1 + k[1] * x2 + k[2] * x3
+        values[:3] = amplitude * np.sin(phase) * e[:, None, None, None]
+    else:
+        sin, cos = np.sin, np.cos
+        values[0] = amplitude * sin(x1) * cos(x2) * cos(x3)
+        values[1] = -amplitude * cos(x1) * sin(x2) * cos(x3)
+        ab = amplitude * b_amplitude
+        values[3] = ab * cos(x1) * sin(x2) * sin(x3)
+        values[4] = ab * sin(x1) * cos(x2) * sin(x3)
+        values[5] = -2.0 * ab * sin(x1) * sin(x2) * cos(x3)
+    return leray_project_coeffs(fft_grid(values, grid), grid)
 
 
 def stepped_states(state, cfg):
@@ -61,7 +103,7 @@ class TestMakeInitial:
 
     def test_single_mode_is_sine(self, grid16):
         state = make_initial("single_mode", grid16, mode=(0, 0, 1), amplitude=0.7)
-        _, _, x3 = grid16.mesh()
+        _, _, x3 = mesh(grid16)
         u = ifft_grid(state.u, grid16)
         expected = 0.7 * np.sin(x3) + np.zeros_like(u[0])
         assert np.max(np.abs(u[0] - expected)) <= 1e-12
@@ -76,6 +118,13 @@ class TestMakeInitial:
         ]:
             state = make_initial(kind, grid16, seed=1, **kw)
             assert state.max_divergence() <= 1e-10
+        # every kind and mode, within the tolerance a loaded checkpoint is held to
+        cases = ANALYTIC_CASES + [("random_divfree", {"target_h1": 3.0}),
+                                  ("single_mode", {"mode": (0, 4, 0)})]  # outside the ball
+        for n, (kind, kw) in itertools.product((8, 16), cases):
+            grid = GridSpec(n_modes=n)
+            state = make_initial(kind, grid, seed=2, **kw)
+            assert state.max_divergence() <= DIV_FREE_RTOL * h1_norm_pair(state.coeffs, grid)
 
     @pytest.mark.parametrize(
         "kind,kw,match",
@@ -86,11 +135,45 @@ class TestMakeInitial:
             ("random_divfree", {}, "target_h1"),
             ("from_checkpoint", {}, "path"),
             ("vortex_ring", {}, "unknown"),
+            # components outside (-N/2, N/2] alias to another wavenumber
+            ("single_mode", {"mode": (15, 0, 1)}, "wavenumber .15, 0, 1. has a component outside"),
+            ("single_mode", {"mode": (10**30, 0, 1)}, "aliases"),
+            ("single_mode", {"mode": (0, -8, 1)}, "-8, 8"),
+            ("single_mode", {"mode": (0, 0, 9)}, "-8, 8"),
+            # amplitude * b_amplitude overflows
+            ("taylor_green_like", {"amplitude": 1e200, "b_amplitude": 1e200}, "not finite"),
         ],
     )
     def test_invalid_arguments_rejected(self, grid16, kind, kw, match):
         with pytest.raises(ValueError, match=match):
             make_initial(kind, grid16, **kw)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind,kw", ANALYTIC_CASES, ids=ANALYTIC_IDS)
+    def test_analytic_state_matches_sampled_oracle(self, n, kind, kw):
+        grid = GridSpec(n_modes=n)
+        got = make_initial(kind, grid, **kw).coeffs
+        expected = sampled_state(kind, grid, **kw)
+        assert np.max(np.abs(got - expected)) <= 2e-15 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("kind,kw", ANALYTIC_CASES, ids=ANALYTIC_IDS)
+    def test_analytic_state_zero_off_its_modes(self, grid16, kind, kw):
+        coeffs = make_initial(kind, grid16, **kw).coeffs
+        k = np.stack([grid16.kx, grid16.ky, grid16.kz], axis=1)
+        if kind == "taylor_green_like":
+            modes = [(s1, s2, 1) for s1 in (1, -1) for s2 in (1, -1)]
+            assert np.count_nonzero(coeffs) == 20  # two u and three b components each
+        else:  # the one of k and -k with k3 > 0, both when k3 = 0
+            mode = np.array(kw["mode"])
+            modes = [m for m in (mode, -mode) if m[2] >= 0]
+        held = np.any(coeffs != 0.0, axis=0)
+        assert sorted(map(tuple, k[held])) == sorted(map(tuple, np.array(modes, dtype=float)))
+
+    @pytest.mark.parametrize("mode", [(0, 0, 6), (8, 0, 0), (4, -4, 1)])
+    def test_single_mode_outside_ball_is_zero(self, grid16, mode):
+        # in range, |k| >= R = 16/3: no mode of the ball is held
+        state = make_initial("single_mode", grid16, mode=mode)
+        assert not np.any(state.coeffs)
 
     @pytest.mark.parametrize("radius", [0.9, 1.0])
     def test_radius_without_nonzero_wavenumber_rejected(self, tmp_path, capsys, radius):
@@ -135,7 +218,7 @@ class TestStep:
             initial_condition=InitialCondition(kind="single_mode", mode=(0, 0, 1)),
         )
         final, _ = run(cfg)
-        _, _, x3 = grid.mesh()
+        _, _, x3 = mesh(grid)
         u = ifft_grid(final.u, grid)
         exact = np.exp(-1.0) * np.sin(x3) + np.zeros_like(u[0])
         assert np.max(np.abs(u[0] - exact)) <= 1e-8
@@ -148,7 +231,7 @@ class TestStep:
             initial_condition=InitialCondition(kind="single_mode", mode=(0, 0, 1)),
         )
         final, _ = run(cfg)
-        _, _, x3 = grid.mesh()
+        _, _, x3 = mesh(grid)
         u = ifft_grid(final.u, grid)
         exact = np.exp(-2.0 * 0.5) * np.sin(x3) + np.zeros_like(u[0])
         assert np.max(np.abs(u[0] - exact)) <= 1e-10

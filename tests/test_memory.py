@@ -1,8 +1,8 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
 ledger row against a right-hand side and against a stage's transients, the
 damping-identity check against two workspaces, and the set-up steps
-(initial state, checkpoint read and hash, CFL bound) against the slab-sized
-transients they are allowed."""
+(initial states, checkpoint read and hash, CFL bound) against the packed
+and slab-sized transients they are allowed."""
 
 import tracemalloc
 
@@ -162,3 +162,14 @@ def test_random_initial_state_holds_one_draw():
     draw = 3 * grid.n_modes**3 * 8
     allowed = draw + 6 * m * 16 + 2 * (3 * 2 * m * 8) + 2 * m * 8 + m * 8 + 2**16
     assert traced_peak(make_initial, "random_divfree", grid, 3, target_h1=10.0) <= allowed
+
+
+@pytest.mark.parametrize("kind,kw", [("taylor_green_like", {}), ("single_mode", {"mode": (1, 2, 3)})])
+def test_analytic_initial_state_holds_no_grid(kind, kw):
+    # written as its modes: the packed state, the Leray projection's packed
+    # k.c and temporary (two fields each), and 256 KiB for numpy's casting
+    # buffers and small objects
+    grid = GRIDS[64]
+    m = grid.index.size
+    allowed = 6 * m * 16 + 2 * (2 * m * 16) + 2**18
+    assert traced_peak(make_initial, kind, grid, **kw) <= allowed

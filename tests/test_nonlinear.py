@@ -14,6 +14,7 @@ from _helpers import (
     convection,
     convolution_oracle_vgradw,
     inner_l2,
+    mesh,
     pair_state,
     random_divfree,
     rhs_mhd,
@@ -35,7 +36,7 @@ class TestConvection:
         # e1 . grad sin(x1) e2 = cos(x1) e2
         v = np.zeros((3,) + grid8.index.shape, dtype=np.complex128)
         v[0, 0] = 1.0
-        x1, _, _ = grid8.mesh()
+        x1, _, _ = mesh(grid8)
         vals = np.zeros((3, 8, 8, 8))
         vals[1] = np.sin(x1) + 0.0 * x1
         w = truncate_coeffs(coeffs_of(vals), grid8)

@@ -26,10 +26,11 @@ from mhddamp import (
     sobolev_norm,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_grid, fft_xy, rfft_z, x_slabs
+from mhddamp.fields import fft_xy, rfft_z, x_slabs
 from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
+    fft_grid,
     half_tables,
     ifft_grid,
     inner_l2,

@@ -5,7 +5,7 @@ import pytest
 
 from mhddamp import GridSpec, sobolev_norm
 from mhddamp.energy import spectral_sums
-from mhddamp.fields import HERMITIAN_TOL, fft_grid, hermitian_defect
+from mhddamp.fields import HERMITIAN_TOL, hermitian_defect
 from mhddamp.operators import (
     divergence,
     divergence_l2,
@@ -16,6 +16,7 @@ from mhddamp.operators import (
 
 from _helpers import (
     dft_oracle,
+    fft_grid,
     full_spectrum,
     gradient_coeffs,
     half_spectrum,
@@ -23,6 +24,7 @@ from _helpers import (
     ifft_grid,
     inner_l2,
     leray,
+    mesh,
     random_divfree,
     unpack,
 )
@@ -103,7 +105,7 @@ class TestTransforms:
         assert np.max(np.abs(off_dc)) < 1e-14
 
     def test_sin_coefficients_match_dft_oracle(self, grid8):
-        x1, _, _ = grid8.mesh()
+        x1, _, _ = mesh(grid8)
         vals = np.zeros((3, 8, 8, 8))
         vals[0] = np.sin(x1) + 0.0 * x1
         c = unpack(fft_grid(vals, grid8), grid8)
@@ -135,7 +137,7 @@ class TestTransforms:
         c[0, 1, 0, 0] = -0.5j
         c[0, -1, 0, 0] = 0.5j
         p = ifft_grid(truncate_coeffs(c, grid8), grid8)
-        x1, _, _ = grid8.mesh()
+        x1, _, _ = mesh(grid8)
         expected = np.sin(x1) + np.zeros_like(p[0])
         assert np.max(np.abs(p[0] - expected)) <= 1e-12
         assert np.max(np.abs(p[1:])) == 0.0
@@ -247,7 +249,7 @@ class TestLerayProjection:
 
 class TestDerivatives:
     def test_divergence_of_perpendicular_mode(self, grid8):
-        x1, _, _ = grid8.mesh()
+        x1, _, _ = mesh(grid8)
         vals = np.zeros((3, 8, 8, 8))
         vals[1] = np.sin(x1) + 0.0 * x1
         s = fft_grid(vals, grid8)
@@ -261,7 +263,7 @@ class TestDerivatives:
         fd = (np.roll(np.sin(xf), -1) - 2 * np.sin(xf) + np.roll(np.sin(xf), 1)) / h**2
         assert np.max(np.abs(fd + np.sin(xf))) < 1e-3
 
-        x1, _, _ = grid16.mesh()
+        x1, _, _ = mesh(grid16)
         vals = np.zeros((3, 16, 16, 16))
         vals[0] = np.sin(x1) + 0.0 * x1
         s = fft_grid(vals, grid16)
@@ -269,7 +271,7 @@ class TestDerivatives:
         assert np.max(np.abs(lap[0] + vals[0])) <= 1e-12
 
     def test_anisotropic_coefficients(self, grid16):
-        _, _, x3 = grid16.mesh()
+        _, _, x3 = mesh(grid16)
         vals = np.zeros((3, 16, 16, 16))
         vals[0] = np.sin(x3) + 0.0 * x3
         s = fft_grid(vals, grid16)
@@ -282,7 +284,7 @@ class TestDerivatives:
 
     def test_trig_polynomial_derivative_exact(self, grid16):
         # d/dx1 of sin(2 x1) cos(x2) = 2 cos(2 x1) cos(x2), inside the ball
-        x1, x2, _ = grid16.mesh()
+        x1, x2, _ = mesh(grid16)
         vals = np.zeros((3, 16, 16, 16))
         vals[0] = np.sin(2 * x1) * np.cos(x2)
         g = gradient_coeffs(fft_grid(vals, grid16), grid16).reshape((3, 3) + grid16.index.shape)
@@ -295,7 +297,7 @@ class TestSobolevNorms:
     # the homogeneous norms are the ledger's spectral sums:
     # ||w||^2, ||grad w||^2, ||Lap w||^2
     def test_single_mode_homogeneous_equals_l2(self, grid16):
-        x1, _, _ = grid16.mesh()
+        x1, _, _ = mesh(grid16)
         vals = np.zeros((3, 16, 16, 16))
         vals[0] = np.sin(x1) + 0.0 * x1
         s = fft_grid(vals, grid16)

@@ -1,6 +1,5 @@
 """Twin-run separation growth and the damping contraction property."""
 
-import json
 
 import numpy as np
 import pytest
@@ -83,15 +82,15 @@ class TestTwinRun:
         cfg = twin_config(grid16, t_end=0.1)
         result = twin_run(cfg, 1e-6)
         csv_path = tmp_path / "twin.csv"
-        json_path = tmp_path / "summary.json"
         result.to_csv(csv_path)
-        result.to_json(json_path)
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "t,d,bound"
         assert len(lines) == result.t.size + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == result.d0
-        summary = json.loads(json_path.read_text())
+        summary = result.summary()
+        assert sorted(summary) == ["blown_up", "c_bound", "c_hat", "config_hash", "d0", "eps",
+                                   "identical", "window_end_index"]
         assert summary["config_hash"] == result.config_hash
         assert summary["d0"] == result.d0
 
