@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
-from .fields import fft_xy, rfft_z, x_slabs
+from .fields import fft_x, rfft_zy, x_slabs
 from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .nonlinear import Workspace
@@ -76,8 +76,8 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
     built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
     of the grid that is between stages, lends its transform buffers,
     multipliers i k and slab width; the row overwrites its ``stage`` array
-    with the six-row batch and work.columns[0] with q's forward z pass,
-    slab by slab, as a stage does.  Both are idle between steps.
+    with the six-row batch and work.columns[0] with q's forward z and y
+    passes, slab by slab, as a stage does.  Both are idle between steps.
     """
     columns, ik, batch = work.columns, work.ik, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
@@ -92,8 +92,8 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
         del phys
-        spectra = rfft_z(q[None, planes], columns, x0)
-    q_hat = fft_xy(spectra, grid)[0]
+        spectra = rfft_zy(q[None, planes], grid, columns, x0)
+    q_hat = fft_x(spectra, grid)[0]
     del spectra
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
@@ -390,8 +390,8 @@ def check_damping_identity(
     grid = state.grid
     work = Workspace(grid)
     for x0, up in x_slabs(state.u, grid, work):
-        spectra = rfft_z(damping_amplitude(speed_sq(up), damping) * up, work.columns, x0)
-    d_hat = fft_xy(spectra, grid)
+        spectra = rfft_zy(damping_amplitude(speed_sq(up), damping) * up, grid, work.columns, x0)
+    d_hat = fft_x(spectra, grid)
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
     # mode outside the ball, so D's modes there add no term.
     weight = grid.parseval_weight * grid.k_sq

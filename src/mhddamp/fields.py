@@ -1,7 +1,8 @@
 """
 Transforms between point values on the N^3 collocation grid and the packed
 ball modes of :mod:`mhddamp.grid`, as the passes the solver streams by slabs
-of x-planes: plain arrays, with the grid passed beside them.
+of x-planes, with the x passes in the grid's compact columns: plain arrays,
+with the grid passed beside them.
 
 Transform normalization: coefficients are Fourier-series coefficients, i.e.
 f(x) = sum_k c(k) exp(i k.x), so the k = 0 coefficient of a constant field c
@@ -26,20 +27,19 @@ HERMITIAN_TOL = 1e-12
 
 # The transforms use scipy.fft's default worker count, 1 unless a caller
 # enters a scipy.fft.set_workers context (the CLI does, for --threads).
-# norm="forward" puts the 1/N^3 of the Fourier-series convention on the
-# forward transform.
+# Every pass takes norm="forward", which puts the 1/N of each axis of the
+# Fourier-series convention on the forward transform.
 #
 # The 3-D transforms run as 1-D scipy.fft passes that skip the lines holding
 # only modes outside the ball |k| < R: every wavenumber component of a mode
-# in the ball is at most kc = ceil(R) - 1 in magnitude.  The passes are the
-# ones rfftn/irfftn make, in the same order (x, then y, then the real z axis
-# for the inverse; z, then x, then y for the forward) and with the same
-# scaling, so the results are bitwise those of the full transforms, cut to
-# the ball; only the signs of zeros can differ.  The inverse is made of
-# ifft_x, ifft_y and irfft_z, the forward of rfft_z and fft_xy.  Every y and
-# z line of the inverse and every z line of the forward lies in one x-plane,
-# so those passes may run on slabs of x-planes (see x_slabs), with the same
-# results.
+# in the ball is at most kc = ceil(R) - 1 in magnitude.  The inverse runs
+# ifft_x, ifft_y and irfft_z (the order irfftn uses, so its results are
+# bitwise those of irfftn, cut to the ball; only the signs of zeros can
+# differ), the forward rfft_zy (z, then y) and fft_x, so its results are
+# bitwise those of the full 1-D passes in the order z, y, x, cut to the
+# ball.  Every y and z line lies in one x-plane, so those passes run on
+# slabs of x-planes (see x_slabs), with the same results; the x passes run
+# on the compact columns of grid.column_shape, which hold the ball's rows.
 
 
 def _rows(grid: GridSpec) -> tuple[slice, slice]:
@@ -47,43 +47,52 @@ def _rows(grid: GridSpec) -> tuple[slice, slice]:
     return slice(0, grid.kc + 1), slice(grid.n_modes - grid.kc, grid.n_modes)
 
 
-def rfft_z(values: np.ndarray, columns: np.ndarray | None = None, x0: int = 0) -> np.ndarray:
-    """z pass of the forward transform of stacked real (..., c, N, N)
-    grids, scaled by 1/N^3 as rfftn scales.
+def _x_lines(spectra: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Views of the x lines of stacked ``spectra`` that hold modes of the
+    ball: all of compact columns (..., N, 2kc+1, kc+1), or the y rows
+    |k2| <= kc of the columns k3 <= kc of a half spectrum (..., N, N, *)."""
+    if spectra.shape[-3:] == grid.column_shape:
+        return (spectra,)
+    return tuple(spectra[..., r, : grid.kc + 1] for r in _rows(grid))
+
+
+def rfft_zy(values: np.ndarray, grid: GridSpec, columns: np.ndarray | None = None,
+            x0: int = 0) -> np.ndarray:
+    """z and y passes of the forward transform of stacked real (..., c, N,
+    N) grids; the y pass runs on the columns k3 <= kc only.
 
     Without ``columns`` returns the (..., c, N, N/2+1) result.  With
-    ``columns``, a (..., N, N, kc+1) array, writes its columns k3 <= kc into
-    the x-planes x0 .. x0+c-1 of columns[:len(values)] and returns that.
+    ``columns``, compact (..., N, 2kc+1, kc+1) columns, copies the ball's
+    rows of its columns k3 <= kc into the x-planes x0 .. x0+c-1 of
+    columns[:len(values)] and returns that.
     """
-    n = values.shape[-1]
-    spectra = _fft.rfft(values, axis=-1)
+    kc = grid.kc
+    spectra = _fft.rfft(values, axis=-1, norm="forward")
+    _fft.fft(spectra[..., : kc + 1], axis=-2, norm="forward", overwrite_x=True)
     if columns is None:
-        spectra *= 1.0 / n**3
         return spectra
     columns = columns[: len(values)]
     dest = columns[..., x0 : x0 + values.shape[-3], :, :]
-    np.multiply(spectra[..., : columns.shape[-1]], 1.0 / n**3, out=dest)
+    low, high = _rows(grid)
+    dest[..., : kc + 1, :] = spectra[..., low, : kc + 1]
+    dest[..., kc + 1 :, :] = spectra[..., high, : kc + 1]
     return columns
 
 
-def fft_xy(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """x and y passes of the forward transform, in place, on the columns
-    k3 <= kc of z-transformed (..., N, N, *) ``spectra`` (see
-    :func:`rfft_z`); returns the packed (..., M) ball modes."""
-    slab = spectra[..., : grid.kc + 1]  # holds every mode of the ball
-    _fft.fft(slab, axis=-3, overwrite_x=True)
-    for r in _rows(grid):
-        _fft.fft(slab[..., r, :, :], axis=-2, overwrite_x=True)
+def fft_x(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """x pass of the forward transform, in place, on the lines of the ball
+    of z- and y-transformed ``spectra`` (see :func:`rfft_zy`); returns the
+    packed (..., M) ball modes."""
+    for lines in _x_lines(spectra, grid):
+        _fft.fft(lines, axis=-3, norm="forward", overwrite_x=True)
     return truncate_coeffs(spectra, grid)
 
 
 def ifft_x(spectra: np.ndarray, grid: GridSpec) -> None:
-    """x pass of the inverse transform, in place, on the y rows |k2| <= kc
-    of the columns k3 <= kc of (..., N, N, *) ``spectra``: the only lines
-    that hold modes of the ball."""
-    slab = spectra[..., : grid.kc + 1]
-    for r in _rows(grid):
-        _fft.ifft(slab[..., r, :], axis=-3, norm="forward", overwrite_x=True)
+    """x pass of the inverse transform, in place, on the lines of the ball
+    of compact columns or of a half spectrum (..., N, N, *)."""
+    for lines in _x_lines(spectra, grid):
+        _fft.ifft(lines, axis=-3, norm="forward", overwrite_x=True)
 
 
 def ifft_y(spectra: np.ndarray, grid: GridSpec) -> None:
@@ -104,17 +113,19 @@ def x_slabs(packed: np.ndarray, grid: GridSpec, work):
 
     ``work`` is a :class:`mhddamp.nonlinear.Workspace` of the grid, or an
     object with its ``staging``, ``width`` and ``columns``.  The modes are
-    scattered into columns[:m], or with one slab (``columns`` None) into
-    staging[:m], filled with zeros first, and the x pass runs there.  With
-    several slabs each slab's planes are then copied into the columns
-    k3 <= kc of staging[:m], whose columns k3 > kc must be zero; no pass
-    writes those.  The y and z passes run per slab.  A slab's planes of
+    scattered into the compact columns[:m], or with one slab (``columns``
+    None) into staging[:m], filled with zeros first, and the x pass runs
+    there.  With several slabs each slab's planes are then copied into the
+    ball's rows of the columns k3 <= kc of staging[:m], whose rows between
+    are zeroed and whose columns k3 > kc must be zero; no pass writes
+    those.  The y and z passes run per slab.  A slab's planes of
     columns[:m] are not read again once it is yielded, so the caller may
-    overwrite them, as the forward z pass of :func:`rfft_z` does.  A
-    slab's values are not referenced by the generator, so a caller that
-    drops them frees them.
+    overwrite them, as the forward pass of :func:`rfft_zy` does.  A slab's
+    values are not referenced by the generator, so a caller that drops
+    them frees them.
     """
-    n, m, columns, staging = grid.n_modes, len(packed), work.columns, work.staging
+    n, kc, m = grid.n_modes, grid.kc, len(packed)
+    columns, staging = work.columns, work.staging
     if columns is None:
         spectra, index = staging[:m], grid.index
     else:
@@ -122,11 +133,15 @@ def x_slabs(packed: np.ndarray, grid: GridSpec, work):
     spectra.fill(0.0)
     spectra.reshape(m, -1)[:, index] = packed
     ifft_x(spectra, grid)
+    low, high = _rows(grid)
     for x0 in range(0, n, work.width):
         slab = spectra[:, x0 : x0 + work.width]
         if columns is not None:
             c = slab.shape[1]
-            staging[:m, :c, :, : grid.kc + 1] = slab
+            rows = staging[:m, :c, :, : kc + 1]
+            rows[..., low, :] = slab[..., : kc + 1, :]
+            rows[..., kc + 1 : n - kc, :] = 0.0  # the previous slab's y pass wrote them
+            rows[..., high, :] = slab[..., kc + 1 :, :]
             slab = staging[:m, :c]
         ifft_y(slab, grid)
         yield x0, irfft_z(slab, n)

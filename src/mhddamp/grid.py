@@ -31,16 +31,18 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout):
-# a "columns" grid is the columns k3 <= kc (N, N, kc+1) of a complex half
-# spectrum (N, N, N/2+1), with kc = ceil(R) - 1 the largest wavenumber
-# component in the ball, a "packed" array (M,) complex and a "table" (M,)
-# real or int64, with M the number of modes in the ball |k| < R.  A "slab"
-# is c x-planes (c, N, N) of a real physical grid and a "spectral_slab" c
-# x-planes (c, N, N/2+1) of a half spectrum, with c = :func:`slab_width`.
-# :class:`mhddamp.nonlinear.Workspace` allocates exactly the
-# WORKSPACE_GRIDS.  With several slabs the inverse transform runs its x
-# pass in "columns" and its y and z passes in "staging"; with one slab
-# "staging" holds the whole half spectrum and "columns" is absent.
+# a "columns" grid is the compact block :func:`column_shape` (N, 2kc+1,
+# kc+1) of a complex half spectrum (N, N, N/2+1): its y rows |k2| <= kc of
+# its columns k3 <= kc, with kc = ceil(R) - 1 the largest wavenumber
+# component in the ball; a "packed" array is (M,) complex and a "table"
+# (M,) real or int64, with M the number of modes in the ball |k| < R.  A
+# "slab" is c x-planes (c, N, N) of a real physical grid and a
+# "spectral_slab" c x-planes (c, N, N/2+1) of a half spectrum, with c =
+# :func:`slab_width`.  :class:`mhddamp.nonlinear.Workspace` allocates
+# exactly the WORKSPACE_GRIDS.  With several slabs both transforms run
+# their x pass in "columns", the inverse its y and z passes in "staging"
+# and the forward its z and y passes in scipy's output of each slab; with
+# one slab "staging" holds the whole half spectrum and "columns" is absent.
 WORKSPACE_GRIDS = (
     ("staging", 6, "spectral_slab"),  # zero at k3 > kc with several slabs
     ("columns", 11, "columns"),    # both transforms' x passes; absent with one slab
@@ -76,10 +78,18 @@ def column_cutoff(radius: float) -> int:
     return math.ceil(radius) - 1
 
 
-def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
+def column_shape(n: int, radius: float) -> tuple[int, int, int]:
+    """Shape (N, 2kc+1, kc+1) of the compact columns of a half spectrum
+    (N, N, N/2+1) at N = ``n``: its y rows 0..kc, then N-kc..N-1, of its
+    columns k3 <= kc, with kc = :func:`column_cutoff` (``radius``).  They
+    hold every mode of the ball."""
     kc = column_cutoff(radius)
+    return (n, 2 * kc + 1, kc + 1)
+
+
+def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
     return {
-        "columns": n * n * (kc + 1) * 16 if width < n else 0,
+        "columns": math.prod(column_shape(n, radius)) * 16 if width < n else 0,
         "slab": width * n * n * 8,
         "spectral_slab": width * n * (n // 2 + 1) * 16,
         "packed": m * 16,
@@ -162,10 +172,11 @@ class GridSpec:
         Fraction of the Nyquist band kept by the dealias rule, in (0, 1].
 
     The grid holds the integer wavenumbers ``k1d`` of one axis, in FFT
-    order, kc = :func:`column_cutoff` (R), and (M,) tables of the M modes of
+    order, kc = :func:`column_cutoff` (R), ``column_shape`` =
+    :func:`column_shape` (N, R), and (M,) tables of the M modes of
     the ball |k| < R in C order: ``index`` and ``column_index``, their flat
-    positions in the half spectrum (N, N, N/2+1) and in its columns k3 <=
-    kc, (N, N, kc+1); ``kx``, ``ky``, ``kz`` and ``k_sq`` = |k|^2;
+    positions in the half spectrum (N, N, N/2+1) and in its compact columns
+    (N, 2kc+1, kc+1); ``kx``, ``ky``, ``kz`` and ``k_sq`` = |k|^2;
     ``inv_k_sq`` = 1/|k|^2, 0 at k = 0; and ``parseval_weight``.  The k = 0
     mode is the first.
 
@@ -198,20 +209,23 @@ class GridSpec:
 
         # Integer wavenumbers; the Nyquist slot at index N/2 is stored as +N/2.
         # No component of a mode in the ball exceeds kc in magnitude, so the
-        # ball is found among the half spectrum's columns k3 <= kc.
+        # ball is found among the compact columns; their rows map in order
+        # to the half spectrum's, so C order is kept.
         j = np.arange(n)
         k1d = np.where(j <= n // 2, j, j - n).astype(np.float64)
-        kc = column_cutoff(radius)
-        columns = (n, n, kc + 1)
-        k_sq = k1d[:, None, None] ** 2 + k1d[None, :, None] ** 2 + k1d[None, None, : kc + 1] ** 2
+        kc, columns = column_cutoff(radius), column_shape(n, radius)
+        rows = np.concatenate([j[: kc + 1], j[n - kc :]])
+        k_sq = k1d[:, None, None] ** 2 + k1d[rows, None] ** 2 + k1d[: kc + 1] ** 2
         column_index = np.flatnonzero(k_sq < radius * radius)
         i1, i2, i3 = np.unravel_index(column_index, columns)
+        i2 = rows[i2]
         kx, ky, kz = k1d[i1], k1d[i2], k1d[i3]
         k_sq = kx * kx + ky * ky + kz * kz
         inv_k_sq = np.zeros_like(k_sq)
         nz = k_sq > 0
         inv_k_sq[nz] = 1.0 / k_sq[nz]
         object.__setattr__(self, "kc", kc)
+        object.__setattr__(self, "column_shape", columns)
         for name, value in (
             ("k1d", k1d),
             ("index", (i1 * n + i2) * (n // 2 + 1) + i3),

@@ -33,7 +33,7 @@ import numpy as np
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, hermitian_defect, x_slabs
-from .grid import GridSpec, _is_int, _is_number
+from .grid import GridSpec, _is_int, _is_number, check_memory
 from .nonlinear import Workspace, _rhs_core
 from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
 from .state import MhdState
@@ -161,16 +161,18 @@ def _random_divfree_state(grid: GridSpec, seed: int) -> MhdState:
     (raw(k) + conj(raw(-k))) / 2, on the ball, so a seed gives the same
     state in every storage layout.  Of each draw only the values at the
     ball's modes k and their mirrors -k are kept.  ValueError when the ball
-    |k| < R holds no nonzero wavenumber (R <= 1).
+    |k| < R holds no nonzero wavenumber (R <= 1), or when one draw exceeds
+    the physical memory.
     """
     if grid.truncation_radius <= 1.0:
         raise ValueError(
             f"random_divfree needs truncation_radius > 1, got {grid.truncation_radius:g}: "
             "the ball |k| < R holds no nonzero wavenumber"
         )
-    rng = np.random.default_rng(seed)
     n = grid.n_modes
     shape = (3,) + grid.shape
+    check_memory(24 * n**3, f"a random_divfree draw at n_modes = {n}")
+    rng = np.random.default_rng(seed)
     k = np.array([grid.kx, grid.ky, grid.kz], dtype=np.int64)
     # (2, M) flat positions in an (N, N, N) grid of the ball's modes k and -k
     modes = np.ravel_multi_index(np.stack([k, -k], axis=1) % n, grid.shape)

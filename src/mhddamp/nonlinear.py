@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingSpec, damping_term
-from .fields import fft_xy, rfft_z, x_slabs
+from .fields import fft_x, rfft_zy, x_slabs
 from .grid import WORKSPACE_GRIDS, GridSpec, slab_width
 from .operators import leray_project_coeffs
 
@@ -46,17 +46,18 @@ class Workspace:
     its physical-space pass, as :func:`mhddamp.fields.x_slabs` takes them.
     ``staging`` holds one slab of the half spectrum, where an inverse
     transform runs its y and z passes, ``columns`` (None with a single
-    slab, where ``staging`` holds the whole half spectrum) the columns
-    k3 <= kc, where the inverse transform runs its x pass and the forward
-    transform keeps its z pass, ``products`` the layout of one slab;
-    ``stage``, ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are
-    packed to the ball.  Each trajectory makes its own; none is shared."""
+    slab, where ``staging`` holds the whole half spectrum) the compact
+    columns ``grid.column_shape``, the ball's y rows of the columns
+    k3 <= kc, where both transforms run their x pass, ``products`` the
+    layout of one slab; ``stage``, ``scratch`` and the multipliers ``ik`` =
+    i (k1, k2, k3) are packed to the ball.  Each trajectory makes its own;
+    none is shared."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n_modes
         self.width = slab_width(n)
         layouts = {
-            "columns": ((n, n, grid.kc + 1), np.complex128),
+            "columns": (grid.column_shape, np.complex128),
             "slab": ((self.width, n, n), np.float64),
             "spectral_slab": ((self.width,) + grid.spectral_shape[1:], np.complex128),
             "packed": (grid.index.shape, np.complex128),
@@ -145,11 +146,11 @@ def _rhs_core(
     Physical space is visited one slab of x-planes at a time through
     :func:`mhddamp.fields.x_slabs` in ``work``, the trajectory's
     :class:`Workspace`: each slab's products, damping and dissipation
-    quadrature run on the slab alone, and its forward z pass fills the
-    slab's planes of work.columns (with one slab, scipy's forward output
-    takes its place).  Nothing of state size is allocated but that output
-    and the packed tendency, returned in the first six rows of the forward
-    transform's packed output.
+    quadrature run on the slab alone, and its forward z and y passes fill
+    the slab's planes of work.columns (with one slab, scipy's forward
+    output takes its place).  Nothing of state size is allocated but that
+    output and the packed tendency, returned in the first six rows of the
+    forward transform's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
@@ -171,10 +172,10 @@ def _rhs_core(
                 damp_diss += float(np.einsum("i,i->", dmp.ravel(), up.ravel()))
             del up
         del phys  # freed before the forward z pass allocates its output
-        spectra = rfft_z(prod, work.columns, x0)
+        spectra = rfft_zy(prod, grid, work.columns, x0)
     if damp_diss:
         damp_diss *= grid.cell_volume / damping.alpha
 
-    dw = _tendency(fft_xy(spectra, grid), work.ik, work.scratch)
+    dw = _tendency(fft_x(spectra, grid), work.ik, work.scratch)
     leray_project_coeffs(dw[0:3], grid)
     return dw, damp_diss

@@ -17,9 +17,9 @@ from .grid import GridSpec
 
 def truncate_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The modes |k| < R of stacked half-spectrum (..., N, N, N/2+1)
-    coefficients, or of their columns k3 <= kc, (..., N, N, kc+1), packed
+    coefficients, or of their compact columns ``grid.column_shape``, packed
     as a new C-contiguous (..., M) array: every other mode is dropped."""
-    index = grid.column_index if coeffs.shape[-1] == grid.kc + 1 else grid.index
+    index = grid.column_index if coeffs.shape[-3:] == grid.column_shape else grid.index
     return np.take(coeffs.reshape(coeffs.shape[:-3] + (-1,)), index, axis=-1)
 
 

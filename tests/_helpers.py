@@ -19,7 +19,7 @@ import scipy.fft
 from mhddamp import DampingSpec, MhdState, energy
 from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
-from mhddamp.fields import fft_xy, rfft_z, x_slabs
+from mhddamp.fields import fft_x, rfft_zy, x_slabs
 from mhddamp.lemmas import CheckReport
 from mhddamp.nonlinear import Workspace, _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
@@ -72,9 +72,9 @@ def mesh(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fft_grid(values: np.ndarray, grid) -> np.ndarray:
     """Packed (..., M) ball modes of the Fourier-series coefficients of
     stacked real (..., N, N, N) grids, by the package's own forward passes
-    run on the whole grid at once: equal to those of the full transform
-    for any finite input."""
-    return fft_xy(rfft_z(values), grid)
+    run on the whole grid at once: equal to those of the full 1-D passes
+    in the order z, y, x for any finite input, and to rfftn to round-off."""
+    return fft_x(rfft_zy(values, grid), grid)
 
 
 def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:

@@ -129,6 +129,8 @@ class TestConfigIO:
             (("solver", "grid", "truncation_radius"), "5", "truncation_radius must lie in"),
             (("solver", "grid", "n_modes"), 1_000_000, "of physical memory"),
             (("solver", "grid", "n_modes"), 4096, "of physical memory"),
+            (("solver", "grid"), {"n_modes": 4096, "truncation_radius": 1.5},
+             "of physical memory"),
             (("solver",), {"dt": 1e-300, "t_end": 1e300}, "not a finite number of steps"),
             (("solver",), {"dt": 5e-324, "t_end": 1.0}, "not a finite number of steps"),
             (("solver", "cfl_target"), -1.0, "cfl_target must be positive"),
@@ -137,7 +139,8 @@ class TestConfigIO:
         ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
              "formats-string", "formats-unknown", "n-modes-float", "dt-bool", "nu-h-bool",
              "alpha-bool", "target-bool", "eps-bool", "name-int", "dealias-bool",
-             "radius-string", "n-modes-1e6", "n-modes-4096", "steps-1e600", "dt-subnormal",
+             "radius-string", "n-modes-1e6", "n-modes-4096", "n-modes-4096-r1.5",
+             "steps-1e600", "dt-subnormal",
              "cfl-negative", "cfl-zero"],
     )
     def test_malformed_shape_exit_one(self, grid16, tmp_path, monkeypatch, capsys,

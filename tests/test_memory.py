@@ -1,8 +1,9 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
-ledger row against a right-hand side and against a stage's transients, the
-damping-identity check against two workspaces, and the set-up steps
-(initial states, checkpoint read and hash, CFL bound) against the packed
-and slab-sized transients they are allowed."""
+workspace's arrays against the model's, a ledger row against a right-hand
+side and against a stage's transients, the damping-identity check against
+two workspaces, and the set-up steps (initial states, checkpoint read and
+hash, CFL bound) against the packed and slab-sized transients they are
+allowed."""
 
 import tracemalloc
 
@@ -14,7 +15,9 @@ from mhddamp import (
     save_checkpoint,
 )
 from mhddamp.energy import check_damping_identity, ledger_row
-from mhddamp.grid import STEP_TRANSIENT_GRIDS, _layout_bytes, slab_width, working_set_bytes
+from mhddamp.grid import (
+    STEP_TRANSIENT_GRIDS, WORKSPACE_GRIDS, _layout_bytes, slab_width, working_set_bytes,
+)
 from mhddamp.integrator import cfl_bound, config_hash
 from mhddamp.nonlinear import Workspace, _rhs_core
 
@@ -104,9 +107,23 @@ def test_slab_decomposition_is_pinned():
     # a run's slab sums, hence its artifacts, depend on the slab width
     widths = {32: 32, 34: 17, 48: 12, 64: 8, 96: 3, 128: 2, 130: 1}
     assert {n: slab_width(n) for n in widths} == widths
-    for n, mib in ((64, 37.03), (128, 226.09)):
+    for n, mib in ((64, 32.07), (128, 186.37)):
         m = GridSpec(n_modes=n).index.size
         assert round(working_set_bytes(n, m) / MiB, 2) == mib
+
+
+@pytest.mark.parametrize("radius", ["default", "1.5", "N/2"])
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
+def test_workspace_allocates_its_model(n, radius):
+    # the layout is decided in grid alone: the arrays a Workspace holds are
+    # the WORKSPACE_GRIDS part of working_set_bytes
+    r = {"default": n / 3.0, "1.5": 1.5, "N/2": n / 2.0}[radius]
+    grid = GridSpec(n_modes=n, truncation_radius=r)
+    size = _layout_bytes(n, grid.index.size, r, slab_width(n))
+    model = sum(count * size[layout] for _, count, layout in WORKSPACE_GRIDS)
+    work = Workspace(grid)
+    held = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
+    assert held == model
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Property tests: Parseval and round trips on the packed ball, the
-ball-pruned transforms against scipy's full ones, seen in the half spectrum
-and on the packed ball, the grid's ball tables, the Leray projector's
-algebra, ledger rows against a full-size oracle, and random bytes fed to the
-checkpoint reader."""
+ball-pruned transforms against scipy's full ones (the forward against its
+1-D passes in the solver's order, and against rfftn to round-off), seen in
+the half spectrum and on the packed ball, the grid's ball tables, the Leray
+projector's algebra, ledger rows against a full-size oracle, and random
+bytes fed to the checkpoint reader."""
 
 import contextlib
 import io
@@ -26,7 +27,7 @@ from mhddamp import (
     sobolev_norm,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_xy, rfft_z, x_slabs
+from mhddamp.fields import fft_x, rfft_zy, x_slabs
 from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
@@ -112,6 +113,33 @@ def test_pruned_inverse_equals_irfftn(seed, n, radius, m):
     assert packed.tobytes() == before.tobytes()
 
 
+def forward_passes(values: np.ndarray) -> np.ndarray:
+    """The full 1-D passes of the forward transform of stacked real (..., N,
+    N, N) values in the solver's order: rfft along z, then fft along y,
+    then along x, each with norm="forward"."""
+    spectra = scipy.fft.rfft(values, axis=-1, norm="forward")
+    spectra = scipy.fft.fft(spectra, axis=-2, norm="forward")
+    return scipy.fft.fft(spectra, axis=-3, norm="forward")
+
+
+def assert_forward(got: np.ndarray, values: np.ndarray, grid: GridSpec) -> None:
+    """``got``, packed ball modes of ``values``, equals the full forward
+    passes on the ball, and rfftn there to 1e-14 of the largest |c|."""
+    keep = half_tables(grid).keep_mask
+    want = forward_passes(values)[..., keep]
+    assert np.array_equal(got, want)
+    full = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")[..., keep]
+    assert np.max(np.abs(got - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+def compact(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The compact columns ``grid.column_shape`` of stacked half spectra:
+    their y rows 0..kc and N-kc..N-1 of their columns k3 <= kc."""
+    kc, n = grid.kc, grid.n_modes
+    columns = half[..., : kc + 1]
+    return np.concatenate([columns[..., : kc + 1, :], columns[..., n - kc :, :]], axis=-2)
+
+
 @PROPERTY
 @given(seed=seeds, n=sizes, radius=radii, m=stacks)
 def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
@@ -120,8 +148,10 @@ def test_pruned_forward_equals_truncated_rfftn(seed, n, radius, m):
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
     got = unpack(fft_grid(values, grid), grid)
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward") * half_tables(grid).keep_mask
+    want = forward_passes(before) * half_tables(grid).keep_mask
     assert np.array_equal(got, want)
+    full = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")
+    assert np.max(np.abs(got - full * half_tables(grid).keep_mask)) <= 1e-14 * np.max(np.abs(full))
     assert values.tobytes() == before.tobytes()
 
 
@@ -137,14 +167,15 @@ def ball_stack(seed: int, grid: GridSpec, m: int) -> np.ndarray:
 @DERANDOMIZED
 @given(seed=seeds, n=sizes, radius=radii, m=stacks)
 def test_pack_unpack_round_trip(seed, n, radius, m):
-    # truncate_coeffs packs a half spectrum, or its columns k3 <= kc
+    # truncate_coeffs packs a half spectrum, or its compact columns
     grid = ball_grid(n, radius)
     coeffs = ball_stack(seed, grid, m)
     packed = truncate_coeffs(coeffs, grid)
     assert packed.shape == (m, grid.index.size)
     assert np.array_equal(packed, coeffs[..., half_tables(grid).keep_mask])
     assert unpack(packed, grid).tobytes() == coeffs.tobytes()
-    columns = np.ascontiguousarray(coeffs[..., : grid.kc + 1])
+    columns = compact(coeffs, grid)
+    assert columns.shape[-3:] == grid.column_shape
     assert truncate_coeffs(columns, grid).tobytes() == packed.tobytes()
 
 
@@ -155,8 +186,8 @@ def test_packed_tables_are_the_grid_tables_on_the_ball(n, radius):
     half = half_tables(grid)
     keep = half.keep_mask
     assert np.array_equal(grid.index, np.flatnonzero(keep))
-    assert np.array_equal(grid.column_index, np.flatnonzero(keep[..., : grid.kc + 1]))
-    assert not keep[..., grid.kc + 1 :].any()
+    assert np.array_equal(grid.column_index, np.flatnonzero(compact(keep, grid)))
+    assert compact(keep, grid).sum() == keep.sum()  # the ball lies in the columns
     for name in ("kx", "ky", "kz", "k_sq", "parseval_weight"):
         assert getattr(grid, name).tobytes() == getattr(half, name)[keep].tobytes(), name
     with np.errstate(divide="ignore"):
@@ -170,9 +201,7 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    got = fft_grid(values, grid)
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., half_tables(grid).keep_mask]
-    assert np.array_equal(got, want)
+    assert_forward(fft_grid(values, grid), before, grid)
     assert values.tobytes() == before.tobytes()
 
 
@@ -180,18 +209,18 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
 @given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16),
        in_columns=st.booleans())
 def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_columns):
-    # in_columns: the x pass runs in a columns array of any content, and a
+    # in_columns: the x pass runs in compact columns of any content, and a
     # slab's planes there may be overwritten once it is yielded, as the
-    # forward z pass does; staging then holds one slab, of any content but
-    # zero at k3 > kc.  Without columns the whole inverse runs in staging,
-    # of any content.
+    # forward pass does; staging then holds one slab, of any content but
+    # zero at k3 > kc (NaN at k3 <= kc, so rows left unzeroed would show).
+    # Without columns the whole inverse runs in staging, of any content.
     grid = ball_grid(n, radius)
     coeffs = ball_stack(seed, grid, m)
     packed = truncate_coeffs(coeffs, grid)
     before = packed.copy()
     work = SimpleNamespace(staging=np.zeros_like(coeffs), width=width, columns=None)
     if in_columns:
-        work.columns = np.full((m + 1, n, n, grid.kc + 1), np.nan + 1j, dtype=np.complex128)
+        work.columns = np.full((m + 1,) + grid.column_shape, np.nan + 1j, dtype=np.complex128)
         work.staging = np.zeros((m, width, n, n // 2 + 1), dtype=np.complex128)
     want = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     for _ in range(2):  # the workspace is left ready for the next pass
@@ -210,14 +239,15 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_
 @DERANDOMIZED
 @given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
 def test_slab_forward_columns_equal_rfftn_on_the_ball(seed, n, radius, m, width):
+    # every position of the compact columns is written
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    columns = np.full((m, n, n, grid.kc + 1), np.nan, dtype=np.complex128)
+    columns = np.full((m,) + grid.column_shape, np.nan, dtype=np.complex128)
     for x0 in range(0, n, width):
-        out = rfft_z(values[..., x0 : x0 + width, :, :], columns, x0)
-    want = scipy.fft.rfftn(before, axes=(-3, -2, -1), norm="forward")[..., half_tables(grid).keep_mask]
-    assert np.array_equal(fft_xy(out, grid), want)
+        out = rfft_zy(values[..., x0 : x0 + width, :, :], grid, columns, x0)
+    assert out.shape == columns.shape and not np.any(np.isnan(out))
+    assert_forward(fft_x(out, grid), before, grid)
     assert values.tobytes() == before.tobytes()
 
 

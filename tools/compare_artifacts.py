@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Check that two source trees of mhddamp write byte-identical artifacts.
+"""Check that two source trees of mhddamp write the same artifacts.
 
-    python tools/compare_artifacts.py OLD_SRC NEW_SRC
+    python tools/compare_artifacts.py [--rtol R] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the ``mhddamp`` package, such
 as the ``src`` of two checkouts.  Every ``configs/*.json`` of this
@@ -11,20 +11,37 @@ legs: ``mhddamp run``, ``mhddamp twin``, and ``mhddamp run`` restarted from
 the run's checkpoint for 3 more steps.  Each side runs in a directory of its
 own, with its source tree on PYTHONPATH and relative paths only, so that the
 configs echoed in its summaries match.  Every output file, and each leg's
-exit code, stdout and stderr, is compared byte for byte.  Each difference is
-printed, and the exit status is 1 if there is any, 0 if there is none.
+exit code, stdout and stderr, is compared byte for byte.
+
+With ``--rtol R`` numbers may differ by R times their scale: a CSV cell by
+R times the largest |x| of its column, a JSON number, or a number in
+stdout, stderr or another text file, by R times the largest |x| of its file
+or stream, and each field of a ``.mhdf`` checkpoint by R times its largest
+|c|.  Exit codes, the set of files, checkpoint headers, non-finite numbers
+and all text but the numbers must still match exactly, but for a restart
+leg's ``config_hash``, which hashes the checkpoint it restarts from, when
+that checkpoint differs.
+
+Each difference is printed, and the exit status is 1 if there is any, 0 if
+there is none.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
+import csv
 import difflib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MAIN = "import sys; from mhddamp.cli import main; sys.exit(main())"
@@ -87,16 +104,135 @@ def _text_diff(old: bytes, new: bytes) -> str:
     return "\n".join(lines)
 
 
-def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: dict) -> list[str]:
-    """One line (or diff) per difference between the two sides."""
+# A number in text: not part of a word, such as h1 in h1_additive, or of a
+# longer token, such as the digits of a hash.
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?!\w|\.\d)"
+)
+MHDF_HEADER = 32  # magic, version, N, radius, time
+
+
+def _text_numbers(data: bytes):
+    """(text with each number replaced by '#', [its numbers])."""
+    text = data.decode(errors="replace")
+    return NUMBER.sub("#", text), [np.array([float(x) for x in NUMBER.findall(text)])]
+
+
+def _json_numbers(data: bytes, masked: tuple[str, ...] = ()):
+    """(the document with each number, and the value of each key in
+    ``masked``, replaced by '#', [its numbers])."""
     found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            return {key: "#" if key in masked else walk(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [walk(value) for value in node]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            found.append(float(node))
+            return "#"
+        return node
+
+    skeleton = json.dumps(walk(json.loads(data)), sort_keys=True)
+    return skeleton, [np.array(found)]
+
+
+def _csv_numbers(data: bytes):
+    """(the table with each number replaced by '#', [the numbers of each
+    column])."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    columns: dict[int, list[float]] = {}
+    skeleton = []
+    for row in rows[1:]:
+        cells = []
+        for j, cell in enumerate(row):
+            try:
+                columns.setdefault(j, []).append(float(cell))
+                cells.append("#")
+            except ValueError:
+                cells.append(cell)
+        skeleton.append(cells)
+    return (rows[:1], skeleton), [np.array(columns[j]) for j in sorted(columns)]
+
+
+def _mhdf_numbers(data: bytes):
+    """(the header and payload size, [the coefficients of each of the six
+    fields])."""
+    payload = np.frombuffer(data[MHDF_HEADER:], dtype="<c16")
+    return (data[:MHDF_HEADER], len(data)), list(payload.reshape(6, -1))
+
+
+def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
+    suffix = Path(name).suffix
+    try:
+        if suffix == ".json":
+            return _json_numbers(data, masked)
+        return {".csv": _csv_numbers, ".mhdf": _mhdf_numbers}.get(suffix, _text_numbers)(data)
+    except ValueError:  # malformed: compared as text
+        return _text_numbers(data)
+
+
+def deviation(name: str, old: bytes, new: bytes, masked: tuple[str, ...] = ()) -> float | None:
+    """The largest difference of the numbers of ``old`` and ``new`` relative
+    to their scale, or None when anything but finite numbers, or the values
+    of JSON keys in ``masked``, differs."""
+    (skel_a, groups_a), (skel_b, groups_b) = (_numbers(name, x, masked) for x in (old, new))
+    if skel_a != skel_b or [len(g) for g in groups_a] != [len(g) for g in groups_b]:
+        return None
+    worst = 0.0
+    for a, b in zip(groups_a, groups_b):
+        finite = np.isfinite(a)
+        if not (np.array_equal(finite, np.isfinite(b))
+                and np.array_equal(a[~finite], b[~finite], equal_nan=True)):
+            return None
+        a, b = a[finite], b[finite]
+        scale = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
+        if scale:
+            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+    return worst
+
+
+def _hashed_inputs_differ(rel: Path, old_dir: Path, new_dir: Path) -> tuple[str, ...]:
+    """("config_hash",) when ``rel`` is a restart leg's file and the
+    checkpoint it restarts from, which its config hash hashes, differs
+    between the sides; else ()."""
+    leg = rel.parts[0]
+    if not leg.endswith("-restart"):
+        return ()
+    checkpoint = Path(leg.removesuffix("-restart") + "-run") / "checkpoint.mhdf"
+    old, new = old_dir / checkpoint, new_dir / checkpoint
+    if old.is_file() and new.is_file() and old.read_bytes() != new.read_bytes():
+        return ("config_hash",)
+    return ()
+
+
+def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: dict,
+                rtol: float | None = None) -> tuple[list[str], float]:
+    """One line (or diff) per difference between the two sides, and the
+    largest relative deviation of numbers found within ``rtol``."""
+    found, worst = [], 0.0
+
+    def compare(what: str, name: str, a: bytes, b: bytes, message, masked=()) -> None:
+        """Record a difference of ``a`` and ``b`` (``message()`` unless only
+        numbers differ), or the deviation of numbers within ``rtol``."""
+        nonlocal worst
+        if a == b:
+            return
+        dev = None if rtol is None else deviation(name, a, b, masked)
+        if dev is None:
+            found.append(message())
+        elif dev > rtol:
+            found.append(f"{what}: numbers differ by {dev:.3g} of their scale")
+        else:
+            worst = max(worst, dev)
+
     for leg, old in old_results.items():
         new = new_results[leg]
         if old[0] != new[0]:
             found.append(f"{leg}: exit code {old[0]} != {new[0]}")
         for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
-            if a != b:
-                found.append(f"{leg}: {stream} differs\n{_text_diff(a, b)}")
+            compare(f"{leg}: {stream}", stream, a, b,
+                    lambda: f"{leg}: {stream} differs\n{_text_diff(a, b)}")
     old_files = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
     for rel in sorted(old_files | new_files):
@@ -106,17 +242,28 @@ def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: di
             found.append(f"{rel}: only in NEW")
         else:
             a, b = (old_dir / rel).read_bytes(), (new_dir / rel).read_bytes()
-            if a != b:
+
+            def message():
                 at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-                found.append(f"{rel}: differs from byte {at} ({len(a)} and {len(b)} bytes)")
-    return found
+                return f"{rel}: differs from byte {at} ({len(a)} and {len(b)} bytes)"
+
+            compare(str(rel), rel.name, a, b, message, _hashed_inputs_differ(rel, old_dir, new_dir))
+    return found, worst
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/compare_artifacts.py OLD_SRC NEW_SRC", file=sys.stderr)
-        return 2
-    srcs = [Path(a).resolve() for a in argv]
+    parser = argparse.ArgumentParser(
+        prog="python tools/compare_artifacts.py",
+        description="Compare the artifacts two source trees of mhddamp write.",
+    )
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="let numbers differ by RTOL times their scale")
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    if args.rtol is not None and not args.rtol >= 0.0:
+        parser.error("--rtol must be a number >= 0")
+    srcs = [args.old_src.resolve(), args.new_src.resolve()]
     for src in srcs:
         if not (src / "mhddamp" / "__init__.py").is_file():
             print(f"{src}: no mhddamp package", file=sys.stderr)
@@ -127,12 +274,17 @@ def main(argv: list[str]) -> int:
         for src, workdir in zip(srcs, dirs):
             workdir.mkdir()
             results.append(run_side(src, workdir))
-        found = differences(dirs[0], dirs[1], *results)
+        found, worst = differences(dirs[0], dirs[1], *results, rtol=args.rtol)
         files = sum(1 for p in dirs[0].rglob("*") if p.is_file())
     for line in found:
         print(line)
-    print(f"{len(results[0])} legs, {files} files: "
-          + (f"{len(found)} differences" if found else "identical"))
+    if found:
+        verdict = f"{len(found)} differences"
+    elif worst:
+        verdict = f"within rtol {args.rtol:g} (largest deviation {worst:.3g} of scale)"
+    else:
+        verdict = "identical"
+    print(f"{len(results[0])} legs, {files} files: {verdict}")
     return 1 if found else 0
 
 
