@@ -38,7 +38,7 @@ from .lemmas import (
     monotonicity_suite,
 )
 from .operators import sobolev_norm
-from .uniqueness import TwinRunResult, twin_run
+from .uniqueness import TwinRunResult, check_perturbation_scale, twin_run
 
 KNOWN_CHECKS = ("l2", "h1_additive", "h1_exponential", "lemmas", "twin")
 KNOWN_REPORT_FORMATS = ("csv", "text", "json")
@@ -86,9 +86,7 @@ class ExperimentConfig:
             object.__setattr__(self, key, tuple(names))
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ConfigError(f"output_dir: expected a string or null, got {self.output_dir!r}")
-        eps = self.perturbation_scale
-        if not (_is_number(eps) and eps >= 0):
-            raise ConfigError(f"perturbation_scale: must be finite and >= 0, got {eps!r}")
+        check_perturbation_scale(self.perturbation_scale, ConfigError)
 
 
 # Configuration (de)serialization -------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
-from .fields import fft_x, rfft_zy, x_slabs
+from .fields import slab_pass
 from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
 from .nonlinear import Workspace
@@ -67,49 +67,48 @@ def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
     return tuple(sums)
 
 
-def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace):
+def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> None:
     """Collocation data needed by the damping integrands, from the packed
-    (3, M) coefficients ``u`` of the velocity: yields, per slab of x-planes
-    in slab order, (q, grad_u_sq, grad_q_sq) where q = |u|^2, grad_u_sq =
-    sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q taken
-    spectrally from the dealiased product q.  Only q and grad_u_sq are
-    built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
-    of the grid that is between stages, lends its transform buffers,
-    multipliers i k and slab width; the row overwrites its ``stage`` array
-    with the six-row batch and work.columns[0] with q's forward z and y
-    passes, slab by slab, as a stage does.  Both are idle between steps.
+    (3, M) coefficients ``u`` of the velocity: calls, per slab of x-planes
+    in slab order, body(q, grad_u_sq, grad_q_sq) where q = |u|^2,
+    grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
+    taken spectrally from the dealiased product q.  Only q and grad_u_sq
+    are built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
+    of the grid that is idle between steps, lends its transform buffers,
+    multipliers i k and slab width, and its ``stage`` array holds the batch.
     """
-    columns, ik, batch = work.columns, work.ik, work.stage
+    ik, batch = work.ik, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
 
-    # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
-    # gradient add up in the order i, j of d_j u_i.  Each slab's values are
-    # dropped before the next slab's are made.
-    batch[0:3] = u
-    np.multiply(ik, u[0], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, work):
+    def squares(x0, phys):
         planes = slice(x0, x0 + phys.shape[-3])
         speed_sq(phys[0:3], out=q[planes])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
-        del phys
-        spectra = rfft_zy(q[None, planes], grid, columns, x0)
-    q_hat = fft_x(spectra, grid)[0]
-    del spectra
-    np.multiply(ik, u[1], out=batch[0:3])
-    np.multiply(ik, u[2], out=batch[3:6])
-    for x0, phys in x_slabs(batch, grid, work):
+        return q[None, planes], None
+
+    def add_squares(x0, phys):
         acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
         for d in phys:
             acc += np.multiply(d, d, out=d)
-        del phys, d
+        return None, None
 
+    def grad_q(x0, phys):
+        # the pass holds phys until this returns, so |grad q|^2 overwrites
+        # its first component instead of taking a new array
+        planes = slice(x0, x0 + phys.shape[-3])
+        return None, body(q[planes], grad_u_sq[planes], speed_sq(phys, out=phys[0]))
+
+    # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
+    # gradient add up in the order i, j of d_j u_i.
+    batch[0:3] = u
+    np.multiply(ik, u[0], out=batch[3:6])
+    q_hat = slab_pass(batch, grid, work, squares)[0][0]
+    np.multiply(ik, u[1], out=batch[0:3])
+    np.multiply(ik, u[2], out=batch[3:6])
+    slab_pass(batch, grid, work, add_squares)
     np.multiply(ik, q_hat, out=batch[0:3])
     del q_hat
-    for x0, phys in x_slabs(batch[0:3], grid, work):
-        planes = slice(x0, x0 + phys.shape[-3])
-        grad_q_sq = speed_sq(phys)
-        del phys
-        yield q[planes], grad_u_sq[planes], grad_q_sq
+    slab_pass(batch[0:3], grid, work, grad_q)
 
 
 def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
@@ -137,9 +136,7 @@ def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, fl
     if damping.kind == "none":
         return row
 
-    if work is None:
-        work = Workspace(state.grid)
-    for q, grad_u_sq, grad_q_sq in _velocity_squares(state.u, state.grid, work):
+    def add(q, grad_u_sq, grad_q_sq):
         if damping.kind == "power":
             beta = float(damping.beta)
             row["lbeta"] += float(np.sum(_power_law(q, (beta + 1.0) / 2.0)))
@@ -155,6 +152,8 @@ def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, fl
             fpq = fn.f_prime(q)
             row["d_fprime_lit"] += float(np.sum(fpq * grad_q_sq))
             row["d_fprime"] += float(np.sum(fpq * q * grad_q_sq))
+
+    _velocity_squares(state.u, state.grid, work or Workspace(state.grid), add)
     for name in INSTANT_COLUMNS[3:]:  # the collocation quadratures, from lbeta on
         row[name] *= state.grid.cell_volume
     return row
@@ -389,9 +388,9 @@ def check_damping_identity(
 
     grid = state.grid
     work = Workspace(grid)
-    for x0, up in x_slabs(state.u, grid, work):
-        spectra = rfft_zy(damping_amplitude(speed_sq(up), damping) * up, grid, work.columns, x0)
-    d_hat = fft_x(spectra, grid)
+    d_hat, _ = slab_pass(
+        state.u, grid, work, lambda x0, up: (damping_amplitude(speed_sq(up), damping) * up, None)
+    )
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
     # mode outside the ball, so D's modes there add no term.
     weight = grid.parseval_weight * grid.k_sq

@@ -1,8 +1,9 @@
 """
 Transforms between point values on the N^3 collocation grid and the packed
-ball modes of :mod:`mhddamp.grid`, as the passes the solver streams by slabs
-of x-planes, with the x passes in the grid's compact columns: plain arrays,
-with the grid passed beside them.
+ball modes of :mod:`mhddamp.grid`, as the passes that :func:`slab_pass`, the
+one physical-space pass, streams by slabs of x-planes around a caller's
+body, with the x passes in the grid's compact columns: plain arrays, with
+the grid passed beside them.
 
 Transform normalization: coefficients are Fourier-series coefficients, i.e.
 f(x) = sum_k c(k) exp(i k.x), so the k = 0 coefficient of a constant field c
@@ -38,8 +39,8 @@ HERMITIAN_TOL = 1e-12
 # differ), the forward rfft_zy (z, then y) and fft_x, so its results are
 # bitwise those of the full 1-D passes in the order z, y, x, cut to the
 # ball.  Every y and z line lies in one x-plane, so those passes run on
-# slabs of x-planes (see x_slabs), with the same results; the x passes run
-# on the compact columns of grid.column_shape, which hold the ball's rows.
+# slabs of x-planes (see slab_pass), with the same results; the x passes
+# run on the compact columns of grid.column_shape, which hold the ball's rows.
 
 
 def _rows(grid: GridSpec) -> tuple[slice, slice]:
@@ -56,27 +57,13 @@ def _x_lines(spectra: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(spectra[..., r, : grid.kc + 1] for r in _rows(grid))
 
 
-def rfft_zy(values: np.ndarray, grid: GridSpec, columns: np.ndarray | None = None,
-            x0: int = 0) -> np.ndarray:
+def rfft_zy(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """z and y passes of the forward transform of stacked real (..., c, N,
-    N) grids; the y pass runs on the columns k3 <= kc only.
-
-    Without ``columns`` returns the (..., c, N, N/2+1) result.  With
-    ``columns``, compact (..., N, 2kc+1, kc+1) columns, copies the ball's
-    rows of its columns k3 <= kc into the x-planes x0 .. x0+c-1 of
-    columns[:len(values)] and returns that.
-    """
-    kc = grid.kc
+    N) grids; the y pass runs on the columns k3 <= kc only.  Returns the
+    (..., c, N, N/2+1) result."""
     spectra = _fft.rfft(values, axis=-1, norm="forward")
-    _fft.fft(spectra[..., : kc + 1], axis=-2, norm="forward", overwrite_x=True)
-    if columns is None:
-        return spectra
-    columns = columns[: len(values)]
-    dest = columns[..., x0 : x0 + values.shape[-3], :, :]
-    low, high = _rows(grid)
-    dest[..., : kc + 1, :] = spectra[..., low, : kc + 1]
-    dest[..., kc + 1 :, :] = spectra[..., high, : kc + 1]
-    return columns
+    _fft.fft(spectra[..., : grid.kc + 1], axis=-2, norm="forward", overwrite_x=True)
+    return spectra
 
 
 def fft_x(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -106,23 +93,24 @@ def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
 
 
-def x_slabs(packed: np.ndarray, grid: GridSpec, work):
-    """Point values of stacked packed (m, M) ball modes, one slab of
-    ``work.width`` x-planes at a time: yields (x0, values) with ``values``
-    the new (m, c, N, N) real point values of the planes x0 .. x0+c-1.
+def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
+    """The physical-space pass over stacked packed (m, M) ball modes, one
+    slab of ``work.width`` x-planes at a time.  Per slab, in slab order,
+    ``body(x0, values)`` gets the new (m, c, N, N) real point values of
+    the planes x0 .. x0+c-1, which live until it returns, and returns
+    (grids, partial): real (k, c, N, N) grids of the same planes, or None,
+    and any value.  Returns (packed (k, M) modes of the grids, or None
+    when no body returns grids; the partials in slab order).
 
     ``work`` is a :class:`mhddamp.nonlinear.Workspace` of the grid, or an
-    object with its ``staging``, ``width`` and ``columns``.  The modes are
-    scattered into the compact columns[:m], or with one slab (``columns``
-    None) into staging[:m], filled with zeros first, and the x pass runs
-    there.  With several slabs each slab's planes are then copied into the
-    ball's rows of the columns k3 <= kc of staging[:m], whose rows between
-    are zeroed and whose columns k3 > kc must be zero; no pass writes
-    those.  The y and z passes run per slab.  A slab's planes of
-    columns[:m] are not read again once it is yielded, so the caller may
-    overwrite them, as the forward pass of :func:`rfft_zy` does.  A slab's
-    values are not referenced by the generator, so a caller that drops
-    them frees them.
+    object with its ``staging``, ``width`` and ``columns``.  The x passes
+    run in the compact columns, or with one slab (``columns`` None) in
+    staging[:m]; the modes are scattered there after a zero fill.  With
+    several slabs staging holds one slab's ball rows, its rows between
+    zeroed and its columns k3 > kc zero as allocated, for the y and z
+    passes.  A slab's planes of the columns are free once its values are
+    made, and its grids' forward z and y passes go there (with one slab,
+    scipy's output serves).
     """
     n, kc, m = grid.n_modes, grid.kc, len(packed)
     columns, staging = work.columns, work.staging
@@ -134,17 +122,26 @@ def x_slabs(packed: np.ndarray, grid: GridSpec, work):
     spectra.reshape(m, -1)[:, index] = packed
     ifft_x(spectra, grid)
     low, high = _rows(grid)
+    forward, partials = None, []
     for x0 in range(0, n, work.width):
         slab = spectra[:, x0 : x0 + work.width]
+        c = slab.shape[1]
         if columns is not None:
-            c = slab.shape[1]
             rows = staging[:m, :c, :, : kc + 1]
             rows[..., low, :] = slab[..., : kc + 1, :]
             rows[..., kc + 1 : n - kc, :] = 0.0  # the previous slab's y pass wrote them
             rows[..., high, :] = slab[..., kc + 1 :, :]
             slab = staging[:m, :c]
         ifft_y(slab, grid)
-        yield x0, irfft_z(slab, n)
+        grids, partial = body(x0, irfft_z(slab, n))
+        partials.append(partial)
+        if grids is not None:
+            forward = rfft_zy(grids, grid)
+            if columns is not None:
+                columns[: len(grids), x0 : x0 + c, : kc + 1] = forward[..., low, : kc + 1]
+                columns[: len(grids), x0 : x0 + c, kc + 1 :] = forward[..., high, : kc + 1]
+                forward = columns[: len(grids)]
+    return None if forward is None else fft_x(forward, grid), partials
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
-from .fields import HERMITIAN_TOL, hermitian_defect, x_slabs
+from .fields import HERMITIAN_TOL, hermitian_defect, slab_pass
 from .grid import GridSpec, _is_int, _is_number, check_memory
 from .nonlinear import Workspace, _rhs_core
 from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
@@ -363,14 +363,13 @@ def cfl_bound(state: MhdState, config: SolverConfig, work: Workspace | None = No
     the maxima taken one slab of point values at a time in ``work``, a
     :class:`Workspace` of the grid that is idle (a new one when None)."""
     grid = config.grid
-    if work is None:
-        work = Workspace(grid)
-    peaks = []
-    for _, phys in x_slabs(state.coeffs, grid, work):
+    work = work or Workspace(grid)
+
+    def peaks(x0, phys):
         np.abs(phys, out=phys)
-        peaks.append((np.max(phys[0:3]), np.max(phys[3:6])))
-        del phys  # freed before the next slab is made
-    u_max, b_max = np.max(peaks, axis=0)
+        return None, (np.max(phys[0:3]), np.max(phys[3:6]))
+
+    u_max, b_max = np.max(slab_pass(state.coeffs, grid, work, peaks)[1], axis=0)
     speed = float(u_max) + float(b_max)
     if speed == 0.0:
         return np.inf

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .damping import DampingSpec, damping_term
-from .fields import fft_x, rfft_zy, x_slabs
+from .fields import slab_pass
 from .grid import WORKSPACE_GRIDS, GridSpec, slab_width
 from .operators import leray_project_coeffs
 
@@ -43,7 +43,7 @@ from .operators import leray_project_coeffs
 class Workspace:
     """The buffers of one trajectory, allocated once from
     :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
-    its physical-space pass, as :func:`mhddamp.fields.x_slabs` takes them.
+    its physical-space pass, as :func:`mhddamp.fields.slab_pass` takes them.
     ``staging`` holds one slab of the half spectrum, where an inverse
     transform runs its y and z passes, ``columns`` (None with a single
     slab, where ``staging`` holds the whole half spectrum) the compact
@@ -143,14 +143,11 @@ def _rhs_core(
     viscous term, which the integrator treats exactly through its
     integrating factor.
 
-    Physical space is visited one slab of x-planes at a time through
-    :func:`mhddamp.fields.x_slabs` in ``work``, the trajectory's
-    :class:`Workspace`: each slab's products, damping and dissipation
-    quadrature run on the slab alone, and its forward z and y passes fill
-    the slab's planes of work.columns (with one slab, scipy's forward
-    output takes its place).  Nothing of state size is allocated but that
-    output and the packed tendency, returned in the first six rows of the
-    forward transform's packed output.
+    Physical space is visited by :func:`mhddamp.fields.slab_pass` in
+    ``work``, the trajectory's :class:`Workspace`, with a body that forms
+    a slab's products, damping and dissipation partial.  Nothing of state
+    size is allocated but scipy's forward output with one slab and the
+    packed tendency, the first six rows of the forward's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
@@ -158,24 +155,25 @@ def _rhs_core(
     for generalized damping, 0 otherwise.  Only computed when requested.
     """
     count = 8 if damping.kind == "none" else 11
-    damp_diss = 0.0
-    for x0, phys in x_slabs(w, grid, work):
+
+    def body(x0, phys):
         prod = work.products[:count, : phys.shape[-3]]
         _products(phys, prod)
-        if damping.kind != "none":
-            up, dmp = phys[0:3], prod[8:11]
-            damping_term(up, damping, out=dmp)
-            if want_dissipation:
-                # <damping(u), u> by collocation quadrature, summed over the
-                # slabs; einsum sums without a temporary and, unlike np.dot,
-                # without BLAS threads
-                damp_diss += float(np.einsum("i,i->", dmp.ravel(), up.ravel()))
-            del up
-        del phys  # freed before the forward z pass allocates its output
-        spectra = rfft_zy(prod, grid, work.columns, x0)
+        if damping.kind == "none":
+            return prod, 0.0
+        up, dmp = phys[0:3], prod[8:11]
+        damping_term(up, damping, out=dmp)
+        # <damping(u), u> by collocation quadrature, summed over the slabs;
+        # einsum sums without a temporary and, unlike np.dot, without BLAS
+        # threads
+        diss = float(np.einsum("i,i->", dmp.ravel(), up.ravel())) if want_dissipation else 0.0
+        return prod, diss
+
+    hat, partials = slab_pass(w, grid, work, body)
+    damp_diss = sum(partials)  # from 0, in slab order
     if damp_diss:
         damp_diss *= grid.cell_volume / damping.alpha
 
-    dw = _tendency(fft_x(spectra, grid), work.ik, work.scratch)
+    dw = _tendency(hat, work.ik, work.scratch)
     leray_project_coeffs(dw[0:3], grid)
     return dw, damp_diss

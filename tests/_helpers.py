@@ -19,7 +19,7 @@ import scipy.fft
 from mhddamp import DampingSpec, MhdState, energy
 from mhddamp import grid as grid_module
 from mhddamp.damping import damping_term, speed_sq
-from mhddamp.fields import fft_x, rfft_zy, x_slabs
+from mhddamp.fields import fft_x, rfft_zy, slab_pass
 from mhddamp.lemmas import CheckReport
 from mhddamp.nonlinear import Workspace, _rhs_core
 from mhddamp.operators import leray_project_coeffs, sobolev_norm, truncate_coeffs, viscous_symbol
@@ -84,7 +84,7 @@ def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:
     stack = coeffs.reshape(-1, coeffs.shape[-1])
     staging = np.empty(stack.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
     work = SimpleNamespace(staging=staging, width=grid.n_modes, columns=None)
-    (_, values), = x_slabs(stack, grid, work)
+    _, (values,) = slab_pass(stack, grid, work, lambda x0, values: (None, values))
     return values.reshape(coeffs.shape[:-1] + grid.shape)
 
 
@@ -227,10 +227,10 @@ def slab_planes(n: int, planes: int):
         yield
 
 
-def velocity_squares_oracle(u: np.ndarray, grid, work=None):
-    """Yields (q, |grad u|^2, |grad q|^2) on the whole grid, as one slab of
-    ``energy._velocity_squares``, from one 12-grid batch (u and its nine
-    derivatives) transformed at full size in a single call."""
+def velocity_squares_oracle(u: np.ndarray, grid, work, body) -> None:
+    """Calls body(q, |grad u|^2, |grad q|^2) on the whole grid, as for one
+    slab of ``energy._velocity_squares``, from one 12-grid batch (u and its
+    nine derivatives) transformed at full size in a single call."""
     batch = np.empty((12,) + grid.k_sq.shape, dtype=np.complex128)
     batch[0:3] = u
     gradient_coeffs(u, grid, batch[3:12])
@@ -239,7 +239,7 @@ def velocity_squares_oracle(u: np.ndarray, grid, work=None):
     q = speed_sq(phys[0:3])
     gq = gradient_coeffs(fft_grid(q, grid)[None], grid)
     grad_q_sq = speed_sq(ifft_grid(gq, grid))
-    yield q, grad_u_sq, grad_q_sq
+    body(q, grad_u_sq, grad_q_sq)
 
 
 def ledger_row_oracle(state, damping) -> dict:

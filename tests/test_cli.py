@@ -557,12 +557,26 @@ class TestCmdTwin:
         assert float(first[1]) > 0.0
 
     def test_non_finite_eps_exit_one(self, grid16, tmp_path, capsys):
-        cfg = experiment(grid16, t_end=0.02, damping=DampingSpec(), target=0.5)
-        path = tmp_path / "cfg.json"
+        cfg = experiment(grid16, t_end=0.02, damping=DampingSpec(), target=0.5,
+                         checks=("l2", "twin"))
+        path, file_path = tmp_path / "cfg.json", tmp_path / "huge.json"
         save_config(cfg, path)
-        assert main(["twin", "--config", str(path), "--eps", "nan",
-                     "--out", str(tmp_path / "out")]) == 1
-        assert "perturbation_scale: must be finite" in capsys.readouterr().err
+        # the config's own scale, for run's twin check; 1e300 is a valid
+        # JSON number that save_config cannot write
+        text = path.read_text().replace('"perturbation_scale": 1e-06', '"perturbation_scale": 1e300')
+        assert "1e300" in text
+        file_path.write_text(text)
+        for command, config, eps in (
+            ("twin", path, ["--eps", "nan"]),
+            ("twin", path, ["--eps", "1e300"]),  # d0 <= 2 eps^2 would overflow
+            ("run", file_path, []),
+            ("twin", file_path, []),
+        ):
+            out = tmp_path / "out"
+            assert main([command, "--config", str(config), *eps, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "perturbation_scale: must be finite" in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_blow_up_exit_three(self, grid16, tmp_path, capsys):
         cfg = experiment(grid16, t_end=2.0, dt=0.1, target=1e3, damping=DampingSpec(), seed=1)

@@ -351,3 +351,16 @@ class TestDampingIdentity:
             rep = check_damping_identity(state, damping)
             rels.append(rep.extra["rel_error"])
         assert rels[0] / max(rels[1], 1e-300) >= 4.0
+
+    @pytest.mark.parametrize("planes", (1, 3, 5))
+    @pytest.mark.parametrize("damping", ("power5", "log1"))
+    def test_narrow_slabs_match_one_slab(self, grid16, damping, planes):
+        # lhs transforms the slabs' damping to modes: the same arithmetic
+        # as at one slab; rhs is a ledger sum of per-slab partials
+        state = make_initial("random_divfree", grid16, seed=2, target_h1=10.0)
+        spec = ORACLE_DAMPINGS[damping]
+        want = check_damping_identity(state, spec).extra
+        with slab_planes(16, planes):
+            got = check_damping_identity(state, spec).extra
+        assert got["lhs"] == want["lhs"]
+        assert abs(got["rhs"] - want["rhs"]) <= 1e-15 * abs(want["rhs"])

@@ -464,6 +464,16 @@ class TestRun:
         bound_b = cfl_bound(make_initial_from_config(cfg_b), cfg_b)
         assert bound_s == pytest.approx(100.0 * bound_b, rel=1e-6)
 
+    @pytest.mark.parametrize("planes", (1, 3, 5))
+    def test_cfl_bound_in_narrow_slabs(self, grid16, planes):
+        # the slab maxima of the point values are those of the whole grid
+        cfg = SolverConfig(grid=grid16, dt=1e-3, t_end=0.0, initial_condition=InitialCondition(
+            kind="random_divfree", target_h1=10.0))
+        state = make_initial_from_config(cfg)
+        want = cfl_bound(state, cfg)
+        with slab_planes(16, planes):
+            assert cfl_bound(state, cfg) == want
+
     def test_config_hash_sensitivity(self, grid16):
         ic = InitialCondition(kind="single_mode")
         a = SolverConfig(grid=grid16, dt=1e-3, t_end=1e-2, initial_condition=ic, seed=1)

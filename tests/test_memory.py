@@ -1,9 +1,9 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
-workspace's arrays against the model's, a ledger row against a right-hand
-side and against a stage's transients, the damping-identity check against
-two workspaces, and the set-up steps (initial states, checkpoint read and
-hash, CFL bound) against the packed and slab-sized transients they are
-allowed."""
+workspace's arrays against the model's, a right-hand side against its
+forward output, a ledger row against a right-hand side and against a
+stage's transients, the damping-identity check against two workspaces,
+and the set-up steps (initial states, checkpoint read and hash, CFL bound)
+against the packed and slab-sized transients they are allowed."""
 
 import tracemalloc
 
@@ -73,6 +73,24 @@ def test_ledger_row_peak_below_rhs_with_workspace(damping):
     row = traced_peak(ledger_row, state, spec)  # builds its Workspace
     rhs = traced_peak(lambda: _rhs_core(state.coeffs, grid, spec, True, Workspace(grid)))
     assert row <= rhs
+
+
+@pytest.mark.parametrize("damping", ["none", "power5", "log1"])
+@pytest.mark.parametrize("n", [16, 32])  # one slab
+def test_rhs_drops_point_values_before_forward(n, damping):
+    # with the workspace lent, a right-hand side holds scipy's forward
+    # output and the tendency gathered to the ball, but no slab's point
+    # values (inverse output, damping temporaries) beside them
+    grid = GRIDS[n]
+    state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
+    spec = DAMPINGS.get(damping, DampingSpec())
+    work = Workspace(grid)
+    assert work.width == n
+    size = _layout_bytes(n, grid.index.size, grid.truncation_radius, work.width)
+    budget = sum(count * size[layout] for name, count, layout in STEP_TRANSIENT_GRIDS
+                 if name in ("forward_output", "tendency"))
+    peak = traced_peak(_rhs_core, state.coeffs, grid, spec, True, work)
+    assert peak <= budget + 2**16
 
 
 ROW_DAMPINGS = {

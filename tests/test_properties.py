@@ -27,7 +27,7 @@ from mhddamp import (
     sobolev_norm,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_x, rfft_zy, x_slabs
+from mhddamp.fields import fft_x, rfft_zy, slab_pass
 from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
@@ -210,10 +210,11 @@ def test_packed_forward_equals_rfftn_on_the_ball(seed, n, radius, m):
        in_columns=st.booleans())
 def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_columns):
     # in_columns: the x pass runs in compact columns of any content, and a
-    # slab's planes there may be overwritten once it is yielded, as the
-    # forward pass does; staging then holds one slab, of any content but
-    # zero at k3 > kc (NaN at k3 <= kc, so rows left unzeroed would show).
-    # Without columns the whole inverse runs in staging, of any content.
+    # slab's planes there may be overwritten once its values are made, as
+    # the forward pass does; staging then holds one slab, of any content
+    # but zero at k3 > kc (NaN at k3 <= kc, so rows left unzeroed would
+    # show).  Without columns the whole inverse runs in staging, of any
+    # content.
     grid = ball_grid(n, radius)
     coeffs = ball_stack(seed, grid, m)
     packed = truncate_coeffs(coeffs, grid)
@@ -226,11 +227,16 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_
     for _ in range(2):  # the workspace is left ready for the next pass
         work.staging[..., : grid.kc + 1 if in_columns else None] = np.nan
         got = np.empty_like(want)
-        for x0, values in x_slabs(packed, grid, work):
+
+        def body(x0, values):
             assert values.shape[-3] == min(width, n - x0)
             got[..., x0 : x0 + values.shape[-3], :, :] = values
             if in_columns:
                 work.columns[:, x0 : x0 + width] = np.nan
+            return None, x0
+
+        modes, partials = slab_pass(packed, grid, work, body)
+        assert modes is None and partials == list(range(0, n, width))
         assert np.array_equal(got, want)
         assert not np.any(work.staging[..., grid.kc + 1 :])
     assert packed.tobytes() == before.tobytes()
@@ -239,15 +245,25 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_
 @DERANDOMIZED
 @given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
 def test_slab_forward_columns_equal_rfftn_on_the_ball(seed, n, radius, m, width):
-    # every position of the compact columns is written
+    # every position of the compact columns is written: each slab's body
+    # NaN-fills its planes there once its values are made, and the forward
+    # pass must overwrite them all
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
-    columns = np.full((m,) + grid.column_shape, np.nan, dtype=np.complex128)
-    for x0 in range(0, n, width):
-        out = rfft_zy(values[..., x0 : x0 + width, :, :], grid, columns, x0)
-    assert out.shape == columns.shape and not np.any(np.isnan(out))
-    assert_forward(fft_x(out, grid), before, grid)
+    work = SimpleNamespace(
+        staging=np.zeros((m, width, n, n // 2 + 1), dtype=np.complex128), width=width,
+        columns=np.full((m,) + grid.column_shape, np.nan, dtype=np.complex128),
+    )
+
+    def body(x0, phys):
+        work.columns[:, x0 : x0 + width] = np.nan
+        return values[..., x0 : x0 + width, :, :], None
+
+    modes, partials = slab_pass(np.zeros((m, grid.index.size), np.complex128), grid, work, body)
+    assert partials == [None] * len(range(0, n, width))
+    assert not np.any(np.isnan(work.columns))
+    assert_forward(modes, before, grid)
     assert values.tobytes() == before.tobytes()
 
 
