@@ -18,9 +18,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from . import __version__
+from . import __version__, fields
 from .damping import DampingSpec, F_CATALOG
 from .energy import check_H1_inequalities, check_L2_inequality
 from .grid import GridSpec, _is_int, _is_number, check_memory
@@ -496,7 +495,7 @@ def _fft_workers(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with scipy.fft.set_workers(_fft_workers(args)):
+        with fields.workers(_fft_workers(args)):
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,23 +17,53 @@ kept.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-import scipy.fft as _fft
 
 from .grid import GridSpec
 from .operators import truncate_coeffs
 
 HERMITIAN_TOL = 1e-12
 
+# The transforms call scipy's compiled pocketfft kernel, pypocketfft,
+# loaded from its file under scipy/fft/_pocketfft: importing scipy.fft for
+# it would also import scipy's array-API layer and scipy.special, about
+# 19 MB of resident memory in every process.  The calls are the ones
+# scipy.fft's 1-D functions make (axes as a tuple, out= for the in-place
+# passes), so the results are bitwise theirs.  inorm 2 on the forward and 0
+# on the inverse passes is norm="forward": the 1/N of each axis of the
+# Fourier-series convention goes on the forward transform.
+_KERNEL_SPEC = importlib.machinery.PathFinder.find_spec(
+    "pypocketfft",
+    [os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                  "fft", "_pocketfft")],
+)
+_pocketfft = importlib.util.module_from_spec(_KERNEL_SPEC)
+_KERNEL_SPEC.loader.exec_module(_pocketfft)
 
-# The transforms use scipy.fft's default worker count, 1 unless a caller
-# enters a scipy.fft.set_workers context (the CLI does, for --threads).
-# Every pass takes norm="forward", which puts the 1/N of each axis of the
-# Fourier-series convention on the forward transform.
-#
-# The 3-D transforms run as 1-D scipy.fft passes that skip the lines holding
-# only modes outside the ball |k| < R: every wavenumber component of a mode
-# in the ball is at most kc = ceil(R) - 1 in magnitude.  The inverse runs
+# Threads of each kernel call, one value for the whole process: 1 unless a
+# caller enters workers(count) (the CLI does, for --threads).
+_FFT_WORKERS = 1
+
+
+@contextlib.contextmanager
+def workers(count: int):
+    """Run the transforms on ``count`` threads inside the block."""
+    global _FFT_WORKERS
+    previous, _FFT_WORKERS = _FFT_WORKERS, count
+    try:
+        yield
+    finally:
+        _FFT_WORKERS = previous
+
+
+# The 3-D transforms run as 1-D passes that skip the lines holding only
+# modes outside the ball |k| < R: every wavenumber component of a mode in
+# the ball is at most kc = ceil(R) - 1 in magnitude.  The inverse runs
 # ifft_x, ifft_y and irfft_z (the order irfftn uses, so its results are
 # bitwise those of irfftn, cut to the ball; only the signs of zeros can
 # differ), the forward rfft_zy (z, then y) and fft_x, so its results are
@@ -61,8 +91,9 @@ def rfft_zy(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """z and y passes of the forward transform of stacked real (..., c, N,
     N) grids; the y pass runs on the columns k3 <= kc only.  Returns the
     (..., c, N, N/2+1) result."""
-    spectra = _fft.rfft(values, axis=-1, norm="forward")
-    _fft.fft(spectra[..., : grid.kc + 1], axis=-2, norm="forward", overwrite_x=True)
+    spectra = _pocketfft.r2c(values, (-1,), True, 2, None, _FFT_WORKERS)
+    lines = spectra[..., : grid.kc + 1]
+    _pocketfft.c2c(lines, (-2,), True, 2, lines, _FFT_WORKERS)
     return spectra
 
 
@@ -71,7 +102,7 @@ def fft_x(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
     of z- and y-transformed ``spectra`` (see :func:`rfft_zy`); returns the
     packed (..., M) ball modes."""
     for lines in _x_lines(spectra, grid):
-        _fft.fft(lines, axis=-3, norm="forward", overwrite_x=True)
+        _pocketfft.c2c(lines, (-3,), True, 2, lines, _FFT_WORKERS)
     return truncate_coeffs(spectra, grid)
 
 
@@ -79,18 +110,19 @@ def ifft_x(spectra: np.ndarray, grid: GridSpec) -> None:
     """x pass of the inverse transform, in place, on the lines of the ball
     of compact columns or of a half spectrum (..., N, N, *)."""
     for lines in _x_lines(spectra, grid):
-        _fft.ifft(lines, axis=-3, norm="forward", overwrite_x=True)
+        _pocketfft.c2c(lines, (-3,), False, 0, lines, _FFT_WORKERS)
 
 
 def ifft_y(spectra: np.ndarray, grid: GridSpec) -> None:
     """y pass of the inverse transform, in place, on the columns k3 <= kc
     of x-transformed (..., c, N, *) ``spectra``."""
-    _fft.ifft(spectra[..., : grid.kc + 1], axis=-2, norm="forward", overwrite_x=True)
+    lines = spectra[..., : grid.kc + 1]
+    _pocketfft.c2c(lines, (-2,), False, 0, lines, _FFT_WORKERS)
 
 
 def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     """z pass of the inverse transform: (..., N/2+1) -> (..., N) real."""
-    return _fft.irfft(spectra, n=n, axis=-1, norm="forward")
+    return _pocketfft.c2r(spectra, (-1,), n, False, 0, None, _FFT_WORKERS)
 
 
 def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
@@ -110,7 +142,7 @@ def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
     zeroed and its columns k3 > kc zero as allocated, for the y and z
     passes.  A slab's planes of the columns are free once its values are
     made, and its grids' forward z and y passes go there (with one slab,
-    scipy's output serves).
+    the kernel's output serves).
     """
     n, kc, m = grid.n_modes, grid.kc, len(packed)
     columns, staging = work.columns, work.staging

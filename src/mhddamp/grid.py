@@ -41,8 +41,9 @@ TWO_PI = 2.0 * np.pi
 # :func:`slab_width`.  :class:`mhddamp.nonlinear.Workspace` allocates
 # exactly the WORKSPACE_GRIDS.  With several slabs both transforms run
 # their x pass in "columns", the inverse its y and z passes in "staging"
-# and the forward its z and y passes in scipy's output of each slab; with
-# one slab "staging" holds the whole half spectrum and "columns" is absent.
+# and the forward its z and y passes in the FFT kernel's output of each
+# slab; with one slab "staging" holds the whole half spectrum and
+# "columns" is absent.
 WORKSPACE_GRIDS = (
     ("staging", 6, "spectral_slab"),  # zero at k3 > kc with several slabs
     ("columns", 11, "columns"),    # both transforms' x passes; absent with one slab
@@ -53,10 +54,10 @@ WORKSPACE_GRIDS = (
 )
 # Held beside the workspace while a stage runs: the integrating factors E
 # and E^2, the packed state and next state, which holds the running RK4 sum
-# until the step ends, and, per slab, scipy's outputs of the inverse (6
-# grids) and forward (11) z passes and the damping law's temporaries, then
-# the tendency, gathered to the ball.  The last sampled state is the packed
-# state of an earlier step.
+# until the step ends, and, per slab, the FFT kernel's outputs of the
+# inverse (6 grids) and forward (11) z passes and the damping law's
+# temporaries, then the tendency, gathered to the ball.  The last sampled
+# state is the packed state of an earlier step.
 STEP_TRANSIENT_GRIDS = (
     ("factors", 2, "table"),
     ("state", 6, "packed"),

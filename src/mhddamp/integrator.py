@@ -29,6 +29,7 @@ import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401 -- imported here, so set-up's first draw imports nothing
 
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
@@ -228,7 +229,7 @@ def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState
                 f"checkpoint grid (N={got.n_modes}, R={got.truncation_radius:g}) does not "
                 f"match configured grid (N={grid.n_modes}, R={grid.truncation_radius:g})"
             )
-        return state
+        return MhdState(state.coeffs, grid, state.t)  # the reader's grid tables are dropped
 
     if kind == "random_divfree":
         if ic.target_h1 == 0.0:

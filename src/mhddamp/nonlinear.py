@@ -64,7 +64,7 @@ class Workspace:
         }
         for name, count, layout in WORKSPACE_GRIDS:
             shape, dtype = layouts[layout]
-            one_slab = layout == "columns" and self.width == n  # scipy's output serves
+            one_slab = layout == "columns" and self.width == n  # the kernel's output serves
             setattr(self, name, None if one_slab else np.zeros((count,) + shape, dtype=dtype))
         for ik, k in zip(self.ik, (grid.kx, grid.ky, grid.kz)):
             np.multiply(1j, k, out=ik)
@@ -146,8 +146,8 @@ def _rhs_core(
     Physical space is visited by :func:`mhddamp.fields.slab_pass` in
     ``work``, the trajectory's :class:`Workspace`, with a body that forms
     a slab's products, damping and dissipation partial.  Nothing of state
-    size is allocated but scipy's forward output with one slab and the
-    packed tendency, the first six rows of the forward's packed output.
+    size is allocated but the FFT kernel's forward output with one slab and
+    the packed tendency, the first six rows of the forward's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:

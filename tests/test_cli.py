@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,28 +296,27 @@ class TestCmdRun:
         assert not (out / "summary.json").exists()
 
     def test_threads_flag(self, grid16, tmp_path, monkeypatch):
-        import scipy.fft
-
         import mhddamp.fields as fields
 
         seen = []
+        kernel = fields._pocketfft
 
         def spy(original):
-            def wrapped(*args, **kwargs):
-                seen.append(scipy.fft.get_workers())
-                return original(*args, **kwargs)
+            def wrapped(*args):
+                seen.append(args[-1])  # nthreads, the last argument of each call
+                return original(*args)
             return wrapped
 
-        # the 1-D passes of the ball-pruned transforms the stepper runs
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            monkeypatch.setattr(fields._fft, name, spy(getattr(fields._fft, name)))
+        # the kernel calls of the ball-pruned passes the stepper runs
+        monkeypatch.setattr(fields, "_pocketfft", SimpleNamespace(
+            **{name: spy(getattr(kernel, name)) for name in ("c2c", "r2c", "c2r")}))
         cfg = experiment(grid16, t_end=0.02, checks=("l2",))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
         assert main(["run", "--config", str(path), "--threads", "2",
                      "--out", str(tmp_path / "out")]) == 0
         assert seen and set(seen) == {2}
-        assert scipy.fft.get_workers() == 1  # scoped to the main() call
+        assert fields._FFT_WORKERS == 1  # scoped to the main() call
 
     @pytest.mark.parametrize("flag,env", [("-1", None), (None, "-2")])
     def test_negative_threads_exit_one(self, grid16, tmp_path, monkeypatch, capsys, flag, env):
@@ -335,12 +335,12 @@ class TestCmdRun:
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_threads_above_cpu_count_exit_one(self, grid16, tmp_path, monkeypatch, capsys,
                                                workers, via):
-        import scipy.fft
+        import mhddamp.fields as fields
 
         def no_workers(count):
-            raise AssertionError(f"set_workers({count}) called")
+            raise AssertionError(f"fields.workers({count}) called")
 
-        monkeypatch.setattr(scipy.fft, "set_workers", no_workers)
+        monkeypatch.setattr(fields, "workers", no_workers)
         cfg = experiment(grid16, t_end=0.02, checks=("l2",))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
@@ -783,3 +783,33 @@ def test_help_and_version_exit_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+# Run by a fresh interpreter: the modules present after a run and a twin,
+# and those the two commands imported.
+IMPORT_PROBE = """
+import json, sys
+from mhddamp.cli import main
+before = set(sys.modules)
+codes = [main([command, "--config", sys.argv[1], "--out", sys.argv[2] + command])
+         for command in ("run", "twin")]
+print(json.dumps({"codes": codes, "loaded": sorted(sys.modules),
+                  "imported": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_commands_import_no_scipy_fft(tmp_path):
+    """The transforms load scipy's pocketfft kernel alone: scipy.fft, with
+    its array-API layer and scipy.special, stays unimported, and no numpy
+    module is first imported by a command."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(quickstart_n8(tmp_path)), str(tmp_path / "out-")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0]
+    heavy = ("scipy.fft", "scipy.special", "scipy._lib._array_api")
+    assert not [m for m in probe["loaded"] if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert not [m for m in probe["imported"] if m == "numpy" or m.startswith("numpy.")]

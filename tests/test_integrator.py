@@ -538,6 +538,18 @@ class TestCheckpoint:
         assert np.array_equal(final_resumed.u, final_full.u)
         assert np.array_equal(final_resumed.b, final_full.b)
 
+    def test_restart_state_is_on_the_configured_grid(self, grid16, tmp_path):
+        # not on a second GridSpec built by the reader, whose tables would
+        # live beside the configured grid's as long as the state
+        state = make_initial("random_divfree", grid16, seed=2, target_h1=1.0)
+        state.t = 0.375
+        path = tmp_path / "state.mhdf"
+        save_checkpoint(path, state)
+        restart = make_initial("from_checkpoint", grid16, path=str(path))
+        assert restart.grid is grid16
+        assert restart.t == state.t
+        assert restart.coeffs.tobytes() == state.coeffs.tobytes()
+
     def test_grid_mismatch_rejected(self, grid8, grid16, tmp_path):
         state = make_initial("single_mode", grid8)
         path = tmp_path / "small.mhdf"

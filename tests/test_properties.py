@@ -1,6 +1,7 @@
 """Property tests: Parseval and round trips on the packed ball, the
 ball-pruned transforms against scipy's full ones (the forward against its
-1-D passes in the solver's order, and against rfftn to round-off), seen in
+1-D passes in the solver's order, and against rfftn to round-off) and each
+pass against scipy.fft's 1-D call at 1 and 2 workers, seen in
 the half spectrum and on the packed ball, the grid's ball tables, the Leray
 projector's algebra, ledger rows against a full-size oracle, and random
 bytes fed to the checkpoint reader."""
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,8 @@ from mhddamp import (
     sobolev_norm,
 )
 from mhddamp.cli import ExperimentConfig, main, save_config
-from mhddamp.fields import fft_x, rfft_zy, slab_pass
+from mhddamp import fields
+from mhddamp.fields import fft_x, ifft_x, ifft_y, irfft_z, rfft_zy, slab_pass
 from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
@@ -240,6 +243,54 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_
         assert np.array_equal(got, want)
         assert not np.any(work.staging[..., grid.kc + 1 :])
     assert packed.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@DERANDOMIZED
+@given(seed=seeds, n=sizes, radius=radii, m=stacks, width=st.integers(1, 16))
+def test_passes_equal_scipy_fft_1d_calls(workers, seed, n, radius, m, width):
+    # each pass, run inside fields.workers, is scipy.fft's public 1-D call
+    # with as many workers on the same lines, bitwise: the y and z passes on
+    # a slab of min(width, N) x-planes, the x passes on compact columns
+    # (several slabs) or on a half spectrum (one slab)
+    grid = ball_grid(n, radius)
+    kc, c = grid.kc, min(width, n)
+    rng = np.random.default_rng(seed)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    values = rng.standard_normal((m, c, n, n))
+    slab = noise((m, c, n, n // 2 + 1))
+    spectra = noise((m,) + (grid.column_shape if c < n else grid.spectral_shape))
+    # the x lines that hold modes of the ball
+    rows = (slice(0, kc + 1), slice(n - kc, n))
+    lines = [(...,)] if c < n else [(..., r, slice(0, kc + 1)) for r in rows]
+    opts = dict(norm="forward", workers=workers)
+    with fields.workers(workers):
+        want = scipy.fft.rfft(values, axis=-1, **opts)
+        want[..., : kc + 1] = scipy.fft.fft(want[..., : kc + 1], axis=-2, **opts)
+        assert rfft_zy(values, grid).tobytes() == want.tobytes()
+
+        want = slab.copy()
+        want[..., : kc + 1] = scipy.fft.ifft(slab[..., : kc + 1], axis=-2, **opts)
+        got = slab.copy()
+        ifft_y(got, grid)
+        assert got.tobytes() == want.tobytes()
+
+        want = scipy.fft.irfft(slab, n=n, axis=-1, **opts)
+        assert irfft_z(slab, n).tobytes() == want.tobytes()
+
+        for run, scipy_pass in ((ifft_x, scipy.fft.ifft), (fft_x, scipy.fft.fft)):
+            want = spectra.copy()
+            for at in lines:
+                want[at] = scipy_pass(spectra[at], axis=-3, **opts)
+            got = spectra.copy()
+            packed = run(got, grid)
+            if run is fft_x:
+                got, want = packed, truncate_coeffs(want, grid)
+            assert got.tobytes() == want.tobytes()
+    assert fields._FFT_WORKERS == 1
 
 
 @DERANDOMIZED

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two source trees of mhddamp write the same artifacts.
 
-    python tools/compare_artifacts.py [--rtol R] OLD_SRC NEW_SRC
+    python tools/compare_artifacts.py [--rtol R] [--threads N] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the ``mhddamp`` package, such
 as the ``src`` of two checkouts.  Every ``configs/*.json`` of this
@@ -21,6 +21,10 @@ or stream, and each field of a ``.mhdf`` checkpoint by R times its largest
 and all text but the numbers must still match exactly, but for a restart
 leg's ``config_hash``, which hashes the checkpoint it restarts from, when
 that checkpoint differs.
+
+With ``--threads N`` the NEW side's legs run with ``--threads N``, so
+``--threads 2 src src`` checks that one tree writes the same artifacts on 1
+and on 2 FFT threads.
 
 Each difference is printed, and the exit status is 1 if there is any, 0 if
 there is none.
@@ -70,9 +74,11 @@ def leg_configs() -> dict[str, tuple[dict, int]]:
     return configs
 
 
-def run_side(src: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]:
-    """Run every leg with the package in ``src``, in ``workdir``; returns
-    leg -> (exit code, stdout, stderr)."""
+def run_side(src: Path, workdir: Path, options: tuple[str, ...]
+             ) -> dict[str, tuple[int, bytes, bytes]]:
+    """Run every leg with the package in ``src``, in ``workdir``, with the
+    command-line ``options`` added; returns leg -> (exit code, stdout,
+    stderr)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MHDDAMP_")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     results = {}
@@ -88,7 +94,7 @@ def run_side(src: Path, workdir: Path) -> dict[str, tuple[int, bytes, bytes]]:
             (workdir / config_file).write_text(json.dumps(leg_cfg, indent=2, sort_keys=True))
             proc = subprocess.run(
                 [sys.executable, "-c", MAIN, command, "--config", config_file,
-                 "--out", f"{name}-{leg}"],
+                 "--out", f"{name}-{leg}", *options],
                 cwd=workdir, env=env, capture_output=True,
             )
             results[f"{name} {leg}"] = (proc.returncode, proc.stdout, proc.stderr)
@@ -258,11 +264,16 @@ def main(argv: list[str]) -> int:
     )
     parser.add_argument("--rtol", type=float, default=None,
                         help="let numbers differ by RTOL times their scale")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="run the NEW side's legs with --threads THREADS")
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     args = parser.parse_args(argv)
     if args.rtol is not None and not args.rtol >= 0.0:
         parser.error("--rtol must be a number >= 0")
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be an integer >= 1")
+    options = [(), () if args.threads is None else ("--threads", str(args.threads))]
     srcs = [args.old_src.resolve(), args.new_src.resolve()]
     for src in srcs:
         if not (src / "mhddamp" / "__init__.py").is_file():
@@ -271,9 +282,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_artifacts_") as tmp:
         dirs = [Path(tmp) / "old", Path(tmp) / "new"]
         results = []
-        for src, workdir in zip(srcs, dirs):
+        for src, workdir, side_options in zip(srcs, dirs, options):
             workdir.mkdir()
-            results.append(run_side(src, workdir))
+            results.append(run_side(src, workdir, side_options))
         found, worst = differences(dirs[0], dirs[1], *results, rtol=args.rtol)
         files = sum(1 for p in dirs[0].rglob("*") if p.is_file())
     for line in found:
