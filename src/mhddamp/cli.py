@@ -37,7 +37,7 @@ from .lemmas import (
     monotonicity_suite,
 )
 from .operators import sobolev_norm
-from .uniqueness import TwinRunResult, check_perturbation_scale, twin_run
+from .uniqueness import check_perturbation_scale, twin_run
 
 KNOWN_CHECKS = ("l2", "h1_additive", "h1_exponential", "lemmas", "twin")
 KNOWN_REPORT_FORMATS = ("csv", "text", "json")
@@ -266,23 +266,9 @@ def _lemma_reports_for_run(damping: DampingSpec) -> list[CheckReport]:
     return [CheckReport("lemma_suite", "NOT-APPLICABLE", detail="no damping active")]
 
 
-def _twin_pair(solver: SolverConfig, eps: float) -> TwinRunResult | None:
-    """The eps twin, run once the eps = 0 twin has shown determinism.
-
-    Returns None when the eps = 0 trajectories differ, and the eps = 0 twin
-    itself when it blew up.
-    """
-    zero = twin_run(solver, 0.0)
-    if zero.blown_up:
-        return zero
-    if not zero.identical:
-        return None
-    return twin_run(solver, eps)
-
-
 def _twin_report(cfg: ExperimentConfig) -> CheckReport:
-    result = _twin_pair(cfg.solver, cfg.perturbation_scale)
-    if result is None:
+    result = twin_run(cfg.solver, cfg.perturbation_scale)
+    if not (result.blown_up or result.reproducible):
         return CheckReport("twin", "FAIL", detail="eps = 0 twin trajectories differ")
     ok = result.bound_satisfied() and not result.blown_up
     return CheckReport(
@@ -296,10 +282,11 @@ def _twin_report(cfg: ExperimentConfig) -> CheckReport:
 def _load_lemma_matrix(path) -> dict:
     """DEFAULT_MATRIX updated from the JSON object in ``path``.
 
-    Every entry is checked: nonempty lists of finite numbers in alphas and
-    betas and of catalog names in f_ids, a finite x_max, integer x_points
-    and pairs >= 1 and an integer seed >= 0, and x_points and pairs whose
-    arrays fit the physical memory.  ConfigError otherwise.
+    Every entry is checked: nonempty lists of finite numbers in alphas
+    (positive) and betas and of catalog names in f_ids, a finite x_max >= 0,
+    integer x_points and pairs >= 1 and an integer seed >= 0, and x_points
+    and pairs whose arrays fit the physical memory.  ConfigError otherwise,
+    before any output is written.
     """
     try:
         with open(path) as fh:
@@ -318,11 +305,13 @@ def _load_lemma_matrix(path) -> dict:
     for key in ("alphas", "betas"):
         if not all(_is_number(v) for v in matrix[key]):
             raise ConfigError(f"{path}: {key} must hold finite numbers, got {matrix[key]}")
+    if not all(a > 0 for a in matrix["alphas"]):
+        raise ConfigError(f"{path}: alphas must be positive, got {matrix['alphas']}")
     for f_id in matrix["f_ids"]:
         if not isinstance(f_id, str) or f_id not in F_CATALOG:
             raise ConfigError(f"{path}: unknown f_id {f_id!r}")
-    if not _is_number(matrix["x_max"]):
-        raise ConfigError(f"{path}: x_max must be a finite number, got {matrix['x_max']!r}")
+    if not (_is_number(matrix["x_max"]) and matrix["x_max"] >= 0):
+        raise ConfigError(f"{path}: x_max must be a finite number >= 0, got {matrix['x_max']!r}")
     for key, minimum in (("x_points", 1), ("pairs", 1), ("seed", 0)):
         if not (_is_int(matrix[key]) and matrix[key] >= minimum):
             raise ConfigError(f"{path}: {key} must be an integer >= {minimum}, got {matrix[key]!r}")
@@ -392,8 +381,8 @@ def cmd_twin(args) -> int:
     eps = cfg.perturbation_scale
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
-    result = _twin_pair(cfg.solver, eps)
-    if result is None:
+    result = twin_run(cfg.solver, eps)
+    if not (result.blown_up or result.reproducible):
         print("determinism check failed: eps = 0 trajectories differ", file=sys.stderr)
         return 2
     result.to_csv(_out_file(out, "twin.csv"))

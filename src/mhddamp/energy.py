@@ -161,12 +161,14 @@ def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, fl
 
 class EnergyLedger:
     """Time series of ledger rows, with the hash of the configuration that
-    made them."""
+    made them and its viscosities (nu_h, nu_v)."""
 
-    def __init__(self, damping: DampingSpec, steps_total: int, config_hash: str) -> None:
+    def __init__(self, damping: DampingSpec, steps_total: int, config_hash: str,
+                 viscosity: tuple[float, float]) -> None:
         self.damping = damping
         self.steps_total = steps_total
         self.config_hash = config_hash
+        self.viscosity = viscosity
         self.columns: dict[str, list[float]] = {name: [] for name in ALL_COLUMNS}
 
     def __len__(self) -> int:
@@ -243,6 +245,15 @@ def _report(name: str, margins: np.ndarray, times: np.ndarray, tol: float, detai
     )
 
 
+def _non_unit_viscosity(ledger: EnergyLedger) -> str:
+    """Why the energy estimates do not apply to the ledger, or "": they are
+    derived for nu_h = nu_v = 1."""
+    nu_h, nu_v = ledger.viscosity
+    if nu_h == nu_v == 1.0:
+        return ""
+    return f"estimates derived for unit viscosity, got nu_h={nu_h:g} nu_v={nu_v:g}"
+
+
 def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckReport:
     """Residual of the L2 energy balance at every row.
 
@@ -250,7 +261,10 @@ def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckRe
                                + 2 alpha int (damping dissipation) ].
     For the exact flow the residual is identically zero with damping active
     or not; the discrete residual must stay above -tol_step * total steps.
+    NOT-APPLICABLE unless the viscosities are 1.
     """
+    if detail := _non_unit_viscosity(ledger):
+        return CheckReport("l2_energy", "NOT-APPLICABLE", detail=detail)
     t = ledger.times
     w0 = ledger.column("l2_sq")[0]
     damp = L2_DAMPING_COLUMN.get(ledger.damping.kind)
@@ -323,7 +337,8 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
     where w0 is the state at the first row, at time t0, and LHS collects
     ||grad w(t)||^2, int ||Lap w||^2 and the damping dissipation integrals
     with their stated prefactors.  Both power bounds
-    are NOT-APPLICABLE when c_{alpha,beta} leaves double range.
+    are NOT-APPLICABLE when c_{alpha,beta} leaves double range, and both
+    bounds unless the viscosities are 1.
     """
     t = ledger.times
     damping = ledger.damping
@@ -335,6 +350,8 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
             CheckReport("h1_exponential", "NOT-APPLICABLE", detail=detail),
         ]
 
+    if detail := _non_unit_viscosity(ledger):
+        return not_applicable(detail)
     if damping.kind == "power":
         beta = float(damping.beta)
         if beta <= 3.0:

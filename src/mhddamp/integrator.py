@@ -278,8 +278,8 @@ def make_initial_from_config(config: SolverConfig) -> MhdState:
 
 
 class _StepWork:
-    """Integrating factors for one (grid, dt) pair and the
-    :class:`Workspace` of one trajectory."""
+    """Integrating factors for one (grid, dt) pair and a :class:`Workspace`,
+    which trajectories stepped in turn may share: nothing outlives a step."""
 
     def __init__(self, config: SolverConfig):
         self.grid = config.grid
@@ -397,8 +397,8 @@ def trajectory(state: MhdState, config: SolverConfig, want_diag: bool = True, wo
     itself at the state time, then the stepper's new state, a new array
     each step, so yielded arrays are never modified later.  Raises
     BlowUpError at the first step that leaves the finite fields.
-    ``work`` is the trajectory's :class:`_StepWork`, a new one when None;
-    its workspace is idle while a yield waits.
+    ``work`` is the :class:`_StepWork` to step on, a new one when None;
+    its workspace is idle while a yield waits, so it may be lent or shared.
     """
     t0 = state.t
     n_steps = _step_count(t0, config)
@@ -439,7 +439,8 @@ def run(config: SolverConfig):
             bound,
         )
 
-    ledger = EnergyLedger(config.damping, n_steps, config_hash(config))
+    ledger = EnergyLedger(config.damping, n_steps, config_hash(config),
+                          (config.nu_h, config.nu_v))
 
     # Only the latest sample is held here, so the initial state is freed
     # after the first step instead of living beside every later sample.

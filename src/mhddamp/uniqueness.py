@@ -20,6 +20,7 @@ from .grid import GridSpec, _is_number
 from .integrator import (
     BlowUpError,
     SolverConfig,
+    _StepWork,
     _random_divfree_state,
     config_hash,
     make_initial_from_config,
@@ -51,7 +52,8 @@ class TwinRunResult:
     eps: float
     blown_up: bool
     config_hash: str
-    identical: bool = False  # bitwise-equal trajectories (eps = 0 case)
+    identical: bool = False  # A and B bitwise equal at every sample (eps = 0 case)
+    reproducible: bool = False  # A' bitwise equal to A at every sample
 
     def bound_series(self) -> np.ndarray:
         if self.d0 == 0.0:
@@ -125,37 +127,47 @@ def _fit_rates(t: np.ndarray, d: np.ndarray, window_end: int) -> tuple[float, fl
 
 
 def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
-    """Evolve the configured state and an eps-perturbed copy in lockstep.
-
-    With eps = 0 the copy is bit-identical by construction and d(t) must be
-    identically zero.  Blow-up in either trajectory truncates the series at
-    the last common recorded time and flags the result, which is then not
-    ``identical``.
+    """Evolve the configured state A, its replay A' and an eps-perturbed
+    copy B in lockstep on one shared stepper; with eps = 0, B is A' and
+    d(t) must be identically zero.  A' must equal A bitwise at every sample
+    (``reproducible``): a step that read what another trajectory left in
+    the stepper would break it.  Blow-up in any trajectory truncates the
+    series at the last common recorded time and flags the result, which is
+    then not ``identical``.
     """
     check_perturbation_scale(perturbation_scale)
     eps = float(perturbation_scale)
     state = make_initial_from_config(config)
-    twin = state
+    starts = [state, state]
     if eps != 0.0:
         # divergence-free noise, each field scaled to unit H1 norm
         noise = _random_divfree_state(config.grid, config.seed + NOISE_SEED_OFFSET)
         for half in (noise.u, noise.b):
             half /= sobolev_norm(half, config.grid, 1.0)
-        twin = MhdState(state.coeffs + eps * noise.coeffs, config.grid, state.t)
+        starts.append(MhdState(state.coeffs + eps * noise.coeffs, config.grid, state.t))
+        del noise
+    stepper = _StepWork(config)
+    runs = [trajectory(start, config, False, work=stepper) for start in starts]
+    del state, starts
 
     times, seps = [], []
+    reproducible = identical = True
     blown = False
-    pairs = zip(trajectory(state, config, False), trajectory(twin, config, False))
     try:
-        for (t, w_a, _), (_, w_b, _) in pairs:
+        for samples in zip(*runs):
+            (t, w_a, _), (_, w_r, _), (_, w_b, _) = samples[0], samples[1], samples[-1]
+            reproducible = reproducible and np.array_equal(w_a, w_r)
+            identical = identical and np.array_equal(w_a, w_b)
             times.append(t)
             seps.append(_separation(w_a, w_b, config.grid))
+            # dropped before the next steps, which allocate the new samples
+            del samples, w_a, w_r, w_b
     except BlowUpError:
         blown = True
 
     t = np.asarray(times)
     d = np.asarray(seps)
-    identical = bool(not blown and np.array_equal(w_a, w_b) and np.all(d == 0.0))
+    identical = identical and not blown
     window_end = _fit_window(d)
     c_hat, c_bound = _fit_rates(t, d, window_end)
     return TwinRunResult(
@@ -169,4 +181,5 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
         blown_up=blown,
         config_hash=config_hash(config),
         identical=identical,
+        reproducible=reproducible,
     )

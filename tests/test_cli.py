@@ -525,14 +525,19 @@ class TestCmdLemmas:
             ('{"alpha": [1.0]}', "unknown keys"),
             ('{"x_points": 1000000000000}', "x_points = 1000000000000 needs about"),
             ('{"pairs": 1000000000000}', "pairs = 1000000000000 needs about"),
+            ('{"alphas": [-1.0]}', "alphas must be positive"),
+            ('{"alphas": [0.0]}', "alphas must be positive"),
+            ('{"x_max": -5.0}', "x_max must be a finite number >= 0"),
         ],
     )
     def test_malformed_matrix_exit_one(self, tmp_path, capsys, text, message):
         matrix = tmp_path / "m.json"
         matrix.write_text(text)
-        assert main(["lemmas", "--matrix", str(matrix), "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main(["lemmas", "--matrix", str(matrix), "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err and message in err
+        assert not out.exists()
 
 
 class TestCmdTwin:
@@ -584,9 +589,40 @@ class TestCmdTwin:
         save_config(cfg, path)
         out = tmp_path / "out"
         assert main(["twin", "--config", str(path), "--eps", "1e-6", "--out", str(out)]) == 3
-        assert "blew up" in capsys.readouterr().err
+        assert capsys.readouterr().err == "twin run blew up (eps = 1e-06)\n"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blown_up"] is True
+        # the requested twin, its separations up to the first blow-up
+        assert summary["eps"] == 1e-6 and summary["d0"] > 0.0
+
+    def test_nondeterministic_step_fails(self, grid16, tmp_path, capsys, monkeypatch):
+        # a step whose output depends on how many steps ran before it: the
+        # replay differs from the reference
+        from mhddamp import integrator
+        from mhddamp.cli import _twin_report
+
+        advance, calls = integrator._StepWork.advance, []
+
+        def drifting(self, w, want_diag=True):
+            w_new, increments = advance(self, w, want_diag)
+            calls.append(None)
+            w_new[0, 1] += len(calls) * 1e-9
+            return w_new, increments
+
+        monkeypatch.setattr(integrator._StepWork, "advance", drifting)
+        cfg = experiment(grid16, t_end=0.05, damping=DampingSpec(), target=0.5, checks=("twin",))
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        out = tmp_path / "out"
+        assert main(["twin", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "determinism check failed: eps = 0 trajectories differ\n"
+        assert not (out / "twin.csv").exists() and not (out / "summary.json").exists()
+
+        rep = _twin_report(cfg)
+        assert (rep.status, rep.detail) == ("FAIL", "eps = 0 twin trajectories differ")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert (out / "checks.txt").read_text().startswith("FAIL twin ")
+        assert json.loads((out / "summary.json").read_text())["checks"] == {"twin": "FAIL"}
 
     def test_mismatched_grid_usage_error(self, grid8, grid16, tmp_path):
         from mhddamp import make_initial, save_checkpoint

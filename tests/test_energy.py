@@ -256,6 +256,23 @@ class TestH1Checks:
         assert reports["h1_exponential"].status == "PASS"
 
 
+@pytest.mark.parametrize("nu", [(0.5, 0.5), (2.0, 2.0), (5.0, 2.0)], ids=str)
+def test_energy_checks_need_unit_viscosity(grid16, nu):
+    # the estimates are derived for nu_h = nu_v = 1: at (0.5, 0.5) the L2
+    # balance of a correct trajectory would read FAIL, and at the others
+    # PASS only because its one-sided residual turns positive
+    cfg = SolverConfig(
+        grid=grid16, dt=2e-3, t_end=100 * 2e-3, ledger_stride=25, seed=3, nu_h=nu[0], nu_v=nu[1],
+        initial_condition=InitialCondition(kind="random_divfree", target_h1=1.0),
+        damping=DampingSpec(kind="power", alpha=1.0, beta=4.0),
+    )
+    _, ledger = run(cfg)
+    assert ledger.viscosity == nu
+    for rep in [check_L2_inequality(ledger), *check_H1_inequalities(ledger)]:
+        assert rep.status == "NOT-APPLICABLE", rep.name
+        assert rep.detail == f"estimates derived for unit viscosity, got nu_h={nu[0]:g} nu_v={nu[1]:g}"
+
+
 def restart_at(t0, tmp_path):
     """50 steps of power damping, beta = 4, at N = 8 from a checkpoint of
     one state taken at time t0."""

@@ -341,9 +341,8 @@ class TestStep:
         state = load_checkpoint(tmp_path / "out" / "checkpoint.mhdf")
         assert np.array_equal(state.coeffs, samples[-1])
 
-    def test_twin_engines_share_no_buffer(self, grid16, monkeypatch):
+    def test_twin_steps_on_one_engine(self, grid16, monkeypatch):
         from mhddamp import integrator, twin_run
-        from mhddamp.grid import WORKSPACE_GRIDS
 
         engines = []
         init = integrator._StepWork.__init__
@@ -358,16 +357,11 @@ class TestStep:
             initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
             damping=DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
         )
-        twin_run(cfg, 1e-6)
-        assert len(engines) == 2
+        # the reference, its replay and the perturbed copy take turns on it
+        assert twin_run(cfg, 1e-6).reproducible
+        assert len(engines) == 1
         # the grid's tables are shared, and read-only
         assert all(not t.flags.writeable for t in (grid16.index, grid16.k_sq, grid16.kx))
-        a, b = (
-            [e.half_factor, e.full_factor]
-            + [getattr(e.work, name) for name, _, _ in WORKSPACE_GRIDS]
-            for e in engines
-        )
-        assert not any(np.shares_memory(x, y) for x in a for y in b)
 
     def test_span_must_be_whole_steps_from_state_time(self, grid16):
         cfg = SolverConfig(

@@ -1,9 +1,9 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
 workspace's arrays against the model's, a right-hand side against its
 forward output, a ledger row against a right-hand side and against a
-stage's transients, the damping-identity check against two workspaces,
-and the set-up steps (initial states, checkpoint read and hash, CFL bound)
-against the packed and slab-sized transients they are allowed."""
+stage's transients, the damping-identity check and a twin run against two
+workspaces, and the set-up steps (initial states, checkpoint read and hash,
+CFL bound) against the packed and slab-sized transients they are allowed."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ import pytest
 
 from mhddamp import (
     DampingSpec, GridSpec, InitialCondition, SolverConfig, load_checkpoint, make_initial, run,
-    save_checkpoint,
+    save_checkpoint, twin_run,
 )
 from mhddamp.energy import check_damping_identity, ledger_row
 from mhddamp.grid import (
@@ -142,6 +142,23 @@ def test_workspace_allocates_its_model(n, radius):
     work = Workspace(grid)
     held = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
     assert held == model
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6])
+def test_twin_run_shares_one_stepper(eps):
+    # the reference, its replay and the perturbed copy step on one
+    # workspace: beside it, at most one workspace's worth of stage
+    # transients and states, and a (3, N, N, N) noise draw
+    grid = GRIDS[64]
+    cfg = SolverConfig(
+        grid=grid, dt=1e-3, t_end=2e-3, ledger_stride=1, seed=5,
+        initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+        damping=DAMPINGS["log1"],
+    )
+    work = Workspace(grid)
+    one = sum(a.nbytes for a in vars(work).values() if isinstance(a, np.ndarray))
+    del work
+    assert traced_peak(twin_run, cfg, eps) <= 2 * one + 24 * grid.n_modes**3
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Twin-run separation growth and the damping contraction property."""
 
+import contextlib
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from mhddamp import (
     run,
     twin_run,
 )
+from mhddamp import uniqueness
+from mhddamp.integrator import trajectory
 
-from _helpers import damping_contraction_check, damping_contraction_pointwise
+from _helpers import damping_contraction_check, damping_contraction_pointwise, slab_planes
 
 
 def twin_config(grid, damping=DampingSpec(), target=0.5, t_end=0.5, seed=4):
@@ -28,7 +31,7 @@ class TestTwinRun:
     def test_zero_perturbation_bitwise_identical(self, grid16):
         cfg = twin_config(grid16, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))
         result = twin_run(cfg, 0.0)
-        assert result.identical
+        assert result.identical and result.reproducible
         assert np.all(result.d == 0.0)
         assert result.bound_satisfied()
 
@@ -38,6 +41,29 @@ class TestTwinRun:
         assert result.d0 > 0
         assert np.isfinite(result.c_hat)
         assert result.bound_satisfied(slack=1e-6)
+
+    @pytest.mark.parametrize("planes", [None, 3], ids=["one-slab", "slabs-of-3"])
+    def test_separation_equals_separate_steppers(self, grid16, monkeypatch, planes):
+        # the three trajectories share one stepper; A and B stepped each on
+        # its own give the same separations, bit for bit
+        cfg = twin_config(grid16, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
+                          t_end=0.1)
+        starts = []
+
+        def record(state, config, want_diag, work):
+            starts.append(state)
+            return trajectory(state, config, want_diag, work)
+
+        monkeypatch.setattr(uniqueness, "trajectory", record)
+        with slab_planes(16, planes) if planes else contextlib.nullcontext():
+            result = twin_run(cfg, 1e-6)
+            a, replay, b = starts
+            want = [uniqueness._separation(w_a, w_b, grid16)
+                    for (_, w_a, _), (_, w_b, _) in zip(trajectory(a, cfg, False),
+                                                        trajectory(b, cfg, False))]
+        assert replay is a and result.reproducible and not result.identical
+        assert result.d.size == 3
+        assert np.array_equal(result.d, want)
 
     def test_rate_stable_under_smaller_perturbation(self, grid16):
         cfg = twin_config(grid16, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))
