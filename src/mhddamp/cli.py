@@ -10,9 +10,9 @@ errors, 2 when a check fails, 3 when a run blows up.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, fields
 from .damping import DampingSpec, F_CATALOG
 from .energy import check_H1_inequalities, check_L2_inequality
-from .grid import GridSpec, _is_int, _is_number, check_memory
+from .grid import ConfigError, GridSpec, Leaf, check_fields, check_leaf, check_memory, leaf
 from .integrator import (
     BlowUpError,
     InitialCondition,
@@ -37,7 +37,7 @@ from .lemmas import (
     monotonicity_suite,
 )
 from .operators import sobolev_norm
-from .uniqueness import check_perturbation_scale, twin_run
+from .uniqueness import PERTURBATION_SCALE, twin_run
 
 KNOWN_CHECKS = ("l2", "h1_additive", "h1_exponential", "lemmas", "twin")
 KNOWN_REPORT_FORMATS = ("csv", "text", "json")
@@ -51,99 +51,86 @@ DEFAULT_MATRIX = {
     "pairs": 100_000,
     "seed": 0,
 }
+MATRIX_FIELDS = {
+    "alphas": Leaf("reals", gt=0, nonempty=True),
+    "betas": Leaf("reals", nonempty=True),
+    "f_ids": Leaf("names", choices=tuple(sorted(F_CATALOG)), nonempty=True),
+    "x_max": Leaf("real", ge=0),
+    "x_points": Leaf("int", ge=1),
+    "pairs": Leaf("int", ge=1),
+    "seed": Leaf("int", ge=0),
+}
 # Peak bytes per x point of check_interpolation_bound and per pair of
 # monotonicity_suite: 3 and 16 float64 arrays of that length (tracemalloc).
 MATRIX_BYTES = {"x_points": 3 * 8, "pairs": 16 * 8}
 
 
-class ConfigError(ValueError):
-    """Configuration file error with field context."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
+    name: str = leaf("str", nonempty=True)
     solver: SolverConfig
-    output_dir: str | None = None
-    checks: tuple[str, ...] = ("l2",)
-    perturbation_scale: float = 1e-6
-    report_formats: tuple[str, ...] = KNOWN_REPORT_FORMATS
+    output_dir: str | None = leaf("str", default=None)
+    checks: tuple[str, ...] = leaf("names", choices=KNOWN_CHECKS, default=("l2",))
+    perturbation_scale: float = dataclasses.field(default=1e-6,
+                                                  metadata={"leaf": PERTURBATION_SCALE})
+    report_formats: tuple[str, ...] = leaf("names", choices=KNOWN_REPORT_FORMATS,
+                                           default=KNOWN_REPORT_FORMATS)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.name, str) and self.name):
-            raise ConfigError(f"name: experiment name must be a nonempty string, got {self.name!r}")
-        for key, noun, known in (
-            ("checks", "check", KNOWN_CHECKS),
-            ("report_formats", "report format", KNOWN_REPORT_FORMATS),
-        ):
-            names = getattr(self, key)
-            if not isinstance(names, (list, tuple)):
-                raise ConfigError(f"{key}: expected a list of names, got {names!r}")
-            for name in names:
-                if name not in known:
-                    raise ConfigError(f"{key}: unknown {noun} {name!r} (known: {known})")
-            object.__setattr__(self, key, tuple(names))
-        if not (self.output_dir is None or isinstance(self.output_dir, str)):
-            raise ConfigError(f"output_dir: expected a string or null, got {self.output_dir!r}")
-        check_perturbation_scale(self.perturbation_scale, ConfigError)
+        check_fields(self)
+        object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "report_formats", tuple(self.report_formats))
 
 
 # Configuration (de)serialization -------------------------------------------
 
+# The nested sections of a config: field name -> the dataclass built from it.
+SECTIONS = {"solver": SolverConfig, "grid": GridSpec, "damping": DampingSpec,
+            "initial_condition": InitialCondition}
 
-def _section(payload: dict, builder, context: str):
+
+def _build(cls, data, path: str = ""):
+    """``cls`` built from the JSON object ``data`` at ``path`` (dotted), each
+    of its SECTIONS from a nested object, which may be left out where the
+    field has a default; ConfigError prefixed by the path otherwise."""
+    context = path or "top level"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: " + ("section missing or not an object" if path
+                                            else "expected a JSON object"))
+    # a copy; a null grid entry stands for its default
+    data = {k: v for k, v in data.items() if v is not None or cls is not GridSpec}
+    for field in dataclasses.fields(cls):
+        if field.name in SECTIONS and (field.name in data or field.default is dataclasses.MISSING):
+            sub = f"{path}.{field.name}" if path else field.name
+            data[field.name] = _build(SECTIONS[field.name], data.get(field.name), sub)
     try:
-        return builder(**payload)
+        return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _object(data: dict, key: str, context: str, default=None) -> dict:
-    value = data.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: section missing or not an object")
-    return value
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
-    solver_data = _object(data, "solver", "solver")
-    grid_data = _object(solver_data, "grid", "solver.grid")
-    grid_data = {k: v for k, v in grid_data.items() if v is not None}
-    grid = _section(grid_data, GridSpec, "solver.grid")
-    damping_data = _object(solver_data, "damping", "solver.damping", {"kind": "none"})
-    damping = _section(damping_data, DampingSpec, "solver.damping")
-    ic_data = _object(solver_data, "initial_condition", "solver.initial_condition")
-    ic = _section(ic_data, InitialCondition, "solver.initial_condition")
-    solver = _section(
-        {**solver_data, "grid": grid, "damping": damping, "initial_condition": ic},
-        SolverConfig,
-        "solver",
-    )
-    top = {k: v for k, v in data.items() if k != "solver"}
-    return _section({**top, "solver": solver}, ExperimentConfig, "top level")
+    return _build(ExperimentConfig, data)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path) -> ExperimentConfig:
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: number {text} is not finite")
-        return value
-
+def _read_json(path):
+    """The JSON value in the file ``path``; ConfigError naming the file if
+    it cannot be read or parsed."""
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path))
 
 
 def _write_json(path, obj) -> None:
@@ -197,16 +184,18 @@ def _final_state_summary(state) -> dict:
 # Subcommands ----------------------------------------------------------------
 
 
-def _apply_common_overrides(args, cfg: ExperimentConfig) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
+    """The config of ``--config``, with ``--seed`` and ``--eps`` applied."""
+    cfg = load_config(args.config)
     if args.seed is not None:
-        solver = dataclasses.replace(cfg.solver, seed=args.seed)
-        cfg = dataclasses.replace(cfg, solver=solver)
+        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=args.seed))
+    if getattr(args, "eps", None) is not None:
+        cfg = dataclasses.replace(cfg, perturbation_scale=args.eps)
     return cfg
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_common_overrides(args, cfg)
+    cfg = _load_config(args)
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
     formats = set(cfg.report_formats)
@@ -280,54 +269,24 @@ def _twin_report(cfg: ExperimentConfig) -> CheckReport:
 
 
 def _load_lemma_matrix(path) -> dict:
-    """DEFAULT_MATRIX updated from the JSON object in ``path``.
-
-    Every entry is checked: nonempty lists of finite numbers in alphas
-    (positive) and betas and of catalog names in f_ids, a finite x_max >= 0,
-    integer x_points and pairs >= 1 and an integer seed >= 0, and x_points
-    and pairs whose arrays fit the physical memory.  ConfigError otherwise,
-    before any output is written.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    """DEFAULT_MATRIX updated from the JSON object in ``path``, its entries
+    checked against MATRIX_FIELDS and its x_points and pairs against the
+    physical memory; ValueError otherwise, before any output is written."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = sorted(set(data) - set(DEFAULT_MATRIX))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     matrix = {**DEFAULT_MATRIX, **data}
-    for key in ("alphas", "betas", "f_ids"):
-        if not isinstance(matrix[key], list) or not matrix[key]:
-            raise ConfigError(f"{path}: {key} must be a nonempty list")
-    for key in ("alphas", "betas"):
-        if not all(_is_number(v) for v in matrix[key]):
-            raise ConfigError(f"{path}: {key} must hold finite numbers, got {matrix[key]}")
-    if not all(a > 0 for a in matrix["alphas"]):
-        raise ConfigError(f"{path}: alphas must be positive, got {matrix['alphas']}")
-    for f_id in matrix["f_ids"]:
-        if not isinstance(f_id, str) or f_id not in F_CATALOG:
-            raise ConfigError(f"{path}: unknown f_id {f_id!r}")
-    if not (_is_number(matrix["x_max"]) and matrix["x_max"] >= 0):
-        raise ConfigError(f"{path}: x_max must be a finite number >= 0, got {matrix['x_max']!r}")
-    for key, minimum in (("x_points", 1), ("pairs", 1), ("seed", 0)):
-        if not (_is_int(matrix[key]) and matrix[key] >= minimum):
-            raise ConfigError(f"{path}: {key} must be an integer >= {minimum}, got {matrix[key]!r}")
+    check_fields(matrix, MATRIX_FIELDS, str(path))
     for key, size in MATRIX_BYTES.items():
-        try:
-            check_memory(size * matrix[key], f"{key} = {matrix[key]}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        check_memory(size * matrix[key], f"{path}: {key} = {matrix[key]}")
     return matrix
 
 
 def cmd_lemmas(args) -> int:
     matrix = _load_lemma_matrix(args.matrix) if args.matrix else dict(DEFAULT_MATRIX)
-    alphas = matrix["alphas"]
-    betas = matrix["betas"]
-    f_ids = matrix["f_ids"]
 
     out = _resolve_out_dir(args.out, None, "lemmas")
     lemma_dir = os.path.join(out, "lemmas")
@@ -337,8 +296,8 @@ def cmd_lemmas(args) -> int:
     all_ok = True
     with open(os.path.join(lemma_dir, "interpolation.csv"), "w") as fh:
         fh.write("alpha,beta,status,worst_margin,x_at_worst,margin_at_x_star,c\n")
-        for alpha in alphas:
-            for beta in betas:
+        for alpha in matrix["alphas"]:
+            for beta in matrix["betas"]:
                 rep = check_interpolation_bound(float(alpha), float(beta), x)
                 all_ok = all_ok and rep.acceptable
                 if rep.status == "NOT-APPLICABLE":
@@ -352,7 +311,7 @@ def cmd_lemmas(args) -> int:
 
     with open(os.path.join(lemma_dir, "monotonicity.csv"), "w") as fh:
         fh.write("f_id,status,worst_margin,samples\n")
-        for f_id in f_ids:
+        for f_id in matrix["f_ids"]:
             rep = monotonicity_suite(f_id, n_pairs=int(matrix["pairs"]), seed=int(matrix["seed"]))
             all_ok = all_ok and rep.passed
             fh.write(f"{f_id},{rep.status},{rep.worst_margin:.17g},{rep.samples}\n")
@@ -360,8 +319,8 @@ def cmd_lemmas(args) -> int:
     z = np.logspace(0.0, 6.0, 2_000)
     with open(os.path.join(lemma_dir, "envelope.csv"), "w") as fh:
         fh.write("f_id,beta,a_star,a_argmin,b_star,b_argmax,f_at_zero,lower_bound_degenerate\n")
-        for f_id in f_ids:
-            for beta in betas:
+        for f_id in matrix["f_ids"]:
+            for beta in matrix["betas"]:
                 rep = modifier_envelope_report(f_id, float(beta), z)
                 fh.write(
                     f"{f_id},{beta},{rep.a_star:.17g},{rep.a_argmin:.17g},"
@@ -374,10 +333,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_twin(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_common_overrides(args, cfg)
-    if args.eps is not None:
-        cfg = dataclasses.replace(cfg, perturbation_scale=args.eps)
+    cfg = _load_config(args)
     eps = cfg.perturbation_scale
     out = _resolve_out_dir(args.out, cfg.output_dir, cfg.name)
 
@@ -465,19 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _fft_workers(args) -> int:
     """FFT worker cap of one command: --threads, else MHDDAMP_THREADS, else
     1; at most the CPUs this process may run on."""
-    if not hasattr(args, "threads"):
-        return 1
-    workers = args.threads
+    source, workers = "--threads", getattr(args, "threads", 1)
     if not workers:
-        env = os.environ.get("MHDDAMP_THREADS") or "0"
-        try:
-            workers = int(env) or 1
-        except ValueError:
-            raise ConfigError(f"MHDDAMP_THREADS must be an integer, got {env!r}") from None
+        source, workers = "MHDDAMP_THREADS", os.environ.get("MHDDAMP_THREADS") or "0"
+        with contextlib.suppress(ValueError):  # the walker names a non-integer
+            workers = int(workers) or 1
     cpus = len(os.sched_getaffinity(0))
-    if not 1 <= workers <= cpus:
-        raise ConfigError(f"FFT worker count must lie in [1, {cpus}], the CPUs available, "
-                          f"got {workers}")
+    check_leaf(workers, Leaf("int", ge=1, le=cpus), "FFT worker count", source)
     return workers
 
 

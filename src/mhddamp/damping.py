@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import _is_number
+from .grid import check_fields, leaf
 
 E = float(np.e)
 E_E = float(np.exp(np.e))        # e^e
@@ -76,31 +76,21 @@ DAMPING_KINDS = ("none", "power", "generalized")
 class DampingSpec:
     """Which damping term is active, with its parameters."""
 
-    kind: str = "none"
-    alpha: float = 0.0
-    beta: float | None = None
-    f_id: str | None = None
+    kind: str = leaf("name", choices=DAMPING_KINDS, default="none")
+    alpha: float = leaf("real", default=0.0)
+    beta: float | None = leaf("real", default=None)
+    f_id: str | None = None  # checked by the generalized rule only
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (_is_number(value) or (name == "beta" and value is None)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.kind not in DAMPING_KINDS:
-            raise ValueError(f"unknown damping kind {self.kind!r}")
-        if self.kind == "power":
-            if self.alpha <= 0:
-                raise ValueError("power damping requires alpha > 0")
-            if self.beta is None or self.beta <= 1:
-                raise ValueError("power damping requires beta > 1")
-        elif self.kind == "generalized":
-            if self.alpha <= 0:
-                raise ValueError("generalized damping requires alpha > 0")
-            if self.f_id not in F_CATALOG:
-                raise ValueError(f"f_id must be one of {sorted(F_CATALOG)}, got {self.f_id!r}")
-        else:
-            if self.alpha != 0.0:
-                raise ValueError("kind 'none' must have alpha = 0")
+        check_fields(self)
+        if self.kind == "none" and self.alpha != 0.0:
+            raise ValueError("kind 'none' must have alpha = 0")
+        if self.kind != "none" and self.alpha <= 0:
+            raise ValueError(f"{self.kind} damping requires alpha > 0")
+        if self.kind == "power" and (self.beta is None or self.beta <= 1):
+            raise ValueError("power damping requires beta > 1")
+        if self.kind == "generalized" and self.f_id not in F_CATALOG:
+            raise ValueError(f"f_id must be one of {sorted(F_CATALOG)}, got {self.f_id!r}")
 
     @property
     def function(self) -> DampingFunction:

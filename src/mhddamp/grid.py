@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -140,37 +142,86 @@ def check_memory(need: int, what: str) -> None:
     memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
+        need = need if need <= sys.float_info.max else math.inf  # an int beyond double range
         raise ValueError(
             f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class ConfigError(ValueError):
+    """An input that is not allowed, in one line that names its field."""
 
 
-def _is_number(value) -> bool:
-    """A finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+# The kind and bounds of one input leaf.  A kind with an "s" added ("reals",
+# "ints", "names") is a list or tuple of that kind.  A number is > gt, >= ge
+# and <= le, each where given; nonempty bars an empty string or list, and
+# optional admits None.  No kind admits a bool.
+Leaf = namedtuple("Leaf", "kind gt ge le choices nonempty optional",
+                  defaults=(None, None, None, (), False, False))
+_KINDS = {  # kind -> (test of one value, what the value is)
+    # abs(): not NaN, not infinite, and not an integer beyond double range
+    "real": (lambda v: isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max,
+             "a finite number"),
+    "int": (lambda v: isinstance(v, numbers.Integral), "an integer"),
+    "even": (lambda v: isinstance(v, numbers.Integral) and v % 2 == 0, "an even integer"),
+    "str": (lambda v: isinstance(v, str), "a {nonempty}string"),
+    "name": (lambda v: isinstance(v, str), "one of {choices}"),
+}
+
+
+def leaf(kind: str, default=MISSING, **bounds):
+    """A dataclass field checked by :func:`check_fields` as a :data:`Leaf`
+    of ``kind`` and ``bounds``; a default of None admits None."""
+    spec = Leaf(kind, optional=default is None, **bounds)
+    return field(default=default, metadata={"leaf": spec})
+
+
+def leaves(cls) -> dict:
+    """The table of a dataclass: name -> Leaf of each field made by :func:`leaf`."""
+    return {f.name: f.metadata["leaf"] for f in fields(cls) if "leaf" in f.metadata}
+
+
+def _fits(value, spec: Leaf, kind: str) -> bool:
+    if kind.endswith("s"):
+        return (isinstance(value, (list, tuple)) and bool(value or not spec.nonempty)
+                and all(_fits(item, spec, kind[:-1]) for item in value))
+    return (not isinstance(value, bool) and _KINDS[kind][0](value)
+            and not (spec.nonempty and value == "") and (not spec.choices or value in spec.choices)
+            and (spec.gt is None or value > spec.gt) and (spec.ge is None or value >= spec.ge)
+            and (spec.le is None or value <= spec.le))
+
+
+def check_leaf(value, spec: Leaf, name: str, context: str = "") -> None:
+    """ConfigError, naming ``context`` and the leaf ``name``, unless
+    ``value`` is of the kind of ``spec`` and within its bounds."""
+    if (value is None and spec.optional) or _fits(value, spec, spec.kind):
+        return
+    bounds = " and ".join(f"{symbol} {bound}" for symbol, bound in zip(
+        (">", ">=", "<="), (spec.gt, spec.ge, spec.le)) if bound is not None)
+    what = f"{_KINDS[spec.kind.removesuffix('s')][1]} {bounds}".rstrip()
+    what = ("a {nonempty}list, each " if spec.kind.endswith("s") else "") + what
+    what = what.format(nonempty="nonempty " * spec.nonempty, choices=spec.choices)
+    raise ConfigError(f"{context + ': ' if context else ''}{name} must be {what}"
+                      f"{' or null' if spec.optional else ''}, got {value!r}")
+
+
+def check_fields(source, table: dict | None = None, context: str = "") -> None:
+    """:func:`check_leaf` of each leaf of ``table`` (name -> Leaf) in the
+    dict ``source``, or of each leaf of the dataclass ``source``."""
+    if table is None:
+        table, source = leaves(source), vars(source)
+    for name, spec in table.items():
+        check_leaf(source[name], spec, name, context)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """
-    Cubic N x N x N spectral grid on the periodic box of side 2*pi.
-
-    Parameters
-    ----------
-    n_modes : int
-        Points per axis; must be an even integer >= 8.
-    box_length : float
-        Box side length.  Fixed at 2*pi; anything else is rejected.
-    truncation_radius : float, optional
-        Spherical spectral cutoff R: modes with |k| >= R are dropped by
-        truncating operations.  Defaults to dealias_fraction * n_modes / 2.
-    dealias_fraction : float
-        Fraction of the Nyquist band kept by the dealias rule, in (0, 1].
+    Cubic N x N x N spectral grid, N = ``n_modes`` points per axis, on the
+    periodic box of side ``box_length`` = 2*pi.  Truncating operations drop
+    the modes |k| >= R = ``truncation_radius``, by default the dealias rule's
+    ``dealias_fraction`` * N/2.  Each field is a :func:`leaf`; R <= N/2.
 
     The grid holds the integer wavenumbers ``k1d`` of one axis, in FFT
     order, kc = :func:`column_cutoff` (R), ``column_shape`` =
@@ -186,24 +237,18 @@ class GridSpec:
     any array is built.
     """
 
-    n_modes: int
-    box_length: float = TWO_PI
-    truncation_radius: float | None = None
-    dealias_fraction: float = 2.0 / 3.0
+    n_modes: int = leaf("even", ge=8, le=2**20)  # one real grid is 8 EiB at the bound
+    box_length: float = leaf("real", ge=TWO_PI - 1e-14, le=TWO_PI + 1e-14, default=TWO_PI)
+    truncation_radius: float | None = leaf("real", gt=0, default=None)
+    dealias_fraction: float = leaf("real", gt=0, le=1, default=2.0 / 3.0)
 
     def __post_init__(self) -> None:
-        n = self.n_modes
-        if not (_is_int(n) and n % 2 == 0 and n >= 8):
-            raise ValueError(f"n_modes must be an even integer >= 8, got {n!r}")
-        if not (_is_number(self.box_length) and abs(self.box_length - TWO_PI) <= 1e-14):
-            raise ValueError(f"box_length is fixed at 2*pi, got {self.box_length!r}")
-        if not (_is_number(self.dealias_fraction) and 0.0 < self.dealias_fraction <= 1.0):
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction!r}")
-        if self.truncation_radius is None:
-            object.__setattr__(self, "truncation_radius", self.dealias_fraction * n / 2.0)
-        radius = self.truncation_radius
-        if not (_is_number(radius) and 0.0 < radius <= n / 2.0):
-            raise ValueError(f"truncation_radius must lie in (0, N/2], got {radius!r}")
+        check_fields(self)
+        n, radius = self.n_modes, self.truncation_radius
+        if radius is None:
+            radius = self.dealias_fraction * n / 2.0
+        elif radius > n / 2.0:
+            raise ValueError(f"truncation_radius must be <= N/2 = {n // 2}, got {radius!r}")
         object.__setattr__(self, "truncation_radius", float(radius))
         what = f"stepping one trajectory at n_modes = {n}"
         check_memory(working_set_bytes(n, 0, radius), what)  # before any array is built

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -34,7 +35,7 @@ import numpy.random  # noqa: F401 -- imported here, so set-up's first draw impor
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, hermitian_defect, slab_pass
-from .grid import GridSpec, _is_int, _is_number, check_memory
+from .grid import GridSpec, check_fields, check_memory, leaf
 from .nonlinear import Workspace, _rhs_core
 from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
 from .state import MhdState
@@ -62,27 +63,20 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    kind: str = "random_divfree"
-    target_h1: float | None = None
-    amplitude: float = 1.0
-    b_amplitude: float = 0.5
-    mode: tuple[int, int, int] = (0, 0, 1)
-    path: str | None = None
+    kind: str = leaf("name", choices=INITIAL_KINDS, default="random_divfree")
+    target_h1: float | None = leaf("real", default=None)
+    amplitude: float = leaf("real", default=1.0)
+    b_amplitude: float = leaf("real", default=0.5)
+    mode: tuple[int, int, int] = leaf("ints", default=(0, 0, 1))
+    path: str | None = leaf("str", default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in INITIAL_KINDS:
-            raise ValueError(f"unknown initial condition kind {self.kind!r}")
-        for name in ("target_h1", "amplitude", "b_amplitude"):
-            value = getattr(self, name)
-            if not (_is_number(value) or (name == "target_h1" and value is None)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.kind == "random_divfree" and self.target_h1 is None:
-            raise ValueError("random_divfree requires target_h1")
-        if self.kind == "random_divfree" and self.target_h1 < 0:
-            raise ValueError("target_h1 must be >= 0")
+        check_fields(self)
+        if self.kind == "random_divfree" and (self.target_h1 is None or self.target_h1 < 0):
+            raise ValueError(f"random_divfree requires target_h1 >= 0, got {self.target_h1!r}")
         if self.kind == "from_checkpoint" and not self.path:
             raise ValueError("from_checkpoint requires a path")
-        if len(self.mode) != 3 or not all(_is_int(m) for m in self.mode):
+        if len(self.mode) != 3:
             raise ValueError(f"mode must be three integers, got {self.mode!r}")
         object.__setattr__(self, "mode", tuple(int(m) for m in self.mode))
 
@@ -90,34 +84,18 @@ class InitialCondition:
 @dataclass(frozen=True)
 class SolverConfig:
     grid: GridSpec
-    dt: float
-    t_end: float
+    dt: float = leaf("real", gt=0)
+    t_end: float = leaf("real", ge=0)
     initial_condition: InitialCondition
-    nu_h: float = 1.0
-    nu_v: float = 1.0
+    nu_h: float = leaf("real", gt=0, default=1.0)
+    nu_v: float = leaf("real", gt=0, default=1.0)
     damping: DampingSpec = DampingSpec()
-    ledger_stride: int = 10
-    seed: int = 0
-    cfl_target: float = 0.5
+    ledger_stride: int = leaf("int", ge=1, default=10)
+    seed: int = leaf("int", ge=0, default=0)
+    cfl_target: float = leaf("real", gt=0, default=0.5)
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end", "nu_h", "nu_v", "cfl_target"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not _is_int(self.ledger_stride):
-            raise ValueError(f"ledger_stride must be an integer, got {self.ledger_stride!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
-        if self.nu_h <= 0 or self.nu_v <= 0:
-            raise ValueError("viscosities must be positive")
-        if self.ledger_stride < 1:
-            raise ValueError("ledger_stride must be >= 1")
-        if self.cfl_target <= 0:
-            raise ValueError("cfl_target must be positive")
+        check_fields(self)
         _whole_steps(self.t_end, self.dt, "t_end")
 
 
@@ -125,7 +103,7 @@ def _whole_steps(span: float, dt: float, what: str) -> int:
     """Number of steps of ``dt`` in ``span``, named ``what`` in errors;
     ValueError unless the span is a whole, finite number of steps."""
     steps = span / dt
-    if not _is_number(steps):
+    if not math.isfinite(steps):
         raise ValueError(f"{what} = {span:g} is not a finite number of steps of dt = {dt:g}")
     n_steps = max(round(steps), 0)
     if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
@@ -515,7 +493,7 @@ def load_checkpoint(path) -> MhdState:
                 f"{path}: payload of {payload} bytes does not hold six N = {n} "
                 f"version {version} coefficient arrays"
             )
-        if not _is_number(t):
+        if not math.isfinite(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
         k = grid.k1d

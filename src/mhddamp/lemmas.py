@@ -54,7 +54,7 @@ class CheckReport:
         return (
             f"{self.status} {self.name} worst_margin={self.worst_margin:.6e}"
             f" at t={self.worst_time:.6g} (tolerance {self.tolerance:.3e})"
-        )
+        ) + (f": {self.detail}" if self.status == "FAIL" and self.detail else "")
 
 
 def interpolation_constant(alpha: float, beta: float) -> float:
@@ -87,8 +87,8 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
     The margin at x* must vanish to SHARPNESS_TOL relative to max(1, c);
     ``worst_margin`` is the smaller of the grid's worst margin and that
     relative margin, while ``margin_at_x_star`` stays absolute.
-    NOT-APPLICABLE for beta <= 3, and when c or the margin at x* leaves
-    double range.
+    NOT-APPLICABLE for beta <= 3, and when c, the margin at x* or a margin
+    on the grid leaves double range.
     """
     if beta <= 3:
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail="beta <= 3")
@@ -99,12 +99,13 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
         c = interpolation_constant(alpha, beta)
         x_star = interpolation_minimizer(alpha, beta)
         margin_star = 2.0 * c + alpha * x_star ** (beta - 1.0) - x_star**2
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            margins = 2.0 * c + alpha * x ** (beta - 1.0) - x**2
     except OverflowError:
-        margin_star = math.nan
-    if not math.isfinite(margin_star):
-        detail = f"c or the margin at x* leaves double range (alpha={alpha!r}, beta={beta!r})"
+        margin_star = margins = math.nan
+    if not (math.isfinite(margin_star) and np.isfinite(margins).all()):
+        detail = f"c or a margin leaves double range (alpha={alpha!r}, beta={beta!r})"
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail=detail)
-    margins = 2.0 * c + alpha * x ** (beta - 1.0) - x**2
     i = int(np.argmin(margins))
     relative_star = margin_star / max(1.0, c)
     ok = margins[i] >= -MARGIN_TOL and abs(relative_star) <= SHARPNESS_TOL
@@ -195,7 +196,8 @@ def modifier_envelope_report(
         raise ValueError("z_grid must lie in [1, inf)")
     fz = fn.f(z)
     lower_ratio = fz / z**2
-    upper_ratio = fz / z ** (beta - 1.0)
+    with np.errstate(over="ignore", divide="ignore"):  # z^(beta-1) out of double range
+        upper_ratio = fz / z ** (beta - 1.0)
     ia = int(np.argmin(lower_ratio))
     ib = int(np.argmax(upper_ratio))
     a_star = float(lower_ratio[ia])

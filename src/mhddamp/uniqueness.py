@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _is_number
+from .grid import GridSpec, Leaf, check_leaf
 from .integrator import (
     BlowUpError,
     SolverConfig,
@@ -30,15 +30,8 @@ from .operators import sobolev_norm, weighted_sum_sq
 from .state import MhdState
 
 NOISE_SEED_OFFSET = 7919
-# The noise halves have unit H1 norm, so d0 <= 2 eps^2 is finite up to this.
-MAX_PERTURBATION_SCALE = float(np.sqrt(np.finfo(np.float64).max / 2))
-
-
-def check_perturbation_scale(eps, error=ValueError) -> None:
-    """``error`` unless eps is a number in [0, MAX_PERTURBATION_SCALE]."""
-    if not (_is_number(eps) and 0 <= eps <= MAX_PERTURBATION_SCALE):
-        raise error(f"perturbation_scale: must be finite, >= 0 and <= "
-                    f"{MAX_PERTURBATION_SCALE:.4g}, got {eps!r}")
+# The noise halves have unit H1 norm, so d0 <= 2 eps^2 is finite up to the bound.
+PERTURBATION_SCALE = Leaf("real", ge=0, le=float(np.sqrt(np.finfo(np.float64).max / 2)))
 
 
 @dataclass
@@ -135,7 +128,7 @@ def twin_run(config: SolverConfig, perturbation_scale: float) -> TwinRunResult:
     series at the last common recorded time and flags the result, which is
     then not ``identical``.
     """
-    check_perturbation_scale(perturbation_scale)
+    check_leaf(perturbation_scale, PERTURBATION_SCALE, "perturbation_scale")
     eps = float(perturbation_scale)
     state = make_initial_from_config(config)
     starts = [state, state]

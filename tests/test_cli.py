@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -75,20 +76,24 @@ class TestConfigIO:
             experiment(grid16, name="")
 
     @pytest.mark.parametrize(
-        "field,literal",
-        [("nu_h", "NaN"), ("alpha", "NaN"), ("nu_h", "Infinity"), ("dt", "-Infinity"),
-         ("alpha", "1e400")],
+        "field,literal,message",
+        [("nu_h", "NaN", "solver: nu_h must be a finite number > 0, got nan"),
+         ("alpha", "NaN", "solver.damping: alpha must be a finite number, got nan"),
+         ("nu_h", "Infinity", "solver: nu_h must be a finite number > 0, got inf"),
+         ("dt", "-Infinity", "solver: dt must be a finite number > 0, got -inf"),
+         ("alpha", "1e400", "solver.damping: alpha must be a finite number, got inf")],
+        ids=["nu_h-NaN", "alpha-NaN", "nu_h-Infinity", "dt--Infinity", "alpha-1e400"],
     )
-    def test_non_finite_number_rejected(self, grid16, tmp_path, capsys, field, literal):
+    def test_non_finite_number_rejected(self, grid16, tmp_path, capsys, field, literal, message):
         data = config_to_dict(experiment(grid16))
         section = data["solver"]["damping"] if field == "alpha" else data["solver"]
         section[field] = "PLACEHOLDER"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data).replace('"PLACEHOLDER"', literal))
-        with pytest.raises(ConfigError, match="not finite"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("field", ["ledger_stride", "seed"])
     def test_fractional_integer_field_exit_one(self, grid16, tmp_path, capsys, field):
@@ -100,42 +105,65 @@ class TestConfigIO:
         err = capsys.readouterr().err.strip()
         assert f"{field} must be an integer" in err and "\n" not in err
 
+    @pytest.mark.parametrize(
+        "name,digest",
+        [("log-damped-n32", "0a834f6cd60bad764ead1e3b91eea22ecf77382419cc9fb8b2a4c31aeeb82ddf"),
+         ("quickstart", "fde0cb1484b54dea173ce65a39ddc33797f99522b2366f6b0124a09dc6540384"),
+         ("small-damped-n32", "3abb00da5142323beae07f6651b66456b918ecc404d36246f00bcdf506a061bf"),
+         ("twin-small", "ffa3519c2362cb7fffb9df3bd986871eaa2a873cb2df2e9e2cd7ebb37ab6a27c")],
+    )
+    def test_shipped_config_hash_is_stable(self, name, digest):
+        # field names, their order and their defaults are hashed
+        assert config_hash(load_config(ROOT / "configs" / f"{name}.json").solver) == digest
+
     def test_working_set_within_physical_memory_accepted(self, grid16):
         data = config_to_dict(experiment(grid16))
         data["solver"]["grid"]["n_modes"] = 64
         assert config_from_dict(data).solver.grid.n_modes == 64
 
     def test_unknown_check_rejected(self, grid16):
-        with pytest.raises(ConfigError, match="unknown check"):
+        message = ("checks must be a list, each one of ('l2', 'h1_additive', 'h1_exponential', "
+                   "'lemmas', 'twin'), got ('l2', 'wat')")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             experiment(grid16, checks=("l2", "wat"))
 
     @pytest.mark.parametrize(
         "path,value,match",
         [
-            (("checks",), 5, "checks: expected a list"),
+            (("checks",), 5, "top level: checks must be a list, each one of ('l2', 'h1_additive', "
+                             "'h1_exponential', 'lemmas', 'twin'), got 5"),
             (("solver",), 5, "solver: section missing or not an object"),
-            (("solver", "damping"), None, "solver.damping: section missing"),
-            (("solver", "damping"), 5, "solver.damping: section missing"),
-            (("output_dir",), 5, "output_dir: expected a string or null"),
-            (("report_formats",), "csv", "report_formats: expected a list"),
-            (("report_formats",), ["xml"], "unknown report format 'xml'"),
-            (("solver", "grid", "n_modes"), 16.0, "n_modes must be an even integer"),
-            (("solver", "dt"), True, "dt must be a finite number"),
-            (("solver", "nu_h"), True, "nu_h must be a finite number"),
-            (("solver", "damping", "alpha"), True, "alpha must be a finite number"),
-            (("solver", "initial_condition", "target_h1"), True, "target_h1 must be a finite"),
-            (("perturbation_scale",), True, "perturbation_scale: must be finite"),
-            (("name",), 5, "name: experiment name must be a nonempty string"),
-            (("solver", "grid", "dealias_fraction"), True, "dealias_fraction must lie in"),
-            (("solver", "grid", "truncation_radius"), "5", "truncation_radius must lie in"),
+            (("solver", "damping"), None, "solver.damping: section missing or not an object"),
+            (("solver", "damping"), 5, "solver.damping: section missing or not an object"),
+            (("output_dir",), 5, "top level: output_dir must be a string or null, got 5"),
+            (("report_formats",), "csv", "top level: report_formats must be a list, each one of "
+                                         "('csv', 'text', 'json'), got 'csv'"),
+            (("report_formats",), ["xml"], "top level: report_formats must be a list, each one of "
+                                           "('csv', 'text', 'json'), got ['xml']"),
+            (("solver", "grid", "n_modes"), 16.0,
+             "solver.grid: n_modes must be an even integer >= 8 and <= 1048576, got 16.0"),
+            (("solver", "dt"), True, "solver: dt must be a finite number > 0, got True"),
+            (("solver", "nu_h"), True, "solver: nu_h must be a finite number > 0, got True"),
+            (("solver", "damping", "alpha"), True,
+             "solver.damping: alpha must be a finite number, got True"),
+            (("solver", "initial_condition", "target_h1"), True,
+             "solver.initial_condition: target_h1 must be a finite number or null, got True"),
+            (("perturbation_scale",), True, "top level: perturbation_scale must be a finite number "
+                                            ">= 0 and <= 9.480751908109176e+153, got True"),
+            (("name",), 5, "top level: name must be a nonempty string, got 5"),
+            (("solver", "grid", "dealias_fraction"), True,
+             "solver.grid: dealias_fraction must be a finite number > 0 and <= 1, got True"),
+            (("solver", "grid", "truncation_radius"), "5",
+             "solver.grid: truncation_radius must be a finite number > 0 or null, got '5'"),
             (("solver", "grid", "n_modes"), 1_000_000, "of physical memory"),
             (("solver", "grid", "n_modes"), 4096, "of physical memory"),
             (("solver", "grid"), {"n_modes": 4096, "truncation_radius": 1.5},
              "of physical memory"),
             (("solver",), {"dt": 1e-300, "t_end": 1e300}, "not a finite number of steps"),
             (("solver",), {"dt": 5e-324, "t_end": 1.0}, "not a finite number of steps"),
-            (("solver", "cfl_target"), -1.0, "cfl_target must be positive"),
-            (("solver", "cfl_target"), 0.0, "cfl_target must be positive"),
+            (("solver", "cfl_target"), -1.0,
+             "solver: cfl_target must be a finite number > 0, got -1.0"),
+            (("solver", "cfl_target"), 0.0, "solver: cfl_target must be a finite number > 0, got 0.0"),
         ],
         ids=["checks-int", "solver-int", "damping-null", "damping-int", "output-dir-int",
              "formats-string", "formats-unknown", "n-modes-float", "dt-bool", "nu-h-bool",
@@ -173,6 +201,15 @@ class TestCmdRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = (out / "ledger.csv").read_text().strip().split("\n")
         assert len(rows) == 2  # header + one row
+
+    def test_no_checks_write_empty_checks_txt(self, grid16, tmp_path, capsys):
+        cfg = experiment(grid16, t_end=0.02, checks=())
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "checks.txt").read_text() == ""
+        assert capsys.readouterr().out == ""
 
     def test_artifacts_and_exit_zero(self, grid16, tmp_path):
         cfg = experiment(grid16, t_end=0.25, dt=5e-3, target=0.01)
@@ -490,6 +527,28 @@ class TestCmdLemmas:
         not_applicable = {row.rsplit(",", 5)[0] for row in rows if "NOT-APPLICABLE" in row}
         assert not_applicable == cells
 
+    # Each exited 2 with FAIL rows, or 0, with numpy overflow warnings on stderr
+    # before a grid margin out of double range was NOT-APPLICABLE.
+    @pytest.mark.parametrize(
+        "matrix,cells",
+        [({"betas": [1e300]}, {"0.1,1e+300", "1.0,1e+300", "10.0,1e+300"}),
+         ({"alphas": [1e300]}, {"1e+300,7.0"}),
+         ({"x_max": 1e300}, {f"{a},{b}" for a in (0.1, 1.0, 10.0) for b in (3.5, 4.0, 5.0, 7.0)})],
+        ids=["betas-1e300", "alphas-1e300", "x-max-1e300"],
+    )
+    def test_margin_out_of_double_range(self, tmp_path, capsys, matrix, cells):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**matrix, "pairs": 1000}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["lemmas", "--matrix", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "lemmas" / "interpolation.csv").read_text().splitlines()[1:]
+        assert "FAIL" not in "".join(rows)
+        not_applicable = {row.rsplit(",", 5)[0] for row in rows if "NOT-APPLICABLE" in row}
+        assert not_applicable == cells
+
     def test_huge_sharp_constant_passes(self, tmp_path, capsys):
         # c = 1.9e99 is in double range; its margin at x* is held relative to c
         path = tmp_path / "m.json"
@@ -510,33 +569,42 @@ class TestCmdLemmas:
         matrix.write_text(json.dumps({"f_ids": ["nope"]}))
         assert main(["lemmas", "--matrix", str(matrix)]) == 1
 
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("[1, 2]", "expected a JSON object"),
-            ('{"alphas": [NaN]}', "alphas must hold finite numbers"),
-            ('{"betas": [4.0, true]}', "betas must hold finite numbers"),
-            ('{"alphas": 1.0}', "alphas must be a nonempty list"),
-            ('{"f_ids": [["log1"]]}', "unknown f_id"),
-            ('{"x_max": Infinity}', "x_max must be a finite number"),
-            ('{"x_points": 5.5}', "x_points must be an integer"),
-            ('{"pairs": 0}', "pairs must be an integer >= 1"),
-            ('{"seed": true}', "seed must be an integer"),
-            ('{"alpha": [1.0]}', "unknown keys"),
-            ('{"x_points": 1000000000000}', "x_points = 1000000000000 needs about"),
-            ('{"pairs": 1000000000000}', "pairs = 1000000000000 needs about"),
-            ('{"alphas": [-1.0]}', "alphas must be positive"),
-            ('{"alphas": [0.0]}', "alphas must be positive"),
-            ('{"x_max": -5.0}', "x_max must be a finite number >= 0"),
-        ],
-    )
+    ALPHAS = "alphas must be a nonempty list, each a finite number > 0, "
+
+    # (file text, case, error text after the path); the case names the test
+    @pytest.mark.parametrize("text,message", [pytest.param(text, message, id=f"{text}-{case}") for (
+        text, case, message) in [
+        ("[1, 2]", "expected a JSON object", "expected a JSON object"),
+        ('{"alphas": [NaN]}', "alphas must hold finite numbers", ALPHAS + "got [nan]"),
+        ('{"betas": [4.0, true]}', "betas must hold finite numbers",
+         "betas must be a nonempty list, each a finite number, got [4.0, True]"),
+        ('{"alphas": 1.0}', "alphas must be a nonempty list", ALPHAS + "got 1.0"),
+        ('{"f_ids": [["log1"]]}', "unknown f_id",
+         "f_ids must be a nonempty list, each one of ('log1', 'log2', 'log3'), got [['log1']]"),
+        ('{"x_max": Infinity}', "x_max must be a finite number",
+         "x_max must be a finite number >= 0, got inf"),
+        ('{"x_points": 5.5}', "x_points must be an integer",
+         "x_points must be an integer >= 1, got 5.5"),
+        ('{"pairs": 0}', "pairs must be an integer >= 1", "pairs must be an integer >= 1, got 0"),
+        ('{"seed": true}', "seed must be an integer", "seed must be an integer >= 0, got True"),
+        ('{"alpha": [1.0]}', "unknown keys", "unknown keys ['alpha']"),
+        ('{"x_points": 1000000000000}', "x_points = 1000000000000 needs about",
+         "x_points = 1000000000000 needs about"),
+        ('{"pairs": 1000000000000}', "pairs = 1000000000000 needs about",
+         "pairs = 1000000000000 needs about"),
+        ('{"alphas": [-1.0]}', "alphas must be positive", ALPHAS + "got [-1.0]"),
+        ('{"alphas": [0.0]}', "alphas must be positive", ALPHAS + "got [0.0]"),
+        ('{"x_max": -5.0}', "x_max must be a finite number >= 0",
+         "x_max must be a finite number >= 0, got -5.0"),
+    ]])
     def test_malformed_matrix_exit_one(self, tmp_path, capsys, text, message):
         matrix = tmp_path / "m.json"
         matrix.write_text(text)
         out = tmp_path / "out"
         assert main(["lemmas", "--matrix", str(matrix), "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error: ") and "\n" not in err and message in err
+        assert "\n" not in err and err.startswith(f"error: {matrix}: {message}")
+        assert "needs about" in message or err == f"error: {matrix}: {message}"
         assert not out.exists()
 
 
@@ -571,16 +639,17 @@ class TestCmdTwin:
         text = path.read_text().replace('"perturbation_scale": 1e-06', '"perturbation_scale": 1e300')
         assert "1e300" in text
         file_path.write_text(text)
-        for command, config, eps in (
-            ("twin", path, ["--eps", "nan"]),
-            ("twin", path, ["--eps", "1e300"]),  # d0 <= 2 eps^2 would overflow
-            ("run", file_path, []),
-            ("twin", file_path, []),
+        for command, config, eps, where, got in (
+            ("twin", path, ["--eps", "nan"], "", "nan"),
+            ("twin", path, ["--eps", "1e300"], "", "1e+300"),  # d0 <= 2 eps^2 would overflow
+            ("run", file_path, [], "top level: ", "1e+300"),
+            ("twin", file_path, [], "top level: ", "1e+300"),
         ):
             out = tmp_path / "out"
             assert main([command, "--config", str(config), *eps, "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert "perturbation_scale: must be finite" in err and err.count("\n") == 1
+            assert capsys.readouterr().err == (
+                f"error: {where}perturbation_scale must be a finite number >= 0 and <= "
+                f"9.480751908109176e+153, got {got}\n")
             assert not out.exists()
 
     def test_blow_up_exit_three(self, grid16, tmp_path, capsys):
@@ -621,7 +690,10 @@ class TestCmdTwin:
         rep = _twin_report(cfg)
         assert (rep.status, rep.detail) == ("FAIL", "eps = 0 twin trajectories differ")
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert (out / "checks.txt").read_text().startswith("FAIL twin ")
+        line = ("FAIL twin worst_margin=nan at t=nan (tolerance 0.000e+00): "
+                "eps = 0 twin trajectories differ\n")
+        assert (out / "checks.txt").read_text() == line
+        assert capsys.readouterr().out == line
         assert json.loads((out / "summary.json").read_text())["checks"] == {"twin": "FAIL"}
 
     def test_mismatched_grid_usage_error(self, grid8, grid16, tmp_path):
@@ -649,6 +721,11 @@ class TestCmdInfo:
         assert "log1" in out and "log2" in out and "log3" in out
         assert "config template" in out
 
+    def test_info_stdout_is_stable(self, capsys):
+        # the template is built from the dataclasses and their defaults
+        assert main(["info"]) == 0
+        assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "info.txt").read_text()
+
 
 # Exit 1: one stderr line and no output directory ------------------------------
 
@@ -673,12 +750,16 @@ def restart_from(tmp_path, t=0.0, radius=None) -> dict:
     return {"kind": "from_checkpoint", "path": str(tmp_path / "state.mhdf")}
 
 
+def restart_at(path) -> dict:
+    """Solver entries restarting from ``path``."""
+    return {"initial_condition": {"kind": "from_checkpoint", "path": path}}
+
+
 # Errors raised while the initial state is built, after the output directory
-# is resolved: solver entries per case.
+# is resolved, or while the initial condition is read: solver entries per case.
 INITIAL_STATE_ERRORS = {
     "checkpoint-grid-differs": lambda tmp: {"initial_condition": restart_from(tmp, radius=2.0)},
-    "checkpoint-missing": lambda tmp: {
-        "initial_condition": {"kind": "from_checkpoint", "path": str(tmp / "none.mhdf")}},
+    "checkpoint-missing": lambda tmp: restart_at(str(tmp / "none.mhdf")),
     "t-end-before-checkpoint": lambda tmp: {"initial_condition": restart_from(tmp, t=1.0)},
     "random-divfree-radius-1": lambda tmp: {"grid": {"n_modes": 8, "truncation_radius": 1.0}},
     "single-mode-zero": lambda tmp: {
@@ -693,6 +774,11 @@ INITIAL_STATE_ERRORS = {
     "taylor-green-overflows": lambda tmp: {
         "initial_condition": {"kind": "taylor_green_like", "amplitude": 1e200,
                               "b_amplitude": 1e200}},
+    # not a path: open() took true and 7 as file descriptors
+    "checkpoint-path-list": lambda tmp: restart_at([1]),
+    "checkpoint-path-object": lambda tmp: restart_at({"a": 1}),
+    "checkpoint-path-true": lambda tmp: restart_at(True),
+    "checkpoint-path-int": lambda tmp: restart_at(7),
 }
 
 
@@ -796,9 +882,11 @@ def test_output_path_under_a_file_exit_one(tmp_path, capsys, command, out):
      ([], None, "required: command"),
      (["walk", "--out", "OUT"], None, "invalid choice: 'walk'"),
      (["run", "--config", "CFG", "--out", "OUT"], "abc",
-      "MHDDAMP_THREADS must be an integer, got 'abc'"),
+      "MHDDAMP_THREADS: FFT worker count must be an integer >= 1 and <= "
+      f"{len(os.sched_getaffinity(0))}, got 'abc'"),
      (["twin", "--config", "CFG", "--out", "OUT"], "1.5",
-      "MHDDAMP_THREADS must be an integer, got '1.5'")],
+      "MHDDAMP_THREADS: FFT worker count must be an integer >= 1 and <= "
+      f"{len(os.sched_getaffinity(0))}, got '1.5'")],
     ids=["threads-abc", "eps-zz", "unknown-flag", "no-config", "no-command",
          "unknown-command", "env-threads-abc", "env-threads-1.5"],
 )

@@ -134,7 +134,9 @@ class TestMakeInitial:
             ("random_divfree", {"target_h1": float("nan")}, "finite"),
             ("random_divfree", {}, "target_h1"),
             ("from_checkpoint", {}, "path"),
-            ("vortex_ring", {}, "unknown"),
+            pytest.param("vortex_ring", {}, r"^kind must be one of \('taylor_green_like', "
+                         r"'random_divfree', 'single_mode', 'from_checkpoint'\), got 'vortex_ring'$",
+                         id="vortex_ring-kw5-unknown"),
             # components outside (-N/2, N/2] alias to another wavenumber
             ("single_mode", {"mode": (15, 0, 1)}, "wavenumber .15, 0, 1. has a component outside"),
             ("single_mode", {"mode": (10**30, 0, 1)}, "aliases"),

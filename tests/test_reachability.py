@@ -33,6 +33,8 @@ ALLOWED = {
         "checks a ledger's signs and monotone integrals, for library use",
     "cli.save_config":
         "writes an ExperimentConfig as a file load_config reads, for library use",
+    "grid.leaf":
+        "declares the config dataclasses' fields, so it runs at import, before any command",
 }
 
 
