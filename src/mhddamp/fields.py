@@ -177,21 +177,18 @@ def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Defect max |c(-k) - conj(c(k))| of stacked coefficients in a
-    checkpoint's layout: the planes k3 = 0 and k3 = N/2 of a half spectrum
-    (..., N, N, N/2+1), or every mode of a full spectrum (..., N, N, N).
+    """Defect max |c(-k) - conj(c(k))| on the self-conjugate planes k3 = 0
+    and k3 = N/2 of stacked half spectra (..., N, N, N/2+1): the stored
+    modes whose mirror -k is stored too.
 
-    Those are the stored modes whose mirror -k is stored too, so the defect
-    is zero (to roundoff, relative to max |c|) exactly when the
-    coefficients represent a real-valued physical field.  The mirror
-    images are formed one k3 plane at a time, so no temporary is larger
-    than a plane.
+    The defect is zero (to roundoff, relative to max |c|) exactly when the
+    coefficients represent a real-valued physical field.  The mirror images
+    are formed one plane at a time, so no temporary is larger than a plane.
     """
     n = coeffs.shape[-2]
     rev = (-np.arange(n)) % n
-    k3 = zip(range(n), rev) if coeffs.shape[-1] == n else ((0, 0), (n // 2, n // 2))
     defect = [
-        np.max(np.abs(np.conj(coeffs[..., j_rev][..., rev, :][..., rev]) - coeffs[..., j]))
-        for j, j_rev in k3
+        np.max(np.abs(np.conj(coeffs[..., j][..., rev, :][..., rev]) - coeffs[..., j]))
+        for j in (0, n // 2)
     ]
     return float(np.max(defect))

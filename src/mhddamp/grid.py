@@ -70,8 +70,9 @@ STEP_TRANSIENT_GRIDS = (
     ("tendency", 11, "packed"),
 )
 # The slab pass holds its "slab" and "spectral_slab" arrays for c x-planes
-# at a time; c is the largest width, in equal slabs, whose arrays fit this
-# many bytes.  Fixed, so a run computes the same sums on every host.
+# at a time; c is the largest width, in equal slabs, whose planes fit this
+# many bytes, each counted as :func:`_slab_plane_bytes`.  Fixed, so a run
+# computes the same sums on every host.
 SLAB_BYTES = 8 * 2**20
 
 
@@ -101,23 +102,19 @@ def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
 
 
 def _slab_plane_bytes(n: int) -> int:
-    """Bytes of the slab arrays of :data:`WORKSPACE_GRIDS` and
-    :data:`STEP_TRANSIENT_GRIDS` per x-plane at N = ``n``, but for the
-    staging array: the slab width was fixed before staging became a slab,
-    and the slab sums of a run, hence its artifacts, depend on the width."""
-    plane = _layout_bytes(n, 0, 1.0, 1)
-    return sum(
-        count * plane[layout]
-        for name, count, layout in WORKSPACE_GRIDS + STEP_TRANSIENT_GRIDS
-        if layout in ("slab", "spectral_slab") and name != "staging"
-    )
+    """Bytes per x-plane at N = ``n`` that set the slab width: 248 N^2 +
+    176 N, what the slab arrays of :data:`WORKSPACE_GRIDS` and
+    :data:`STEP_TRANSIENT_GRIDS` but staging held per plane when the width
+    was fixed (20 real grids and 11 half spectra).  Frozen, not summed from
+    those tables: the slab sums of a run, hence its artifacts, depend on
+    the width, which must not move when the memory model does."""
+    return 248 * n * n + 176 * n
 
 
 def slab_width(n: int) -> int:
     """x-planes per slab of the physical-space pass at N = ``n``: n when
-    the slab arrays of all n planes fit :data:`SLAB_BYTES`, else the width
-    of the fewest equal slabs whose arrays do (the last slab may be
-    narrower)."""
+    all n planes fit :data:`SLAB_BYTES`, else the width of the fewest equal
+    slabs whose planes do (the last slab may be narrower)."""
     fit = max(1, min(n, SLAB_BYTES // _slab_plane_bytes(n)))
     slabs = -(-n // fit)
     return -(-n // slabs)

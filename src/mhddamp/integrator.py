@@ -43,7 +43,7 @@ from .state import MhdState
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHDF"
-CHECKPOINT_VERSION = 2  # 1: full (N, N, N) spectra, still read; 2: half spectra
+CHECKPOINT_VERSION = 2  # half spectra; no other version is read
 CHECKPOINT_HEADER = "<4sIqdd"
 HASH_CHUNK = 2**18  # bytes of a checkpoint hashed at a time
 # A loaded state must be divergence-free to this fraction of its H1 norm.
@@ -443,8 +443,7 @@ def save_checkpoint(path, state: MhdState) -> None:
     Layout (version 2): magic "MHDF", format version (u32), N (i64),
     truncation radius (f64), time (f64), then the six coefficient arrays
     u1 u2 u3 b1 b2 b3 of ``state``, each as its half spectrum (N, N, N/2+1)
-    complex128 in C order, zero outside the ball.  Version 1 stored full
-    (N, N, N) arrays in the same order.
+    complex128 in C order, zero outside the ball.
     """
     grid = state.grid
     header = struct.pack(
@@ -464,17 +463,17 @@ def save_checkpoint(path, state: MhdState) -> None:
 
 
 def load_checkpoint(path) -> MhdState:
-    """Read a version 2 or version 1 checkpoint and check the state it holds.
+    """Read a version 2 checkpoint and check the state it holds.
 
-    Malformed files raise ValueError before any allocation sized by the
-    header.  The time must be finite, and the coefficients, in the file's
-    layout, finite, zero outside the truncation ball and within
-    HERMITIAN_TOL of Hermitian symmetry, relative to the largest |c| of
-    the six arrays: on the self-conjugate planes of a version 2 half
-    spectrum, on every mode of a version 1 full spectrum.  The arrays are
-    read, checked and packed to the ball one at a time, and the state must
-    have a divergence within DIV_FREE_RTOL of its H1 norm.  Otherwise
-    ValueError.  The state owns its coefficient array, which is writable.
+    Malformed files, and files of any other version, raise ValueError
+    before any allocation sized by the header.  The time must be finite.
+    The six half spectra are read, checked and packed to the ball one at a
+    time, in one buffer: each must be finite, and zero once its ball's
+    slots are zeroed after packing.  The self-conjugate planes k3 = 0 and
+    k3 = N/2 must be within HERMITIAN_TOL of Hermitian symmetry, relative
+    to the largest |c| of the six arrays, and the state must have a
+    divergence within DIV_FREE_RTOL of its H1 norm.  Otherwise ValueError.
+    The state owns its coefficient array, which is writable.
     """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
     with open(path, "rb") as fh:
@@ -484,11 +483,10 @@ def load_checkpoint(path) -> MhdState:
         magic, version, n, radius, t = struct.unpack(CHECKPOINT_HEADER, header)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        if version not in (1, 2):
+        if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        stored = n if version == 1 else n // 2 + 1  # k3 slots per array
         payload = os.fstat(fh.fileno()).st_size - header_size
-        if n < 1 or payload != 6 * n * n * stored * 16:
+        if n < 1 or payload != 6 * n * n * (n // 2 + 1) * 16:
             raise ValueError(
                 f"{path}: payload of {payload} bytes does not hold six N = {n} "
                 f"version {version} coefficient arrays"
@@ -496,19 +494,20 @@ def load_checkpoint(path) -> MhdState:
         if not math.isfinite(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        k = grid.k1d
-        k_sq = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :stored] ** 2
-        outside = k_sq >= grid.truncation_radius**2
-        del k_sq
         coeffs = np.empty((6,) + grid.index.shape, dtype=np.complex128)
-        field = np.empty((n, n, stored), dtype="<c16")
+        field = np.empty(grid.spectral_shape, dtype="<c16")
         defect = scale = 0.0
         for packed in coeffs:
             if fh.readinto(field) != field.nbytes:
                 raise ValueError(f"{path}: checkpoint payload changed while it was read")
-            scale = max(scale, _check_field(path, field, outside, grid.truncation_radius))
+            if not np.all(np.isfinite(field)):
+                raise ValueError(f"{path}: state has non-finite coefficients")
+            packed[...] = truncate_coeffs(field, grid)
             defect = max(defect, hermitian_defect(field))
-            packed[...] = truncate_coeffs(field[..., : n // 2 + 1], grid)
+            field.reshape(-1)[grid.index] = 0.0
+            if np.any(field):
+                raise ValueError(f"{path}: state is nonzero outside |k| < {radius:g}")
+            scale = max(scale, float(np.max(np.abs(packed))))
     del field  # freed before the divergence check allocates
     if scale and defect / scale > HERMITIAN_TOL:
         raise ValueError(
@@ -523,17 +522,3 @@ def load_checkpoint(path) -> MhdState:
             f"{path}: divergence {divergence:.3e} exceeds {DIV_FREE_RTOL:.0e} x H1 norm {h1:.3e}"
         )
     return state
-
-
-def _check_field(path, field: np.ndarray, outside: np.ndarray, radius: float) -> float:
-    """max |c| of one (N, N, *) coefficient array of a checkpoint, taken
-    one x-plane at a time; ValueError unless the array is finite and zero
-    where ``outside`` (|k| >= ``radius``) is True."""
-    if not np.all(np.isfinite(field)):
-        raise ValueError(f"{path}: state has non-finite coefficients")
-    scale = 0.0
-    for plane, off in zip(field, outside):
-        if np.any(plane[off]):
-            raise ValueError(f"{path}: state is nonzero outside |k| < {radius:g}")
-        scale = max(scale, float(np.max(np.abs(plane))))
-    return scale

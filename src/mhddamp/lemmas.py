@@ -87,8 +87,10 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
     The margin at x* must vanish to SHARPNESS_TOL relative to max(1, c);
     ``worst_margin`` is the smaller of the grid's worst margin and that
     relative margin, while ``margin_at_x_star`` stays absolute.
-    NOT-APPLICABLE for beta <= 3, and when c, the margin at x* or a margin
-    on the grid leaves double range.
+    NOT-APPLICABLE for beta <= 3, when c, the margin at x* or a margin on
+    the grid leaves double range, and when x* is not resolved in double
+    precision: once (beta - 1) eps >= 1, the rounding of x* alone changes
+    x*^(beta-1) by a relative amount of order one.
     """
     if beta <= 3:
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail="beta <= 3")
@@ -105,6 +107,9 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
         margin_star = margins = math.nan
     if not (math.isfinite(margin_star) and np.isfinite(margins).all()):
         detail = f"c or a margin leaves double range (alpha={alpha!r}, beta={beta!r})"
+        return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail=detail)
+    if (beta - 1.0) * np.finfo(np.float64).eps >= 1.0:
+        detail = f"x* is not resolved in double precision ((beta - 1) eps >= 1, beta={beta!r})"
         return CheckReport("lemma_interpolation", "NOT-APPLICABLE", detail=detail)
     i = int(np.argmin(margins))
     relative_star = margin_star / max(1.0, c)

@@ -263,17 +263,9 @@ def embed_coeffs(c_small: np.ndarray, grid_small, grid_big) -> np.ndarray:
 
 def write_checkpoint(path, grid, coeffs, t, version=2) -> None:
     """A checkpoint file holding (6, N, N, N/2+1) half-spectrum ``coeffs``
-    as they are (version 2) or as full (N, N, N) spectra (version 1); full
-    (6, N, N, N) ``coeffs`` are written as they are."""
+    as they are, under a header that names ``version``."""
     header = struct.pack("<4sIqdd", b"MHDF", version, grid.n_modes, grid.truncation_radius, t)
-    if version == 1 and coeffs.shape[-1] != grid.n_modes:
-        coeffs = full_spectrum(coeffs)
     path.write_bytes(header + coeffs.astype("<c16").tobytes())
-
-
-def write_v1_checkpoint(path, state) -> None:
-    """A version 1 checkpoint: the same header, full (N, N, N) spectra."""
-    write_checkpoint(path, state.grid, unpack(state.coeffs, state.grid), state.t, version=1)
 
 
 MALFORMED_CHECKPOINTS = (

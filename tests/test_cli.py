@@ -533,8 +533,10 @@ class TestCmdLemmas:
         "matrix,cells",
         [({"betas": [1e300]}, {"0.1,1e+300", "1.0,1e+300", "10.0,1e+300"}),
          ({"alphas": [1e300]}, {"1e+300,7.0"}),
-         ({"x_max": 1e300}, {f"{a},{b}" for a in (0.1, 1.0, 10.0) for b in (3.5, 4.0, 5.0, 7.0)})],
-        ids=["betas-1e300", "alphas-1e300", "x-max-1e300"],
+         ({"x_max": 1e300}, {f"{a},{b}" for a in (0.1, 1.0, 10.0) for b in (3.5, 4.0, 5.0, 7.0)}),
+         # every grid margin is finite at x_max < 1, but x* = 1 - 6.9e-298 rounds to 1
+         ({"betas": [1e300, 1e12], "x_max": 0.5}, {"0.1,1e+300", "1.0,1e+300", "10.0,1e+300"})],
+        ids=["betas-1e300", "alphas-1e300", "x-max-1e300", "betas-1e300-x-max-0.5"],
     )
     def test_margin_out_of_double_range(self, tmp_path, capsys, matrix, cells):
         path = tmp_path / "m.json"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from mhddamp.operators import h1_norm_pair, leray_project_coeffs, truncate_coeff
 from _helpers import (
     MALFORMED_CHECKPOINTS,
     fft_grid,
-    full_spectrum,
     half_tables,
     ifft_grid,
     malformed_checkpoint,
@@ -37,9 +37,9 @@ from _helpers import (
     slab_planes,
     unpack,
     write_checkpoint,
-    write_v1_checkpoint,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 
 # Analytic initial states, with modes of every sign of k3 for single_mode;
 # each lies in the ball at N = 8, 16 and 32.
@@ -561,29 +561,47 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a checkpoint|payload"):
             load_checkpoint(path)
 
-    def test_half_size_v2_and_v1_reader(self, grid16, tmp_path):
+    def test_half_size_v2_reader(self, grid16, tmp_path):
         state = make_initial("random_divfree", grid16, seed=4, target_h1=1.0)
         state.t = 0.25
-        v2, v1 = tmp_path / "v2.mhdf", tmp_path / "v1.mhdf"
-        save_checkpoint(v2, state)
-        write_v1_checkpoint(v1, state)
-        assert v2.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
-        assert v1.stat().st_size - 32 == 6 * 16**3 * 16
+        path = tmp_path / "v2.mhdf"
+        save_checkpoint(path, state)
+        assert path.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
         # one packed (6, M) array u1 u2 u3 b1 b2 b3; u and b are views of it,
         # and the file holds their half spectra
         assert state.coeffs.shape == (6, grid16.index.size)
         assert np.shares_memory(state.coeffs, state.u)
         assert np.shares_memory(state.coeffs, state.b)
-        assert v2.read_bytes()[32:] == unpack(state.coeffs, grid16).tobytes()
-        for path in (v1, v2):
-            loaded = load_checkpoint(path)
-            assert loaded.t == state.t
-            assert np.array_equal(loaded.u, state.u)
-            assert np.array_equal(loaded.b, state.b)
-            assert loaded.coeffs.flags.writeable and loaded.coeffs.flags.owndata
-            loaded.u[0, 0] = 1.0
+        assert path.read_bytes()[32:] == unpack(state.coeffs, grid16).tobytes()
+        loaded = load_checkpoint(path)
+        assert loaded.t == state.t
+        assert np.array_equal(loaded.u, state.u)
+        assert np.array_equal(loaded.b, state.b)
+        assert loaded.coeffs.flags.writeable and loaded.coeffs.flags.owndata
+        loaded.u[0, 0] = 1.0
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_golden_v2_file(self, tmp_path):
+        # tests/golden/state-n8.mhdf was written by the version 2 writer;
+        # the writer still writes its bytes, and the reader reads it exactly
+        golden = (GOLDEN / "state-n8.mhdf").read_bytes()
+        state = make_initial("random_divfree", GridSpec(n_modes=8), seed=7, target_h1=1.0)
+        state.t = 0.375
+        path = tmp_path / "state.mhdf"
+        save_checkpoint(path, state)
+        assert path.read_bytes() == golden
+        loaded = load_checkpoint(GOLDEN / "state-n8.mhdf")
+        assert loaded.t == state.t
+        assert loaded.coeffs.tobytes() == state.coeffs.tobytes()
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unsupported_version_rejected(self, grid8, tmp_path, capsys, version):
+        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
+        path = tmp_path / "state.mhdf"
+        write_checkpoint(path, grid8, unpack(state.coeffs, grid8), state.t, version)
+        assert_rejected(path, grid8, tmp_path, capsys,
+                        f"unsupported checkpoint version {version}")
+
+    @pytest.mark.parametrize("version", [2])
     @pytest.mark.parametrize(
         "case,match",
         [
@@ -609,22 +627,6 @@ class TestCheckpoint:
             coeffs[2, 1, 1, 0] += 0.1  # k3 = 0 plane, mirror (-1, -1, 0) unchanged
         path = tmp_path / "state.mhdf"
         write_checkpoint(path, grid8, coeffs, t, version)
-        assert_rejected(path, grid8, tmp_path, capsys, match)
-
-    @pytest.mark.parametrize(
-        "case,match",
-        [("nan_coefficient", "non-finite coefficients"), ("non_hermitian", "Hermitian defect")],
-    )
-    def test_v1_discarded_half_checked(self, grid8, tmp_path, capsys, case, match):
-        # the slots k3 > N/2 of a version 1 file are checked before they are cut
-        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
-        full = full_spectrum(unpack(state.coeffs, grid8))
-        if case == "nan_coefficient":
-            full[0, 1, 0, 6] = np.nan  # k = (1, 0, -2)
-        else:
-            full[0, 0, 0, 7] += 1e6  # k = (0, 0, -1), in the ball; its mirror is unchanged
-        path = tmp_path / "state.mhdf"
-        write_checkpoint(path, grid8, full, state.t, version=1)
         assert_rejected(path, grid8, tmp_path, capsys, match)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -653,3 +655,4 @@ def assert_rejected(path, grid, tmp_path, capsys, match):
     assert main(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err and match in err
+    assert not (tmp_path / "out").exists()

