@@ -67,10 +67,10 @@ def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
     return tuple(sums)
 
 
-def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> None:
+def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> list:
     """Collocation data needed by the damping integrands, from the packed
-    (3, M) coefficients ``u`` of the velocity: calls, per slab of x-planes
-    in slab order, body(q, grad_u_sq, grad_q_sq) where q = |u|^2,
+    (3, M) coefficients ``u`` of the velocity: returns, per slab of
+    x-planes in slab order, body(q, grad_u_sq, grad_q_sq) where q = |u|^2,
     grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
     taken spectrally from the dealiased product q.  Only q and grad_u_sq
     are built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
@@ -80,42 +80,38 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> N
     ik, batch = work.ik, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
 
-    def squares(x0, phys):
+    def squares(x0, phys, out):
         planes = slice(x0, x0 + phys.shape[-3])
-        speed_sq(phys[0:3], out=q[planes])
+        q[planes] = speed_sq(phys[0:3], out=out[0])
         speed_sq(phys[3:6], out=grad_u_sq[planes])
-        return q[None, planes], None
 
-    def add_squares(x0, phys):
+    def add_squares(x0, phys, out):
         acc = grad_u_sq[x0 : x0 + phys.shape[-3]]
         for d in phys:
             acc += np.multiply(d, d, out=d)
-        return None, None
 
-    def grad_q(x0, phys):
-        # the pass holds phys until this returns, so |grad q|^2 overwrites
-        # its first component instead of taking a new array
+    def grad_q(x0, phys, out):
+        # the values are this body's own, so |grad q|^2 overwrites their
+        # first component instead of taking a new array
         planes = slice(x0, x0 + phys.shape[-3])
-        return None, body(q[planes], grad_u_sq[planes], speed_sq(phys, out=phys[0]))
+        return body(q[planes], grad_u_sq[planes], speed_sq(phys, out=phys[0]))
 
     # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
     # gradient add up in the order i, j of d_j u_i.
     batch[0:3] = u
     np.multiply(ik, u[0], out=batch[3:6])
-    q_hat = slab_pass(batch, grid, work, squares)[0][0]
+    q_hat = slab_pass(batch, grid, work, squares, 1)[0][0]
     np.multiply(ik, u[1], out=batch[0:3])
     np.multiply(ik, u[2], out=batch[3:6])
     slab_pass(batch, grid, work, add_squares)
     np.multiply(ik, q_hat, out=batch[0:3])
     del q_hat
-    slab_pass(batch[0:3], grid, work, grad_q)
+    return slab_pass(batch[0:3], grid, work, grad_q)[1]
 
 
 def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
     """q**exponent with the convention 0**negative = 0 (vanishing velocity)."""
-    if exponent == 0.0:
-        return np.ones_like(q)
-    if exponent > 0:
+    if exponent >= 0:
         return q**exponent
     out = np.zeros_like(q)
     nz = q > 0
@@ -127,33 +123,30 @@ def _power_law(q: np.ndarray, exponent: float) -> np.ndarray:
 def ledger_row(state: MhdState, damping: DampingSpec, work=None) -> dict[str, float]:
     """Instantaneous ledger columns for one state.  ``work`` may lend the
     idle :class:`mhddamp.nonlinear.Workspace` of the trajectory that
-    yielded the state, whose ``stage`` and ``columns`` the row overwrites;
-    without it the row makes its own.  The damping integrands are summed
-    per slab of x-planes, in slab order, and scaled by the cell volume
-    once."""
+    yielded the state, whose ``stage``, ``columns`` and ``products`` the
+    row overwrites; without it the row makes its own.  The damping
+    integrands are summed per slab of x-planes, the slabs' sums added from
+    0 in slab order, and scaled by the cell volume once."""
     row = dict.fromkeys(INSTANT_COLUMNS, 0.0)
     row["l2_sq"], row["h1dot_sq"], row["h2dot_sq"] = spectral_sums(state.coeffs, state.grid)
     if damping.kind == "none":
         return row
 
-    def add(q, grad_u_sq, grad_q_sq):
+    def sums(q, grad_u_sq, grad_q_sq):
         if damping.kind == "power":
             beta = float(damping.beta)
-            row["lbeta"] += float(np.sum(_power_law(q, (beta + 1.0) / 2.0)))
-            row["d_beta_grad"] += float(np.sum(_power_law(q, (beta - 1.0) / 2.0) * grad_u_sq))
-            row["d_beta_sq"] += float(np.sum(_power_law(q, (beta - 3.0) / 2.0) * grad_q_sq))
-        else:
-            fn = damping.function
-            fq = fn.f(q)
-            fq_q = fq * q
-            row["d_f_grad"] += float(np.sum(fq_q * grad_u_sq))
-            row["d_f4"] += float(np.sum(fq_q * q))
-            row["d_f_gradsq"] += float(np.sum(fq * grad_q_sq))
-            fpq = fn.f_prime(q)
-            row["d_fprime_lit"] += float(np.sum(fpq * grad_q_sq))
-            row["d_fprime"] += float(np.sum(fpq * q * grad_q_sq))
+            return {"lbeta": np.sum(_power_law(q, (beta + 1.0) / 2.0)),
+                    "d_beta_grad": np.sum(_power_law(q, (beta - 1.0) / 2.0) * grad_u_sq),
+                    "d_beta_sq": np.sum(_power_law(q, (beta - 3.0) / 2.0) * grad_q_sq)}
+        fq, fpq = damping.function.f(q), damping.function.f_prime(q)
+        fq_q = fq * q
+        return {"d_f_grad": np.sum(fq_q * grad_u_sq), "d_f4": np.sum(fq_q * q),
+                "d_f_gradsq": np.sum(fq * grad_q_sq), "d_fprime_lit": np.sum(fpq * grad_q_sq),
+                "d_fprime": np.sum(fpq * q * grad_q_sq)}
 
-    _velocity_squares(state.u, state.grid, work or Workspace(state.grid), add)
+    for slab in _velocity_squares(state.u, state.grid, work or Workspace(state.grid), sums):
+        for name, value in slab.items():  # from 0.0, in slab order
+            row[name] += float(value)
     for name in INSTANT_COLUMNS[3:]:  # the collocation quadratures, from lbeta on
         row[name] *= state.grid.cell_volume
     return row
@@ -406,7 +399,8 @@ def check_damping_identity(
     grid = state.grid
     work = Workspace(grid)
     d_hat, _ = slab_pass(
-        state.u, grid, work, lambda x0, up: (damping_amplitude(speed_sq(up), damping) * up, None)
+        state.u, grid, work,
+        lambda x0, up, out: np.multiply(damping_amplitude(speed_sq(up), damping), up, out=out), 3,
     )
     # <grad D, grad u> = (2*pi)^3 sum |k|^2 Re(D(k) . conj(u(k))); u has no
     # mode outside the ball, so D's modes there add no term.

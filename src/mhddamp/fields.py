@@ -125,24 +125,25 @@ def irfft_z(spectra: np.ndarray, n: int) -> np.ndarray:
     return _pocketfft.c2r(spectra, (-1,), n, False, 0, None, _FFT_WORKERS)
 
 
-def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
+def slab_pass(packed: np.ndarray, grid: GridSpec, work, body, grids: int = 0):
     """The physical-space pass over stacked packed (m, M) ball modes, one
     slab of ``work.width`` x-planes at a time.  Per slab, in slab order,
-    ``body(x0, values)`` gets the new (m, c, N, N) real point values of
-    the planes x0 .. x0+c-1, which live until it returns, and returns
-    (grids, partial): real (k, c, N, N) grids of the same planes, or None,
-    and any value.  Returns (packed (k, M) modes of the grids, or None
-    when no body returns grids; the partials in slab order).
+    ``body(x0, values, out)`` gets the new (m, c, N, N) real point values of
+    the planes x0 .. x0+c-1, a temporary that is free once the body drops
+    it, and ``out`` = work.products[:grids, :c] (None when ``grids`` is 0);
+    it writes its grids of the same planes into ``out`` and returns its
+    partial, any value.  Returns (packed (grids, M) modes of the grids, or
+    None when ``grids`` is 0; the partials in slab order).
 
     ``work`` is a :class:`mhddamp.nonlinear.Workspace` of the grid, or an
-    object with its ``staging``, ``width`` and ``columns``.  The x passes
-    run in the compact columns, or with one slab (``columns`` None) in
-    staging[:m]; the modes are scattered there after a zero fill.  With
-    several slabs staging holds one slab's ball rows, its rows between
-    zeroed and its columns k3 > kc zero as allocated, for the y and z
-    passes.  A slab's planes of the columns are free once its values are
-    made, and its grids' forward z and y passes go there (with one slab,
-    the kernel's output serves).
+    object with its ``staging``, ``width``, ``columns`` and, when ``grids``
+    is not 0, ``products``.  The x passes run in the compact columns, or
+    with one slab (``columns`` None) in staging[:m]; the modes are
+    scattered there after a zero fill.  With several slabs staging holds
+    one slab's ball rows, its rows between zeroed and its columns k3 > kc
+    zero as allocated, for the y and z passes.  A slab's planes of the
+    columns are free once its values are made, and its grids' forward z
+    and y passes go there (with one slab, the kernel's output serves).
     """
     n, kc, m = grid.n_modes, grid.kc, len(packed)
     columns, staging = work.columns, work.staging
@@ -165,14 +166,14 @@ def slab_pass(packed: np.ndarray, grid: GridSpec, work, body):
             rows[..., high, :] = slab[..., kc + 1 :, :]
             slab = staging[:m, :c]
         ifft_y(slab, grid)
-        grids, partial = body(x0, irfft_z(slab, n))
-        partials.append(partial)
-        if grids is not None:
-            forward = rfft_zy(grids, grid)
+        out = work.products[:grids, :c] if grids else None
+        partials.append(body(x0, irfft_z(slab, n), out))
+        if grids:
+            forward = rfft_zy(out, grid)
             if columns is not None:
-                columns[: len(grids), x0 : x0 + c, : kc + 1] = forward[..., low, : kc + 1]
-                columns[: len(grids), x0 : x0 + c, kc + 1 :] = forward[..., high, : kc + 1]
-                forward = columns[: len(grids)]
+                columns[:grids, x0 : x0 + c, : kc + 1] = forward[..., low, : kc + 1]
+                columns[:grids, x0 : x0 + c, kc + 1 :] = forward[..., high, : kc + 1]
+                forward = columns[:grids]
     return None if forward is None else fft_x(forward, grid), partials
 
 

@@ -344,9 +344,9 @@ def cfl_bound(state: MhdState, config: SolverConfig, work: Workspace | None = No
     grid = config.grid
     work = work or Workspace(grid)
 
-    def peaks(x0, phys):
+    def peaks(x0, phys, out):
         np.abs(phys, out=phys)
-        return None, (np.max(phys[0:3]), np.max(phys[3:6]))
+        return np.max(phys[0:3]), np.max(phys[3:6])
 
     u_max, b_max = np.max(slab_pass(state.coeffs, grid, work, peaks)[1], axis=0)
     speed = float(u_max) + float(b_max)

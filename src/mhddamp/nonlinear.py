@@ -41,7 +41,7 @@ from .operators import leray_project_coeffs
 
 
 class Workspace:
-    """The buffers of one trajectory, allocated once from
+    """The buffers of one stepper, allocated once from
     :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
     its physical-space pass, as :func:`mhddamp.fields.slab_pass` takes them.
     ``staging`` holds one slab of the half spectrum, where an inverse
@@ -49,9 +49,10 @@ class Workspace:
     slab, where ``staging`` holds the whole half spectrum) the compact
     columns ``grid.column_shape``, the ball's y rows of the columns
     k3 <= kc, where both transforms run their x pass, ``products`` the
-    layout of one slab; ``stage``, ``scratch`` and the multipliers ``ik`` =
-    i (k1, k2, k3) are packed to the ball.  Each trajectory makes its own;
-    none is shared."""
+    grids of one slab, which the pass lends its bodies; ``stage``,
+    ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are packed to
+    the ball.  It serves every trajectory the stepper steps (a twin's
+    three), and the ledger rows and CFL bound taken between its steps."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n_modes
@@ -144,33 +145,32 @@ def _rhs_core(
     integrating factor.
 
     Physical space is visited by :func:`mhddamp.fields.slab_pass` in
-    ``work``, the trajectory's :class:`Workspace`, with a body that forms
-    a slab's products, damping and dissipation partial.  Nothing of state
-    size is allocated but the FFT kernel's forward output with one slab and
-    the packed tendency, the first six rows of the forward's packed output.
+    ``work``, the stepper's :class:`Workspace`, with a body that writes a
+    slab's products and damping into the slab the pass lends it and returns
+    its dissipation partial.  Nothing of state size is allocated but the
+    FFT kernel's forward output with one slab and the packed tendency, the
+    first six rows of the forward's packed output.
 
     Returns (dw, damp_diss): the tendency, packed like ``w``, and the
     alpha-stripped damping dissipation integrand over the box:
     ||u||^(beta+1)_L^(beta+1) for power damping, || f(|u|^2) |u|^4 ||_L1
     for generalized damping, 0 otherwise.  Only computed when requested.
     """
-    count = 8 if damping.kind == "none" else 11
-
-    def body(x0, phys):
-        prod = work.products[:count, : phys.shape[-3]]
+    def body(x0, phys, prod):
         _products(phys, prod)
         if damping.kind == "none":
-            return prod, 0.0
+            return 0.0
         up, dmp = phys[0:3], prod[8:11]
         damping_term(up, damping, out=dmp)
         # <damping(u), u> by collocation quadrature, summed over the slabs;
         # einsum sums without a temporary and, unlike np.dot, without BLAS
         # threads
-        diss = float(np.einsum("i,i->", dmp.ravel(), up.ravel())) if want_dissipation else 0.0
-        return prod, diss
+        return float(np.einsum("i,i->", dmp.ravel(), up.ravel())) if want_dissipation else 0.0
 
-    hat, partials = slab_pass(w, grid, work, body)
-    damp_diss = sum(partials)  # from 0, in slab order
+    hat, partials = slab_pass(w, grid, work, body, 8 if damping.kind == "none" else 11)
+    damp_diss = 0.0
+    for partial in partials:  # in slab order, the same sum on every Python
+        damp_diss += partial
     if damp_diss:
         damp_diss *= grid.cell_volume / damping.alpha
 

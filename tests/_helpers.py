@@ -84,7 +84,7 @@ def ifft_grid(coeffs: np.ndarray, grid) -> np.ndarray:
     stack = coeffs.reshape(-1, coeffs.shape[-1])
     staging = np.empty(stack.shape[:-1] + grid.spectral_shape, dtype=np.complex128)
     work = SimpleNamespace(staging=staging, width=grid.n_modes, columns=None)
-    _, (values,) = slab_pass(stack, grid, work, lambda x0, values: (None, values))
+    _, (values,) = slab_pass(stack, grid, work, lambda x0, values, out: values)
     return values.reshape(coeffs.shape[:-1] + grid.shape)
 
 
@@ -227,10 +227,10 @@ def slab_planes(n: int, planes: int):
         yield
 
 
-def velocity_squares_oracle(u: np.ndarray, grid, work, body) -> None:
-    """Calls body(q, |grad u|^2, |grad q|^2) on the whole grid, as for one
-    slab of ``energy._velocity_squares``, from one 12-grid batch (u and its
-    nine derivatives) transformed at full size in a single call."""
+def velocity_squares_oracle(u: np.ndarray, grid, work, body) -> list:
+    """Returns [body(q, |grad u|^2, |grad q|^2)] on the whole grid, as for
+    one slab of ``energy._velocity_squares``, from one 12-grid batch (u and
+    its nine derivatives) transformed at full size in a single call."""
     batch = np.empty((12,) + grid.k_sq.shape, dtype=np.complex128)
     batch[0:3] = u
     gradient_coeffs(u, grid, batch[3:12])
@@ -239,7 +239,7 @@ def velocity_squares_oracle(u: np.ndarray, grid, work, body) -> None:
     q = speed_sq(phys[0:3])
     gq = gradient_coeffs(fft_grid(q, grid)[None], grid)
     grad_q_sq = speed_sq(ifft_grid(gq, grid))
-    body(q, grad_u_sq, grad_q_sq)
+    return [body(q, grad_u_sq, grad_q_sq)]
 
 
 def ledger_row_oracle(state, damping) -> dict:

@@ -1,9 +1,10 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
 workspace's arrays against the model's, a right-hand side against its
-forward output, a ledger row against a right-hand side and against a
-stage's transients, the damping-identity check and a twin run against two
-workspaces, and the set-up steps (initial states, checkpoint read and hash,
-CFL bound) against the packed and slab-sized transients they are allowed."""
+forward output, a slab's point values against one slab, a ledger row
+against a right-hand side and against a stage's transients, the
+damping-identity check and a twin run against two workspaces, and the
+set-up steps (initial states, checkpoint read and hash, CFL bound) against
+the packed and slab-sized transients they are allowed."""
 
 import tracemalloc
 
@@ -15,6 +16,7 @@ from mhddamp import (
     save_checkpoint, twin_run,
 )
 from mhddamp.energy import check_damping_identity, ledger_row
+from mhddamp.fields import slab_pass
 from mhddamp.grid import (
     STEP_TRANSIENT_GRIDS, WORKSPACE_GRIDS, _layout_bytes, slab_width, working_set_bytes,
 )
@@ -90,6 +92,27 @@ def test_rhs_drops_point_values_before_forward(n, damping):
                  if name in ("forward_output", "tendency"))
     peak = traced_peak(_rhs_core, state.coeffs, grid, spec, True, work)
     assert peak <= budget + 2**16
+
+
+def test_slab_values_are_freed_when_a_body_drops_them():
+    # the pass hands a slab's point values to its body as a temporary: a
+    # body that drops them and allocates as much peaks at one slab's
+    # values (1.50 MiB at N = 32, one slab), one that keeps them at two
+    grid = GRIDS[32]
+    state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
+    work = Workspace(grid)
+    values = 6 * grid.n_modes**3 * 8
+
+    def dropping(x0, phys, out):
+        shape = phys.shape
+        del phys
+        np.ones(shape)
+
+    def keeping(x0, phys, out):
+        np.ones(phys.shape)
+
+    assert traced_peak(slab_pass, state.coeffs, grid, work, dropping) <= values + 2**16
+    assert traced_peak(slab_pass, state.coeffs, grid, work, keeping) >= 2 * values
 
 
 ROW_DAMPINGS = {

@@ -231,12 +231,12 @@ def test_packed_inverse_equals_irfftn_of_unpacked(seed, n, radius, m, width, in_
         work.staging[..., : grid.kc + 1 if in_columns else None] = np.nan
         got = np.empty_like(want)
 
-        def body(x0, values):
-            assert values.shape[-3] == min(width, n - x0)
+        def body(x0, values, out):
+            assert values.shape[-3] == min(width, n - x0) and out is None
             got[..., x0 : x0 + values.shape[-3], :, :] = values
             if in_columns:
                 work.columns[:, x0 : x0 + width] = np.nan
-            return None, x0
+            return x0
 
         modes, partials = slab_pass(packed, grid, work, body)
         assert modes is None and partials == list(range(0, n, width))
@@ -298,21 +298,26 @@ def test_passes_equal_scipy_fft_1d_calls(workers, seed, n, radius, m, width):
 def test_slab_forward_columns_equal_rfftn_on_the_ball(seed, n, radius, m, width):
     # every position of the compact columns is written: each slab's body
     # NaN-fills its planes there once its values are made, and the forward
-    # pass must overwrite them all
+    # pass must overwrite them all; the body writes its grids into the
+    # (m, c, N, N) slab the pass lends it from a NaN-filled products array
     grid = ball_grid(n, radius)
     values = np.random.default_rng(seed).standard_normal((m, n, n, n))
     before = values.copy()
     work = SimpleNamespace(
         staging=np.zeros((m, width, n, n // 2 + 1), dtype=np.complex128), width=width,
         columns=np.full((m,) + grid.column_shape, np.nan, dtype=np.complex128),
+        products=np.full((m + 1, width, n, n), np.nan),
     )
 
-    def body(x0, phys):
+    def body(x0, phys, out):
+        assert out.shape == (m, min(width, n - x0), n, n)
         work.columns[:, x0 : x0 + width] = np.nan
-        return values[..., x0 : x0 + width, :, :], None
+        out[...] = values[..., x0 : x0 + width, :, :]
+        return x0
 
-    modes, partials = slab_pass(np.zeros((m, grid.index.size), np.complex128), grid, work, body)
-    assert partials == [None] * len(range(0, n, width))
+    modes, partials = slab_pass(np.zeros((m, grid.index.size), np.complex128), grid, work,
+                                body, m)
+    assert partials == list(range(0, n, width))
     assert not np.any(np.isnan(work.columns))
     assert_forward(modes, before, grid)
     assert values.tobytes() == before.tobytes()
