@@ -91,10 +91,11 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> l
             acc += np.multiply(d, d, out=d)
 
     def grad_q(x0, phys, out):
-        # the values are this body's own, so |grad q|^2 overwrites their
-        # first component instead of taking a new array
+        # the gradient's three grids are freed before the integrands allocate
         planes = slice(x0, x0 + phys.shape[-3])
-        return body(q[planes], grad_u_sq[planes], speed_sq(phys, out=phys[0]))
+        grad_q_sq = speed_sq(phys)
+        del phys
+        return body(q[planes], grad_u_sq[planes], grad_q_sq)
 
     # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
     # gradient add up in the order i, j of d_j u_i.

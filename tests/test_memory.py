@@ -1,10 +1,11 @@
 """Traced memory: a trajectory's peak against grid.working_set_bytes, a
 workspace's arrays against the model's, a right-hand side against its
-forward output, a slab's point values against one slab, a ledger row
-against a right-hand side and against a stage's transients, the
-damping-identity check and a twin run against two workspaces, and the
-set-up steps (initial states, checkpoint read and hash, CFL bound) against
-the packed and slab-sized transients they are allowed."""
+forward output, a slab's point values against one slab, the ledger row's
+integrands against one slab of grad q, a ledger row against a step and
+against a stage's transients, the damping-identity check and a twin run
+against two workspaces, and the set-up steps (initial states, checkpoint
+read and hash, CFL bound) against the packed and slab-sized transients
+they are allowed."""
 
 import tracemalloc
 
@@ -15,12 +16,12 @@ from mhddamp import (
     DampingSpec, GridSpec, InitialCondition, SolverConfig, load_checkpoint, make_initial, run,
     save_checkpoint, twin_run,
 )
-from mhddamp.energy import check_damping_identity, ledger_row
+from mhddamp.energy import _velocity_squares, check_damping_identity, ledger_row
 from mhddamp.fields import slab_pass
 from mhddamp.grid import (
     STEP_TRANSIENT_GRIDS, WORKSPACE_GRIDS, _layout_bytes, slab_width, working_set_bytes,
 )
-from mhddamp.integrator import cfl_bound, config_hash
+from mhddamp.integrator import _StepWork, cfl_bound, config_hash
 from mhddamp.nonlinear import Workspace, _rhs_core
 
 
@@ -30,7 +31,7 @@ DAMPINGS = {
     "power5": DampingSpec(kind="power", alpha=1.0, beta=5.0),
     "log1": DampingSpec(kind="generalized", alpha=1.0, f_id="log1"),
 }
-GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32, 64)}  # 64: eight slabs
+GRIDS = {n: GridSpec(n_modes=n) for n in (16, 32, 64)}  # 32: four slabs, 64: 32
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -65,24 +66,30 @@ def test_run_peak_within_working_set(n, damping):
 
 @pytest.mark.parametrize("damping", sorted(DAMPINGS))
 def test_ledger_row_peak_below_rhs_with_workspace(damping):
-    # In a run the stepper's workspace is held throughout, so a row that
-    # allocates less than a right-hand side and its workspace does not set
-    # the process's peak.
+    # In a run the stepper's workspace is held throughout and lent to each
+    # row, so a row that allocates less than one step, whose right-hand
+    # sides run in that workspace beside the next state, does not set the
+    # process's peak.  (A lent row can exceed a bare right-hand side: at
+    # N = 32, four slabs, 0.94 MiB against 0.73 MiB.)
     grid = GRIDS[32]
     state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
     spec = DAMPINGS[damping]
-    row = traced_peak(ledger_row, state, spec)  # builds its Workspace
-    rhs = traced_peak(lambda: _rhs_core(state.coeffs, grid, spec, True, Workspace(grid)))
-    assert row <= rhs
+    stepper = _StepWork(SolverConfig(
+        grid=grid, dt=1e-3, t_end=1e-3, damping=spec,
+        initial_condition=InitialCondition(kind="random_divfree", target_h1=10.0),
+    ))
+    row = traced_peak(ledger_row, state, spec, stepper.work)
+    step = traced_peak(stepper.advance, state.coeffs)
+    assert row <= step
 
 
 @pytest.mark.parametrize("damping", ["none", "power5", "log1"])
-@pytest.mark.parametrize("n", [16, 32])  # one slab
+@pytest.mark.parametrize("n", [16, 20])  # one slab
 def test_rhs_drops_point_values_before_forward(n, damping):
     # with the workspace lent, a right-hand side holds scipy's forward
     # output and the tendency gathered to the ball, but no slab's point
     # values (inverse output, damping temporaries) beside them
-    grid = GRIDS[n]
+    grid = GridSpec(n_modes=n)
     state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
     spec = DAMPINGS.get(damping, DampingSpec())
     work = Workspace(grid)
@@ -97,11 +104,12 @@ def test_rhs_drops_point_values_before_forward(n, damping):
 def test_slab_values_are_freed_when_a_body_drops_them():
     # the pass hands a slab's point values to its body as a temporary: a
     # body that drops them and allocates as much peaks at one slab's
-    # values (1.50 MiB at N = 32, one slab), one that keeps them at two
+    # values (0.375 MiB at N = 32, four slabs of 8 planes), one that keeps
+    # them at two
     grid = GRIDS[32]
     state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
     work = Workspace(grid)
-    values = 6 * grid.n_modes**3 * 8
+    values = 6 * work.width * grid.n_modes**2 * 8
 
     def dropping(x0, phys, out):
         shape = phys.shape
@@ -115,6 +123,24 @@ def test_slab_values_are_freed_when_a_body_drops_them():
     assert traced_peak(slab_pass, state.coeffs, grid, work, keeping) >= 2 * values
 
 
+@pytest.mark.parametrize("n", [16, 32])  # one slab, four slabs
+def test_row_integrands_see_one_slab_of_grad_q(n):
+    # the row's integrands allocate beside q and |grad u|^2 at full size
+    # and the slab's |grad q|^2, not beside the three grids of grad q
+    grid = GRIDS[n]
+    state = make_initial("random_divfree", grid, seed=3, target_h1=10.0)
+    work = Workspace(grid)
+    held = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _velocity_squares(state.u, grid, work,
+                          lambda *grids: held.append(tracemalloc.get_traced_memory()[0] - before))
+    finally:
+        tracemalloc.stop()
+    assert max(held) <= (2 * n + work.width) * n * n * 8 + 2**14
+
+
 ROW_DAMPINGS = {
     "power2": DampingSpec(kind="power", alpha=1.0, beta=2.0),
     "power5": DAMPINGS["power5"],
@@ -125,8 +151,8 @@ ROW_DAMPINGS = {
 
 @pytest.fixture(scope="module", params=[16, 32, 48, 64], ids=lambda n: f"n{n}")
 def sample(request):
-    """A state at N = 16, 32 (one slab), 48 (four slabs) or 64 (eight) and
-    a workspace of its grid, as a trajectory lends it to a ledger row."""
+    """A state at N = 16 (one slab), 32 (four slabs), 48 (16) or 64 (32)
+    and a workspace of its grid, as a trajectory lends it to a ledger row."""
     grid = GridSpec(n_modes=request.param)
     return make_initial("random_divfree", grid, seed=3, target_h1=10.0), Workspace(grid)
 
@@ -145,9 +171,9 @@ def test_ledger_row_within_stage_transients(sample, damping):
 
 def test_slab_decomposition_is_pinned():
     # a run's slab sums, hence its artifacts, depend on the slab width
-    widths = {32: 32, 34: 17, 48: 12, 64: 8, 96: 3, 128: 2, 130: 1}
+    widths = {32: 8, 34: 7, 48: 3, 64: 2, 96: 1, 128: 1, 130: 1}
     assert {n: slab_width(n) for n in widths} == widths
-    for n, mib in ((64, 32.07), (128, 186.37)):
+    for n, mib in ((64, 25.03), (128, 181.71)):
         m = GridSpec(n_modes=n).index.size
         assert round(working_set_bytes(n, m) / MiB, 2) == mib
 

@@ -6,7 +6,7 @@
 OLD_SRC and NEW_SRC are directories that hold the ``mhddamp`` package, such
 as the ``src`` of two checkouts.  Every ``configs/*.json`` of this
 repository, cut to 10 steps with a ledger row every 3, and an N = 64 log1
-config (3 steps, a ledger row every step, eight slabs) go through three
+config (3 steps, a ledger row every step, 32 slabs) go through three
 legs: ``mhddamp run``, ``mhddamp twin``, and ``mhddamp run`` restarted from
 the run's checkpoint for 3 more steps.  Each side runs in a directory of its
 own, with its source tree on PYTHONPATH and relative paths only, so that the
@@ -27,7 +27,10 @@ With ``--threads N`` the NEW side's legs run with ``--threads N``, so
 and on 2 FFT threads.
 
 Each difference is printed, and the exit status is 1 if there is any, 0 if
-there is none.
+there is none.  Where only numbers differ, the line also gives the largest
+difference relative to the scale and, for a CSV or a checkpoint, each
+column or field that moved with its own, so that a stated re-baseline can
+be reviewed from one byte-mode run.
 """
 
 from __future__ import annotations
@@ -118,15 +121,21 @@ NUMBER = re.compile(
 MHDF_HEADER = 32  # magic, version, N, radius, time
 
 
+# The numbers of a file come in (name, numbers) groups, each with its own
+# scale: the columns of a CSV, the fields of a checkpoint, else one group
+# named "".
+FIELDS = ("u1", "u2", "u3", "b1", "b2", "b3")
+
+
 def _text_numbers(data: bytes):
-    """(text with each number replaced by '#', [its numbers])."""
+    """(text with each number replaced by '#', [("", its numbers)])."""
     text = data.decode(errors="replace")
-    return NUMBER.sub("#", text), [np.array([float(x) for x in NUMBER.findall(text)])]
+    return NUMBER.sub("#", text), [("", np.array([float(x) for x in NUMBER.findall(text)]))]
 
 
 def _json_numbers(data: bytes, masked: tuple[str, ...] = ()):
     """(the document with each number, and the value of each key in
-    ``masked``, replaced by '#', [its numbers])."""
+    ``masked``, replaced by '#', [("", its numbers)])."""
     found = []
 
     def walk(node):
@@ -140,12 +149,12 @@ def _json_numbers(data: bytes, masked: tuple[str, ...] = ()):
         return node
 
     skeleton = json.dumps(walk(json.loads(data)), sort_keys=True)
-    return skeleton, [np.array(found)]
+    return skeleton, [("", np.array(found))]
 
 
 def _csv_numbers(data: bytes):
-    """(the table with each number replaced by '#', [the numbers of each
-    column])."""
+    """(the table with each number replaced by '#', [(name, numbers)] of
+    each column)."""
     rows = list(csv.reader(io.StringIO(data.decode())))
     columns: dict[int, list[float]] = {}
     skeleton = []
@@ -158,14 +167,18 @@ def _csv_numbers(data: bytes):
             except ValueError:
                 cells.append(cell)
         skeleton.append(cells)
-    return (rows[:1], skeleton), [np.array(columns[j]) for j in sorted(columns)]
+    header = rows[0] if rows else []
+    return (rows[:1], skeleton), [
+        (header[j] if j < len(header) else f"column {j}", np.array(columns[j]))
+        for j in sorted(columns)
+    ]
 
 
 def _mhdf_numbers(data: bytes):
-    """(the header and payload size, [the coefficients of each of the six
-    fields])."""
+    """(the header and payload size, [(name, coefficients)] of each of the
+    six fields)."""
     payload = np.frombuffer(data[MHDF_HEADER:], dtype="<c16")
-    return (data[:MHDF_HEADER], len(data)), list(payload.reshape(6, -1))
+    return (data[:MHDF_HEADER], len(data)), list(zip(FIELDS, payload.reshape(6, -1)))
 
 
 def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
@@ -178,24 +191,26 @@ def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
         return _text_numbers(data)
 
 
-def deviation(name: str, old: bytes, new: bytes, masked: tuple[str, ...] = ()) -> float | None:
-    """The largest difference of the numbers of ``old`` and ``new`` relative
-    to their scale, or None when anything but finite numbers, or the values
-    of JSON keys in ``masked``, differs."""
+def deviations(name: str, old: bytes, new: bytes,
+               masked: tuple[str, ...] = ()) -> list[tuple[str, float]] | None:
+    """[(group, the largest difference of its numbers in ``old`` and ``new``
+    relative to its scale)] for each group of numbers that moved, or None
+    when anything but finite numbers, or the values of JSON keys in
+    ``masked``, differs."""
     (skel_a, groups_a), (skel_b, groups_b) = (_numbers(name, x, masked) for x in (old, new))
-    if skel_a != skel_b or [len(g) for g in groups_a] != [len(g) for g in groups_b]:
+    if skel_a != skel_b or [(k, len(g)) for k, g in groups_a] != [(k, len(g)) for k, g in groups_b]:
         return None
-    worst = 0.0
-    for a, b in zip(groups_a, groups_b):
+    moved = []
+    for (key, a), (_, b) in zip(groups_a, groups_b):
         finite = np.isfinite(a)
         if not (np.array_equal(finite, np.isfinite(b))
                 and np.array_equal(a[~finite], b[~finite], equal_nan=True)):
             return None
         a, b = a[finite], b[finite]
         scale = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
-        if scale:
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
-    return worst
+        if scale and not np.array_equal(a, b):
+            moved.append((key, float(np.max(np.abs(a - b))) / scale))
+    return moved
 
 
 def _hashed_inputs_differ(rel: Path, old_dir: Path, new_dir: Path) -> tuple[str, ...]:
@@ -219,18 +234,25 @@ def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: di
     found, worst = [], 0.0
 
     def compare(what: str, name: str, a: bytes, b: bytes, message, masked=()) -> None:
-        """Record a difference of ``a`` and ``b`` (``message()`` unless only
-        numbers differ), or the deviation of numbers within ``rtol``."""
+        """Record a difference of ``a`` and ``b``: ``message()``, unless only
+        numbers differ; then the largest deviation of the numbers relative
+        to their scale and the named groups that moved, followed by
+        ``message()`` without ``rtol``, or, within ``rtol``, only the
+        deviation kept for the verdict."""
         nonlocal worst
         if a == b:
             return
-        dev = None if rtol is None else deviation(name, a, b, masked)
-        if dev is None:
+        moved = deviations(name, a, b, masked)
+        if moved is None:
             found.append(message())
-        elif dev > rtol:
-            found.append(f"{what}: numbers differ by {dev:.3g} of their scale")
-        else:
+            return
+        dev = max((value for _, value in moved), default=0.0)
+        if rtol is not None and dev <= rtol:
             worst = max(worst, dev)
+            return
+        named = ", ".join(f"{key} ({value:.3g})" for key, value in moved if key)
+        line = f"{what}: numbers differ by {dev:.3g} of their scale" + (f", in {named}" if named else "")
+        found.append(line if rtol is not None else f"{line}\n{message()}")
 
     for leg, old in old_results.items():
         new = new_results[leg]
