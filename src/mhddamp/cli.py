@@ -251,7 +251,7 @@ def _lemma_reports_for_run(damping: DampingSpec) -> list[CheckReport]:
         x = np.linspace(0.0, DEFAULT_MATRIX["x_max"], DEFAULT_MATRIX["x_points"])
         return [check_interpolation_bound(damping.alpha, float(damping.beta), x)]
     if damping.kind == "generalized":
-        return [monotonicity_suite(damping.function, n_pairs=20_000, seed=0)]
+        return [monotonicity_suite(damping.f_id, n_pairs=20_000, seed=0)]
     return [CheckReport("lemma_suite", "NOT-APPLICABLE", detail="no damping active")]
 
 
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemmas", help="run the scalar/vector lemma verifiers")
     p_lem.add_argument("--matrix", help="JSON file with alphas/betas/f_ids")
-    common(p_lem)
+    p_lem.add_argument("--out", help="output directory (overrides MHDDAMP_OUT)")
     p_lem.set_defaults(func=cmd_lemmas)
 
     p_twin = sub.add_parser("twin", help="two nearby trajectories, separation growth")
@@ -419,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fft_workers(args) -> int:
-    """FFT worker cap of one command: --threads, else MHDDAMP_THREADS, else
-    1; at most the CPUs this process may run on."""
+    """FFT worker cap: --threads, else MHDDAMP_THREADS, else 1 (lemmas and
+    info run no transform); at most the CPUs this process may run on."""
     source, workers = "--threads", getattr(args, "threads", 1)
     if not workers:
         source, workers = "MHDDAMP_THREADS", os.environ.get("MHDDAMP_THREADS") or "0"

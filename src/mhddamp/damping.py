@@ -31,7 +31,6 @@ E_E_E = float(np.exp(np.exp(np.e)))  # e^(e^e)
 class DampingFunction:
     """A damping modifier f with derivative and inverse."""
 
-    f_id: str
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
     f_inverse: Callable[[float], float]
@@ -47,21 +46,18 @@ def _log3_inverse(y: float) -> float:
 
 F_CATALOG: dict[str, DampingFunction] = {
     "log1": DampingFunction(
-        f_id="log1",
         f=lambda z: np.log(E + z),
         f_prime=lambda z: 1.0 / (E + z),
         f_inverse=lambda y: float(np.exp(y) - E),
         f_at_zero=1.0,
     ),
     "log2": DampingFunction(
-        f_id="log2",
         f=lambda z: np.log(np.log(E_E + z)),
         f_prime=lambda z: 1.0 / ((E_E + z) * np.log(E_E + z)),
         f_inverse=lambda y: float(np.exp(np.exp(y)) - E_E),
         f_at_zero=1.0,
     ),
     "log3": DampingFunction(
-        f_id="log3",
         f=lambda z: np.log(np.log(np.log(E_E_E + z))),
         f_prime=lambda z: 1.0 / ((E_E_E + z) * np.log(E_E_E + z) * np.log(np.log(E_E_E + z))),
         f_inverse=_log3_inverse,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude, speed_sq
+from .damping import DampingSpec, F_CATALOG, damping_amplitude, speed_sq
 from .fields import slab_pass
 from .grid import GridSpec
 from .lemmas import CheckReport, interpolation_constant
@@ -48,6 +48,8 @@ ALL_COLUMNS = ("t",) + INSTANT_COLUMNS + INTEGRAL_COLUMNS
 
 # The damping column whose running integral enters the L2 energy balance.
 L2_DAMPING_COLUMN = {"power": "lbeta", "generalized": "d_f4"}
+L2_STEP_TOL = 1e-9
+DAMPING_IDENTITY_TOL = 1e-6
 
 
 def spectral_sums(w: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
@@ -248,13 +250,13 @@ def _non_unit_viscosity(ledger: EnergyLedger) -> str:
     return f"estimates derived for unit viscosity, got nu_h={nu_h:g} nu_v={nu_v:g}"
 
 
-def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckReport:
+def check_L2_inequality(ledger: EnergyLedger) -> CheckReport:
     """Residual of the L2 energy balance at every row.
 
     residual(t) = ||w0||^2 - [ ||w(t)||^2 + 2 int ||grad w||^2
                                + 2 alpha int (damping dissipation) ].
     For the exact flow the residual is identically zero with damping active
-    or not; the discrete residual must stay above -tol_step * total steps.
+    or not; the discrete residual must stay above -L2_STEP_TOL * total steps.
     NOT-APPLICABLE unless the viscosities are 1.
     """
     if detail := _non_unit_viscosity(ledger):
@@ -268,20 +270,20 @@ def check_L2_inequality(ledger: EnergyLedger, tol_step: float = 1e-9) -> CheckRe
         + 2.0 * ledger.column("int_h1dot_sq")
         + 2.0 * ledger.damping.alpha * int_damp
     )
-    tol = tol_step * max(ledger.steps_total, 1)
+    tol = L2_STEP_TOL * max(ledger.steps_total, 1)
     return _report("l2_energy", residual, t, tol)
 
 
-def gronwall_rate(alpha: float, fn: DampingFunction | str) -> float:
-    """Gronwall rate f^{-1}(1/(2 alpha)) of the generalized-damping H1 bound.
+def gronwall_rate(alpha: float, f_id: str) -> float:
+    """Gronwall rate f^{-1}(1/(2 alpha)) of the generalized-damping H1 bound,
+    with f the catalog modifier ``f_id``.
 
     When 1/(2 alpha) <= f(0) the damping dominates pointwise everywhere and
     no remainder term survives, so the rate is 0.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if isinstance(fn, str):
-        fn = F_CATALOG[fn]
+    fn = F_CATALOG[f_id]
     y = 1.0 / (2.0 * alpha)
     if y <= fn.f_at_zero:
         return 0.0
@@ -365,7 +367,7 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
         ]
 
     if damping.kind == "generalized":
-        rate = gronwall_rate(damping.alpha, damping.function)
+        rate = gronwall_rate(damping.alpha, damping.f_id)
         detail = "no additive bound stated for generalized damping"
         return [
             CheckReport("h1_additive", "NOT-APPLICABLE", detail=detail),
@@ -375,9 +377,7 @@ def check_H1_inequalities(ledger: EnergyLedger) -> list[CheckReport]:
     return not_applicable("no damping active")
 
 
-def check_damping_identity(
-    state: MhdState, damping: DampingSpec, tol: float = 1e-6
-) -> CheckReport:
+def check_damping_identity(state: MhdState, damping: DampingSpec) -> CheckReport:
     """Compare int grad(D(u)) : grad(u) against its pointwise decomposition.
 
     power (beta >= 3), D = |u|^(beta-1) u:
@@ -386,7 +386,7 @@ def check_damping_identity(
         rhs = d_f_grad + 1/2 (d_fprime + d_f_gradsq)
     The left side differentiates the collocation samples of D spectrally, so
     agreement is limited by the spectral tail of D; band-limited smooth
-    states keep the relative error within ``tol``.
+    states keep the relative error within DAMPING_IDENTITY_TOL.
     """
     if damping.kind == "none":
         return CheckReport("damping_identity", "NOT-APPLICABLE", detail="no damping active")
@@ -418,7 +418,7 @@ def check_damping_identity(
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return CheckReport(
         "damping_identity",
-        "PASS" if rel <= tol else "FAIL",
-        tolerance=tol,
+        "PASS" if rel <= DAMPING_IDENTITY_TOL else "FAIL",
+        tolerance=DAMPING_IDENTITY_TOL,
         extra={"lhs": lhs, "rhs": rhs, "rel_error": rel},
     )

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .damping import DampingFunction, DampingSpec, F_CATALOG, damping_amplitude
+from .damping import DampingSpec, F_CATALOG, damping_amplitude
 
 MARGIN_TOL = 1e-12
 # |margin at x*| is held to SHARPNESS_TOL * max(1, c): its roundoff grows with c.
 SHARPNESS_TOL = 1e-10
+PAIR_SCALE_RANGE = (1e-3, 1e3)
 
 
 @dataclass
@@ -130,11 +131,11 @@ def check_interpolation_bound(alpha: float, beta: float, x_grid: np.ndarray) -> 
     )
 
 
-def monotonicity_gap(x: np.ndarray, y: np.ndarray, fn: DampingFunction | str) -> np.ndarray:
+def monotonicity_gap(x: np.ndarray, y: np.ndarray, f_id: str) -> np.ndarray:
     """<f(|x|^2)|x|^2 x - f(|y|^2)|y|^2 y, x - y> over the last axis, for
-    one vector pair or a stack of them; nonnegative for every strictly
-    increasing f."""
-    spec = DampingSpec("generalized", 1.0, f_id=fn if isinstance(fn, str) else fn.f_id)
+    one vector pair or a stack of them, with f the catalog modifier
+    ``f_id``; nonnegative for every strictly increasing f."""
+    spec = DampingSpec("generalized", 1.0, f_id=f_id)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ax = damping_amplitude(np.sum(x * x, axis=-1), spec)[..., None]
@@ -142,30 +143,24 @@ def monotonicity_gap(x: np.ndarray, y: np.ndarray, fn: DampingFunction | str) ->
     return np.sum((ax * x - ay * y) * (x - y), axis=-1)
 
 
-def monotonicity_suite(
-    fn: DampingFunction | str,
-    n_pairs: int = 100_000,
-    seed: int = 0,
-    scale_range: tuple[float, float] = (1e-3, 1e3),
-) -> CheckReport:
-    """Vectorized sampling of the monotonicity gap over random vector pairs
-    drawn at log-uniform scales."""
-    if isinstance(fn, str):
-        fn = F_CATALOG[fn]
+def monotonicity_suite(f_id: str, n_pairs: int = 100_000, seed: int = 0) -> CheckReport:
+    """Vectorized sampling of the monotonicity gap of the catalog modifier
+    ``f_id`` over random vector pairs drawn at log-uniform scales in
+    PAIR_SCALE_RANGE."""
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(scale_range[0]), np.log(scale_range[1])
+    lo, hi = np.log(PAIR_SCALE_RANGE[0]), np.log(PAIR_SCALE_RANGE[1])
     sx = np.exp(rng.uniform(lo, hi, size=n_pairs))
     sy = np.exp(rng.uniform(lo, hi, size=n_pairs))
     x = rng.standard_normal((n_pairs, 3)) * sx[:, None]
     y = rng.standard_normal((n_pairs, 3)) * sy[:, None]
-    gaps = monotonicity_gap(x, y, fn)
+    gaps = monotonicity_gap(x, y, f_id)
     i = int(np.argmin(gaps))
     return CheckReport(
         "lemma_monotonicity",
         "PASS" if gaps[i] >= -MARGIN_TOL else "FAIL",
         worst_margin=float(gaps[i]),
         samples=n_pairs,
-        extra={"f_id": fn.f_id, "worst_pair": (tuple(x[i]), tuple(y[i]))},
+        extra={"f_id": f_id, "worst_pair": (tuple(x[i]), tuple(y[i]))},
     )
 
 
@@ -188,14 +183,10 @@ class ModifierEnvelopeReport:
     b_argmax: float
     f_at_zero: float
     lower_bound_degenerate: bool
-    detail: str
 
 
-def modifier_envelope_report(
-    fn: DampingFunction | str, beta: float, z_grid: np.ndarray
-) -> ModifierEnvelopeReport:
-    if isinstance(fn, str):
-        fn = F_CATALOG[fn]
+def modifier_envelope_report(f_id: str, beta: float, z_grid: np.ndarray) -> ModifierEnvelopeReport:
+    fn = F_CATALOG[f_id]
     z = np.asarray(z_grid, dtype=np.float64)
     if np.any(z < 1):
         raise ValueError("z_grid must lie in [1, inf)")
@@ -206,21 +197,13 @@ def modifier_envelope_report(
     ia = int(np.argmin(lower_ratio))
     ib = int(np.argmax(upper_ratio))
     a_star = float(lower_ratio[ia])
-    degenerate = a_star < 1e-6
-    detail = (
-        f"lower ratio f(z)/z^2 falls to {a_star:.3e} at z={z[ia]:.6g}; "
-        "no positive lower constant over the sampled range"
-        if degenerate
-        else "both envelope constants positive over the sampled range"
-    )
     return ModifierEnvelopeReport(
-        f_id=fn.f_id,
+        f_id=f_id,
         beta=beta,
         a_star=a_star,
         a_argmin=float(z[ia]),
         b_star=float(upper_ratio[ib]),
         b_argmax=float(z[ib]),
         f_at_zero=fn.f_at_zero,
-        lower_bound_degenerate=degenerate,
-        detail=detail,
+        lower_bound_degenerate=a_star < 1e-6,
     )

@@ -32,6 +32,7 @@ from .state import MhdState
 NOISE_SEED_OFFSET = 7919
 # The noise halves have unit H1 norm, so d0 <= 2 eps^2 is finite up to the bound.
 PERTURBATION_SCALE = Leaf("real", ge=0, le=float(np.sqrt(np.finfo(np.float64).max / 2)))
+BOUND_SLACK = 1e-6
 
 
 @dataclass
@@ -53,13 +54,13 @@ class TwinRunResult:
             return np.zeros_like(self.t)
         return self.d0 * np.exp(self.c_bound * (self.t - self.t[0]))
 
-    def bound_satisfied(self, slack: float = 1e-6) -> bool:
-        """d(t) <= d(t0) exp(c_bound (t - t0)) (1 + slack) over the fit
-        window."""
+    def bound_satisfied(self) -> bool:
+        """d(t) <= d(t0) exp(c_bound (t - t0)) (1 + BOUND_SLACK) over the
+        fit window."""
         if self.d0 == 0.0:
             return bool(np.all(self.d == 0.0))
         window = slice(0, self.window_end + 1)
-        return bool(np.all(self.d[window] <= self.bound_series()[window] * (1.0 + slack)))
+        return bool(np.all(self.d[window] <= self.bound_series()[window] * (1.0 + BOUND_SLACK)))
 
     def to_csv(self, path) -> None:
         bound = self.bound_series()
@@ -110,7 +111,11 @@ def _fit_rates(t: np.ndarray, d: np.ndarray, window_end: int) -> tuple[float, fl
     if positive.sum() < 2:
         return 0.0, 0.0
     logd = np.log(dw[positive])
-    slope, _ = np.polyfit(tw[positive], logd, 1)
+    # fitted on time scaled by a power of two near the span, which is exact:
+    # the squares of tiny times would fall into subnormals
+    e = np.frexp(tw[-1])[1]
+    slope, _ = np.polyfit(np.ldexp(tw[positive], -e), logd, 1)
+    slope = np.ldexp(slope, -e)
     later = (tw > 0) & positive
     if later.any():
         c_bound = float(np.max((np.log(dw[later]) - np.log(dw[0])) / tw[later]))

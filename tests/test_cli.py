@@ -492,6 +492,24 @@ class TestCmdRun:
         assert len(lines) == len(stderr)
         assert all(line.startswith(want) for line, want in zip(lines, stderr)), lines
 
+    @pytest.mark.parametrize("command", ["twin", "run"])
+    def test_tiny_dt_twin_rates(self, tmp_path, command):
+        # elapsed times near 1e-300 square to subnormals; the rate fit must
+        # not, and neither the twin command nor a run's twin check may fail
+        data = json.loads(QUICKSTART.read_text())
+        data["solver"].update(grid={"n_modes": 8}, dt=1e-300, t_end=2e-300)
+        data["checks"] = ["twin"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhddamp.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert "PASS" in proc.stdout
+
 
 class TestCmdLemmas:
     def test_default_matrix_passes(self, tmp_path):
@@ -502,6 +520,13 @@ class TestCmdLemmas:
             assert (lemma_dir / name).exists()
         text = (lemma_dir / "interpolation.csv").read_text()
         assert "PASS" in text and "FAIL" not in text
+
+    def test_threads_variable_not_read(self, tmp_path, monkeypatch):
+        # lemmas runs no transform, so no FFT worker count is read
+        monkeypatch.setenv("MHDDAMP_THREADS", "abc")
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps({"alphas": [1.0], "betas": [4.0], "pairs": 100}))
+        assert main(["lemmas", "--matrix", str(matrix), "--out", str(tmp_path / "out")]) == 0
 
     def test_beta_three_cells_not_applicable(self, tmp_path):
         matrix = tmp_path / "m.json"
@@ -888,9 +913,13 @@ def test_output_path_under_a_file_exit_one(tmp_path, capsys, command, out):
       f"{len(os.sched_getaffinity(0))}, got 'abc'"),
      (["twin", "--config", "CFG", "--out", "OUT"], "1.5",
       "MHDDAMP_THREADS: FFT worker count must be an integer >= 1 and <= "
-      f"{len(os.sched_getaffinity(0))}, got '1.5'")],
+      f"{len(os.sched_getaffinity(0))}, got '1.5'"),
+     (["lemmas", "--seed", "1", "--out", "OUT"], None, "unrecognized arguments: --seed 1"),
+     (["lemmas", "--threads", "1", "--out", "OUT"], None,
+      "unrecognized arguments: --threads 1")],
     ids=["threads-abc", "eps-zz", "unknown-flag", "no-config", "no-command",
-         "unknown-command", "env-threads-abc", "env-threads-1.5"],
+         "unknown-command", "env-threads-abc", "env-threads-1.5", "lemmas-seed",
+         "lemmas-threads"],
 )
 def test_usage_error_exit_one(tmp_path, monkeypatch, capsys, argv, env, message):
     monkeypatch.delenv("MHDDAMP_THREADS", raising=False)

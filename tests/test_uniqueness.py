@@ -40,7 +40,7 @@ class TestTwinRun:
         result = twin_run(cfg, 1e-6)
         assert result.d0 > 0
         assert np.isfinite(result.c_hat)
-        assert result.bound_satisfied(slack=1e-6)
+        assert result.bound_satisfied()
 
     @pytest.mark.parametrize("planes", [None, 3], ids=["one-slab", "slabs-of-3"])
     def test_separation_equals_separate_steppers(self, grid16, monkeypatch, planes):
@@ -64,6 +64,18 @@ class TestTwinRun:
         assert replay is a and result.reproducible and not result.identical
         assert result.d.size == 3
         assert np.array_equal(result.d, want)
+
+    @pytest.mark.parametrize("k", [1, 100, 500, 1000])
+    def test_fit_rates_scale_exactly_with_time(self, k):
+        # times scaled by 2**-k give both rates scaled by 2**k, bit for bit,
+        # also where the squares of the elapsed times would be subnormal
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            t = 0.25 + np.cumsum(rng.uniform(2e-3, 1e-2, 12))
+            d = np.exp(np.cumsum(rng.normal(0.1, 0.05, 12)))
+            slope, bound = uniqueness._fit_rates(t, d, t.size - 1)
+            scaled = uniqueness._fit_rates(np.ldexp(t, -k), d, t.size - 1)
+            assert scaled == (np.ldexp(slope, k), np.ldexp(bound, k))
 
     def test_rate_stable_under_smaller_perturbation(self, grid16):
         cfg = twin_config(grid16, DampingSpec(kind="generalized", alpha=1.0, f_id="log1"))

@@ -8,10 +8,12 @@ as the ``src`` of two checkouts.  Every ``configs/*.json`` of this
 repository, cut to 10 steps with a ledger row every 3, and an N = 64 log1
 config (3 steps, a ledger row every step, 32 slabs) go through three
 legs: ``mhddamp run``, ``mhddamp twin``, and ``mhddamp run`` restarted from
-the run's checkpoint for 3 more steps.  Each side runs in a directory of its
-own, with its source tree on PYTHONPATH and relative paths only, so that the
-configs echoed in its summaries match.  Every output file, and each leg's
-exit code, stdout and stderr, is compared byte for byte.
+the run's checkpoint for 3 more steps.  One more leg runs ``mhddamp lemmas``
+on LEMMA_MATRIX, which reaches PASS and NOT-APPLICABLE cells and every
+modifier.  Each side runs in a directory of its own, with its source tree on
+PYTHONPATH and relative paths only, so that the configs echoed in its
+summaries match.  Every output file, and each leg's exit code, stdout and
+stderr, is compared byte for byte.
 
 With ``--rtol R`` numbers may differ by R times their scale: a CSV cell by
 R times the largest |x| of its column, a JSON number, or a number in
@@ -22,7 +24,7 @@ and all text but the numbers must still match exactly, but for a restart
 leg's ``config_hash``, which hashes the checkpoint it restarts from, when
 that checkpoint differs.
 
-With ``--threads N`` the NEW side's legs run with ``--threads N``, so
+With ``--threads N`` the NEW side's run and twin legs run with ``--threads N``, so
 ``--threads 2 src src`` checks that one tree writes the same artifacts on 1
 and on 2 FFT threads.
 
@@ -53,6 +55,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 MAIN = "import sys; from mhddamp.cli import main; sys.exit(main())"
 STEPS, STRIDE, RESTART_STEPS = 10, 3, 3
+LEMMA_MATRIX = {"alphas": [1e-300, 1.0], "betas": [3.0, 4.0, 1e300],
+                "x_points": 1000, "pairs": 10000}
 
 
 def _cut(cfg: dict, steps: int, stride: int) -> dict:
@@ -80,11 +84,18 @@ def leg_configs() -> dict[str, tuple[dict, int]]:
 def run_side(src: Path, workdir: Path, options: tuple[str, ...]
              ) -> dict[str, tuple[int, bytes, bytes]]:
     """Run every leg with the package in ``src``, in ``workdir``, with the
-    command-line ``options`` added; returns leg -> (exit code, stdout,
-    stderr)."""
+    command-line ``options`` added to each run and twin leg; returns leg ->
+    (exit code, stdout, stderr)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MHDDAMP_")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     results = {}
+
+    def run_leg(leg: str, *args: str) -> None:
+        proc = subprocess.run([sys.executable, "-c", MAIN, *args],
+                              cwd=workdir, env=env, capture_output=True)
+        results[leg] = (proc.returncode, proc.stdout, proc.stderr)
+        print(f"{src}: {leg}: exit {proc.returncode}", file=sys.stderr)
+
     for name, (cfg, steps) in leg_configs().items():
         restart = copy.deepcopy(cfg)
         restart["solver"]["t_end"] = (steps + RESTART_STEPS) * cfg["solver"]["dt"]
@@ -95,13 +106,13 @@ def run_side(src: Path, workdir: Path, options: tuple[str, ...]
                                       ("restart", "run", restart)):
             config_file = f"{name}-{leg}.json"
             (workdir / config_file).write_text(json.dumps(leg_cfg, indent=2, sort_keys=True))
-            proc = subprocess.run(
-                [sys.executable, "-c", MAIN, command, "--config", config_file,
-                 "--out", f"{name}-{leg}", *options],
-                cwd=workdir, env=env, capture_output=True,
-            )
-            results[f"{name} {leg}"] = (proc.returncode, proc.stdout, proc.stderr)
-            print(f"{src}: {name} {leg}: exit {proc.returncode}", file=sys.stderr)
+            run_leg(f"{name} {leg}", command, "--config", config_file,
+                    "--out", f"{name}-{leg}", *options)
+    # one file for both sides, outside the compared directories: a message
+    # naming its path reads the same on both
+    matrix = workdir.parent / "lemmas-matrix.json"
+    matrix.write_text(json.dumps(LEMMA_MATRIX))
+    run_leg("lemmas", "lemmas", "--matrix", str(matrix), "--out", "lemmas")
     return results
 
 
