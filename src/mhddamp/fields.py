@@ -177,19 +177,12 @@ def slab_pass(packed: np.ndarray, grid: GridSpec, work, body, grids: int = 0):
     return None if forward is None else fft_x(forward, grid), partials
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Defect max |c(-k) - conj(c(k))| on the self-conjugate planes k3 = 0
-    and k3 = N/2 of stacked half spectra (..., N, N, N/2+1): the stored
-    modes whose mirror -k is stored too.
-
-    The defect is zero (to roundoff, relative to max |c|) exactly when the
-    coefficients represent a real-valued physical field.  The mirror images
-    are formed one plane at a time, so no temporary is larger than a plane.
-    """
-    n = coeffs.shape[-2]
-    rev = (-np.arange(n)) % n
-    defect = [
-        np.max(np.abs(np.conj(coeffs[..., j][..., rev, :][..., rev]) - coeffs[..., j]))
-        for j in (0, n // 2)
-    ]
-    return float(np.max(defect))
+def hermitian_defect(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """Defect max |c(-k) - conj(c(k))| of stacked packed (..., M)
+    coefficients over the plane k3 = 0, whose mirrors -k are packed too
+    (the other self-conjugate plane, k3 = N/2, lies outside every ball):
+    zero, to roundoff relative to max |c|, exactly for a real field."""
+    plane = np.flatnonzero(grid.kz == 0)
+    mirror = grid.position(np.stack([-grid.kx[plane], -grid.ky[plane], grid.kz[plane]], axis=-1))
+    with np.errstate(over="ignore"):  # a defect beyond double range reads inf
+        return float(np.max(np.abs(np.conj(coeffs[..., plane]) - coeffs[..., mirror]), initial=0.0))

@@ -94,6 +94,15 @@ def column_shape(n: int, radius: float) -> tuple[int, int, int]:
     return (n, 2 * kc + 1, kc + 1)
 
 
+def ball_size(radius: float) -> int:
+    """M, the modes of the ball |k| < ``radius`` in a half spectrum of any N
+    >= 2R: over the plane |k1|, |k2| <= kc, the count of k3 >= 0 with k3^2 <
+    R^2 - k1^2 - k2^2, which double arithmetic decides exactly."""
+    k = np.arange(-column_cutoff(radius), column_cutoff(radius) + 1, dtype=np.float64)
+    room = radius * radius - (k[:, None] ** 2 + k**2)
+    return int(np.sum(np.searchsorted(k[k >= 0] ** 2, room)))
+
+
 def _layout_bytes(n: int, m: int, radius: float, width: int) -> dict[str, int]:
     return {
         "columns": math.prod(column_shape(n, radius)) * 16 if width < n else 0,
@@ -306,7 +315,15 @@ class GridSpec:
 
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
-        """Shape (N, N, N/2+1) of one half spectrum: a field of a
-        checkpoint file, or of a one-slab inverse transform's staging
-        array."""
+        """Shape (N, N, N/2+1) of one half spectrum: of a one-slab
+        inverse transform's staging array."""
         return (self.n_modes, self.n_modes, self.n_modes // 2 + 1)
+
+    def position(self, k) -> np.ndarray:
+        """Packed positions of the (..., 3) integer wavenumbers ``k``, k3 >=
+        0, taken mod N: -1 where one is not in the ball."""
+        n = self.n_modes
+        k = np.asarray(k, dtype=np.int64) % n
+        flat = (k[..., 0] * n + k[..., 1]) * (n // 2 + 1) + k[..., 2]
+        pos = np.minimum(np.searchsorted(self.index, flat), self.index.size - 1)
+        return np.where(self.index[pos] == flat, pos, -1)

@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,16 +36,18 @@ import numpy.random  # noqa: F401 -- imported here, so set-up's first draw impor
 from .damping import DampingSpec
 from .energy import EnergyLedger, ledger_row, spectral_sums
 from .fields import HERMITIAN_TOL, hermitian_defect, slab_pass
-from .grid import GridSpec, check_fields, check_memory, leaf
+from .grid import (GridSpec, Leaf, ball_size, check_fields, check_leaf, check_memory,
+                   column_cutoff, leaf, leaves)
 from .nonlinear import Workspace, _rhs_core
-from .operators import h1_norm_pair, leray_project_coeffs, truncate_coeffs, viscous_symbol
+from .operators import h1_norm_pair, leray_project_coeffs, viscous_symbol
 from .state import MhdState
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"MHDF"
-CHECKPOINT_VERSION = 2  # half spectra; no other version is read
+CHECKPOINT_VERSION = 3  # the packed ball; no other version is read
 CHECKPOINT_HEADER = "<4sIqdd"
+CHECKPOINT_TRAILER = "<I"  # zlib.crc32 of every byte before it
 HASH_CHUNK = 2**18  # bytes of a checkpoint hashed at a time
 # A loaded state must be divergence-free to this fraction of its H1 norm.
 DIV_FREE_RTOL = 1e-10
@@ -176,14 +179,10 @@ def _place_waves(grid: GridSpec, field: np.ndarray, waves, coeffs) -> None:
     sum_j c_j exp(i k_j.x) + c.c., k_j the rows of (w, 3) ``waves`` with
     components in (-N/2, N/2] and c_j those of ``coeffs``: of each k and -k
     those with k3 >= 0, when in the ball."""
-    n = grid.n_modes
     k = np.concatenate([waves, np.negative(waves)])
     c = np.concatenate([coeffs, np.conj(coeffs)])[k[:, 2] >= 0]
-    k = k[k[:, 2] >= 0] % n
-    flat = (k[:, 0] * n + k[:, 1]) * (n // 2 + 1) + k[:, 2]
-    pos = np.minimum(np.searchsorted(grid.index, flat), grid.index.size - 1)
-    found = grid.index[pos] == flat
-    field[:, pos[found]] = c[found].T
+    pos = grid.position(k[k[:, 2] >= 0])
+    field[:, pos[pos >= 0]] = c[pos >= 0].T
 
 
 def make_initial(kind: str, grid: GridSpec, seed: int = 0, **fields) -> MhdState:
@@ -440,42 +439,37 @@ def run(config: SolverConfig):
 def save_checkpoint(path, state: MhdState) -> None:
     """Fixed-layout little-endian binary snapshot; bit-exact round trip.
 
-    Layout (version 2): magic "MHDF", format version (u32), N (i64),
-    truncation radius (f64), time (f64), then the six coefficient arrays
-    u1 u2 u3 b1 b2 b3 of ``state``, each as its half spectrum (N, N, N/2+1)
-    complex128 in C order, zero outside the ball.
+    Layout (version 3): magic "MHDF", format version (u32), N (i64),
+    truncation radius (f64), time (f64), then ``state.coeffs`` as it is
+    held, the packed (6, M) complex128 ball u1 u2 u3 b1 b2 b3 in the order
+    of ``grid.index``, then the zlib.crc32 (u32) of every byte before it.
     """
     grid = state.grid
-    header = struct.pack(
-        CHECKPOINT_HEADER,
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        grid.n_modes,
-        grid.truncation_radius,
-        state.t,
-    )
-    half = np.zeros(grid.spectral_shape, dtype="<c16")
+    header = struct.pack(CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                         grid.n_modes, grid.truncation_radius, state.t)
+    payload = np.ascontiguousarray(state.coeffs, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        for field in state.coeffs:  # one half spectrum at a time
-            half.reshape(-1)[grid.index] = field
-            fh.write(half.data)
+        fh.write(payload.data)
+        fh.write(struct.pack(CHECKPOINT_TRAILER, zlib.crc32(payload, zlib.crc32(header))))
 
 
 def load_checkpoint(path) -> MhdState:
-    """Read a version 2 checkpoint and check the state it holds.
+    """Read a version 3 checkpoint and check the state it holds.
 
     Malformed files, and files of any other version, raise ValueError
-    before any allocation sized by the header.  The time must be finite.
-    The six half spectra are read, checked and packed to the ball one at a
-    time, in one buffer: each must be finite, and zero once its ball's
-    slots are zeroed after packing.  The self-conjugate planes k3 = 0 and
-    k3 = N/2 must be within HERMITIAN_TOL of Hermitian symmetry, relative
-    to the largest |c| of the six arrays, and the state must have a
-    divergence within DIV_FREE_RTOL of its H1 norm.  Otherwise ValueError.
-    The state owns its coefficient array, which is writable.
+    before any allocation sized by the header: the header's N and R must
+    be those of a :class:`GridSpec` and its time finite, and the payload
+    must hold six arrays of the M = :func:`ball_size` (R) modes of the
+    ball.  The payload is read as it is, and every byte of the file before
+    the trailer must match its CRC.  The coefficients must be finite,
+    within HERMITIAN_TOL of Hermitian symmetry on the plane k3 = 0,
+    relative to the largest |c| (:func:`hermitian_defect`), and the state
+    must have a divergence within DIV_FREE_RTOL of its H1 norm.  Otherwise
+    ValueError.  The state owns its coefficient array, which is writable.
     """
     header_size = struct.calcsize(CHECKPOINT_HEADER)
+    trailer_size = struct.calcsize(CHECKPOINT_TRAILER)
     with open(path, "rb") as fh:
         header = fh.read(header_size)
         if len(header) != header_size:
@@ -485,36 +479,30 @@ def load_checkpoint(path) -> MhdState:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        payload = os.fstat(fh.fileno()).st_size - header_size
-        if n < 1 or payload != 6 * n * n * (n // 2 + 1) * 16:
-            raise ValueError(
-                f"{path}: payload of {payload} bytes does not hold six N = {n} "
-                f"version {version} coefficient arrays"
-            )
+        context = f"{path}: checkpoint header"  # N and R held to GridSpec's leaves
+        check_leaf(n, leaves(GridSpec)["n_modes"], "n_modes", context)
+        check_leaf(radius, Leaf("real", gt=0, le=n / 2), "truncation_radius", context)
         if not math.isfinite(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
-        grid = GridSpec(n_modes=int(n), truncation_radius=float(radius))
-        coeffs = np.empty((6,) + grid.index.shape, dtype=np.complex128)
-        field = np.empty(grid.spectral_shape, dtype="<c16")
-        defect = scale = 0.0
-        for packed in coeffs:
-            if fh.readinto(field) != field.nbytes:
-                raise ValueError(f"{path}: checkpoint payload changed while it was read")
-            if not np.all(np.isfinite(field)):
-                raise ValueError(f"{path}: state has non-finite coefficients")
-            packed[...] = truncate_coeffs(field, grid)
-            defect = max(defect, hermitian_defect(field))
-            field.reshape(-1)[grid.index] = 0.0
-            if np.any(field):
-                raise ValueError(f"{path}: state is nonzero outside |k| < {radius:g}")
-            scale = max(scale, float(np.max(np.abs(packed))))
-    del field  # freed before the divergence check allocates
-    if scale and defect / scale > HERMITIAN_TOL:
-        raise ValueError(
-            f"{path}: state is not a real field (Hermitian defect {defect / scale:.3e} "
-            f"> {HERMITIAN_TOL:.0e})"
-        )
-    state = MhdState(coeffs, grid, float(t))
+        payload = os.fstat(fh.fileno()).st_size - header_size - trailer_size
+        # ball_size's plane, (2kc+1)^2 doubles, is under an eighth of a payload that fits R
+        if 8 * (2 * column_cutoff(radius) + 1) ** 2 > payload or payload != 96 * ball_size(radius):
+            raise ValueError(f"{path}: payload of {payload} bytes does not hold six arrays of "
+                             f"the modes |k| < {radius:g}")
+        coeffs = np.empty((6, payload // 96), dtype="<c16")
+        if fh.readinto(coeffs) != payload or len(trailer := fh.read(trailer_size)) != trailer_size:
+            raise ValueError(f"{path}: checkpoint payload changed while it was read")
+    crc = zlib.crc32(coeffs, zlib.crc32(header))
+    if crc != struct.unpack(CHECKPOINT_TRAILER, trailer)[0]:
+        raise ValueError(f"{path}: checkpoint is corrupt (its CRC-32 does not match its bytes)")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{path}: state has non-finite coefficients")
+    state = MhdState(coeffs, GridSpec(n_modes=n, truncation_radius=radius), float(t))
+    grid = state.grid
+    scale, defect = float(np.max(np.abs(coeffs))), hermitian_defect(coeffs, grid)
+    if defect > HERMITIAN_TOL * scale:
+        raise ValueError(f"{path}: state is not a real field (Hermitian defect "
+                         f"{defect / scale:.3e} > {HERMITIAN_TOL:.0e})")
     divergence = state.max_divergence()
     h1 = h1_norm_pair(state.coeffs, grid)
     if divergence > DIV_FREE_RTOL * h1:

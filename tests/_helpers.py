@@ -10,6 +10,7 @@ are references the package's own code is held to; they are not part of it.
 
 import contextlib
 import struct
+import zlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -261,11 +262,26 @@ def embed_coeffs(c_small: np.ndarray, grid_small, grid_big) -> np.ndarray:
     return truncate_coeffs(half_spectrum(big), grid_big)
 
 
-def write_checkpoint(path, grid, coeffs, t, version=2) -> None:
-    """A checkpoint file holding (6, N, N, N/2+1) half-spectrum ``coeffs``
-    as they are, under a header that names ``version``."""
-    header = struct.pack("<4sIqdd", b"MHDF", version, grid.n_modes, grid.truncation_radius, t)
-    path.write_bytes(header + coeffs.astype("<c16").tobytes())
+def write_checkpoint(path, grid, coeffs, t, version=3) -> None:
+    """A checkpoint file holding packed (6, M) ``coeffs`` as they are, under
+    a header that names ``version``, with the CRC that makes it intact."""
+    data = struct.pack("<4sIqdd", b"MHDF", version, grid.n_modes, grid.truncation_radius, t)
+    data += coeffs.astype("<c16").tobytes()
+    path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+
+
+def half_hermitian_defect(coeffs: np.ndarray) -> float:
+    """Defect max |c(-k) - conj(c(k))| on the self-conjugate planes k3 = 0
+    and k3 = N/2 of stacked half spectra (..., N, N, N/2+1): the reference
+    for :func:`mhddamp.fields.hermitian_defect`, which looks at packed
+    modes."""
+    n = coeffs.shape[-2]
+    rev = (-np.arange(n)) % n
+    defect = [
+        np.max(np.abs(np.conj(coeffs[..., j][..., rev, :][..., rev]) - coeffs[..., j]))
+        for j in (0, n // 2)
+    ]
+    return float(np.max(defect))
 
 
 MALFORMED_CHECKPOINTS = (

@@ -26,7 +26,7 @@ from mhddamp.cli import (
     save_config,
 )
 
-from _helpers import malformed_checkpoint, unpack
+from _helpers import malformed_checkpoint, unpack, write_checkpoint
 
 ROOT = Path(__file__).parent.parent
 QUICKSTART = ROOT / "configs" / "quickstart.json"
@@ -831,31 +831,28 @@ def faulty_checkpoint(tmp_path, case) -> Path:
     from mhddamp import GridSpec, make_initial
 
     grid = GridSpec(n_modes=8)
-    half = unpack(make_initial("single_mode", grid).coeffs, grid)
-    b3 = half[5]
+    coeffs = make_initial("single_mode", grid).coeffs
+    b3 = coeffs[5]
     if case in ("small-field-defect", "defect-above-tolerance"):
         # b3 gets one mode, k = (1, 0, 0), and not its mirror k = (-1, 0, 0):
         # a defect as large as b3 itself, and 1e-14 or 1e-6 of the state
-        b3[1, 0, 0] = (1e-14 if case == "small-field-defect" else 1e-6) * np.max(np.abs(half))
+        b3[grid.position((1, 0, 0))] = (1e-14 if case == "small-field-defect" else 1e-6) * np.max(
+            np.abs(coeffs))
     elif case == "nan":
-        b3[1, 0, 0] = np.nan
-    elif case == "off-ball":
-        b3[0, 0, 4] = 1.0  # |k| = 4 >= R = 8/3
-    header = struct.pack("<4sIqdd", b"MHDF", 2, 8, grid.truncation_radius, 0.0)
-    data = header + half.astype("<c16").tobytes()
+        b3[grid.position((1, 0, 0))] = np.nan
     path = tmp_path / "state.mhdf"
-    path.write_bytes(data[:-16] if case == "truncated" else data)
+    write_checkpoint(path, grid, coeffs, 0.0)
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:-16])
     return path
 
 
-# The checkpoint is read, checked and packed one array at a time, but each
-# fault is named as when the six arrays were checked together; a defect is
+# Each fault in the last array is named as in the first; a defect is
 # measured against the largest |c| of all six arrays.
 CHECKPOINT_FAULTS = {
     "nan": "{path}: state has non-finite coefficients",
-    "off-ball": "{path}: state is nonzero outside |k| < 2.66667",
-    "truncated": "{path}: payload of 30704 bytes does not hold six N = 8 version 2 coefficient "
-                 "arrays",
+    "truncated": "{path}: payload of 4880 bytes does not hold six arrays of the modes "
+                 "|k| < 2.66667",
     "small-field-defect": None,
     "defect-above-tolerance": "{path}: state is not a real field (Hermitian defect 1.000e-06 > "
                               "1e-12)",

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from mhddamp import (
     save_checkpoint,
 )
 from mhddamp.energy import INSTANT_COLUMNS
-from mhddamp.fields import hermitian_defect
+from mhddamp import integrator
 from mhddamp.integrator import (
     DIV_FREE_RTOL, cfl_bound, config_hash, make_initial_from_config, trajectory,
 )
@@ -30,6 +31,7 @@ from mhddamp.operators import h1_norm_pair, leray_project_coeffs, truncate_coeff
 from _helpers import (
     MALFORMED_CHECKPOINTS,
     fft_grid,
+    half_hermitian_defect,
     half_tables,
     ifft_grid,
     malformed_checkpoint,
@@ -197,7 +199,7 @@ class TestMakeInitial:
     def test_random_field_is_hermitian(self, grid16):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
         for field in (state.u, state.b):
-            assert hermitian_defect(unpack(field, grid16)) <= 1e-12 * np.max(np.abs(field))
+            assert half_hermitian_defect(unpack(field, grid16)) <= 1e-12 * np.max(np.abs(field))
 
 
 class TestStep:
@@ -295,7 +297,7 @@ class TestStep:
         assert len(states) == 10
         for state in states:
             assert state.max_divergence() <= 1e-10
-            assert hermitian_defect(unpack(state.u, grid16)) <= 1e-12 * np.max(np.abs(state.u))
+            assert half_hermitian_defect(unpack(state.u, grid16)) <= 1e-12 * np.max(np.abs(state.u))
 
     def test_blow_up_signal(self, grid16):
         cfg = SolverConfig(
@@ -502,8 +504,9 @@ class TestCheckpoint:
         state = MhdState(np.asarray(state.coeffs, order=order), grid16, 0.5)
         path = tmp_path / "state.mhdf"
         save_checkpoint(path, state)
-        header = struct.pack("<4sIqdd", b"MHDF", 2, 16, grid16.truncation_radius, 0.5)
-        assert path.read_bytes() == header + unpack(state.coeffs, grid16).astype("<c16").tobytes()
+        data = struct.pack("<4sIqdd", b"MHDF", 3, 16, grid16.truncation_radius, 0.5)
+        data += np.ascontiguousarray(state.coeffs).astype("<c16").tobytes()
+        assert path.read_bytes() == data + struct.pack("<I", zlib.crc32(data))
 
     def test_bit_exact_round_trip(self, grid16, tmp_path):
         state = make_initial("random_divfree", grid16, seed=9, target_h1=1.0)
@@ -555,24 +558,25 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
     def test_malformed_file_rejected_before_allocation(self, grid8, tmp_path, case):
+        # a changed header field fails the header's checks or the CRC
         path = tmp_path / "state.mhdf"
         save_checkpoint(path, make_initial("single_mode", grid8))
         path.write_bytes(malformed_checkpoint(path.read_bytes(), case))
-        with pytest.raises(ValueError, match="not a checkpoint|payload"):
+        with pytest.raises(ValueError, match="not a checkpoint|payload|checkpoint header|corrupt"):
             load_checkpoint(path)
 
-    def test_half_size_v2_reader(self, grid16, tmp_path):
+    def test_packed_v3_reader(self, grid16, tmp_path):
         state = make_initial("random_divfree", grid16, seed=4, target_h1=1.0)
         state.t = 0.25
-        path = tmp_path / "v2.mhdf"
+        path = tmp_path / "v3.mhdf"
         save_checkpoint(path, state)
-        assert path.stat().st_size - 32 == 6 * 16 * 16 * 9 * 16
-        # one packed (6, M) array u1 u2 u3 b1 b2 b3; u and b are views of it,
-        # and the file holds their half spectra
+        # one packed (6, M) array u1 u2 u3 b1 b2 b3; u and b are views of
+        # it, and the file holds it as it is, between header and CRC
         assert state.coeffs.shape == (6, grid16.index.size)
         assert np.shares_memory(state.coeffs, state.u)
         assert np.shares_memory(state.coeffs, state.b)
-        assert path.read_bytes()[32:] == unpack(state.coeffs, grid16).tobytes()
+        assert path.stat().st_size == 32 + 6 * grid16.index.size * 16 + 4
+        assert path.read_bytes()[32:-4] == state.coeffs.tobytes()
         loaded = load_checkpoint(path)
         assert loaded.t == state.t
         assert np.array_equal(loaded.u, state.u)
@@ -580,54 +584,107 @@ class TestCheckpoint:
         assert loaded.coeffs.flags.writeable and loaded.coeffs.flags.owndata
         loaded.u[0, 0] = 1.0
 
-    def test_golden_v2_file(self, tmp_path):
-        # tests/golden/state-n8.mhdf was written by the version 2 writer;
+    def test_golden_v2_file(self, grid8, tmp_path, capsys):
+        # tests/golden/state-n8.mhdf was written by the retired version 2
+        # writer, which stored half spectra
+        assert_rejected(GOLDEN / "state-n8.mhdf", grid8, tmp_path, capsys,
+                        "unsupported checkpoint version 2")
+
+    def test_golden_v3_file(self, tmp_path):
+        # tests/golden/state-n8-v3.mhdf holds the state of state-n8.mhdf;
         # the writer still writes its bytes, and the reader reads it exactly
-        golden = (GOLDEN / "state-n8.mhdf").read_bytes()
-        state = make_initial("random_divfree", GridSpec(n_modes=8), seed=7, target_h1=1.0)
+        golden = (GOLDEN / "state-n8-v3.mhdf").read_bytes()
+        grid = GridSpec(n_modes=8)
+        state = make_initial("random_divfree", grid, seed=7, target_h1=1.0)
         state.t = 0.375
         path = tmp_path / "state.mhdf"
         save_checkpoint(path, state)
         assert path.read_bytes() == golden
-        loaded = load_checkpoint(GOLDEN / "state-n8.mhdf")
+        loaded = load_checkpoint(GOLDEN / "state-n8-v3.mhdf")
         assert loaded.t == state.t
         assert loaded.coeffs.tobytes() == state.coeffs.tobytes()
+        v2 = (GOLDEN / "state-n8.mhdf").read_bytes()
+        assert v2[8:32] == golden[8:32]  # N, R and t
+        half = np.frombuffer(v2[32:], dtype="<c16").reshape(6, -1)
+        assert half[:, grid.index].tobytes() == golden[32:-4]
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2])
     def test_unsupported_version_rejected(self, grid8, tmp_path, capsys, version):
         state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
         path = tmp_path / "state.mhdf"
-        write_checkpoint(path, grid8, unpack(state.coeffs, grid8), state.t, version)
+        write_checkpoint(path, grid8, state.coeffs, state.t, version)
         assert_rejected(path, grid8, tmp_path, capsys,
                         f"unsupported checkpoint version {version}")
 
-    @pytest.mark.parametrize("version", [2])
+    @pytest.mark.parametrize("seed", [2])  # of the state that is broken
     @pytest.mark.parametrize(
         "case,match",
         [
             ("nan_time", "time nan is not finite"),
             ("nan_coefficient", "non-finite coefficients"),
-            ("mode_outside_ball", "outside"),
             ("divergent", "divergence"),
             ("non_hermitian_plane", "Hermitian defect"),
         ],
     )
-    def test_invalid_state_rejected(self, grid8, tmp_path, capsys, case, match, version):
-        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
-        coeffs, t = unpack(state.coeffs, grid8), state.t  # u1 u2 u3 b1 b2 b3
+    def test_invalid_state_rejected(self, grid8, tmp_path, capsys, case, match, seed):
+        state = make_initial("random_divfree", grid8, seed=seed, target_h1=1.0)
+        coeffs, t = state.coeffs, state.t  # u1 u2 u3 b1 b2 b3
         if case == "nan_time":
             t = float("nan")
         elif case == "nan_coefficient":
-            coeffs[0, 1, 0, 1] = np.nan
-        elif case == "mode_outside_ball":
-            coeffs[3, 0, 0, 3] = 1e-3  # |k| = 3 > R = 8/3
+            coeffs[0, grid8.position((1, 0, 1))] = np.nan
         elif case == "divergent":
-            coeffs[0, 1, 0, 1] += 0.1  # k = (1, 0, 1), not orthogonal to e1
+            coeffs[0, grid8.position((1, 0, 1))] += 0.1  # not orthogonal to e1
         else:
-            coeffs[2, 1, 1, 0] += 0.1  # k3 = 0 plane, mirror (-1, -1, 0) unchanged
+            coeffs[2, grid8.position((1, 1, 0))] += 0.1  # k3 = 0, mirror (-1, -1, 0) unchanged
         path = tmp_path / "state.mhdf"
-        write_checkpoint(path, grid8, coeffs, t, version)
+        write_checkpoint(path, grid8, coeffs, t)
         assert_rejected(path, grid8, tmp_path, capsys, match)
+
+    @pytest.mark.parametrize(
+        "n,radius,match",
+        [
+            (8, float("nan"), "truncation_radius must be a finite number > 0 and <= 4.0, got nan"),
+            (8, float("inf"), "truncation_radius must be a finite number > 0 and <= 4.0, got inf"),
+            (8, -float("inf"), "truncation_radius must be a finite number > 0 and <= 4.0"),
+            (8, 0.0, "truncation_radius must be a finite number > 0 and <= 4.0, got 0.0"),
+            (8, -1.0, "truncation_radius must be a finite number > 0 and <= 4.0, got -1.0"),
+            (8, 4.5, "truncation_radius must be a finite number > 0 and <= 4.0, got 4.5"),
+            (0, 2.0, "n_modes must be an even integer >= 8 and <= 1048576, got 0"),
+            (-8, 2.0, "n_modes must be an even integer >= 8 and <= 1048576, got -8"),
+            (9, 2.0, "n_modes must be an even integer >= 8 and <= 1048576, got 9"),
+            (2**21, 2.0, "n_modes must be an even integer >= 8 and <= 1048576, got 2097152"),
+            # the largest ball: counting its modes would take more than the payload
+            (2**20, 2.0**19, "payload of 4896 bytes does not hold"),
+        ],
+    )
+    def test_header_grid_rejected_before_the_grid_is_built(self, grid8, tmp_path, capsys,
+                                                           monkeypatch, n, radius, match):
+        state = make_initial("random_divfree", grid8, seed=2, target_h1=1.0)
+        path = tmp_path / "state.mhdf"
+        write_checkpoint(path, grid8, state.coeffs, state.t)
+        data = bytearray(path.read_bytes())
+        data[8:24] = struct.pack("<qd", n, radius)
+        data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+        path.write_bytes(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(GridSpec, "__post_init__", None)  # building one raises TypeError
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(path)
+        assert_rejected(path, grid8, tmp_path, capsys, match)
+
+    def test_flipped_bit_rejected(self, grid8, tmp_path, capsys):
+        # every bit of the header and the CRC, and a sample of the payload's
+        path = tmp_path / "state.mhdf"
+        save_checkpoint(path, make_initial("random_divfree", grid8, seed=2, target_h1=1.0))
+        good = path.read_bytes()
+        payload_bits = np.random.default_rng(0).choice(np.arange(256, 8 * len(good) - 32), 64)
+        bits = np.concatenate([np.arange(256), payload_bits, np.arange(8 * len(good) - 32, 8 * len(good))])
+        for bit in bits:
+            data = bytearray(good)
+            data[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(data)
+            assert_rejected(path, grid8, tmp_path, capsys, "state.mhdf: ")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mhdf"

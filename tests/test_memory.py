@@ -214,13 +214,17 @@ def state64():
     return make_initial("random_divfree", GRIDS[64], seed=3, target_h1=10.0)
 
 
-@pytest.mark.parametrize("version", [2])  # the version save_checkpoint writes
-def test_checkpoint_read_within_half_the_payload(state64, tmp_path, version):
-    # one array of the file is held at a time, beside the packed state
+def test_checkpoint_read_within_the_state_and_one_payload(state64, tmp_path):
+    # the reader holds the state it returns (the packed payload and the
+    # grid's eight (M,) tables), the positions of the plane k3 = 0 and of
+    # its mirrors, and its checks' transients, less than one more payload
     path = tmp_path / "state.mhdf"
     save_checkpoint(path, state64)
-    payload = path.stat().st_size - 32
-    assert traced_peak(load_checkpoint, path) < payload / 2
+    grid = state64.grid
+    m, plane = grid.index.size, np.count_nonzero(grid.kz == 0)
+    payload = path.stat().st_size - 36
+    assert payload == 6 * m * 16
+    assert traced_peak(load_checkpoint, path) <= 2 * payload + 8 * m * 8 + 2 * plane * 8
 
 
 def test_cfl_bound_within_one_slab(state64):

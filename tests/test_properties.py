@@ -10,6 +10,7 @@ import contextlib
 import io
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from mhddamp import (
 from mhddamp.cli import ExperimentConfig, main, save_config
 from mhddamp import fields
 from mhddamp.fields import fft_x, ifft_x, ifft_y, irfft_z, rfft_zy, slab_pass
+from mhddamp.grid import ball_size
 from mhddamp.operators import truncate_coeffs
 
 from _helpers import (
@@ -363,20 +365,27 @@ def test_leray_idempotent_and_self_adjoint(seed_a, seed_b, n):
 
 def checkpoint_bytes(data):
     """Random bytes, or a well-formed header followed by random bytes, whose
-    payload may have exactly the size the header announces."""
-    kind = data.draw(st.sampled_from(["raw", "header", "sized"]))
+    payload may have exactly the size the header announces: random bytes
+    and a random CRC, or the random coefficients of no real field and the
+    CRC that makes the file intact."""
+    kind = data.draw(st.sampled_from(["raw", "header", "sized", "intact"]))
     if kind == "raw":
         return data.draw(st.binary(max_size=200))
-    version = data.draw(st.sampled_from([1, 2]) if kind == "sized" else st.integers(0, 2**32 - 1))
-    n = data.draw(st.sampled_from([8, 10]) if kind == "sized" else st.integers(-(2**63), 2**63 - 1))
-    radius = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+    sized = kind in ("sized", "intact")
+    version = 3 if sized else data.draw(st.integers(0, 2**32 - 1))
+    n = data.draw(st.sampled_from([8, 10]) if sized else st.integers(-(2**63), 2**63 - 1))
+    radius = data.draw(st.floats(0.5, n / 2) if sized
+                       else st.floats(allow_nan=True, allow_infinity=True))
     t = data.draw(st.floats(allow_nan=True, allow_infinity=True))
     header = struct.pack("<4sIqdd", b"MHDF", version, n, radius, t)
     if kind == "header":
         return header + data.draw(st.binary(max_size=200))
-    stored = n if version == 1 else n // 2 + 1
-    payload = np.random.default_rng(data.draw(seeds)).bytes(6 * n * n * stored * 16)
-    return header + payload
+    rng = np.random.default_rng(data.draw(seeds))
+    m = ball_size(radius)
+    if kind == "sized":
+        return header + rng.bytes(96 * m + 4)
+    body = header + (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))).tobytes()
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @PROPERTY

@@ -6,6 +6,7 @@ import pytest
 from mhddamp import GridSpec, sobolev_norm
 from mhddamp.energy import spectral_sums
 from mhddamp.fields import HERMITIAN_TOL, hermitian_defect
+from mhddamp.grid import ball_size
 from mhddamp.operators import (
     divergence,
     divergence_l2,
@@ -19,6 +20,7 @@ from _helpers import (
     fft_grid,
     full_spectrum,
     gradient_coeffs,
+    half_hermitian_defect,
     half_spectrum,
     half_tables,
     ifft_grid,
@@ -95,6 +97,21 @@ class TestGridSpec:
         # no array of the grid has the half spectrum's size
         assert all(np.size(v) <= grid16.index.size for v in vars(grid16).values())
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 34, 48, 64, 96, 128, 130])
+    def test_ball_size_counts_the_packed_modes(self, n):
+        # R <= 1 holds k = 0 alone; the count's plane is never larger than
+        # the payload of six arrays of the ball's modes (96 M bytes)
+        for radius in (0.5, 1.0, 1.0 + 1e-12, np.sqrt(2.0), 2.5, 3.7, n / 3, n / 2):
+            m = GridSpec(n_modes=n, truncation_radius=radius).index.size
+            assert ball_size(radius) == m
+            assert 8 * (2 * (np.ceil(radius) - 1) + 1) ** 2 <= 96 * m
+
+    def test_position_of_packed_modes(self, grid16):
+        k = np.stack([grid16.kx, grid16.ky, grid16.kz], axis=-1)
+        assert np.array_equal(grid16.position(k), np.arange(grid16.index.size))
+        assert np.array_equal(grid16.position(k - [16, -16, 0]), np.arange(grid16.index.size))
+        assert grid16.position([[6, 0, 0], [0, 0, 8], [4, 3, 3]]).tolist() == [-1, -1, -1]
+
 
 class TestTransforms:
     def test_constant_field_dc_mode(self, grid8):
@@ -144,17 +161,21 @@ class TestTransforms:
 
     def test_rejects_broken_hermitian_symmetry(self, grid8):
         # the defect above which a loaded checkpoint is rejected as not real
-        c = np.zeros((3,) + grid8.spectral_shape, dtype=np.complex128)
-        c[0, 1, 0, 0] = 1.0  # no conjugate partner
-        assert hermitian_defect(c) > HERMITIAN_TOL * np.max(np.abs(c))
+        c = np.zeros((3,) + grid8.index.shape, dtype=np.complex128)
+        c[0, grid8.position((1, 0, 0))] = 1.0  # no conjugate partner
+        assert hermitian_defect(c, grid8) > HERMITIAN_TOL * np.max(np.abs(c))
 
     def test_hermitian_defect_measures_real_fields(self, grid16):
-        s = unpack(random_divfree(grid16, seed=5, l2_norm=1.0), grid16)
+        s = random_divfree(grid16, seed=5, l2_norm=1.0)
         scale = np.max(np.abs(s))
-        assert hermitian_defect(s) <= 1e-12 * scale
-        s[0, 3, 0, 0] += 0.5
+        assert hermitian_defect(s, grid16) <= 1e-12 * scale
+        s[0, grid16.position((3, 0, 0))] += 0.5
         scale = np.max(np.abs(s))
-        assert hermitian_defect(s) > 1e-3 * scale
+        assert hermitian_defect(s, grid16) > 1e-3 * scale
+        # the packed planes k3 = 0 give the defect of the half spectrum's
+        # self-conjugate planes
+        for c in (s, random_coeffs(3, grid16)):
+            assert hermitian_defect(c, grid16) == half_hermitian_defect(unpack(c, grid16))
 
 
 def cut(radius, n=16):

@@ -19,10 +19,13 @@ With ``--rtol R`` numbers may differ by R times their scale: a CSV cell by
 R times the largest |x| of its column, a JSON number, or a number in
 stdout, stderr or another text file, by R times the largest |x| of its file
 or stream, and each field of a ``.mhdf`` checkpoint by R times its largest
-|c|.  Exit codes, the set of files, checkpoint headers, non-finite numbers
-and all text but the numbers must still match exactly, but for a restart
-leg's ``config_hash``, which hashes the checkpoint it restarts from, when
-that checkpoint differs.
+|c|.  Exit codes, the set of files, the N, R and time of checkpoints,
+non-finite numbers and all text but the numbers must still match exactly,
+but for a restart leg's ``config_hash``, which hashes the checkpoint it
+restarts from, when that checkpoint differs.  A checkpoint is decoded from
+its version, 2 (half spectra) or 3 (the packed ball), to the ball modes of
+its six fields; two versions of one state differ in one line that names
+the versions.
 
 With ``--threads N`` the NEW side's run and twin legs run with ``--threads N``, so
 ``--threads 2 src src`` checks that one tree writes the same artifacts on 1
@@ -47,7 +50,9 @@ import os
 import re
 import subprocess
 import sys
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +134,8 @@ def _text_diff(old: bytes, new: bytes) -> str:
 NUMBER = re.compile(
     r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?!\w|\.\d)"
 )
-MHDF_HEADER = 32  # magic, version, N, radius, time
+MHDF_HEADER = "<4sIqdd"  # magic, version, N, radius, time
+MHDF_SIZE = struct.calcsize(MHDF_HEADER)
 
 
 # The numbers of a file come in (name, numbers) groups, each with its own
@@ -186,10 +192,27 @@ def _csv_numbers(data: bytes):
 
 
 def _mhdf_numbers(data: bytes):
-    """(the header and payload size, [(name, coefficients)] of each of the
-    six fields)."""
-    payload = np.frombuffer(data[MHDF_HEADER:], dtype="<c16")
-    return (data[:MHDF_HEADER], len(data)), list(zip(FIELDS, payload.reshape(6, -1)))
+    """(the magic, N, R, t and whether the rest is intact, [(name, ball
+    modes)] of each of the six fields), from a checkpoint of version 2 (six
+    half spectra, intact when zero outside the ball) or 3 (the packed ball,
+    intact when its CRC matches).  The ball's modes are in the order of
+    ``GridSpec.index`` in both, so two versions of one state read alike."""
+    magic, version, n, radius, t = struct.unpack(MHDF_HEADER, data[:MHDF_SIZE])
+    if version == 3:
+        fields = np.frombuffer(data[MHDF_SIZE:-4], dtype="<c16").reshape(6, -1)
+        intact = zlib.crc32(data[:-4]) == int.from_bytes(data[-4:], "little")
+    elif version == 2:
+        half = np.frombuffer(data[MHDF_SIZE:], dtype="<c16").reshape(6, n, n, n // 2 + 1)
+        k = np.fft.fftfreq(n, 1.0 / n)  # only the squares matter
+        ball = k[:, None, None] ** 2 + k[:, None] ** 2 + k[: n // 2 + 1] ** 2 < radius * radius
+        fields, intact = half[:, ball], not np.any(half[:, ~ball])
+    else:
+        raise ValueError(f"checkpoint version {version}")
+    return (magic, n, radius, t, intact), list(zip(FIELDS, fields))
+
+
+def _version(data: bytes) -> int:
+    return int.from_bytes(data[4:8], "little")
 
 
 def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
@@ -198,7 +221,7 @@ def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
         if suffix == ".json":
             return _json_numbers(data, masked)
         return {".csv": _csv_numbers, ".mhdf": _mhdf_numbers}.get(suffix, _text_numbers)(data)
-    except ValueError:  # malformed: compared as text
+    except (ValueError, struct.error):  # malformed: compared as text
         return _text_numbers(data)
 
 
@@ -254,6 +277,10 @@ def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: di
         if a == b:
             return
         moved = deviations(name, a, b, masked)
+        if name.endswith(".mhdf") and a[4:8] != b[4:8]:
+            found.append(f"{what}: checkpoint version {_version(a)} != {_version(b)}")
+            if moved == []:  # the same state, written by two versions
+                return
         if moved is None:
             found.append(message())
             return
