@@ -485,7 +485,7 @@ def load_checkpoint(path) -> MhdState:
         if not math.isfinite(t):
             raise ValueError(f"{path}: checkpoint time {t} is not finite")
         payload = os.fstat(fh.fileno()).st_size - header_size - trailer_size
-        # ball_size's plane, (2kc+1)^2 doubles, is under an eighth of a payload that fits R
+        # ball_size's plane, (2kc+1)^2 doubles, is at most 1/8 of a payload that fits R
         if 8 * (2 * column_cutoff(radius) + 1) ** 2 > payload or payload != 96 * ball_size(radius):
             raise ValueError(f"{path}: payload of {payload} bytes does not hold six arrays of "
                              f"the modes |k| < {radius:g}")

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import warnings
@@ -26,7 +25,7 @@ from mhddamp.cli import (
     save_config,
 )
 
-from _helpers import malformed_checkpoint, unpack, write_checkpoint
+from _helpers import malformed_checkpoint, write_checkpoint
 
 ROOT = Path(__file__).parent.parent
 QUICKSTART = ROOT / "configs" / "quickstart.json"
@@ -836,8 +835,8 @@ def faulty_checkpoint(tmp_path, case) -> Path:
     if case in ("small-field-defect", "defect-above-tolerance"):
         # b3 gets one mode, k = (1, 0, 0), and not its mirror k = (-1, 0, 0):
         # a defect as large as b3 itself, and 1e-14 or 1e-6 of the state
-        b3[grid.position((1, 0, 0))] = (1e-14 if case == "small-field-defect" else 1e-6) * np.max(
-            np.abs(coeffs))
+        share = 1e-14 if case == "small-field-defect" else 1e-6
+        b3[grid.position((1, 0, 0))] = share * np.max(np.abs(coeffs))
     elif case == "nan":
         b3[grid.position((1, 0, 0))] = np.nan
     path = tmp_path / "state.mhdf"

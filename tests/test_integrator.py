@@ -22,7 +22,6 @@ from mhddamp import (
     save_checkpoint,
 )
 from mhddamp.energy import INSTANT_COLUMNS
-from mhddamp import integrator
 from mhddamp.integrator import (
     DIV_FREE_RTOL, cfl_bound, config_hash, make_initial_from_config, trajectory,
 )

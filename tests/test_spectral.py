@@ -99,12 +99,12 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("n", [8, 16, 32, 34, 48, 64, 96, 128, 130])
     def test_ball_size_counts_the_packed_modes(self, n):
-        # R <= 1 holds k = 0 alone; the count's plane is never larger than
-        # the payload of six arrays of the ball's modes (96 M bytes)
+        # R <= 1 holds k = 0 alone; the count's plane of doubles is at most
+        # 1/8 of a checkpoint payload of the ball's modes (96 M bytes)
         for radius in (0.5, 1.0, 1.0 + 1e-12, np.sqrt(2.0), 2.5, 3.7, n / 3, n / 2):
             m = GridSpec(n_modes=n, truncation_radius=radius).index.size
             assert ball_size(radius) == m
-            assert 8 * (2 * (np.ceil(radius) - 1) + 1) ** 2 <= 96 * m
+            assert 8 * 8 * (2 * (np.ceil(radius) - 1) + 1) ** 2 <= 96 * m
 
     def test_position_of_packed_modes(self, grid16):
         k = np.stack([grid16.kx, grid16.ky, grid16.kz], axis=-1)

@@ -35,7 +35,8 @@ Each difference is printed, and the exit status is 1 if there is any, 0 if
 there is none.  Where only numbers differ, the line also gives the largest
 difference relative to the scale and, for a CSV or a checkpoint, each
 column or field that moved with its own, so that a stated re-baseline can
-be reviewed from one byte-mode run.
+be reviewed from one byte-mode run.  A restart leg's file that differs
+only in a ``config_hash`` whose checkpoint differs is one line that says so.
 """
 
 from __future__ import annotations
@@ -283,6 +284,9 @@ def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: di
                 return
         if moved is None:
             found.append(message())
+            return
+        if moved == [] and masked and rtol is None:
+            found.append(f"{what}: only {', '.join(masked)} differs, with the checkpoint it hashes")
             return
         dev = max((value for _, value in moved), default=0.0)
         if rtol is not None and dev <= rtol:
