@@ -74,10 +74,12 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> l
     (3, M) coefficients ``u`` of the velocity: returns, per slab of
     x-planes in slab order, body(q, grad_u_sq, grad_q_sq) where q = |u|^2,
     grad_u_sq = sum_ij (d_j u_i)^2 and grad_q_sq = |grad q|^2 with grad q
-    taken spectrally from the dealiased product q.  Only q and grad_u_sq
-    are built at full size.  ``work``, a :class:`mhddamp.nonlinear.Workspace`
-    of the grid that is idle between steps, lends its transform buffers,
-    multipliers i k and slab width, and its ``stage`` array holds the batch.
+    taken spectrally from the dealiased product q.  Three slab passes make
+    them: u with d_j u_1, which also forward-transforms q; d_j u_2 with
+    d_j u_3; grad q.  Only q and grad_u_sq are built at full size.
+    ``work``, a :class:`mhddamp.nonlinear.Workspace` of the grid that is
+    idle between steps, lends its transform buffers, multipliers i k and
+    slab width, and its ``stage`` array holds the batch.
     """
     ik, batch = work.ik, work.stage
     q, grad_u_sq = np.empty(grid.shape), np.empty(grid.shape)
@@ -99,8 +101,7 @@ def _velocity_squares(u: np.ndarray, grid: GridSpec, work: Workspace, body) -> l
         del phys
         return body(q[planes], grad_u_sq[planes], grad_q_sq)
 
-    # u with d_j u_1, then d_j u_2 with d_j u_3: the squares of the
-    # gradient add up in the order i, j of d_j u_i.
+    # in this batch order the gradient's squares add up in the order i, j of d_j u_i
     batch[0:3] = u
     np.multiply(ik, u[0], out=batch[3:6])
     q_hat = slab_pass(batch, grid, work, squares, 1)[0][0]

@@ -1,18 +1,25 @@
 """
 Transforms between point values on the N^3 collocation grid and the packed
-ball modes of :mod:`mhddamp.grid`, as the passes that :func:`slab_pass`, the
-one physical-space pass, streams by slabs of x-planes around a caller's
-body, with the x passes in the grid's compact columns: plain arrays, with
-the grid passed beside them.
+ball modes of :mod:`mhddamp.grid`: plain arrays, with the grid passed
+beside them.
 
 Transform normalization: coefficients are Fourier-series coefficients, i.e.
 f(x) = sum_k c(k) exp(i k.x), so the k = 0 coefficient of a constant field c
 equals c and forward/inverse transforms compose to the identity.  All norms in
 :mod:`mhddamp.operators` are defined against this convention.
 
-Fields are real, so the transforms are real-to-complex; their spectral side
-is the half spectrum k3 = 0..N/2, of which only the modes in the ball are
-kept.
+Fields are real, so the transforms are real-to-complex, on the half spectrum
+k3 = 0..N/2.  They run as 1-D passes that skip the lines holding only modes
+outside the ball |k| < R: every wavenumber component of a mode in the ball
+is at most kc = ceil(R) - 1 in magnitude.  The inverse runs ifft_x, ifft_y
+and irfft_z (the order irfftn uses, so its results are bitwise those of
+irfftn, cut to the ball; only the signs of zeros can differ), the forward
+rfft_zy (z, then y) and fft_x, so its results are bitwise those of the full
+1-D passes in the order z, y, x, cut to the ball, and within round-off of
+rfftn.  Every y and z line lies in one x-plane, so those passes run on
+slabs of x-planes in :func:`slab_pass`, the one physical-space pass, with
+the same results; the x passes run on the compact columns of
+grid.column_shape, which hold the ball's rows.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ HERMITIAN_TOL = 1e-12
 # The transforms call scipy's compiled pocketfft kernel, pypocketfft,
 # loaded from its file under scipy/fft/_pocketfft: importing scipy.fft for
 # it would also import scipy's array-API layer and scipy.special, about
-# 19 MB of resident memory in every process.  The calls are the ones
+# 19 MB of resident memory in every process, and each call would pass
+# through its dispatch layer.  The calls are the ones
 # scipy.fft's 1-D functions make (axes as a tuple, out= for the in-place
 # passes), so the results are bitwise theirs.  inorm 2 on the forward and 0
 # on the inverse passes is norm="forward": the 1/N of each axis of the
@@ -59,18 +67,6 @@ def workers(count: int):
         yield
     finally:
         _FFT_WORKERS = previous
-
-
-# The 3-D transforms run as 1-D passes that skip the lines holding only
-# modes outside the ball |k| < R: every wavenumber component of a mode in
-# the ball is at most kc = ceil(R) - 1 in magnitude.  The inverse runs
-# ifft_x, ifft_y and irfft_z (the order irfftn uses, so its results are
-# bitwise those of irfftn, cut to the ball; only the signs of zeros can
-# differ), the forward rfft_zy (z, then y) and fft_x, so its results are
-# bitwise those of the full 1-D passes in the order z, y, x, cut to the
-# ball.  Every y and z line lies in one x-plane, so those passes run on
-# slabs of x-planes (see slab_pass), with the same results; the x passes
-# run on the compact columns of grid.column_shape, which hold the ball's rows.
 
 
 def _rows(grid: GridSpec) -> tuple[slice, slice]:
@@ -137,13 +133,17 @@ def slab_pass(packed: np.ndarray, grid: GridSpec, work, body, grids: int = 0):
 
     ``work`` is a :class:`mhddamp.nonlinear.Workspace` of the grid, or an
     object with its ``staging``, ``width``, ``columns`` and, when ``grids``
-    is not 0, ``products``.  The x passes run in the compact columns, or
-    with one slab (``columns`` None) in staging[:m]; the modes are
-    scattered there after a zero fill.  With several slabs staging holds
-    one slab's ball rows, its rows between zeroed and its columns k3 > kc
-    zero as allocated, for the y and z passes.  A slab's planes of the
-    columns are free once its values are made, and its grids' forward z
-    and y passes go there (with one slab, the kernel's output serves).
+    is not 0, ``products``.  The modes are scattered, after a zero fill,
+    into the compact columns, or with one slab (``columns`` None) into
+    staging[:m], where the inverse x pass runs.  With several slabs staging
+    then holds one slab's ball rows, its rows between zeroed and its
+    columns k3 > kc zero as allocated, for the inverse y and z passes; the
+    forward z and y passes of ``out`` follow, and their ball rows go to the
+    slab's planes of the columns, free once its values are made (with one
+    slab, the kernel's output serves).  After the last slab the forward x
+    pass runs there and the ball is gathered.  Callers add the partials
+    from 0.0 in slab order: the builtin sum is compensated from Python 3.12
+    on, so it would round differently there.
     """
     n, kc, m = grid.n_modes, grid.kc, len(packed)
     columns, staging = work.columns, work.staging

@@ -32,23 +32,17 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout):
-# a "columns" grid is the compact block :func:`column_shape` (N, 2kc+1,
-# kc+1) of a complex half spectrum (N, N, N/2+1): its y rows |k2| <= kc of
-# its columns k3 <= kc, with kc = ceil(R) - 1 the largest wavenumber
-# component in the ball; a "packed" array is (M,) complex and a "table"
-# (M,) real or int64, with M the number of modes in the ball |k| < R.  A
-# "slab" is c x-planes (c, N, N) of a real physical grid and a
-# "spectral_slab" c x-planes (c, N, N/2+1) of a half spectrum, with c =
-# :func:`slab_width`.  :class:`mhddamp.nonlinear.Workspace` allocates
-# exactly the WORKSPACE_GRIDS.  With several slabs both transforms run
-# their x pass in "columns", the inverse its y and z passes in "staging"
-# and the forward its z and y passes in the FFT kernel's output of each
-# slab; with one slab "staging" holds the whole half spectrum and
-# "columns" is absent.
+# The arrays of one trajectory's IF-RK4 stepper, as (name, count, layout),
+# which :class:`mhddamp.nonlinear.Workspace` allocates and
+# :func:`mhddamp.fields.slab_pass` uses: a "columns" grid is the compact
+# block :func:`column_shape` of a complex half spectrum, absent with one
+# slab; a "packed" array is (M,) complex and a "table" (M,) real or int64,
+# with M the number of modes in the ball |k| < R.  A "slab" is c x-planes
+# (c, N, N) of a real physical grid and a "spectral_slab" c x-planes (c, N,
+# N/2+1) of a half spectrum, with c = :func:`slab_width`.
 WORKSPACE_GRIDS = (
-    ("staging", 6, "spectral_slab"),  # zero at k3 > kc with several slabs
-    ("columns", 11, "columns"),    # both transforms' x passes; absent with one slab
+    ("staging", 6, "spectral_slab"),
+    ("columns", 11, "columns"),
     ("products", 11, "slab"),      # T (5 entries), u x b and the damping
     ("stage", 6, "packed"),        # the stage state w = (u, b)
     ("scratch", 2, "packed"),
@@ -239,7 +233,7 @@ class GridSpec:
     positions in the half spectrum (N, N, N/2+1) and in its compact columns
     (N, 2kc+1, kc+1); ``kx``, ``ky``, ``kz`` and ``k_sq`` = |k|^2;
     ``inv_k_sq`` = 1/|k|^2, 0 at k = 0; and ``parseval_weight``.  The k = 0
-    mode is the first.
+    mode is the first.  No array of the grid is of the half spectrum's size.
 
     A grid whose :func:`working_set_bytes` exceed the physical memory is
     rejected; one whose spectral and physical grids alone exceed it, before

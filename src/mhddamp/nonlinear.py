@@ -41,18 +41,13 @@ from .operators import leray_project_coeffs
 
 
 class Workspace:
-    """The buffers of one stepper, allocated once from
-    :data:`mhddamp.grid.WORKSPACE_GRIDS`, and the slab width ``width`` of
-    its physical-space pass, as :func:`mhddamp.fields.slab_pass` takes them.
-    ``staging`` holds one slab of the half spectrum, where an inverse
-    transform runs its y and z passes, ``columns`` (None with a single
-    slab, where ``staging`` holds the whole half spectrum) the compact
-    columns ``grid.column_shape``, the ball's y rows of the columns
-    k3 <= kc, where both transforms run their x pass, ``products`` the
-    grids of one slab, which the pass lends its bodies; ``stage``,
-    ``scratch`` and the multipliers ``ik`` = i (k1, k2, k3) are packed to
-    the ball.  It serves every trajectory the stepper steps (a twin's
-    three), and the ledger rows and CFL bound taken between its steps."""
+    """The buffers of one stepper, one attribute per entry of
+    :data:`mhddamp.grid.WORKSPACE_GRIDS`, allocated once, and the slab
+    width ``width`` of its physical-space pass, as
+    :func:`mhddamp.fields.slab_pass` takes them; its docstring says which
+    pass runs in which buffer.  It serves every trajectory the stepper
+    steps (a twin's three), and the ledger rows and CFL bound taken
+    between its steps."""
 
     def __init__(self, grid: GridSpec):
         n = grid.n_modes

@@ -22,10 +22,9 @@ or stream, and each field of a ``.mhdf`` checkpoint by R times its largest
 |c|.  Exit codes, the set of files, the N, R and time of checkpoints,
 non-finite numbers and all text but the numbers must still match exactly,
 but for a restart leg's ``config_hash``, which hashes the checkpoint it
-restarts from, when that checkpoint differs.  A checkpoint is decoded from
-its version, 2 (half spectra) or 3 (the packed ball), to the ball modes of
-its six fields; two versions of one state differ in one line that names
-the versions.
+restarts from, when that checkpoint differs.  A checkpoint of version 3 is
+decoded to the packed ball modes of its six fields; one of any other
+version is compared as bytes, like any malformed file.
 
 With ``--threads N`` the NEW side's run and twin legs run with ``--threads N``, so
 ``--threads 2 src src`` checks that one tree writes the same artifacts on 1
@@ -193,27 +192,14 @@ def _csv_numbers(data: bytes):
 
 
 def _mhdf_numbers(data: bytes):
-    """(the magic, N, R, t and whether the rest is intact, [(name, ball
-    modes)] of each of the six fields), from a checkpoint of version 2 (six
-    half spectra, intact when zero outside the ball) or 3 (the packed ball,
-    intact when its CRC matches).  The ball's modes are in the order of
-    ``GridSpec.index`` in both, so two versions of one state read alike."""
+    """(the magic, N, R, t and whether the CRC matches, [(name, packed ball
+    modes)] of each of the six fields), from a version 3 checkpoint."""
     magic, version, n, radius, t = struct.unpack(MHDF_HEADER, data[:MHDF_SIZE])
-    if version == 3:
-        fields = np.frombuffer(data[MHDF_SIZE:-4], dtype="<c16").reshape(6, -1)
-        intact = zlib.crc32(data[:-4]) == int.from_bytes(data[-4:], "little")
-    elif version == 2:
-        half = np.frombuffer(data[MHDF_SIZE:], dtype="<c16").reshape(6, n, n, n // 2 + 1)
-        k = np.fft.fftfreq(n, 1.0 / n)  # only the squares matter
-        ball = k[:, None, None] ** 2 + k[:, None] ** 2 + k[: n // 2 + 1] ** 2 < radius * radius
-        fields, intact = half[:, ball], not np.any(half[:, ~ball])
-    else:
+    if version != 3:
         raise ValueError(f"checkpoint version {version}")
+    fields = np.frombuffer(data[MHDF_SIZE:-4], dtype="<c16").reshape(6, -1)
+    intact = zlib.crc32(data[:-4]) == int.from_bytes(data[-4:], "little")
     return (magic, n, radius, t, intact), list(zip(FIELDS, fields))
-
-
-def _version(data: bytes) -> int:
-    return int.from_bytes(data[4:8], "little")
 
 
 def _numbers(name: str, data: bytes, masked: tuple[str, ...]):
@@ -278,10 +264,6 @@ def differences(old_dir: Path, new_dir: Path, old_results: dict, new_results: di
         if a == b:
             return
         moved = deviations(name, a, b, masked)
-        if name.endswith(".mhdf") and a[4:8] != b[4:8]:
-            found.append(f"{what}: checkpoint version {_version(a)} != {_version(b)}")
-            if moved == []:  # the same state, written by two versions
-                return
         if moved is None:
             found.append(message())
             return
